@@ -96,7 +96,7 @@ def _as_per(x: UChain) -> UChain:
 
 def chain_of_monomial(A: AlgebraPresentation, mon: tuple) -> UChain:
     """Evaluate psi on one reduced monomial by folding chain products."""
-    cache = _chain_cache(A)
+    cache = A.memo("psi_chain")
     if mon in cache:
         return cache[mon]
     kind = mon[0]
@@ -135,30 +135,14 @@ def chain_of_monomial(A: AlgebraPresentation, mon: tuple) -> UChain:
     return x
 
 
-def _chain_cache(A: AlgebraPresentation) -> dict:
-    cache = getattr(A, "_psi_chain_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(A, "_psi_chain_cache", cache)
-    return cache
-
-
 def psi_class(A: AlgebraPresentation, el: EllElement,
-              H: HomologyPresentation) -> tuple[int, ...]:
-    """Homology-class coordinates of psi on a reduced element."""
+              H: HomologyPresentation) -> int:
+    """Homology-class coordinates (a bitmask) of psi on a reduced element."""
     v = 0
     for mon in el:
         x = chain_of_monomial(A, mon)
         v ^= vectorize(A, H.slice, x, allow_projection=True)
     return H.coords(v)
-
-
-def _psi_matrix_cache(A: AlgebraPresentation) -> dict:
-    cache = getattr(A, "_psi_matrix_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(A, "_psi_matrix_cache", cache)
-    return cache
 
 
 def psi_matrix(A: AlgebraPresentation, theory: str, n: int, D: int,
@@ -169,7 +153,7 @@ def psi_matrix(A: AlgebraPresentation, theory: str, n: int, D: int,
     through psi and asserted to vanish in homology, certifying that the map
     is well defined on the quotient.
     """
-    cache = _psi_matrix_cache(A)
+    cache = A.memo("psi_matrix")
     key = (theory, n, D, 0 if A.graded else S)
     cached = cache.get(key)
     if cached is not None and (cached[3] or not certify):
@@ -177,16 +161,13 @@ def psi_matrix(A: AlgebraPresentation, theory: str, n: int, D: int,
     flavor = THEORY_FLAVOR[theory]
     sp = ell_degree_basis(A, flavor, n, D - n)
     H = homology(A, THEORY_TOWER[theory], n, D, S)
-    cols = []
-    for mon in sp.basis():
-        c = psi_class(A, frozenset({mon}), H)
-        cols.append(sum(1 << i for i, b in enumerate(c) if b))
+    cols = [psi_class(A, frozenset({mon}), H) for mon in sp.basis()]
     mat = matrix_from_columns(cols, H.dim)
     if certify:
         for rel in sp.quotient.relations.vectors:
             el = frozenset(sp.cands[k] for k in range(len(sp.cands))
                            if (rel >> k) & 1)
-            if any(psi_class(A, el, H)):
+            if psi_class(A, el, H):
                 raise ApproxError(
                     f"psi not well defined at ({n}, {D}): relation row "
                     "has a nonzero class")
@@ -347,10 +328,8 @@ def _eps_matrix(A: AlgebraPresentation, nf: int, D: int,
     src = omega_basis(A, nf, D)
     cols = []
     for g in src.basis():
-        c = antisymmetrize(A, frozenset({g}))
-        x = UChain.make("minus", {0: c})
-        cols.append(sum(1 << i for i, b in enumerate(
-            H.coords(vectorize(A, H.slice, x))) if b))
+        x = UChain.make("minus", {0: antisymmetrize(A, frozenset({g}))})
+        cols.append(H.coords(vectorize(A, H.slice, x)))
     return matrix_from_columns(cols, H.dim)
 
 

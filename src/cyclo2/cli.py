@@ -17,9 +17,7 @@ monomials of a relation; ``1`` is the empty monomial.  Lines starting with
 ``#`` are comments.
 
 The entry point is ``cyclo2 --input FILE --command CMD ...``; JSON reports
-go to stdout (schema 1), diagnostics to stderr.  CYCLO2_THREADS bounds the
-worker pool used for independent bidegree jobs; output order is sorted by
-bidegree regardless of completion order.
+go to stdout (schema 1), diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .approx import verify_approximation, verify_squares
@@ -173,14 +170,6 @@ def load_presentation(path: str) -> AlgebraPresentation:
         raise CLIError(str(exc)) from None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CYCLO2_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _bidegrees(A: AlgebraPresentation, cfg: RunConfig) -> list[tuple[int, int]]:
     out = []
     for n in range(-cfg.max_homological, cfg.max_homological + 1):
@@ -191,32 +180,21 @@ def _bidegrees(A: AlgebraPresentation, cfg: RunConfig) -> list[tuple[int, int]]:
     return out
 
 
-def _parallel_map(fn, jobs):
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def cmd_compute(A: AlgebraPresentation, cfg: RunConfig) -> dict:
     theory = cfg.theory
     entries = []
     if theory in ("hh", "hc", "hcminus", "hcper"):
-        def job(bd):
-            n, D = bd
+        for n, D in _bidegrees(A, cfg):
             h = homology(A, theory, n, D, cfg.columns)
-            return {"n": n, "internal": D, "dim": h.dim, "flag": h.flag}
-        entries = _parallel_map(job, _bidegrees(A, cfg))
+            entries.append({"n": n, "internal": D, "dim": h.dim,
+                            "flag": h.flag})
     elif theory in ("ell", "ellplus", "ellper"):
         flavor = {"ell": "ell", "ellplus": "ell_plus",
                   "ellper": "ell_per"}[theory]
-        def job(bd):
-            n, D = bd
+        for n, D in _bidegrees(A, cfg):
             sp = ell_degree_basis(A, flavor, n, D - n)
-            return {"n": n, "internal": D, "upper": D - n, "dim": sp.dim,
-                    "flag": "stable"}
-        entries = _parallel_map(job, _bidegrees(A, cfg))
+            entries.append({"n": n, "internal": D, "upper": D - n,
+                            "dim": sp.dim, "flag": "stable"})
     elif theory == "derham":
         for nf in range(0, A.ngens + 1):
             for D in (range(0, cfg.max_internal + 1) if A.graded else (0,)):

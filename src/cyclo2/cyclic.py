@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .f2linalg import (
@@ -115,12 +116,9 @@ class TowerSlice:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
     def index(self) -> dict[tuple[int, BarWord], int]:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {pw: k for k, pw in enumerate(self.basis)}
-            object.__setattr__(self, "_index_cache", idx)
-        return idx
+        return {pw: k for k, pw in enumerate(self.basis)}
 
 
 def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
@@ -143,7 +141,7 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
         p_min = -S
         truncated = True
     key = (t, n, d, S if truncated else 0)
-    cache = _slice_cache(A)
+    cache = A.memo("tower")
     if key in cache:
         return cache[key]
     basis: list[tuple[int, BarWord]] = []
@@ -160,22 +158,6 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
     return sl
 
 
-def _slice_cache(A: AlgebraPresentation) -> dict:
-    cache = getattr(A, "_tower_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(A, "_tower_cache", cache)
-    return cache
-
-
-def _matrix_cache(A: AlgebraPresentation) -> dict:
-    cache = getattr(A, "_tower_matrix_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(A, "_tower_matrix_cache", cache)
-    return cache
-
-
 def vectorize(A: AlgebraPresentation, sl: TowerSlice, x: UChain,
               allow_projection: bool = False) -> int:
     """Coordinates of a u-chain in a slice basis (bitmask).
@@ -184,7 +166,7 @@ def vectorize(A: AlgebraPresentation, sl: TowerSlice, x: UChain,
     dropped (the quotient-complex projection); otherwise any missing word is
     an error.
     """
-    idx = sl.index()
+    idx = sl.index
     v = 0
     for i, c in x.entries:
         p = -i
@@ -214,10 +196,10 @@ def differential_columns(A: AlgebraPresentation, src: TowerSlice,
     if tgt.n != src.n - 1 or tgt.d != src.d:
         raise TowerError("differential endpoints mismatch")
     key = ("diff", src.theory, src.n, src.d, src.S if src.truncated else 0)
-    cache = _matrix_cache(A)
+    cache = A.memo("tower_matrix")
     if key in cache:
         return cache[key]
-    idx = tgt.index()
+    idx = tgt.index
     cols: list[int] = []
     for p, w in src.basis:
         v = 0
@@ -254,11 +236,12 @@ class HomologyPresentation:
     def dim(self) -> int:
         return len(self.complement)
 
-    def coords(self, v: int) -> tuple[int, ...]:
+    def coords(self, v: int) -> int:
+        """Class coordinates (a bitmask) of a cycle given as a slice vector."""
         return class_coordinates(self.complement, self.boundaries, v)
 
     def coords_of_uchain(self, A: AlgebraPresentation, x: UChain,
-                         allow_projection: bool = False) -> tuple[int, ...]:
+                         allow_projection: bool = False) -> int:
         return self.coords(vectorize(A, self.slice, x, allow_projection))
 
     def rep(self, k: int) -> int:
@@ -299,7 +282,7 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     t = theory_key(theory)
     alpha, _ = THEORY_BOUNDS[t]
     needs_protocol = (alpha is None) and not A.graded
-    cache = _homology_cache(A)
+    cache = A.memo("homology")
     key = (t, n, d, S if needs_protocol else 0)
     if key in cache:
         return cache[key]
@@ -310,12 +293,9 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     small = _homology_at(A, t, n, d, S)
     big = _homology_at(A, t, n, d, S + 1)
     # project the S+1 class representatives into the S window
-    coords = []
-    for k in range(big.dim):
-        xc = big.rep_uchain(k)
-        coords.append(small.coords_of_uchain(A, xc, allow_projection=True))
     image = echelonize_in(
-        [sum(1 << j for j, b in enumerate(c) if b) for c in coords],
+        [small.coords_of_uchain(A, big.rep_uchain(k), allow_projection=True)
+         for k in range(big.dim)],
         small.dim)
     rank = image.dim
     stable = small.dim == big.dim and rank == small.dim
@@ -327,14 +307,6 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
         persistent_rank=rank, persistent_image=image)
     cache[key] = pres
     return pres
-
-
-def _homology_cache(A: AlgebraPresentation) -> dict:
-    cache = getattr(A, "_homology_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(A, "_homology_cache", cache)
-    return cache
 
 
 # ----- maps of the three long exact sequences -----
@@ -356,18 +328,14 @@ def class_map(A: AlgebraPresentation, src: HomologyPresentation,
     chain_map takes a slice vector of src and returns a slice vector of tgt;
     it must send cycles to cycles and boundaries to boundaries.
     """
-    cols = []
-    for k in range(src.dim):
-        img = chain_map(src.rep(k))
-        c = tgt.coords(img)
-        cols.append(sum(1 << i for i, b in enumerate(c) if b))
+    cols = [tgt.coords(chain_map(src.rep(k))) for k in range(src.dim)]
     return matrix_from_columns(cols, tgt.dim)
 
 
 def slice_shift_map(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
                     shift: int):
     """Vector map moving column p to p + shift, dropping cut components."""
-    idx = tgt.index()
+    idx = tgt.index
 
     def f(v: int) -> int:
         out = 0
@@ -418,8 +386,7 @@ def connecting_map(A: AlgebraPresentation,
         w = solve(i_mat, dx)
         if w is None:
             raise TowerError("connecting map: boundary not in subcomplex")
-        c = HL.coords(w)
-        cols.append(sum(1 << i for i, b in enumerate(c) if b))
+        cols.append(HL.coords(w))
     return matrix_from_columns(cols, HL.dim)
 
 
@@ -547,7 +514,7 @@ def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
 
 
 def _column_zero_projection(src: TowerSlice, tgt: TowerSlice):
-    idx = tgt.index()
+    idx = tgt.index
 
     def f(v: int) -> int:
         out = 0
@@ -564,7 +531,7 @@ def _column_zero_projection(src: TowerSlice, tgt: TowerSlice):
 
 def _plus_u_map(src: TowerSlice, tgt: TowerSlice):
     """Multiplication by u on a right-unbounded tower: keep columns >= 1."""
-    idx = tgt.index()
+    idx = tgt.index
 
     def f(v: int) -> int:
         out = 0
@@ -598,7 +565,7 @@ def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
         return None
     sl_src = src.slice
     sl_tgt = tgt.slice
-    idx = sl_tgt.index()
+    idx = sl_tgt.index
     cols = []
     for k in range(src.dim):
         x = src.rep(k)
@@ -611,14 +578,14 @@ def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
         v = 0
         for w in img:
             v ^= 1 << idx[(0, w)]
-        c = tgt.coords(v)
-        cols.append(sum(1 << i for i, b in enumerate(c) if b))
+        cols.append(tgt.coords(v))
     return matrix_from_columns(cols, tgt.dim)
 
 
 def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
-            S: int = 3) -> tuple[int, list[tuple[int, ...]]]:
-    """Dimension and basis (in E^1 class coordinates) of E^2_{s,t}."""
+            S: int = 3) -> tuple[int, list[int]]:
+    """Dimension and basis (E^1 class coordinates, as bitmasks) of
+    E^2_{s,t}."""
     e1 = e1_page(A, alpha, beta, s, t, d, S)
     if e1 is None:
         return 0, []
@@ -638,5 +605,4 @@ def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
     else:
         boundaries = SubspaceBasis(dim_e1, ())
     comp = complement_basis(cycles, boundaries)
-    basis = [tuple((v >> j) & 1 for j in range(dim_e1)) for v in comp]
-    return len(comp), basis
+    return len(comp), list(comp)

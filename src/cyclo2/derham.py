@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .f2linalg import QuotientBasis, SubspaceBasis, complement_basis, \
     class_coordinates, echelonize_in, eliminate_tracked
@@ -33,11 +34,6 @@ def form(m: Monomial, dgs: tuple[int, ...] = ()) -> OmegaElement:
     if list(dgs) != sorted(set(dgs)):
         raise DeRhamError("differential indices must be strictly increasing")
     return frozenset({(m, tuple(dgs))})
-
-
-def form_internal_degree(A: AlgebraPresentation, g: FormGen) -> int:
-    m, dgs = g
-    return A.mono_degree(m) + sum(A.degrees[i] for i in dgs)
 
 
 def d_monomial(A: AlgebraPresentation, m: Monomial) -> list[tuple[Monomial, int]]:
@@ -89,15 +85,12 @@ class OmegaSpace:
     def basis(self) -> tuple[FormGen, ...]:
         return tuple(self.free[k] for k in self.quotient.positions)
 
+    @cached_property
     def _index(self) -> dict:
-        idx = getattr(self, "_index_cache", None)
-        if idx is None:
-            idx = {g: k for k, g in enumerate(self.free)}
-            self._index_cache = idx
-        return idx
+        return {g: k for k, g in enumerate(self.free)}
 
     def vectorize(self, el: OmegaElement) -> int:
-        index = self._index()
+        index = self._index
         v = 0
         for g in el:
             if g not in index:
@@ -106,30 +99,20 @@ class OmegaSpace:
             v ^= 1 << index[g]
         return v
 
-    def coords(self, el: OmegaElement) -> tuple[int, ...]:
+    def coords(self, el: OmegaElement) -> int:
+        """Basis coordinates of a form, as a bitmask."""
         return self.quotient.coords(self.vectorize(el))
 
-    def coords_mask(self, el: OmegaElement) -> int:
-        return self.quotient.coords_mask(self.vectorize(el))
-
-    def element(self, coords_mask: int) -> OmegaElement:
-        v = self.quotient.lift(coords_mask)
+    def element(self, coords: int) -> OmegaElement:
+        v = self.quotient.lift(coords)
         return frozenset(self.free[k] for k in range(len(self.free))
                          if (v >> k) & 1)
-
-
-def _omega_cache(A: AlgebraPresentation) -> dict:
-    cache = getattr(A, "_omega_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(A, "_omega_cache", cache)
-    return cache
 
 
 def omega_basis(A: AlgebraPresentation, n: int, d: int) -> OmegaSpace:
     """Omega^n in internal degree d: free on (monomial, dg-subset) pairs
     modulo multiples of the relation differentials."""
-    cache = _omega_cache(A)
+    cache = A.memo("omega")
     key = (n, d)
     if key in cache:
         return cache[key]
@@ -185,7 +168,7 @@ def d_matrix_columns(A: AlgebraPresentation, n: int, d: int) -> list[int]:
     cols = []
     for g in src.basis():
         img = de_rham_d(A, frozenset({g}))
-        cols.append(tgt.coords_mask(img))
+        cols.append(tgt.coords(img))
     return cols
 
 
@@ -204,16 +187,17 @@ class DeRhamCohomology:
     def dim(self) -> int:
         return len(self.complement)
 
-    def coords(self, el: OmegaElement) -> tuple[int, ...]:
+    def coords(self, el: OmegaElement) -> int:
+        """Class coordinates (a bitmask) of a closed form."""
         return class_coordinates(self.complement, self.boundaries,
-                                 self.space.coords_mask(el))
+                                 self.space.coords(el))
 
     def rep(self, k: int) -> OmegaElement:
         return self.space.element(self.complement[k])
 
 
 def de_rham_cohomology(A: AlgebraPresentation, n: int, d: int) -> DeRhamCohomology:
-    cache = _omega_cache(A)
+    cache = A.memo("omega")
     key = ("hdr", n, d)
     if key in cache:
         return cache[key]
@@ -245,8 +229,9 @@ def cartier_form(A: AlgebraPresentation, el: OmegaElement) -> OmegaElement:
 
 
 def cartier(A: AlgebraPresentation, el: OmegaElement, n: int,
-            d: int) -> tuple[int, ...]:
-    """Class coordinates of the Cartier image of a form in Omega^n_d.
+            d: int) -> int:
+    """Class coordinates (a bitmask) of the Cartier image of a form in
+    Omega^n_d.
 
     The image representative lands in internal degree 2d; it must be closed
     (d(a da) = da da = 0), which is asserted.
@@ -263,10 +248,7 @@ def cartier_matrix(A: AlgebraPresentation, n: int, d: int):
     from .cyclic import matrix_from_columns
     src = omega_basis(A, n, d)
     target = de_rham_cohomology(A, n, 2 * d)
-    cols = []
-    for g in src.basis():
-        c = cartier(A, frozenset({g}), n, d)
-        cols.append(sum(1 << i for i, b in enumerate(c) if b))
+    cols = [cartier(A, frozenset({g}), n, d) for g in src.basis()]
     return matrix_from_columns(cols, target.dim), src, target
 
 

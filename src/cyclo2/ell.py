@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .derham import OmegaElement, d_monomial, form_mul, omega_basis
 from .f2linalg import QuotientBasis
-from .gralg import AlgebraPresentation, Monomial, Poly, grevlex_key
+from .gralg import AlgebraPresentation, Monomial, Poly
 
 EllMonomial = tuple
 EllElement = frozenset
@@ -42,12 +43,8 @@ class EllError(Exception):
     pass
 
 
-def _skey(m: Monomial):
-    return grevlex_key(m)
-
-
-def _sorted(ms) -> tuple[Monomial, ...]:
-    return tuple(sorted(ms, key=_skey))
+def _sorted(A: AlgebraPresentation, ms) -> tuple[Monomial, ...]:
+    return tuple(sorted(ms, key=A.mono_key))
 
 
 # ----- monomial constructors and multiplication -----
@@ -64,12 +61,24 @@ def _phi_insert(A: AlgebraPresentation, phi: tuple, m: Monomial) -> frozenset:
     if m == A.one:
         return frozenset({phi})
     if m not in phi:
-        return frozenset({_sorted(phi + (m,))})
+        return frozenset({_sorted(A, phi + (m,))})
     base = tuple(x for x in phi if x != m)
     out: set = set()
     for m2 in A.mul(m, m):
         out.symmetric_difference_update(_phi_insert(A, base, m2))
     return frozenset(out)
+
+
+def _phi_fold(A: AlgebraPresentation, phi: tuple, args) -> frozenset:
+    """The phi parts of the product of prod_{m in phi} phi(m) with phi(a)
+    for every a in args, each part squarefree."""
+    phis = frozenset({phi})
+    for m in args:
+        nxt: set = set()
+        for t in phis:
+            nxt.symmetric_difference_update(_phi_insert(A, t, m))
+        phis = frozenset(nxt)
+    return phis
 
 
 def ell_mon_mul(A: AlgebraPresentation, a: EllMonomial,
@@ -80,17 +89,11 @@ def ell_mon_mul(A: AlgebraPresentation, a: EllMonomial,
     if set(qa) & set(qb) or set(da) & set(db):
         return ZERO_ELL
     j = ja + jb
-    q = _sorted(qa + qb)
-    dl = _sorted(da + db)
+    q = _sorted(A, qa + qb)
+    dl = _sorted(A, da + db)
     if j > 0 and dl:
         return ZERO_ELL  # u delta(a) = 0
-    phis = frozenset({pa})
-    for m in pb:
-        nxt: set = set()
-        for t in phis:
-            nxt.symmetric_difference_update(_phi_insert(A, t, m))
-        phis = frozenset(nxt)
-    return frozenset(("e", j, t, q, dl) for t in phis)
+    return frozenset(("e", j, t, q, dl) for t in _phi_fold(A, pa, pb))
 
 
 def per_mon_mul(A: AlgebraPresentation, a: EllMonomial,
@@ -99,14 +102,8 @@ def per_mon_mul(A: AlgebraPresentation, a: EllMonomial,
     _, jb, pb, qb = b
     if set(qa) & set(qb):
         return ZERO_ELL
-    q = _sorted(qa + qb)
-    phis = frozenset({pa})
-    for m in pb:
-        nxt: set = set()
-        for t in phis:
-            nxt.symmetric_difference_update(_phi_insert(A, t, m))
-        phis = frozenset(nxt)
-    return frozenset(("p", ja + jb, t, q) for t in phis)
+    q = _sorted(A, qa + qb)
+    return frozenset(("p", ja + jb, t, q) for t in _phi_fold(A, pa, pb))
 
 
 def plus_mon_mul(A: AlgebraPresentation, e: EllMonomial,
@@ -119,35 +116,20 @@ def plus_mon_mul(A: AlgebraPresentation, e: EllMonomial,
             return ZERO_ELL  # u gamma(a) = 0, and u kills the whole orbit
         if set(q) & set(qx) or set(dl) & set(dx):
             return ZERO_ELL
-        qm = _sorted(q + qx)
-        dm = _sorted(dl + dx)
-        out: set = set()
-        phis = frozenset({px})
-        for mm in phi:
-            nxt: set = set()
-            for t in phis:
-                nxt.symmetric_difference_update(_phi_insert(A, t, mm))
-            phis = frozenset(nxt)
-        for t in phis:
-            out.symmetric_difference_update({("g", t, qm, dm, m)})
-        return frozenset(out)
+        qm = _sorted(A, q + qx)
+        dm = _sorted(A, dl + dx)
+        return frozenset(("g", t, qm, dm, m) for t in _phi_fold(A, px, phi))
     if x[0] == "v":
         _, jx, i, px, qx = x
         if dl:
             return ZERO_ELL  # delta(a) v^i = 0
         if set(q) & set(qx):
             return ZERO_ELL
-        qm = _sorted(q + qx)
+        qm = _sorted(A, q + qx)
         jt = j + jx
         k = min(jt, i)
         jt, it = jt - k, i - k  # u v^i = v^{i-1}
-        phis = frozenset({px})
-        for mm in phi:
-            nxt: set = set()
-            for t in phis:
-                nxt.symmetric_difference_update(_phi_insert(A, t, mm))
-            phis = frozenset(nxt)
-        return frozenset(("v", jt, it, t, qm) for t in phis)
+        return frozenset(("v", jt, it, t, qm) for t in _phi_fold(A, px, phi))
     raise EllError(f"unknown plus monomial {x!r}")
 
 
@@ -192,7 +174,7 @@ def q_el(A: AlgebraPresentation, p: Poly, additive: bool = False,
         mon = ("e", 0, (), (m,), ()) if kind == "e" else ("p", 0, (), (m,))
         out.symmetric_difference_update({mon})
     if not additive:
-        ms = _sorted(p)
+        ms = _sorted(A, p)
         for i in range(len(ms)):
             for k in range(i + 1, len(ms)):
                 out.symmetric_difference_update(del_el(A, A.mul(ms[i], ms[k])))
@@ -298,19 +280,11 @@ def _part_choices(A: AlgebraPresentation, pool, n_slots: int, up_budget: int,
     return results
 
 
-def _mono_cache(A: AlgebraPresentation) -> dict:
-    cache = getattr(A, "_ell_mono_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(A, "_ell_mono_cache", cache)
-    return cache
-
-
 def ell_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
     """Candidate ell monomials of bidegree (n, d), canonically sorted."""
     if not A.graded and d != -n:
         return []
-    cache = _mono_cache(A)
+    cache = A.memo("ell_mono")
     key = ("e", n, d)
     if key in cache:
         return cache[key]
@@ -331,7 +305,7 @@ def ell_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
             if j > 0 and dl:
                 continue  # u kills delta factors
             out.append(("e", j, phi, q, dl))
-    out.sort(key=_mon_sort_key)
+    out.sort(key=lambda mon: _mon_sort_key(A, mon))
     cache[key] = out
     return out
 
@@ -339,7 +313,7 @@ def ell_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
 def per_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
     if not A.graded and d != -n:
         return []
-    cache = _mono_cache(A)
+    cache = A.memo("ell_mono")
     key = ("p", n, d)
     if key in cache:
         return cache[key]
@@ -359,7 +333,7 @@ def per_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
         for phi, q, _ in _part_choices(A, pool, nq, up,
                                        {"phi": costs["phi"], "q": costs["q"]}):
             out.append(("p", j, phi, q))
-    out.sort(key=_mon_sort_key)
+    out.sort(key=lambda mon: _mon_sort_key(A, mon))
     cache[key] = out
     return out
 
@@ -367,7 +341,7 @@ def per_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
 def plus_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
     if not A.graded and d != -n:
         return []
-    cache = _mono_cache(A)
+    cache = A.memo("ell_mono")
     key = ("g", n, d)
     if key in cache:
         return cache[key]
@@ -400,26 +374,27 @@ def plus_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
         for phi, q, _ in _part_choices(A, pool, nq, up,
                                        {"phi": costs["phi"], "q": costs["q"]}):
             out.append(("v", j, i, phi, q))
-    out.sort(key=_mon_sort_key)
+    out.sort(key=lambda mon: _mon_sort_key(A, mon))
     cache[key] = out
     return out
 
 
-def _mon_sort_key(mon: EllMonomial):
+def _mon_sort_key(A: AlgebraPresentation, mon: EllMonomial):
+    key = A.mono_key
     kind = mon[0]
     if kind == "e":
         _, j, phi, q, dl = mon
-        return (0, j, tuple(map(_skey, phi)), tuple(map(_skey, q)),
-                tuple(map(_skey, dl)), 0, ())
+        return (0, j, tuple(map(key, phi)), tuple(map(key, q)),
+                tuple(map(key, dl)), 0, ())
     if kind == "p":
         _, j, phi, q = mon
-        return (0, j, tuple(map(_skey, phi)), tuple(map(_skey, q)), (), 0, ())
+        return (0, j, tuple(map(key, phi)), tuple(map(key, q)), (), 0, ())
     if kind == "g":
         _, phi, q, dl, m = mon
-        return (1, 0, tuple(map(_skey, phi)), tuple(map(_skey, q)),
-                tuple(map(_skey, dl)), 0, _skey(m))
+        return (1, 0, tuple(map(key, phi)), tuple(map(key, q)),
+                tuple(map(key, dl)), 0, key(m))
     _, j, i, phi, q = mon
-    return (2, j, tuple(map(_skey, phi)), tuple(map(_skey, q)), (), i, ())
+    return (2, j, tuple(map(key, phi)), tuple(map(key, q)), (), i, ())
 
 
 # ----- relation instances -----
@@ -603,15 +578,12 @@ class EllSpace:
     def basis(self) -> tuple[EllMonomial, ...]:
         return tuple(self.cands[k] for k in self.quotient.positions)
 
+    @cached_property
     def _index(self) -> dict:
-        idx = getattr(self, "_index_cache", None)
-        if idx is None:
-            idx = {m: k for k, m in enumerate(self.cands)}
-            self._index_cache = idx
-        return idx
+        return {m: k for k, m in enumerate(self.cands)}
 
     def vectorize(self, el: EllElement) -> int:
-        index = self._index()
+        index = self._index
         v = 0
         for m in el:
             k = index.get(m)
@@ -621,29 +593,19 @@ class EllSpace:
             v ^= 1 << k
         return v
 
-    def coords(self, el: EllElement) -> tuple[int, ...]:
+    def coords(self, el: EllElement) -> int:
+        """Basis coordinates of an element, as a bitmask."""
         return self.quotient.coords(self.vectorize(el))
-
-    def coords_mask(self, el: EllElement) -> int:
-        return self.quotient.coords_mask(self.vectorize(el))
 
     def reduce(self, el: EllElement) -> EllElement:
         """Canonical representative supported on the basis monomials."""
-        mask = self.coords_mask(el)
+        mask = self.coords(el)
         basis = self.basis()
         return frozenset(basis[k] for k in range(self.dim) if (mask >> k) & 1)
 
 
-def _ell_cache(A: AlgebraPresentation) -> dict:
-    cache = getattr(A, "_ell_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(A, "_ell_cache", cache)
-    return cache
-
-
 def _instances(A: AlgebraPresentation, family: str, bound: int):
-    cache = _ell_cache(A)
+    cache = A.memo("ell")
     key = ("instances", family)
     stored = cache.get(key)
     if stored is None or stored[0] < bound:
@@ -655,69 +617,60 @@ def _instances(A: AlgebraPresentation, family: str, bound: int):
     return stored[1]
 
 
-def _relation_rows(A: AlgebraPresentation, family: str, cands, index, n: int,
-                   d: int, mul, mon_enum) -> list[int]:
-    """Spanning rows: every instance times every complementary monomial.
+def _coefficient_mul(A: AlgebraPresentation, x: EllMonomial,
+                     e: EllMonomial) -> EllElement:
+    """An ell relation monomial e acting on an ell_plus monomial x."""
+    return plus_mon_mul(A, e, x)
 
-    For ell and plus, multiplier monomials have non-negative upper degree,
-    so instances above d cannot contribute.  For per only the sum n + d is
-    bounded (u is invertible).
+
+def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
+                   d: int) -> tuple[list[int], list[EllElement]]:
+    """Spanning rows: every instance times every complementary multiplier.
+
+    The families "ell", "per" and "plus" are the defining relations of
+    those functors times coefficient monomials.  "coefficient" is the ell
+    relations acting on ell_plus monomials: the plus functor is a module
+    over ell(A), so every relation among the coefficients kills its
+    multiples too, and the plus relations alone do not imply these in the
+    v sector.  Multipliers of ell and plus rows have non-negative upper
+    degree, so instances above d cannot contribute; per and coefficient
+    rows bound only n + d (u is invertible, and v^i trades homological for
+    upper degree two at a time).
+
+    Returns the distinct nonzero rows as candidate bitmasks, and the row
+    elements in the same order.
     """
-    bound = (n + d) if family == "per" else d
-    rows = []
+    instances, bound, multipliers, product = {
+        "ell": ("ell", d, ell_monomials, ell_mon_mul),
+        "per": ("per", n + d, per_monomials, per_mon_mul),
+        "plus": ("plus", d, ell_monomials, plus_mon_mul),
+        "coefficient": ("ell", max(d, n + d, 0), plus_monomials,
+                        _coefficient_mul),
+    }[family]
+    total = family in ("per", "coefficient")
+    index = {m: k for k, m in enumerate(cands)}
+    rows: list[int] = []
+    row_els: list[EllElement] = []
     seen = set()
-    for el, n0, d0 in _instances(A, family, bound if A.graded else 0):
-        if A.graded:
-            if family == "per" and n0 + d0 > n + d:
-                continue
-            if family != "per" and d0 > d:
-                continue
-        for mult in mon_enum(A, n - n0, d - d0):
-            row = el_mul(A, frozenset({mult}), el, mul=mul)
-            if not row:
-                continue
-            v = 0
-            for m in row:
-                k = index.get(m)
-                if k is None:
-                    raise EllError("relation row leaves the candidate space")
-                v ^= 1 << k
-            if v and v not in seen:
-                seen.add(v)
-                rows.append(v)
-    return rows
-
-
-def _coefficient_rows(A: AlgebraPresentation, cands, index, n: int,
-                      d: int) -> list[int]:
-    """Rows from ell relation instances acting on ell_plus monomials.
-
-    The plus functor is a module over ell(A), so every relation among the
-    coefficients kills its multiples too; the (rp) families alone do not
-    imply these in the v sector.
-    """
-    rows = []
-    seen = set()
-    # v-type multipliers have negative upper degree, so only n0 + d0 is
-    # bounded (v^i trades homological for upper degree two at a time)
-    bound = max(d, n + d, 0)
-    for el, n0, d0 in _instances(A, "ell", bound if A.graded else 0):
-        if A.graded and n0 + d0 > n + d:
+    for el, n0, d0 in _instances(A, instances, bound if A.graded else 0):
+        if A.graded and (n0 + d0 > n + d if total else d0 > d):
             continue
-        for mult in plus_monomials(A, n - n0, d - d0):
-            row = el_mul(A, el, frozenset({mult}), mul=plus_mon_mul)
+        for mult in multipliers(A, n - n0, d - d0):
+            row = el_mul(A, frozenset({mult}), el, mul=product)
             if not row:
                 continue
             v = 0
             for m in row:
                 k = index.get(m)
                 if k is None:
-                    raise EllError("coefficient row leaves the candidate space")
+                    raise EllError(
+                        f"{family} relation row leaves the candidates: {m}")
                 v ^= 1 << k
             if v and v not in seen:
                 seen.add(v)
                 rows.append(v)
-    return rows
+                row_els.append(row)
+    return rows, row_els
 
 
 def ell_degree_basis(A: AlgebraPresentation, flavor: str, n: int,
@@ -725,7 +678,7 @@ def ell_degree_basis(A: AlgebraPresentation, flavor: str, n: int,
     """Basis of the chosen functor in bidegree (homological n, upper d)."""
     if flavor not in FLAVORS:
         raise EllError(f"unknown flavor {flavor!r}")
-    cache = _ell_cache(A)
+    cache = A.memo("ell")
     key = (flavor, n, d)
     if key in cache:
         return cache[key]
@@ -751,21 +704,14 @@ def ell_degree_basis(A: AlgebraPresentation, flavor: str, n: int,
                     rows.append(v)
             space = EllSpace(flavor, n, d, cands,
                              QuotientBasis.from_relations(len(cands), rows))
-    elif flavor == "ell_per":
-        cands = tuple(per_monomials(A, n, d))
-        index = {m: k for k, m in enumerate(cands)}
-        rows = _relation_rows(A, "per", cands, index, n, d, per_mon_mul,
-                              per_monomials)
-        space = EllSpace(flavor, n, d, cands,
-                         QuotientBasis.from_relations(len(cands), rows))
-    else:  # ell_plus
-        cands = tuple(plus_monomials(A, n, d))
-        index = {m: k for k, m in enumerate(cands)}
-        # module relations times ell coefficients ...
-        rows = _relation_rows(A, "plus", cands, index, n, d, plus_mon_mul,
-                              ell_monomials)
-        # ... plus the ell coefficient relations acting on module monomials
-        rows.extend(_coefficient_rows(A, cands, index, n, d))
+    else:
+        if flavor == "ell_per":
+            cands = tuple(per_monomials(A, n, d))
+            rows, _ = _relation_rows(A, "per", cands, n, d)
+        else:  # ell_plus
+            cands = tuple(plus_monomials(A, n, d))
+            rows = (_relation_rows(A, "plus", cands, n, d)[0]
+                    + _relation_rows(A, "coefficient", cands, n, d)[0])
         space = EllSpace(flavor, n, d, cands,
                          QuotientBasis.from_relations(len(cands), rows))
     cache[key] = space
@@ -773,33 +719,12 @@ def ell_degree_basis(A: AlgebraPresentation, flavor: str, n: int,
 
 
 def _ell_space_raw(A: AlgebraPresentation, n: int, d: int) -> EllSpace:
-    cache = _ell_cache(A)
+    cache = A.memo("ell")
     key = ("ell", n, d)
     if key in cache:
         return cache[key]
     cands = tuple(ell_monomials(A, n, d))
-    index = {m: k for k, m in enumerate(cands)}
-    row_els: list[EllElement] = []
-    rows = []
-    seen = set()
-    for el, n0, d0 in _instances(A, "ell", d if A.graded else 0):
-        if A.graded and d0 > d:
-            continue
-        for mult in ell_monomials(A, n - n0, d - d0):
-            row = el_mul(A, frozenset({mult}), el)
-            if not row:
-                continue
-            v = 0
-            for m in row:
-                k = index.get(m)
-                if k is None:
-                    raise EllError(f"relation row leaves candidates: {m}")
-                v ^= 1 << k
-            if v and v not in seen:
-                seen.add(v)
-                rows.append(v)
-                row_els.append(row)
-    cache[("rows", n, d)] = row_els
+    rows, cache[("rows", n, d)] = _relation_rows(A, "ell", cands, n, d)
     space = EllSpace("ell", n, d, cands,
                      QuotientBasis.from_relations(len(cands), rows))
     cache[key] = space
@@ -843,7 +768,7 @@ def r_matrix(A: AlgebraPresentation, n: int, d: int):
     from .cyclic import matrix_from_columns
     src = ell_degree_basis(A, "ell", n, d)
     tgt = omega_basis(A, n, n + d)
-    cols = [tgt.coords_mask(map_r(A, m)) for m in src.basis()]
+    cols = [tgt.coords(map_r(A, m)) for m in src.basis()]
     return matrix_from_columns(cols, tgt.dim), src, tgt
 
 
@@ -853,7 +778,7 @@ def tau_matrix(A: AlgebraPresentation, nform: int, D: int):
     from .cyclic import matrix_from_columns
     src = omega_basis(A, nform, D)
     tgt = ell_degree_basis(A, "ell", nform + 1, D - nform - 1)
-    cols = [tgt.coords_mask(map_tau(A, g)) for g in src.basis()]
+    cols = [tgt.coords(map_tau(A, g)) for g in src.basis()]
     return matrix_from_columns(cols, tgt.dim), src, tgt
 
 
@@ -871,7 +796,7 @@ def mul_u_matrix(A: AlgebraPresentation, flavor: str, n: int, d: int):
             img = per_mon_mul(A, ("p", 1, (), ()), m)
         else:
             img = mul(A, u, m)
-        cols.append(tgt.coords_mask(img))
+        cols.append(tgt.coords(img))
     return matrix_from_columns(cols, tgt.dim), src, tgt
 
 
@@ -883,7 +808,7 @@ def gr_ell(A: AlgebraPresentation, n: int, d: int, imax: int) -> list[int]:
     for i in range(0, imax + 2):
         src = ell_degree_basis(A, "ell", n + 2 * i, d - 2 * i)
         ui = ("e", i, (), (), ())
-        vs = [tgt.coords_mask(ell_mon_mul(A, ui, m)) for m in src.basis()]
+        vs = [tgt.coords(ell_mon_mul(A, ui, m)) for m in src.basis()]
         ranks.append(rank_of(vs))
     return [ranks[i] - ranks[i + 1] for i in range(imax + 1)]
 
@@ -900,7 +825,7 @@ def I_matrix(A: AlgebraPresentation, nform: int, D: int):
         for i in dgs:
             el = el_mul(A, del_el(A, frozenset({A.gen_monomial(i)})), el,
                         mul=plus_mon_mul)
-        cols.append(tgt.coords_mask(el))
+        cols.append(tgt.coords(el))
     return matrix_from_columns(cols, tgt.dim), src, tgt
 
 
@@ -918,7 +843,7 @@ def D_matrix(A: AlgebraPresentation, n: int, d: int):
         _, phi, q, dl, m = mon
         coeff = map_r(A, ("e", 0, phi, q, dl))
         dm = frozenset((c, (i,)) for c, i in d_monomial(A, m))
-        cols.append(tgt.coords_mask(form_mul(A, coeff, dm)))
+        cols.append(tgt.coords(form_mul(A, coeff, dm)))
     return matrix_from_columns(cols, tgt.dim), src, tgt
 
 
@@ -933,7 +858,7 @@ def iota_matrix(A: AlgebraPresentation, n: int, d: int):
         if dl:
             cols.append(0)
         else:
-            cols.append(tgt.coords_mask(frozenset({("p", j, phi, q)})))
+            cols.append(tgt.coords(frozenset({("p", j, phi, q)})))
     return matrix_from_columns(cols, tgt.dim), src, tgt
 
 
@@ -950,7 +875,7 @@ def S_matrix(A: AlgebraPresentation, n: int, d: int):
         else:
             # u^j = u^{j+1} u^{-1}: lands on u^{j+1} v^0
             x = ("v", j + 1, 0, phi, q)
-        cols.append(tgt.coords_mask(frozenset({x})))
+        cols.append(tgt.coords(frozenset({x})))
     return matrix_from_columns(cols, tgt.dim), src, tgt
 
 
@@ -968,7 +893,7 @@ def bd_plus_matrix(A: AlgebraPresentation, n: int, d: int):
         _, phi, q, dl, m = mon
         el = el_mul(A, frozenset({("e", 0, phi, q, dl)}),
                     del_el(A, frozenset({m})))
-        cols.append(tgt.coords_mask(el))
+        cols.append(tgt.coords(el))
     return matrix_from_columns(cols, tgt.dim), src, tgt
 
 
@@ -1009,14 +934,6 @@ def ell_chain_maps(A: AlgebraPresentation, theory: str, n: int, d: int) -> dict:
 # ----- the deformation model (Omega[u], *) -----
 
 OmegaUElement = frozenset  # frozenset[(j, monomial, dgs)]
-
-
-def omega_u_bidegree(A: AlgebraPresentation, g) -> tuple[int, int]:
-    """Frobenius-twisted bidegree making f_bar degree-preserving."""
-    j, m, dgs = g
-    hom = len(dgs) - 2 * j
-    up = 2 * j + 2 * A.mono_degree(m) + sum(2 * A.degrees[i] - 1 for i in dgs)
-    return hom, up
 
 
 def star_product(A: AlgebraPresentation, e1: OmegaUElement,
@@ -1080,7 +997,7 @@ def s_bar(A: AlgebraPresentation, g) -> EllMonomial:
     """The section s(x0 dx_1...dx_n) = phi(x0) q(x_1)...q(x_n), times u^j."""
     j, m, dgs = g
     phi = () if m == A.one else (m,)
-    q = _sorted(A.gen_monomial(i) for i in dgs)
+    q = _sorted(A, (A.gen_monomial(i) for i in dgs))
     return ("e", j, phi, q, ())
 
 
@@ -1098,7 +1015,7 @@ def omega_u_reduce(A: AlgebraPresentation, el: OmegaUElement) -> dict:
         D = {A.mono_degree(m) + sum(A.degrees[i] for i in t)
              for m, t in forms}
         sp = omega_basis(A, nf, D.pop())
-        mask = sp.coords_mask(frozenset(forms))
+        mask = sp.coords(frozenset(forms))
         if mask:
             out[j] = (sp, mask)
     return out

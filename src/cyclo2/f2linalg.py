@@ -9,6 +9,7 @@ produced here is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 
@@ -49,16 +50,6 @@ class F2Matrix:
         for r in self.row_data:
             if r & ~mask:
                 raise F2LinalgError("entry outside declared columns")
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int,
-                     entries: Iterable[tuple[int, int]]) -> "F2Matrix":
-        data = [0] * rows
-        for i, j in entries:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise F2LinalgError("entry outside matrix")
-            data[i] ^= 1 << j
-        return cls(rows, cols, tuple(data))
 
     @classmethod
     def from_dense(cls, dense: Iterable[Iterable[int]], cols: Optional[int] = None) -> "F2Matrix":
@@ -145,20 +136,17 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
+    @cached_property
     def _tables(self) -> tuple[int, dict[int, int]]:
-        cached = self.__dict__.get("_pivot_tables")
-        if cached is None:
-            table = {_lowest_bit(w): w for w in self.vectors}
-            mask = 0
-            for p in table:
-                mask |= 1 << p
-            cached = (mask, table)
-            object.__setattr__(self, "_pivot_tables", cached)
-        return cached
+        table = {_lowest_bit(w): w for w in self.vectors}
+        mask = 0
+        for p in table:
+            mask |= 1 << p
+        return mask, table
 
     def reduce(self, v: int) -> int:
         """Remainder of v after elimination against the basis."""
-        mask, table = self._tables()
+        mask, table = self._tables
         hit = v & mask
         while hit:
             low = hit & -hit
@@ -198,20 +186,14 @@ class QuotientBasis:
     def dim(self) -> int:
         return len(self.positions)
 
+    @cached_property
     def _pos_index(self) -> dict[int, int]:
-        cached = self.__dict__.get("_pos_index_cache")
-        if cached is None:
-            cached = {j: k for k, j in enumerate(self.positions)}
-            object.__setattr__(self, "_pos_index_cache", cached)
-        return cached
+        return {j: k for k, j in enumerate(self.positions)}
 
-    def coords(self, v: int) -> tuple[int, ...]:
-        mask = self.coords_mask(v)
-        return tuple((mask >> k) & 1 for k in range(len(self.positions)))
-
-    def coords_mask(self, v: int) -> int:
+    def coords(self, v: int) -> int:
+        """Quotient coordinates of an ambient vector, as a bitmask."""
         r = self.relations.reduce(v)
-        idx = self._pos_index()
+        idx = self._pos_index
         out = 0
         while r:
             low = r & -r
@@ -219,11 +201,11 @@ class QuotientBasis:
             out |= 1 << idx[low.bit_length() - 1]
         return out
 
-    def lift(self, coords_mask: int) -> int:
+    def lift(self, coords: int) -> int:
         """Ambient representative of a coordinate vector."""
         v = 0
         for k, j in enumerate(self.positions):
-            if (coords_mask >> k) & 1:
+            if (coords >> k) & 1:
                 v |= 1 << j
         return v
 
@@ -339,8 +321,9 @@ def solve(m: F2Matrix, target: int) -> Optional[int]:
 
 
 def quotient_coordinates(cycles: SubspaceBasis, boundaries: SubspaceBasis,
-                         v: int) -> tuple[int, ...]:
-    """Coordinates of the class [v] in a fixed complement of boundaries.
+                         v: int) -> int:
+    """Coordinates (a bitmask) of the class [v] in a fixed complement of
+    boundaries.
 
     The complement basis is obtained by reducing the cycle basis against the
     boundary basis under the deterministic pivot rule, so coordinates are
@@ -370,13 +353,15 @@ def complement_basis(cycles: SubspaceBasis, boundaries: SubspaceBasis) -> tuple[
 
 
 def class_coordinates(comp: tuple[int, ...], boundaries: SubspaceBasis,
-                      v: int) -> tuple[int, ...]:
+                      v: int) -> int:
+    """Coordinates of the class [v] in the complement basis comp: bit k is
+    the coefficient of comp[k]."""
     r = boundaries.reduce(v)
-    coords = [0] * len(comp)
+    coords = 0
     for k, w in enumerate(comp):
         if (r >> _lowest_bit(w)) & 1:
             r ^= w
-            coords[k] = 1
+            coords |= 1 << k
     if r != 0:
         raise F2LinalgError("vector is not a cycle")
-    return tuple(coords)
+    return coords

@@ -51,10 +51,6 @@ def grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p ^ q
-
-
 def leading_monomial(p: Poly) -> Monomial:
     return max(p, key=grevlex_key)
 
@@ -80,6 +76,8 @@ class AlgebraPresentation:
     monomial_ideal: bool = field(init=False, repr=False)
     supplemented: bool = field(init=False, repr=False)
     _aug: tuple[int, ...] = field(init=False, repr=False)
+    _memo: dict[str, dict] = field(init=False, repr=False, compare=False,
+                                   default_factory=dict)
 
     def __post_init__(self):
         k = len(self.generators)
@@ -106,9 +104,18 @@ class AlgebraPresentation:
         if explicit and not ok:
             raise AugmentationError("augmentation inconsistent with a relation")
         self.supplemented = ok
-        self._mul_cache: dict[tuple[Monomial, Monomial], Poly] = {}
-        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._all_basis: Optional[tuple[Monomial, ...]] = None
+
+    def memo(self, name: str) -> dict:
+        """The per-algebra memo table called ``name``, empty on first use.
+
+        Results that depend only on the presentation are stored here, one
+        table per kind of result, and live as long as the algebra.
+        """
+        table = self._memo.get(name)
+        if table is None:
+            table = self._memo[name] = {}
+        return table
 
     # ----- basic monomial queries -----
 
@@ -125,6 +132,13 @@ class AlgebraPresentation:
 
     def mono_degree(self, m: Monomial) -> int:
         return sum(e * d for e, d in zip(m, self.degrees))
+
+    def mono_key(self, m: Monomial):
+        """Sort key of the canonical monomial order: internal degree, then
+        grevlex.  Argument pools list degree_basis(1), degree_basis(2), ...
+        in this order, so products sorted with it are spelled the way the
+        candidate enumeration spells them."""
+        return (self.mono_degree(m), grevlex_key(m))
 
     def degree(self, p: Poly) -> int:
         """Internal degree of a homogeneous element (0 for the zero element)."""
@@ -210,11 +224,12 @@ class AlgebraPresentation:
         """Normal form of a product of two reduced monomials (cached)."""
         if grevlex_key(b) < grevlex_key(a):
             a, b = b, a
+        products = self.memo("mul")
         key = (a, b)
-        r = self._mul_cache.get(key)
+        r = products.get(key)
         if r is None:
             r = self.normal_form([mono_mul(a, b)])
-            self._mul_cache[key] = r
+            products[key] = r
         return r
 
     def mul_elements(self, p: Iterable[Monomial], q: Iterable[Monomial]) -> Poly:
@@ -226,8 +241,9 @@ class AlgebraPresentation:
 
     def degree_basis(self, d: int) -> tuple[Monomial, ...]:
         """Reduced monomials of internal degree d, in canonical order."""
-        if d in self._basis_cache:
-            return self._basis_cache[d]
+        bases = self.memo("degree_basis")
+        if d in bases:
+            return bases[d]
         if self.graded:
             out = [m for m in self._enumerate_graded(d)
                    if self.is_reduced_monomial(m)]
@@ -237,7 +253,7 @@ class AlgebraPresentation:
             else:
                 out = list(self.basis_all())
         result = tuple(sorted(out, key=grevlex_key))
-        self._basis_cache[d] = result
+        bases[d] = result
         return result
 
     def _enumerate_graded(self, d: int):
@@ -282,14 +298,6 @@ class AlgebraPresentation:
         self._all_basis = tuple(sorted(seen, key=grevlex_key))
         return self._all_basis
 
-    def basis_through_degree(self, dmax: int) -> tuple[Monomial, ...]:
-        if self.graded:
-            out: list[Monomial] = []
-            for d in range(dmax + 1):
-                out.extend(self.degree_basis(d))
-            return tuple(out)
-        return self.basis_all()
-
     def augment(self, p: Iterable[Monomial]) -> int:
         """Evaluate the augmentation homomorphism on a reduced element."""
         if not self.supplemented:
@@ -312,34 +320,6 @@ class AlgebraPresentation:
     def poly_str(self, p: Iterable[Monomial]) -> str:
         ms = sorted(p, key=grevlex_key, reverse=True)
         return " + ".join(self.mono_str(m) for m in ms) if ms else "0"
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """A normal-form element of a presented algebra."""
-
-    algebra: AlgebraPresentation
-    terms: Poly
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.terms ^ other.terms)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.algebra,
-                              self.algebra.mul_elements(self.terms, other.terms))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def degree(self) -> int:
-        return self.algebra.degree(self.terms)
-
-    def __str__(self) -> str:
-        return self.algebra.poly_str(self.terms)
-
-
-def element(A: AlgebraPresentation, p: Iterable[Monomial]) -> AlgebraElement:
-    return AlgebraElement(A, A.normal_form(p))
 
 
 # ----- stock presentations used across tests and the CLI -----

@@ -371,15 +371,12 @@ def _sample_module_structure(A, rng, samples, nmax, dmax):
         zc = Hh.coords(vectorize(A, Hh.slice,
                                  UChain.make("minus", {0: prod}),
                                  allow_projection=True))
-        zmask = sum(1 << i for i, b in enumerate(zc) if b)
-        lhs = les.maps["bd"].apply(zmask)
+        lhs = les.maps["bd"].apply(zc)
         # right side: y . (a representative of bd(x))
         lesx = les_maps(A, "minus_les", nx, Dx)
         bdx_coords = lesx.maps["bd"].apply(
-            sum(1 << i for i, b in enumerate(
-                lesx.spaces["HH_n"].coords(vectorize(
-                    A, lesx.spaces["HH_n"].slice, x,
-                    allow_projection=True))) if b))
+            lesx.spaces["HH_n"].coords(vectorize(
+                A, lesx.spaces["HH_n"].slice, x, allow_projection=True)))
         Hx1 = lesx.spaces["Hminus_n1"]
         w = 0
         for k in range(Hx1.dim):
@@ -388,8 +385,7 @@ def _sample_module_structure(A, rng, samples, nmax, dmax):
         from cyclo2.cyclic import unvectorize
         wchain = unvectorize(Hx1.slice, w)
         yw = mu_chain(A, y, wchain)
-        rhs_c = Hm1.coords(vectorize(A, Hm1.slice, yw, allow_projection=True))
-        rhs = sum(1 << i for i, b in enumerate(rhs_c) if b)
+        rhs = Hm1.coords(vectorize(A, Hm1.slice, yw, allow_projection=True))
         if lhs != rhs:
             failures += 1
         checked += 1

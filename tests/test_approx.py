@@ -69,7 +69,7 @@ def test_psi_of_phi_one_is_unit_class():
     H = homology(PX, "minus", 0, 0)
     coords = psi_class(PX, frozenset({("e", 0, (), (), ())}), H)
     unit = UChain.make("minus", {0: w(ONE)})
-    assert coords == H.coords(vectorize(PX, H.slice, unit)) == (1,)
+    assert coords == H.coords(vectorize(PX, H.slice, unit)) == 0b1
 
 
 def test_psi_respects_bidegrees():
@@ -89,7 +89,7 @@ def test_psi_plus_v0_is_unit_of_hc0():
     H = homology(PX, "plus", 0, 0)
     coords = psi_class(PX, frozenset({("v", 0, 0, (), ())}), H)
     unit = UChain.make("plus", {0: w(ONE)})
-    assert coords == H.coords(vectorize(PX, H.slice, unit)) == (1,)
+    assert coords == H.coords(vectorize(PX, H.slice, unit)) == 0b1
 
 
 def test_psi_plus_gamma_is_element_class():
@@ -104,6 +104,17 @@ def test_psi_matrix_certified_small_window():
     for n in range(-2, 3):
         for D in range(0, 5):
             psi_matrix(PX, "hcminus", n, D, certify=True)
+
+
+def test_mixed_generator_degrees():
+    # products are spelled in the argument-pool order (degree, then
+    # grevlex), so generators of different degrees keep one canonical form
+    A = polynomial_algebra("xy", (1, 2))
+    squares = verify_squares(A, 2, 3)
+    assert len(squares) == 64
+    assert all(s["residual"] == 0 for s in squares)
+    rep = verify_approximation(A, "hcminus", 3, 5)
+    assert rep.all_iso() and rep.product_failures == 0
 
 
 def test_verify_approximation_trivial_algebra():

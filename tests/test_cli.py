@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
+import cyclo2
+from cyclo2 import cli
 from cyclo2.cli import CLIError, RunConfig, load_presentation, main, run
+from cyclo2.cyclic import homology
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -120,7 +123,10 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
 
 
 def test_console_script_runs():
-    env = dict(os.environ, CYCLO2_THREADS="2")
+    # the child imports cyclo2 from where this process found it
+    src = os.path.dirname(os.path.dirname(cyclo2.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "cyclo2.cli", "--input", fixture("f2.alg"),
          "--command", "compute", "--theory", "hcminus",
@@ -135,3 +141,22 @@ def test_verify_approx_rejects_wrong_theory():
     cfg = RunConfig(fixture("poly_x.alg"), "verify-approx", "hh")
     with pytest.raises(CLIError):
         run(cfg)
+
+
+def test_one_memo_store(monkeypatch):
+    loaded = []
+
+    def load(path):
+        loaded.append(load_presentation(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_presentation", load)
+    run(RunConfig(fixture("poly_x.alg"), "verify-approx", "hcminus", 2, 2))
+    (A,) = loaded
+    # every per-algebra memo lives in the one store, none beside it
+    assert [k for k in vars(A) if k.endswith("_cache")] == []
+    computed = len(A.memo("homology"))
+    assert computed
+    H = homology(A, "minus", 1, 2)
+    assert homology(A, "minus", 1, 2) is H
+    assert len(A.memo("homology")) == computed

@@ -216,7 +216,7 @@ def test_connecting_map_formula():
     # the target class is represented by 1 (x) 1[x]
     x = (1,)
     v = vectorize(PX, hm1.slice, UChain.make("minus", {0: chain([((0,), (x,))])}))
-    assert hm1.coords(v) == (1,)
+    assert hm1.coords(v) == 0b1
 
 
 def test_h_after_u_is_zero():
