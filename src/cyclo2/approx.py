@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 from .cyclic import (
     HomologyPresentation,
+    bidegree_window,
     class_map,
     homology,
     les_maps,
-    matrix_from_columns,
     slice_shift_map,
     vectorize,
 )
@@ -44,7 +44,7 @@ from .ell import (
     D_matrix,
     S_matrix,
 )
-from .f2linalg import F2Matrix, rank_kernel_image
+from .f2linalg import F2Matrix, matrix_from_columns, rank_kernel_image
 from .gralg import AlgebraPresentation
 from .hochschild import UChain, mu_chain, uchain_boundary
 
@@ -255,13 +255,7 @@ def verify_approximation(A: AlgebraPresentation, theory: str,
         raise ApproxError(f"unknown theory {theory!r} for approximation")
     t0 = time.time()
     report = ApproxReport(A.name, theory, max_homological, max_internal, S)
-    bidegrees = []
-    for n in range(-max_homological, max_homological + 1):
-        if A.graded:
-            for D in range(0, max_internal + 1):
-                bidegrees.append((n, D))
-        else:
-            bidegrees.append((n, 0))
+    bidegrees = bidegree_window(A, max_homological, max_internal)
     for n, D in bidegrees:
         flavor = THEORY_FLAVOR[theory]
         sp = ell_degree_basis(A, flavor, n, D - n)
@@ -340,19 +334,13 @@ def verify_squares(A: AlgebraPresentation, max_homological: int,
     the difference of the two composite matrices (zero when the square
     commutes)."""
     out = []
-    bidegrees = []
-    for n in range(-max_homological, max_homological + 1):
-        if A.graded:
-            bidegrees.extend((n, D) for D in range(0, max_internal + 1))
-        else:
-            bidegrees.append((n, 0))
 
     def residual(name, n, D, mat1, mat2):
         diff = mat1.add(mat2)
         res = sum(bin(r).count("1") for r in diff.row_data)
         out.append({"square": name, "n": n, "internal": D, "residual": res})
 
-    for n, D in bidegrees:
+    for n, D in bidegree_window(A, max_homological, max_internal):
         d = D - n
         # psi . u = u . psi  (ell (n+2, d-2) -> HC^-_n)
         sp2 = ell_degree_basis(A, "ell", n + 2, d - 2)
@@ -369,9 +357,8 @@ def verify_squares(A: AlgebraPresentation, max_homological: int,
         if sp.dim:
             psi_n, _, H_n = psi_matrix(A, "hcminus", n, D, S)
             Hh = homology(A, "hh", n, D, S)
-            from .cyclic import _column_zero_projection
             h_star = class_map(A, H_n, Hh,
-                               _column_zero_projection(H_n.slice, Hh.slice))
+                               slice_shift_map(A, H_n.slice, Hh.slice, 0))
             mr, _, omv = r_matrix(A, n, d)
             eps = _eps_matrix(A, n, D, Hh)
             residual("h.psi=eps.r", n, D, h_star.compose(psi_n),
@@ -379,9 +366,11 @@ def verify_squares(A: AlgebraPresentation, max_homological: int,
         # psi . tau = bd . eps  (Omega^n_D -> HC^-_{n+1})
         som = omega_basis(A, n, D)
         if som.dim:
-            mt, _, tgt = tau_matrix(A, n, D)
-            psi_n1, _, H_n1 = psi_matrix(A, "hcminus", n + 1, D, S)
+            mt, _, _ = tau_matrix(A, n, D)
             les = les_maps(A, "minus_les", n, D, S)
+            # bd lands in HC^- truncated one column shallower when ungraded
+            psi_n1, _, _ = psi_matrix(A, "hcminus", n + 1, D,
+                                      les.spaces["Hminus_n1"].S)
             Hh = les.spaces["HH_n"]
             eps = _eps_matrix(A, n, D, Hh)
             residual("psi.tau=bd.eps", n, D, psi_n1.compose(mt),

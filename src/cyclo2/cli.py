@@ -30,7 +30,15 @@ import time
 from dataclasses import dataclass
 
 from .approx import verify_approximation, verify_squares
-from .cyclic import e1_page, e2_page, homology
+from .cyclic import (
+    THEORY_BOUNDS,
+    TowerError,
+    bidegree_window,
+    e1_page,
+    e2_page,
+    homology,
+    theory_key,
+)
 from .derham import de_rham_cohomology, omega_basis
 from .ell import ell_degree_basis, gr_ell, omega_u_gens
 from .gralg import AlgebraPresentation, PresentationError
@@ -170,28 +178,18 @@ def load_presentation(path: str) -> AlgebraPresentation:
         raise CLIError(str(exc)) from None
 
 
-def _bidegrees(A: AlgebraPresentation, cfg: RunConfig) -> list[tuple[int, int]]:
-    out = []
-    for n in range(-cfg.max_homological, cfg.max_homological + 1):
-        if A.graded:
-            out.extend((n, D) for D in range(0, cfg.max_internal + 1))
-        else:
-            out.append((n, 0))
-    return out
-
-
 def cmd_compute(A: AlgebraPresentation, cfg: RunConfig) -> dict:
     theory = cfg.theory
     entries = []
     if theory in ("hh", "hc", "hcminus", "hcper"):
-        for n, D in _bidegrees(A, cfg):
+        for n, D in bidegree_window(A, cfg.max_homological, cfg.max_internal):
             h = homology(A, theory, n, D, cfg.columns)
             entries.append({"n": n, "internal": D, "dim": h.dim,
                             "flag": h.flag})
     elif theory in ("ell", "ellplus", "ellper"):
         flavor = {"ell": "ell", "ellplus": "ell_plus",
                   "ellper": "ell_per"}[theory]
-        for n, D in _bidegrees(A, cfg):
+        for n, D in bidegree_window(A, cfg.max_homological, cfg.max_internal):
             sp = ell_degree_basis(A, flavor, n, D - n)
             entries.append({"n": n, "internal": D, "upper": D - n,
                             "dim": sp.dim, "flag": "stable"})
@@ -211,6 +209,10 @@ def cmd_compute(A: AlgebraPresentation, cfg: RunConfig) -> dict:
 def cmd_verify_approx(A: AlgebraPresentation, cfg: RunConfig) -> dict:
     if cfg.theory not in ("hcminus", "hc", "hcper"):
         raise CLIError("verify-approx needs theory hcminus, hc or hcper")
+    if not A.graded and cfg.columns < 2:
+        # the squares read HC^- truncated one column shallower than S
+        raise CLIError("verify-approx on an ungraded algebra needs "
+                       "--columns >= 2")
     report = verify_approximation(
         A, cfg.theory, cfg.max_homological, cfg.max_internal,
         S=cfg.columns, seed=cfg.seed)
@@ -225,11 +227,11 @@ def cmd_verify_approx(A: AlgebraPresentation, cfg: RunConfig) -> dict:
 
 
 def cmd_spectral(A: AlgebraPresentation, cfg: RunConfig) -> dict:
-    bounds = {"hh": (0, 0), "hc": (0, None), "hcminus": (None, 0),
-              "hcper": (None, None)}.get(cfg.theory)
-    if bounds is None:
-        raise CLIError("spectral needs theory hh, hc, hcminus or hcper")
-    alpha, beta = bounds
+    try:
+        alpha, beta = THEORY_BOUNDS[theory_key(cfg.theory)]
+    except TowerError:
+        raise CLIError("spectral needs theory hh, hc, hcminus or hcper") \
+            from None
     entries = []
     s_lo = -cfg.max_homological if alpha is None else alpha
     s_hi = cfg.max_homological if beta is None else beta
@@ -249,7 +251,7 @@ def cmd_spectral(A: AlgebraPresentation, cfg: RunConfig) -> dict:
 def cmd_tables(A: AlgebraPresentation, cfg: RunConfig) -> dict:
     """Deformation-model diagnostics: ell vs ell~ vs Omega[u] vs Gr."""
     entries = []
-    for n, D in _bidegrees(A, cfg):
+    for n, D in bidegree_window(A, cfg.max_homological, cfg.max_internal):
         d = D - n
         row = {"n": n, "internal": D, "upper": d,
                "ell": ell_degree_basis(A, "ell", n, d).dim,

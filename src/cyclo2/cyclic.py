@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .f2linalg import (
     F2Matrix,
@@ -26,6 +26,8 @@ from .f2linalg import (
     complement_basis,
     echelonize_in,
     eliminate_tracked,
+    matrix_from_columns,
+    rank_kernel_image,
     solve,
 )
 from .gralg import AlgebraPresentation, Monomial, grevlex_key, mono_mul
@@ -53,6 +55,15 @@ def theory_key(theory: str) -> str:
         return THEORY_ALIASES[theory]
     except KeyError:
         raise TowerError(f"unknown theory {theory!r}") from None
+
+
+def bidegree_window(A: AlgebraPresentation, max_homological: int,
+                    max_internal: int) -> list[tuple[int, int]]:
+    """The bidegrees (n, D) with |n| <= max_homological and
+    0 <= D <= max_internal, by n then D; ungraded algebras have D = 0."""
+    internal = range(max_internal + 1) if A.graded else (0,)
+    return [(n, D) for n in range(-max_homological, max_homological + 1)
+            for D in internal]
 
 
 def enumerate_words(A: AlgebraPresentation, nbars: int, d: int) -> list[BarWord]:
@@ -311,16 +322,6 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
 
 # ----- maps of the three long exact sequences -----
 
-def matrix_from_columns(cols: list[int], nrows: int) -> F2Matrix:
-    rows = [0] * nrows
-    for j, c in enumerate(cols):
-        while c:
-            i = (c & -c).bit_length() - 1
-            c &= c - 1
-            rows[i] |= 1 << j
-    return F2Matrix(nrows, len(cols), tuple(rows))
-
-
 def class_map(A: AlgebraPresentation, src: HomologyPresentation,
               tgt: HomologyPresentation, chain_map) -> F2Matrix:
     """Matrix of a chain-level map on homology classes.
@@ -390,6 +391,40 @@ def connecting_map(A: AlgebraPresentation,
     return matrix_from_columns(cols, HL.dim)
 
 
+class SES(NamedTuple):
+    """A short exact sequence of towers 0 -> L -> M -> N -> 0.
+
+    towers: (theory, degree offset) of L, M and N, so that L_n is the
+    degree n + offset slice of its theory; shifts: the column shifts of
+    the inclusion i: L -> M and of the projection p: M -> N; spaces: names
+    of L_n, M_n, N_n, L_{n-1}, M_{n-1}; maps: names of i, p, the
+    connecting map bd: N_n -> L_{n-1} and i_next: L_{n-1} -> M_{n-1}.
+    """
+
+    towers: tuple[tuple[str, int], tuple[str, int], tuple[str, int]]
+    shifts: tuple[int, int]
+    spaces: tuple[str, str, str, str, str]
+    maps: tuple[str, str, str, str]
+
+
+# The minus sequence (L = columns <= -1 of T^minus, N = column 0), Connes'
+# SBI sequence and the periodic sequence (L = columns <= 0 of T^per);
+# Loday, Cyclic Homology, 1992, section 5.1.
+SEQUENCES = {
+    "minus_les": SES((("minus", 2), ("minus", 0), ("hh", 0)), (-1, 0),
+                     ("Hminus_n2", "Hminus_n", "HH_n", "Hminus_n1",
+                      "Hminus_nm1"),
+                     ("u", "h", "bd", "u_next")),
+    "connes": SES((("hh", 0), ("plus", 0), ("plus", -2)), (0, -1),
+                  ("HH_n", "HC_n", "HC_n2", "HH_nm1", "HC_nm1"),
+                  ("I", "u", "bd", "I_next")),
+    "per_les": SES((("minus", 0), ("per", 0), ("plus", -2)), (0, -1),
+                   ("HCminus_n", "HCper_n", "HC_n2", "HCminus_nm1",
+                    "HCper_nm1"),
+                   ("iota", "S", "bd", "iota_next")),
+}
+
+
 @dataclass
 class LESData:
     """Maps and spaces of one window of a long exact sequence."""
@@ -399,12 +434,17 @@ class LESData:
     d: int
     spaces: dict
     maps: dict
-    flags: dict
-    joints: dict
+
+    @property
+    def joints(self) -> dict[str, tuple[str, str, str]]:
+        """The joints M_n, N_n and L_{n-1} as (incoming, space, outgoing)."""
+        _, m, nn, l1, _ = SEQUENCES[self.which].spaces
+        i, p, bd, i_next = SEQUENCES[self.which].maps
+        return {f"at_{m}": (i, m, p), f"at_{nn}": (p, nn, bd),
+                f"at_{l1}": (bd, l1, i_next)}
 
     def exactness_defects(self) -> dict[str, int]:
         """rank f + rank g - dim(middle) at each joint (0 iff exact)."""
-        from .f2linalg import rank_kernel_image
         out = {}
         for joint, (fname, mid, gname) in self.joints.items():
             f = self.maps[fname]
@@ -419,131 +459,36 @@ class LESData:
 
 def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
              S: int = 3) -> LESData:
-    """Class-level maps of one of the three long exact sequences at degree n."""
-    if which == "minus_les":
-        if not A.graded and S < 2:
-            raise TowerError("minus_les needs S >= 2 for ungraded algebras "
-                             "(the subcomplex lives one window shallower)")
-        Hm_n2 = homology(A, "minus", n + 2, d, S)
-        Hm_n = homology(A, "minus", n, d, S)
-        Hh_n = homology(A, "hh", n, d, S)
-        Hm_n1 = homology(A, "minus", n + 1, d, S - 1 if not A.graded else S)
-        Hm_nm1 = homology(A, "minus", n - 1, d, S)
-        mat_u = class_map(A, Hm_n2, Hm_n,
-                          slice_shift_map(A, Hm_n2.slice, Hm_n.slice, -1))
-        mat_h = class_map(A, Hm_n, Hh_n, _column_zero_projection(Hm_n.slice, Hh_n.slice))
-        # SES 0 -> (columns <= -1) -> T^minus -> T^{0,0} -> 0
-        M_n = Hm_n.slice
-        M_n1 = build_tower(A, "minus", n - 1, d, S)
-        bd = connecting_map(
-            A, Hh_n, Hm_n1, M_n, M_n1,
-            _column_zero_projection(M_n, Hh_n.slice),
-            slice_shift_map(A, Hm_n1.slice, M_n1, -1))
-        mat_u_next = class_map(A, Hm_n1, Hm_nm1,
-                               slice_shift_map(A, Hm_n1.slice, Hm_nm1.slice, -1))
-        spaces = {"Hminus_n2": Hm_n2, "Hminus_n": Hm_n, "HH_n": Hh_n,
-                  "Hminus_n1": Hm_n1, "Hminus_nm1": Hm_nm1}
-        return LESData(which, n, d, spaces,
-                       maps={"u": mat_u, "h": mat_h, "bd": bd,
-                             "u_next": mat_u_next},
-                       flags={k: v.flag for k, v in spaces.items()},
-                       joints={
-                           "at_HCminus_n": ("u", "Hminus_n", "h"),
-                           "at_HH_n": ("h", "HH_n", "bd"),
-                           "at_HCminus_n1": ("bd", "Hminus_n1", "u_next"),
-                       })
-    if which == "connes":
-        Hh_n = homology(A, "hh", n, d, S)
-        Hc_n = homology(A, "plus", n, d, S)
-        Hc_n2 = homology(A, "plus", n - 2, d, S)
-        Hh_nm1 = homology(A, "hh", n - 1, d, S)
-        mat_I = class_map(A, Hh_n, Hc_n,
-                          slice_shift_map(A, Hh_n.slice, Hc_n.slice, 0))
-        mat_u = class_map(A, Hc_n, Hc_n2, _plus_u_map(Hc_n.slice, Hc_n2.slice))
-        M_n = Hc_n.slice
-        M_n1 = build_tower(A, "plus", n - 1, d, S)
-        bd = connecting_map(
-            A, Hc_n2, Hh_nm1, M_n, M_n1,
-            _plus_u_map(M_n, Hc_n2.slice),
-            slice_shift_map(A, Hh_nm1.slice, M_n1, 0))
-        mat_I_next = class_map(A, Hh_nm1, homology(A, "plus", n - 1, d, S),
-                               slice_shift_map(
-                                   A, Hh_nm1.slice,
-                                   homology(A, "plus", n - 1, d, S).slice, 0))
-        spaces = {"HH_n": Hh_n, "HC_n": Hc_n, "HC_n2": Hc_n2,
-                  "HH_nm1": Hh_nm1}
-        return LESData(which, n, d, spaces,
-                       maps={"I": mat_I, "u": mat_u, "bd": bd,
-                             "I_next": mat_I_next},
-                       flags={k: v.flag for k, v in spaces.items()},
-                       joints={
-                           "at_HC_n": ("I", "HC_n", "u"),
-                           "at_HC_n2": ("u", "HC_n2", "bd"),
-                           "at_HH_nm1": ("bd", "HH_nm1", "I_next"),
-                       })
-    if which == "per_les":
-        Hm_n = homology(A, "minus", n, d, S)
-        Hp_n = homology(A, "per", n, d, S)
-        Hc_n2 = homology(A, "plus", n - 2, d, S)
-        Hm_nm1 = homology(A, "minus", n - 1, d, S)
-        mat_iota = class_map(A, Hm_n, Hp_n,
-                             slice_shift_map(A, Hm_n.slice, Hp_n.slice, 0))
-        mat_S = class_map(A, Hp_n, Hc_n2, _plus_u_map(Hp_n.slice, Hc_n2.slice))
-        M_n = Hp_n.slice
-        M_n1 = build_tower(A, "per", n - 1, d, S)
-        bd = connecting_map(
-            A, Hc_n2, Hm_nm1, M_n, M_n1,
-            _plus_u_map(M_n, Hc_n2.slice),
-            slice_shift_map(A, Hm_nm1.slice, M_n1, 0))
-        mat_iota_next = class_map(
-            A, Hm_nm1, homology(A, "per", n - 1, d, S),
-            slice_shift_map(A, Hm_nm1.slice,
-                            homology(A, "per", n - 1, d, S).slice, 0))
-        spaces = {"HCminus_n": Hm_n, "HCper_n": Hp_n, "HC_n2": Hc_n2,
-                  "HCminus_nm1": Hm_nm1}
-        return LESData(which, n, d, spaces,
-                       maps={"iota": mat_iota, "S": mat_S, "bd": bd,
-                             "iota_next": mat_iota_next},
-                       flags={k: v.flag for k, v in spaces.items()},
-                       joints={
-                           "at_HCper_n": ("iota", "HCper_n", "S"),
-                           "at_HC_n2": ("S", "HC_n2", "bd"),
-                           "at_HCminus_nm1": ("bd", "HCminus_nm1", "iota_next"),
-                       })
-    raise TowerError(f"unknown sequence {which!r}")
+    """Class-level maps of one of the three long exact sequences at degree n,
+    L_n -> M_n -> N_n -> L_{n-1} -> M_{n-1}, from its row of SEQUENCES.
 
+    L sits in M moved by the column shift of i, so for ungraded algebras
+    its towers are truncated at S + shift: the columns of M at depth S.
+    """
+    try:
+        ses = SEQUENCES[which]
+    except KeyError:
+        raise TowerError(f"unknown sequence {which!r}") from None
+    (tl, ol), (tm, om), (tn, on) = ses.towers
+    i_shift, p_shift = ses.shifts
+    S_L = S if A.graded else S + i_shift
+    L_n = homology(A, tl, n + ol, d, S_L)
+    M_n = homology(A, tm, n + om, d, S)
+    N_n = homology(A, tn, n + on, d, S)
+    L_n1 = homology(A, tl, n - 1 + ol, d, S_L)
+    M_n1 = homology(A, tm, n - 1 + om, d, S)
 
-def _column_zero_projection(src: TowerSlice, tgt: TowerSlice):
-    idx = tgt.index
-
-    def f(v: int) -> int:
-        out = 0
-        while v:
-            j = (v & -v).bit_length() - 1
-            v &= v - 1
-            p, w = src.basis[j]
-            if p == 0:
-                out ^= 1 << idx[(0, w)]
-        return out
-
-    return f
-
-
-def _plus_u_map(src: TowerSlice, tgt: TowerSlice):
-    """Multiplication by u on a right-unbounded tower: keep columns >= 1."""
-    idx = tgt.index
-
-    def f(v: int) -> int:
-        out = 0
-        while v:
-            j = (v & -v).bit_length() - 1
-            v &= v - 1
-            p, w = src.basis[j]
-            if p >= 1:
-                out ^= 1 << idx[(p - 1, w)]
-        return out
-
-    return f
+    i_map = slice_shift_map(A, L_n.slice, M_n.slice, i_shift)
+    p_map = slice_shift_map(A, M_n.slice, N_n.slice, p_shift)
+    i_next_map = slice_shift_map(A, L_n1.slice, M_n1.slice, i_shift)
+    mats = (class_map(A, L_n, M_n, i_map),
+            class_map(A, M_n, N_n, p_map),
+            connecting_map(A, N_n, L_n1, M_n.slice, M_n1.slice, p_map,
+                           i_next_map),
+            class_map(A, L_n1, M_n1, i_next_map))
+    return LESData(which, n, d,
+                   spaces=dict(zip(ses.spaces, (L_n, M_n, N_n, L_n1, M_n1))),
+                   maps=dict(zip(ses.maps, mats)))
 
 
 # ----- the column-filtration spectral sequence -----
@@ -593,7 +538,6 @@ def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
     in_mat = d1_matrix(A, alpha, beta, s + 1, t, d, S)
     dim_e1 = e1.dim
     if out_mat is not None:
-        from .f2linalg import rank_kernel_image
         _, ker, _ = rank_kernel_image(out_mat)
         cycle_vs = list(ker.vectors)
     else:

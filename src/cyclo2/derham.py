@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .f2linalg import QuotientBasis, SubspaceBasis, complement_basis, \
-    class_coordinates, echelonize_in, eliminate_tracked
+    class_coordinates, echelonize_in, eliminate_tracked, matrix_from_columns
 from .gralg import AlgebraPresentation, Monomial, grevlex_key
 
 FormGen = tuple  # (monomial, tuple of generator indices)
@@ -245,7 +245,6 @@ def cartier(A: AlgebraPresentation, el: OmegaElement, n: int,
 
 def cartier_matrix(A: AlgebraPresentation, n: int, d: int):
     """Matrix of the Cartier map Omega^n_d -> H_DR^n at internal 2d."""
-    from .cyclic import matrix_from_columns
     src = omega_basis(A, n, d)
     target = de_rham_cohomology(A, n, 2 * d)
     cols = [cartier(A, frozenset({g}), n, d) for g in src.basis()]

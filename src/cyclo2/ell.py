@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .derham import OmegaElement, d_monomial, form_mul, omega_basis
-from .f2linalg import QuotientBasis
+from .f2linalg import QuotientBasis, matrix_from_columns
 from .gralg import AlgebraPresentation, Monomial, Poly
 
 EllMonomial = tuple
@@ -765,7 +765,6 @@ def map_tau(A: AlgebraPresentation, g) -> EllElement:
 
 def r_matrix(A: AlgebraPresentation, n: int, d: int):
     """Matrix of r from ell bidegree (n, d) to Omega^n at internal n + d."""
-    from .cyclic import matrix_from_columns
     src = ell_degree_basis(A, "ell", n, d)
     tgt = omega_basis(A, n, n + d)
     cols = [tgt.coords(map_r(A, m)) for m in src.basis()]
@@ -775,7 +774,6 @@ def r_matrix(A: AlgebraPresentation, n: int, d: int):
 def tau_matrix(A: AlgebraPresentation, nform: int, D: int):
     """Matrix of tau from Omega^nform at internal D to ell bidegree
     (nform + 1, D - nform - 1)."""
-    from .cyclic import matrix_from_columns
     src = omega_basis(A, nform, D)
     tgt = ell_degree_basis(A, "ell", nform + 1, D - nform - 1)
     cols = [tgt.coords(map_tau(A, g)) for g in src.basis()]
@@ -784,7 +782,6 @@ def tau_matrix(A: AlgebraPresentation, nform: int, D: int):
 
 def mul_u_matrix(A: AlgebraPresentation, flavor: str, n: int, d: int):
     """Multiplication by u from (n, d) to (n - 2, d + 2)."""
-    from .cyclic import matrix_from_columns
     src = ell_degree_basis(A, flavor, n, d)
     tgt = ell_degree_basis(A, flavor, n - 2, d + 2)
     u = ("e", 1, (), (), ())
@@ -816,7 +813,6 @@ def gr_ell(A: AlgebraPresentation, n: int, d: int, imax: int) -> list[int]:
 def I_matrix(A: AlgebraPresentation, nform: int, D: int):
     """I: Omega^nform at internal D -> ell_plus (nform, D - nform),
     a0 da1 ... dan -> gamma(a0) delta(a1) ... delta(an)."""
-    from .cyclic import matrix_from_columns
     src = omega_basis(A, nform, D)
     tgt = ell_degree_basis(A, "ell_plus", nform, D - nform)
     cols = []
@@ -832,7 +828,6 @@ def I_matrix(A: AlgebraPresentation, nform: int, D: int):
 def D_matrix(A: AlgebraPresentation, n: int, d: int):
     """D: ell_plus (n, d) -> Omega^{n+1} at internal n + d,
     gamma(a) -> da and v^i -> 0, extended ell-linearly."""
-    from .cyclic import matrix_from_columns
     src = ell_degree_basis(A, "ell_plus", n, d)
     tgt = omega_basis(A, n + 1, n + d)
     cols = []
@@ -849,7 +844,6 @@ def D_matrix(A: AlgebraPresentation, n: int, d: int):
 
 def iota_matrix(A: AlgebraPresentation, n: int, d: int):
     """iota: ell -> ell_per, killing delta and keeping phi, q, u."""
-    from .cyclic import matrix_from_columns
     src = ell_degree_basis(A, "ell", n, d)
     tgt = ell_degree_basis(A, "ell_per", n, d)
     cols = []
@@ -864,7 +858,6 @@ def iota_matrix(A: AlgebraPresentation, n: int, d: int):
 
 def S_matrix(A: AlgebraPresentation, n: int, d: int):
     """S: ell_per (n, d) -> ell_plus (n - 2, d + 2), u^{-i} -> v^{i-1}."""
-    from .cyclic import matrix_from_columns
     src = ell_degree_basis(A, "ell_per", n, d)
     tgt = ell_degree_basis(A, "ell_plus", n - 2, d + 2)
     cols = []
@@ -882,7 +875,6 @@ def S_matrix(A: AlgebraPresentation, n: int, d: int):
 def bd_plus_matrix(A: AlgebraPresentation, n: int, d: int):
     """The connecting model ell_plus (n, d) -> ell (n + 1, d - 1):
     gamma(a) -> delta(a), v^i -> 0, extended ell-linearly."""
-    from .cyclic import matrix_from_columns
     src = ell_degree_basis(A, "ell_plus", n, d)
     tgt = ell_degree_basis(A, "ell", n + 1, d - 1)
     cols = []

@@ -109,6 +109,17 @@ class F2Matrix:
         return not any(self.row_data)
 
 
+def matrix_from_columns(cols: list[int], nrows: int) -> F2Matrix:
+    """The nrows x len(cols) matrix whose column j is the bitmask cols[j]."""
+    rows = [0] * nrows
+    for j, c in enumerate(cols):
+        while c:
+            i = _lowest_bit(c)
+            c &= c - 1
+            rows[i] |= 1 << j
+    return F2Matrix(nrows, len(cols), tuple(rows))
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """A subspace of F2^ambient_dim given by its reduced row-echelon basis.

@@ -143,6 +143,29 @@ def test_verify_approx_rejects_wrong_theory():
         run(cfg)
 
 
+def test_verify_approx_dual_numbers(capsys):
+    # a non-smooth ungraded input gets an honest report, squares included
+    argv = ["--input", fixture("dual_numbers.alg"), "--command",
+            "verify-approx", "--max-internal", "0", "--max-homological", "4",
+            "--format", "json"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["squares"]
+    assert data["square_residual_total"] == 0
+    assert data["all_iso"] is False
+
+
+def test_verify_approx_ungraded_needs_two_columns(capsys):
+    cfg = RunConfig(fixture("f4.alg"), "verify-approx", "hcminus",
+                    max_internal=0, max_homological=2, columns=1)
+    with pytest.raises(CLIError):
+        run(cfg)
+    argv = ["--input", fixture("f4.alg"), "--command", "verify-approx",
+            "--max-internal", "0", "--max-homological", "2", "--columns", "1"]
+    assert main(argv) == 2
+    assert "--columns >= 2" in capsys.readouterr().err
+
+
 def test_one_memo_store(monkeypatch):
     loaded = []
 
@@ -160,3 +183,12 @@ def test_one_memo_store(monkeypatch):
     H = homology(A, "minus", 1, 2)
     assert homology(A, "minus", 1, 2) is H
     assert len(A.memo("homology")) == computed
+
+
+def test_spectral_bounds_and_theories():
+    cfg = RunConfig(fixture("poly_x.alg"), "spectral", "hc",
+                    max_internal=1, max_homological=1)
+    _, report = run(cfg)
+    assert (report["alpha"], report["beta"]) == (0, None)
+    with pytest.raises(CLIError):
+        run(RunConfig(fixture("poly_x.alg"), "spectral", "ell"))

@@ -205,6 +205,22 @@ def test_per_les_exact_for_px():
                 assert defect == 0, (n, d, joint)
 
 
+def test_les_exact_for_ungraded_truncations():
+    # the ungraded towers are truncated at S; the exact sequences must hold
+    # for the truncated complexes at every depth, not only in the limit
+    for A in (DUAL, F4):
+        for S in (2, 3, 4):
+            for n in range(-3, 5):
+                for which in ("minus_les", "connes", "per_les"):
+                    data = les_maps(A, which, n, 0, S)
+                    for joint, defect in data.exactness_defects().items():
+                        assert defect == 0, (A.name, S, n, which, joint)
+            # the subcomplex of columns <= -1 is HC^- one column shallower
+            data = les_maps(A, "minus_les", 0, 0, S)
+            assert data.spaces["Hminus_n2"].S == S - 1
+            assert data.spaces["Hminus_n1"].S == S - 1
+
+
 def test_connecting_map_formula():
     # HH_0 -> HC^-_1 sends the class of x[] to the class of 1 (x) 1[x]
     data = les_maps(PX, "minus_les", 0, 1)
