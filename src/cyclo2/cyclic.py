@@ -30,7 +30,7 @@ from .f2linalg import (
     rank_kernel_image,
     solve,
 )
-from .gralg import AlgebraPresentation, Monomial, grevlex_key, mono_mul
+from .gralg import AlgebraPresentation, grevlex_key, mono_mul
 from .hochschild import BarWord, UChain, boundary_b, connes_B
 
 THEORY_BOUNDS = {
@@ -71,22 +71,14 @@ def enumerate_words(A: AlgebraPresentation, nbars: int, d: int) -> list[BarWord]
     if nbars < 0:
         return []
     if A.graded:
-        out: list[BarWord] = []
-
         # build bars left to right (degree >= 1 each), head soaks up the rest
-        def rec(slots_left: int, rem: int, acc: list[Monomial]):
-            if slots_left == 0:
-                for head in A.degree_basis(rem):
-                    out.append((head, tuple(acc)))
-                return
-            for e in range(1, rem - (slots_left - 1) + 1):
-                for m in A.degree_basis(e):
-                    acc.append(m)
-                    rec(slots_left - 1, rem - e, acc)
-                    acc.pop()
-
-        rec(nbars, d, [])
-        return out
+        partial: list[tuple[tuple, int]] = [((), d)]  # (bars, rest)
+        for slots_left in range(nbars, 0, -1):
+            partial = [(acc + (m,), rem - e) for acc, rem in partial
+                       for e in range(1, rem - slots_left + 2)
+                       for m in A.degree_basis(e)]
+        return [(head, acc) for acc, rem in partial
+                for head in A.degree_basis(rem)]
     if d != 0:
         return []
     basis = A.basis_all()

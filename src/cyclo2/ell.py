@@ -228,155 +228,126 @@ def ell_bidegree(A: AlgebraPresentation, mon: EllMonomial) -> tuple[int, int]:
 
 # ----- candidate enumeration -----
 
-def _arg_pool(A: AlgebraPresentation, max_deg: int) -> list[Monomial]:
-    """Basis monomials usable as generator arguments (unit excluded)."""
+def _arg_pool(A: AlgebraPresentation,
+              max_deg: int) -> list[tuple[Monomial, int]]:
+    """Basis monomials usable as generator arguments (unit excluded), each
+    with its degree, in mono_key order: a pool is a prefix of every pool
+    with a larger max_deg."""
     if A.graded:
-        out = []
-        for deg in range(1, max_deg + 1):
-            out.extend(A.degree_basis(deg))
-        return out
-    return [m for m in A.basis_all() if m != A.one]
+        return [(m, g) for g in range(1, max_deg + 1)
+                for m in A.degree_basis(g)]
+    return [(m, 0) for m in A.basis_all() if m != A.one]
 
 
-def _part_choices(A: AlgebraPresentation, pool, n_slots: int, up_budget: int,
-                  costs) -> list[tuple[tuple, ...]]:
-    """All ways to fill (phi, q, dl) with the exact budgets.
+# The ways one argument joins (phi, q, dl); the first four are delta-free.
+_ROLES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
+          (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 
-    Each part is squarefree but the parts are independent: the same
-    argument may serve phi, q and dl at once.  costs maps a part name to
-    its upper-degree cost function; n_slots is the required q + dl count.
+
+def _part_choices(A: AlgebraPresentation, slots: int, up: int,
+                  delta: bool = True) -> list[tuple[tuple, tuple, tuple]]:
+    """Every (phi, q, dl) with #q + #dl = slots and upper degree up.
+
+    Each part is squarefree and in mono_key order, but the parts are
+    independent: the same argument may serve phi, q and dl at once.  An
+    argument of degree g costs 2g in phi, 2g - 1 in q and g - 1 in dl.
+    Without delta the dl part stays empty.  All flavors share this table.
     """
-    results = []
-    roles = [r for r in ("phi", "q", "dl") if r in costs]
-    parts = {"phi": [], "q": [], "dl": []}
-    prune_up = A.graded  # ungraded costs can be negative
+    pool = _arg_pool(A, up + 1 if A.graded else 0)
+    return _parts_from(A.memo("ell_parts"), pool, A.graded, 0, slots, up,
+                       delta)
 
-    def rec(k, slots, up):
-        if (prune_up and up < 0) or slots < 0:
-            return
-        if k == len(pool):
-            if slots == 0 and up == 0:
-                results.append((tuple(parts["phi"]), tuple(parts["q"]),
-                                tuple(parts["dl"])))
-            return
-        m = pool[k]
-        for mask in range(1 << len(roles)):
-            dslots = 0
-            dup = 0
-            picked = []
-            for b, r in enumerate(roles):
-                if (mask >> b) & 1:
-                    dup += costs[r](m)
-                    if r != "phi":
-                        dslots += 1
-                    picked.append(r)
-            for r in picked:
-                parts[r].append(m)
-            rec(k + 1, slots - dslots, up - dup)
-            for r in picked:
-                parts[r].pop()
 
-    rec(0, n_slots, up_budget)
-    return results
+def _parts_from(memo: dict, pool, graded: bool, k: int, slots: int, up: int,
+                delta: bool) -> list[tuple[tuple, tuple, tuple]]:
+    """The part choices over pool[k:], memoised on (k, slots, up, delta).
+
+    The key holds across calls because every pool is a prefix of one
+    mono_key order, long enough for its budget: graded costs are
+    non-negative, so an argument of degree above up + 1 fits no part and
+    ends the scan.  Ungraded arguments have degree 0, and up = -slots.
+    """
+    key = (k, slots, up, delta)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = []
+    if slots < 0 or (graded and up < 0):
+        pass
+    elif k == len(pool) or (graded and pool[k][1] > up + 1):
+        if slots == 0 and up == 0:
+            out.append(((), (), ()))
+    else:
+        m, g = pool[k]
+        one = (m,)
+        for p, q, dl in _ROLES if delta else _ROLES[:4]:
+            rest = _parts_from(memo, pool, graded, k + 1, slots - q - dl,
+                               up - 2 * g * p - (2 * g - 1) * q - (g - 1) * dl,
+                               delta)
+            if p or q or dl:
+                out.extend((one + a if p else a, one + b if q else b,
+                            one + c if dl else c) for a, b, c in rest)
+            else:
+                out.extend(rest)
+    memo[key] = out
+    return out
+
+
+def _u_parts(A: AlgebraPresentation, n: int, d: int, per: bool):
+    """(j, (phi, q, dl)) for u^j times a part choice in bidegree (n, d).
+
+    j >= 0 for ell, and j of either sign for ell_per, where u is
+    invertible.  Delta parts come only at j = 0 (u delta(a) = 0) and never
+    for ell_per.
+    """
+    if A.graded:
+        jmax = d // 2
+    else:  # q and dl fill at most two slots per argument
+        jmax = (2 * len(_arg_pool(A, 0)) - n) // 2
+    jmin = -(n // 2)  # the slot count n + 2j is non-negative
+    for j in range(jmin if per else max(jmin, 0), jmax + 1):
+        for part in _part_choices(A, n + 2 * j, d - 2 * j,
+                                  j == 0 and not per):
+            yield j, part
+
+
+def _candidates(A: AlgebraPresentation, kind: str, n: int, d: int,
+                build) -> list[EllMonomial]:
+    """The candidates build() of one flavor in bidegree (n, d), memoised
+    and canonically sorted."""
+    if not A.graded and d != -n:
+        return []
+    cache = A.memo("ell_mono")
+    key = (kind, n, d)
+    out = cache.get(key)
+    if out is None:
+        out = cache[key] = sorted(build(),
+                                  key=lambda mon: _mon_sort_key(A, mon))
+    return out
 
 
 def ell_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
     """Candidate ell monomials of bidegree (n, d), canonically sorted."""
-    if not A.graded and d != -n:
-        return []
-    cache = A.memo("ell_mono")
-    key = ("e", n, d)
-    if key in cache:
-        return cache[key]
-    costs = {"phi": lambda m: 2 * A.mono_degree(m),
-             "q": lambda m: 2 * A.mono_degree(m) - 1,
-             "dl": lambda m: A.mono_degree(m) - 1}
-    pool = _arg_pool(A, d + 2 if A.graded else 0)
-    out = []
-    jmax = d // 2 if A.graded else (2 * len(pool) - n) // 2
-    for j in range(0, max(jmax, 0) + 1):
-        slots = n + 2 * j
-        if slots < 0:
-            continue
-        up = d - 2 * j
-        if A.graded and up < 0:
-            break
-        for phi, q, dl in _part_choices(A, pool, slots, up, costs):
-            if j > 0 and dl:
-                continue  # u kills delta factors
-            out.append(("e", j, phi, q, dl))
-    out.sort(key=lambda mon: _mon_sort_key(A, mon))
-    cache[key] = out
-    return out
+    return _candidates(A, "e", n, d, lambda: [
+        ("e", j, phi, q, dl) for j, (phi, q, dl) in _u_parts(A, n, d, False)])
 
 
 def per_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
-    if not A.graded and d != -n:
-        return []
-    cache = A.memo("ell_mono")
-    key = ("p", n, d)
-    if key in cache:
-        return cache[key]
-    costs = {"phi": lambda m: 2 * A.mono_degree(m),
-             "q": lambda m: 2 * A.mono_degree(m) - 1}
-    pool = _arg_pool(A, d + abs(n) + 2 if A.graded else 0)
-    out = []
-    # q count determines j: hom = -2j + #q
-    max_q = len(pool)
-    for nq in range(0, max_q + 1):
-        if (nq - n) % 2:
-            continue
-        j = (nq - n) // 2
-        up = d - 2 * j
-        if up < 0 and A.graded:
-            continue
-        for phi, q, _ in _part_choices(A, pool, nq, up,
-                                       {"phi": costs["phi"], "q": costs["q"]}):
-            out.append(("p", j, phi, q))
-    out.sort(key=lambda mon: _mon_sort_key(A, mon))
-    cache[key] = out
-    return out
+    """Candidate ell_per monomials: u^j, j of either sign, times the
+    delta-free parts."""
+    return _candidates(A, "p", n, d, lambda: [
+        ("p", j, phi, q) for j, (phi, q, _) in _u_parts(A, n, d, True)])
 
 
 def plus_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
-    if not A.graded and d != -n:
-        return []
-    cache = A.memo("ell_mono")
-    key = ("g", n, d)
-    if key in cache:
-        return cache[key]
-    costs = {"phi": lambda m: 2 * A.mono_degree(m),
-             "q": lambda m: 2 * A.mono_degree(m) - 1,
-             "dl": lambda m: A.mono_degree(m) - 1}
-    out = []
-    # gamma type: one gamma argument (the unit is allowed), no u factor
-    if A.graded:
-        gargs = [A.one] + _arg_pool(A, max(d, 0) + 2)
-    else:
-        gargs = list(A.basis_all())
-    for m in gargs:
-        up = d - A.mono_degree(m)
-        if A.graded and up < 0:
-            continue
-        pool = _arg_pool(A, up + 2 if A.graded else 0)
-        for phi, q, dl in _part_choices(A, pool, n, up, costs):
-            out.append(("g", phi, q, dl, m))
-    # v type: u^j v^i with j.i = 0; k = i - j is fixed by the q count
-    pool = _arg_pool(A, d + abs(n) + 2 if A.graded else 0)
-    for nq in range(0, len(pool) + 1):
-        if (n - nq) % 2:
-            continue
-        k = (n - nq) // 2
-        j, i = (-k, 0) if k < 0 else (0, k)
-        up = d + 2 * k  # d - (2j - 2i)
-        if A.graded and up < 0:
-            continue
-        for phi, q, _ in _part_choices(A, pool, nq, up,
-                                       {"phi": costs["phi"], "q": costs["q"]}):
-            out.append(("v", j, i, phi, q))
-    out.sort(key=lambda mon: _mon_sort_key(A, mon))
-    cache[key] = out
-    return out
+    """gamma(m) times the u-free ell parts at (n, d - |m|), and the per
+    candidates with u^{-i} read as v^i."""
+    return _candidates(A, "g", n, d, lambda: [
+        ("g", phi, q, dl, m)
+        for m, g in [(A.one, 0)] + _arg_pool(A, d if A.graded else 0)
+        for phi, q, dl in _part_choices(A, n, d - g)] + [
+        ("v", max(j, 0), max(-j, 0), phi, q)
+        for _, j, phi, q in per_monomials(A, n, d)])
 
 
 def _mon_sort_key(A: AlgebraPresentation, mon: EllMonomial):
@@ -399,12 +370,20 @@ def _mon_sort_key(A: AlgebraPresentation, mon: EllMonomial):
 
 # ----- relation instances -----
 
-def _ell_relation_instances(A: AlgebraPresentation,
-                            max_up: int) -> list[tuple[EllElement, int, int]]:
+def _window(A: AlgebraPresentation, lo, hi: int):
+    """Whether an instance of upper degree (or bound) up is new in a list
+    grown from lo to hi.  Ungraded lists are built once, in full."""
+    if not A.graded:
+        return lambda up: True
+    return lambda up: lo < up <= hi
+
+
+def _ell_relation_instances(A: AlgebraPresentation, lo,
+                            hi: int) -> list[tuple[EllElement, int, int]]:
     """The defining multiplicative relations over basis-monomial arguments
-    (the unit included) with instance upper degree <= max_up."""
-    pool1 = [A.one] + _arg_pool(A, max_up + 2 if A.graded else 0)
-    deg = A.mono_degree
+    (the unit included) with instance upper degree in (lo, hi]."""
+    pool1 = [(A.one, 0)] + _arg_pool(A, hi + 2 if A.graded else 0)
+    new = _window(A, lo, hi)
     out: list[tuple[EllElement, int, int]] = []
 
     def push(el: EllElement):
@@ -413,61 +392,56 @@ def _ell_relation_instances(A: AlgebraPresentation,
         n0, d0 = _element_bidegree(A, el)
         out.append((el, n0, d0))
 
-    # phi(ab) + phi(a)phi(b) + u q(a) q(b)
-    for a, b in itertools.combinations_with_replacement(pool1, 2):
-        if A.graded and 2 * (deg(a) + deg(b)) > max_up:
-            continue
-        el = phi_el(A, A.mul(a, b)) \
-            ^ el_mul(A, phi_el(A, frozenset({a})), phi_el(A, frozenset({b}))) \
-            ^ el_mul(A, frozenset({("e", 1, (), (), ())}),
-                     el_mul(A, q_el(A, frozenset({a})),
-                            q_el(A, frozenset({b}))))
-        push(el)
-    # q(ab) + q(a)phi(b) + phi(a)q(b)
-    for a, b in itertools.combinations_with_replacement(pool1, 2):
-        if A.graded and 2 * (deg(a) + deg(b)) - 1 > max_up:
-            continue
-        el = q_el(A, A.mul(a, b)) \
-            ^ el_mul(A, q_el(A, frozenset({a})), phi_el(A, frozenset({b}))) \
-            ^ el_mul(A, phi_el(A, frozenset({a})), q_el(A, frozenset({b})))
-        push(el)
+    for (a, ga), (b, gb) in itertools.combinations_with_replacement(pool1, 2):
+        # phi(ab) + phi(a)phi(b) + u q(a) q(b)
+        if new(2 * (ga + gb)):
+            push(phi_el(A, A.mul(a, b))
+                 ^ el_mul(A, phi_el(A, frozenset({a})),
+                          phi_el(A, frozenset({b})))
+                 ^ el_mul(A, frozenset({("e", 1, (), (), ())}),
+                          el_mul(A, q_el(A, frozenset({a})),
+                                 q_el(A, frozenset({b})))))
+        # q(ab) + q(a)phi(b) + phi(a)q(b)
+        if new(2 * (ga + gb) - 1):
+            push(q_el(A, A.mul(a, b))
+                 ^ el_mul(A, q_el(A, frozenset({a})),
+                          phi_el(A, frozenset({b})))
+                 ^ el_mul(A, phi_el(A, frozenset({a})),
+                          q_el(A, frozenset({b}))))
     # delta(ab)delta(c) + delta(bc)delta(a) + delta(ca)delta(b)
-    for a, b, c in itertools.combinations_with_replacement(pool1, 3):
-        if A.graded and deg(a) + deg(b) + deg(c) - 2 > max_up:
-            continue
-        el = el_mul(A, del_el(A, A.mul(a, b)), del_el(A, frozenset({c}))) \
-            ^ el_mul(A, del_el(A, A.mul(b, c)), del_el(A, frozenset({a}))) \
-            ^ el_mul(A, del_el(A, A.mul(c, a)), del_el(A, frozenset({b})))
-        push(el)
-    # delta(a)phi(b) + delta(a b^2)
-    for a in pool1:
-        for b in pool1:
-            if A.graded and deg(a) - 1 + 2 * deg(b) > max_up:
-                continue
-            absq = A.mul_elements(frozenset({a}), A.mul(b, b))
-            el = el_mul(A, del_el(A, frozenset({a})),
-                        phi_el(A, frozenset({b}))) ^ del_el(A, absq)
-            push(el)
-    # delta(a)q(b) + delta(ab)delta(b)
-    for a in pool1:
-        for b in pool1:
-            if A.graded and deg(a) + 2 * deg(b) - 2 > max_up:
-                continue
-            el = el_mul(A, del_el(A, frozenset({a})), q_el(A, frozenset({b}))) \
-                ^ el_mul(A, del_el(A, A.mul(a, b)), del_el(A, frozenset({b})))
-            push(el)
+    for (a, ga), (b, gb), (c, gc) in \
+            itertools.combinations_with_replacement(pool1, 3):
+        if new(ga + gb + gc - 2):
+            push(el_mul(A, del_el(A, A.mul(a, b)), del_el(A, frozenset({c})))
+                 ^ el_mul(A, del_el(A, A.mul(b, c)), del_el(A, frozenset({a})))
+                 ^ el_mul(A, del_el(A, A.mul(c, a)),
+                          del_el(A, frozenset({b}))))
+    for a, ga in pool1:
+        for b, gb in pool1:
+            # delta(a)phi(b) + delta(a b^2)
+            if new(ga - 1 + 2 * gb):
+                absq = A.mul_elements(frozenset({a}), A.mul(b, b))
+                push(el_mul(A, del_el(A, frozenset({a})),
+                            phi_el(A, frozenset({b}))) ^ del_el(A, absq))
+            # delta(a)q(b) + delta(ab)delta(b)
+            if new(ga + 2 * gb - 2):
+                push(el_mul(A, del_el(A, frozenset({a})),
+                            q_el(A, frozenset({b})))
+                     ^ el_mul(A, del_el(A, A.mul(a, b)),
+                              del_el(A, frozenset({b}))))
     return out
 
 
-def _per_relation_instances(A: AlgebraPresentation,
-                            bound: int) -> list[tuple[EllElement, int, int]]:
-    """Instances of the per relations (q is purely additive here).
+def _per_relation_instances(A: AlgebraPresentation, lo,
+                            hi: int) -> list[tuple[EllElement, int, int]]:
+    """Instances of the per relations (q is purely additive here) with
+    bound in (lo, hi].
 
-    Since u is invertible, instances are pruned by n0 + d0 <= bound: that
-    sum is what u-shifts cannot change.
+    Since u is invertible, instances are bounded by n0 + d0: that sum is
+    what u-shifts cannot change.
     """
-    pool1 = [A.one] + _arg_pool(A, bound // 2 + 1 if A.graded else 0)
-    deg = A.mono_degree
+    pool1 = [(A.one, 0)] + _arg_pool(A, hi // 2 + 1 if A.graded else 0)
+    new = _window(A, lo, hi)
     out = []
 
     def push(el):
@@ -476,8 +450,8 @@ def _per_relation_instances(A: AlgebraPresentation,
             out.append((el, n0, d0))
 
     u1 = frozenset({("p", 1, (), ())})
-    for a, b in itertools.combinations_with_replacement(pool1, 2):
-        if A.graded and 2 * (deg(a) + deg(b)) > bound:
+    for (a, ga), (b, gb) in itertools.combinations_with_replacement(pool1, 2):
+        if not new(2 * (ga + gb)):
             continue
         el = phi_el(A, A.mul(a, b), kind="p") \
             ^ per_el_mul(A, phi_el(A, frozenset({a}), kind="p"),
@@ -499,11 +473,12 @@ def per_el_mul(A, e1, e2):
     return el_mul(A, e1, e2, mul=per_mon_mul)
 
 
-def _plus_relation_instances(A: AlgebraPresentation,
-                             max_up: int) -> list[tuple[EllElement, int, int]]:
-    """The defining module relations over basis-monomial arguments."""
-    pool1 = [A.one] + _arg_pool(A, max_up + 2 if A.graded else 0)
-    deg = A.mono_degree
+def _plus_relation_instances(A: AlgebraPresentation, lo,
+                             hi: int) -> list[tuple[EllElement, int, int]]:
+    """The defining module relations over basis-monomial arguments with
+    instance upper degree in (lo, hi]."""
+    pool1 = [(A.one, 0)] + _arg_pool(A, hi + 2 if A.graded else 0)
+    new = _window(A, lo, hi)
     out = []
 
     def push(el):
@@ -517,38 +492,34 @@ def _plus_relation_instances(A: AlgebraPresentation,
     def act(e, x):
         return el_mul(A, e, x, mul=plus_mon_mul)
 
-    for a in pool1:
-        for b in pool1:
-            if A.graded and 2 * deg(a) + deg(b) > max_up:
-                continue
+    for a, ga in pool1:
+        for b, gb in pool1:
             # phi(a) gamma(b) + gamma(a^2 b)
-            a2b = A.mul_elements(A.mul(a, a), frozenset({b}))
-            push(act(phi_el(A, frozenset({a})), gamma_el(A, frozenset({b})))
-                 ^ gamma_el(A, a2b))
-    for a in pool1:
-        for b in pool1:
-            if A.graded and 2 * deg(a) - 1 + deg(b) > max_up:
-                continue
+            if new(2 * ga + gb):
+                a2b = A.mul_elements(A.mul(a, a), frozenset({b}))
+                push(act(phi_el(A, frozenset({a})),
+                         gamma_el(A, frozenset({b})))
+                     ^ gamma_el(A, a2b))
             # q(a) gamma(b) + delta(a) gamma(ab)
-            push(act(q_el(A, frozenset({a})), gamma_el(A, frozenset({b})))
-                 ^ act(dmon(a), gamma_el(A, A.mul(a, b))))
-    for a, b in itertools.combinations(pool1, 2):
-        if A.graded and deg(a) + deg(b) - 1 > max_up:
-            continue
+            if new(2 * ga - 1 + gb):
+                push(act(q_el(A, frozenset({a})), gamma_el(A, frozenset({b})))
+                     ^ act(dmon(a), gamma_el(A, A.mul(a, b))))
+    for (a, ga), (b, gb) in itertools.combinations(pool1, 2):
         # delta(a) gamma(b) + gamma(a) delta(b)
-        push(act(dmon(a), gamma_el(A, frozenset({b})))
-             ^ act(dmon(b), gamma_el(A, frozenset({a}))))
-    for a in pool1:
-        for b, c in itertools.combinations_with_replacement(pool1, 2):
-            if A.graded and deg(a) + deg(b) + deg(c) - 1 > max_up:
-                continue
+        if new(ga + gb - 1):
+            push(act(dmon(a), gamma_el(A, frozenset({b})))
+                 ^ act(dmon(b), gamma_el(A, frozenset({a}))))
+    for a, ga in pool1:
+        for (b, gb), (c, gc) in \
+                itertools.combinations_with_replacement(pool1, 2):
             # gamma(a) delta(bc) + gamma(ab) delta(c) + gamma(ac) delta(b)
-            el = act(del_el(A, A.mul(b, c)), gamma_el(A, frozenset({a}))) \
-                ^ act(dmon(c), gamma_el(A, A.mul(a, b))) \
-                ^ act(dmon(b), gamma_el(A, A.mul(a, c)))
-            push(el)
-    # gamma(1) = v^0
-    push(gamma_el(A, frozenset({A.one})) ^ frozenset({v_mon(0)}))
+            if new(ga + gb + gc - 1):
+                push(act(del_el(A, A.mul(b, c)), gamma_el(A, frozenset({a})))
+                     ^ act(dmon(c), gamma_el(A, A.mul(a, b)))
+                     ^ act(dmon(b), gamma_el(A, A.mul(a, c))))
+    # gamma(1) = v^0, of upper degree 0
+    if new(0):
+        push(gamma_el(A, frozenset({A.one})) ^ frozenset({v_mon(0)}))
     return out
 
 
@@ -605,16 +576,18 @@ class EllSpace:
 
 
 def _instances(A: AlgebraPresentation, family: str, bound: int):
+    """The family's relation instances up to bound, memoised as one list
+    that each larger bound extends by the instances above the last one."""
     cache = A.memo("ell")
     key = ("instances", family)
-    stored = cache.get(key)
-    if stored is None or stored[0] < bound:
+    lo, out = cache.get(key, (float("-inf"), []))
+    if bound > lo:
         gen = {"ell": _ell_relation_instances,
                "per": _per_relation_instances,
                "plus": _plus_relation_instances}[family]
-        stored = (bound, gen(A, bound))
-        cache[key] = stored
-    return stored[1]
+        out.extend(gen(A, lo, bound))
+        cache[key] = (bound, out)
+    return out
 
 
 def _coefficient_mul(A: AlgebraPresentation, x: EllMonomial,

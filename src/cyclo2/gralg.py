@@ -104,7 +104,6 @@ class AlgebraPresentation:
         if explicit and not ok:
             raise AugmentationError("augmentation inconsistent with a relation")
         self.supplemented = ok
-        self._all_basis: Optional[tuple[Monomial, ...]] = None
 
     def memo(self, name: str) -> dict:
         """The per-algebra memo table called ``name``, empty on first use.
@@ -248,36 +247,28 @@ class AlgebraPresentation:
             out = [m for m in self._enumerate_graded(d)
                    if self.is_reduced_monomial(m)]
         else:
-            if d != 0:
-                out = []
-            else:
-                out = list(self.basis_all())
+            out = self._all_reduced() if d == 0 else []
         result = tuple(sorted(out, key=grevlex_key))
         bases[d] = result
         return result
 
-    def _enumerate_graded(self, d: int):
-        k = self.ngens
-
-        def rec(i: int, rem: int, acc: list[int]):
-            if i == k:
-                if rem == 0:
-                    yield tuple(acc)
-                return
-            step = self.degrees[i]
-            for e in range(rem // step + 1):
-                acc.append(e)
-                yield from rec(i + 1, rem - e * step, acc)
-                acc.pop()
-
-        yield from rec(0, d, [])
+    def _enumerate_graded(self, d: int) -> list[Monomial]:
+        """Exponent tuples of internal degree d, reduced or not."""
+        partial: list[tuple[Monomial, int]] = [((), d)]  # (exponents, rest)
+        for step in self.degrees:
+            partial = [(acc + (e,), rem - e * step) for acc, rem in partial
+                       for e in range(rem // step + 1)]
+        return [acc for acc, rem in partial if rem == 0]
 
     def basis_all(self) -> tuple[Monomial, ...]:
-        """All reduced monomials of an ungraded finite-dimensional algebra."""
-        if self._all_basis is not None:
-            return self._all_basis
+        """All reduced monomials of an ungraded finite-dimensional algebra,
+        which all sit in degree 0."""
         if self.graded:
             raise PresentationError("basis_all is for ungraded algebras")
+        return self.degree_basis(0)
+
+    def _all_reduced(self) -> set[Monomial]:
+        """The reduced monomials, grown from 1 one generator at a time."""
         for i in range(self.ngens):
             if not any(all(e == 0 or j == i for j, e in enumerate(lt)) and lt[i] > 0
                        for lt in self.lead_terms):
@@ -295,8 +286,7 @@ class AlgebraPresentation:
                         seen.add(m2)
                         nxt.append(m2)
             frontier = nxt
-        self._all_basis = tuple(sorted(seen, key=grevlex_key))
-        return self._all_basis
+        return seen
 
     def augment(self, p: Iterable[Monomial]) -> int:
         """Evaluate the augmentation homomorphism on a reduced element."""

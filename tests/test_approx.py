@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -160,3 +162,23 @@ def test_report_serialization():
     d = rep.to_dict()
     assert d["theory"] == "hcminus"
     assert all("verdict" in e for e in d["entries"])
+
+
+def test_finished_request_frees_the_algebra():
+    """No reference cycle runs through an algebra, so it and its memo
+    tables are freed when the last name goes, with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        for make, theory, n, d in ((lambda: polynomial_algebra("xy"),
+                                    "hcminus", 3, 3),
+                                   (lambda: polynomial_algebra("x"),
+                                    "hcper", 3, 3),
+                                   (field_f4, "hc", 2, 0)):
+            A = make()
+            verify_approximation(A, theory, n, d)
+            ref = weakref.ref(A)
+            del A
+            assert ref() is None, theory
+    finally:
+        gc.enable()

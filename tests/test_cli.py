@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -178,11 +179,17 @@ def test_one_memo_store(monkeypatch):
     (A,) = loaded
     # every per-algebra memo lives in the one store, none beside it
     assert [k for k in vars(A) if k.endswith("_cache")] == []
+    assert set(vars(A)) == {f.name for f in dataclasses.fields(A)}
     computed = len(A.memo("homology"))
     assert computed
     H = homology(A, "minus", 1, 2)
     assert homology(A, "minus", 1, 2) is H
     assert len(A.memo("homology")) == computed
+    # the basis of an ungraded algebra is memoised there too
+    B = load_presentation(fixture("f4.alg"))
+    basis = B.basis_all()
+    assert B.basis_all() is basis and B.memo("degree_basis")[0] is basis
+    assert set(vars(B)) == {f.name for f in dataclasses.fields(B)}
 
 
 def test_spectral_bounds_and_theories():

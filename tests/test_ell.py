@@ -1,21 +1,25 @@
+import os
 import random
 
 import pytest
 
 from cyclo2.derham import de_rham_d, form, omega_basis
 from cyclo2.f2linalg import echelonize_in, rank_kernel_image, rank_of
-from cyclo2.gralg import dual_numbers, field_f4, polynomial_algebra, \
-    trivial_algebra
+from cyclo2.cli import load_presentation
+from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
+    polynomial_algebra, trivial_algebra
 from cyclo2.ell import (
     D_matrix,
     EllError,
     I_matrix,
     S_matrix,
+    _mon_sort_key,
     del_el,
     el_mul,
     ell_bidegree,
     ell_chain_maps,
     ell_degree_basis,
+    ell_monomials,
     f_bar,
     gr_ell,
     iota_matrix,
@@ -24,7 +28,9 @@ from cyclo2.ell import (
     mul_u_matrix,
     omega_u_gens,
     omega_u_reduce,
+    per_monomials,
     phi_el,
+    plus_monomials,
     q_el,
     s_bar,
     star_product,
@@ -498,3 +504,157 @@ def test_graded_homology_independent_of_S():
             a = homology(PX, "hcminus", n, d, S=3)
             b = homology(PX, "hcminus", n, d, S=9)
             assert a.dim == b.dim and a.flag == b.flag == "stable"
+
+
+# ----- the candidate enumerators against a test-only oracle -----
+#
+# The oracle is the earlier enumeration: one generic recursion over the
+# argument pool that tries every subset of the roles (phi, q, dl) for each
+# argument, with per-flavor cost functions, pools and loops.
+
+def _oracle_pool(A, max_deg):
+    if A.graded:
+        return [m for deg in range(1, max_deg + 1) for m in A.degree_basis(deg)]
+    return [m for m in A.basis_all() if m != A.one]
+
+
+def _oracle_part_choices(A, pool, n_slots, up_budget, costs):
+    results = []
+    roles = [r for r in ("phi", "q", "dl") if r in costs]
+    parts = {"phi": [], "q": [], "dl": []}
+
+    def rec(k, slots, up):
+        if (A.graded and up < 0) or slots < 0:
+            return
+        if k == len(pool):
+            if slots == 0 and up == 0:
+                results.append((tuple(parts["phi"]), tuple(parts["q"]),
+                                tuple(parts["dl"])))
+            return
+        m = pool[k]
+        for mask in range(1 << len(roles)):
+            picked = [r for b, r in enumerate(roles) if (mask >> b) & 1]
+            dup = sum(costs[r](m) for r in picked)
+            dslots = sum(1 for r in picked if r != "phi")
+            for r in picked:
+                parts[r].append(m)
+            rec(k + 1, slots - dslots, up - dup)
+            for r in picked:
+                parts[r].pop()
+
+    rec(0, n_slots, up_budget)
+    return results
+
+
+def _oracle_costs(A, delta=True):
+    costs = {"phi": lambda m: 2 * A.mono_degree(m),
+             "q": lambda m: 2 * A.mono_degree(m) - 1}
+    if delta:
+        costs["dl"] = lambda m: A.mono_degree(m) - 1
+    return costs
+
+
+def _oracle_sorted(A, out):
+    return sorted(out, key=lambda mon: _mon_sort_key(A, mon))
+
+
+def _oracle_ell(A, n, d):
+    if not A.graded and d != -n:
+        return []
+    pool = _oracle_pool(A, d + 2 if A.graded else 0)
+    out = []
+    jmax = d // 2 if A.graded else (2 * len(pool) - n) // 2
+    for j in range(0, max(jmax, 0) + 1):
+        slots = n + 2 * j
+        if slots < 0:
+            continue
+        up = d - 2 * j
+        if A.graded and up < 0:
+            break
+        for phi, q, dl in _oracle_part_choices(A, pool, slots, up,
+                                               _oracle_costs(A)):
+            if j > 0 and dl:
+                continue
+            out.append(("e", j, phi, q, dl))
+    return _oracle_sorted(A, out)
+
+
+def _oracle_per(A, n, d):
+    if not A.graded and d != -n:
+        return []
+    pool = _oracle_pool(A, d + abs(n) + 2 if A.graded else 0)
+    out = []
+    for nq in range(0, len(pool) + 1):
+        if (nq - n) % 2:
+            continue
+        j = (nq - n) // 2
+        up = d - 2 * j
+        if up < 0 and A.graded:
+            continue
+        for phi, q, _ in _oracle_part_choices(A, pool, nq, up,
+                                              _oracle_costs(A, False)):
+            out.append(("p", j, phi, q))
+    return _oracle_sorted(A, out)
+
+
+def _oracle_plus(A, n, d):
+    if not A.graded and d != -n:
+        return []
+    out = []
+    if A.graded:
+        gargs = [A.one] + _oracle_pool(A, max(d, 0) + 2)
+    else:
+        gargs = list(A.basis_all())
+    for m in gargs:
+        up = d - A.mono_degree(m)
+        if A.graded and up < 0:
+            continue
+        pool = _oracle_pool(A, up + 2 if A.graded else 0)
+        for phi, q, dl in _oracle_part_choices(A, pool, n, up,
+                                               _oracle_costs(A)):
+            out.append(("g", phi, q, dl, m))
+    pool = _oracle_pool(A, d + abs(n) + 2 if A.graded else 0)
+    for nq in range(0, len(pool) + 1):
+        if (n - nq) % 2:
+            continue
+        k = (n - nq) // 2
+        j, i = (-k, 0) if k < 0 else (0, k)
+        up = d + 2 * k
+        if A.graded and up < 0:
+            continue
+        for phi, q, _ in _oracle_part_choices(A, pool, nq, up,
+                                              _oracle_costs(A, False)):
+            out.append(("v", j, i, phi, q))
+    return _oracle_sorted(A, out)
+
+
+def _fixture(name):
+    return load_presentation(
+        os.path.join(os.path.dirname(__file__), "..", "fixtures", name))
+
+
+@pytest.mark.parametrize("name, window", [
+    ("f2.alg", (range(-6, 7), range(-2, 9))),
+    ("poly_x.alg", (range(-4, 6), range(-3, 7))),
+    ("poly_xy.alg", (range(-3, 4), range(-2, 4))),
+    ("poly_xyz.alg", (range(-2, 3), range(-1, 3))),
+    ("dual_numbers.alg", (range(-6, 7), None)),
+    ("f4.alg", (range(-6, 7), None)),
+    ("F2[x,y], |y| = 2", (range(-3, 4), range(-2, 6))),
+    ("F2[x,y]/(x^2y+y^3)", (range(-3, 4), range(-2, 4))),
+])
+def test_candidates_match_oracle(name, window):
+    if name.endswith(".alg"):
+        A = _fixture(name)
+    elif name.startswith("F2[x,y]/"):
+        A = AlgebraPresentation(("x", "y"), (1, 1),
+                                (frozenset({(2, 1), (0, 3)}),), name=name)
+    else:
+        A = polynomial_algebra("xy", (1, 2))
+    ns, ds = window
+    for n in ns:
+        for d in ds if A.graded else (-n,):
+            for new, old in ((ell_monomials, _oracle_ell),
+                             (per_monomials, _oracle_per),
+                             (plus_monomials, _oracle_plus)):
+                assert new(A, n, d) == old(A, n, d), (new.__name__, n, d)
