@@ -23,9 +23,8 @@ from .f2linalg import (
     F2Matrix,
     SubspaceBasis,
     class_coordinates,
-    complement_basis,
     echelonize_in,
-    eliminate_tracked,
+    homology_bases,
     matrix_from_columns,
     rank_kernel_image,
     solve,
@@ -90,8 +89,16 @@ def enumerate_words(A: AlgebraPresentation, nbars: int, d: int) -> list[BarWord]
     return out
 
 
-def _word_key(A: AlgebraPresentation, w: BarWord):
-    return (grevlex_key(w[0]), tuple(grevlex_key(b) for b in w[1]))
+def _word_key(w: BarWord, grevlex: dict):
+    """grevlex_key of the head, then of each bar; grevlex holds the key of
+    every monomial seen so far in one slice, which repeat across words."""
+    keys = []
+    for m in (w[0],) + w[1]:
+        k = grevlex.get(m)
+        if k is None:
+            k = grevlex[m] = grevlex_key(m)
+        keys.append(k)
+    return keys[0], tuple(keys[1:])
 
 
 def _block_key(w: BarWord):
@@ -147,13 +154,15 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
     cache = A.memo("tower")
     if key in cache:
         return cache[key]
+    grevlex: dict = {}
+    if A.monomial_ideal:
+        word_key = lambda w: (_block_key(w), _word_key(w, grevlex))
+    else:
+        word_key = lambda w: _word_key(w, grevlex)
     basis: list[tuple[int, BarWord]] = []
     for p in range(p_min, p_max + 1):
         words = enumerate_words(A, n - 2 * p, d)
-        if A.monomial_ideal:
-            words.sort(key=lambda w: (_block_key(w), _word_key(A, w)))
-        else:
-            words.sort(key=lambda w: _word_key(A, w))
+        words.sort(key=word_key)
         basis.extend((p, w) for w in words)
     sl = TowerSlice(t, n, d, S if truncated else 0, p_min, p_max, truncated,
                     tuple(basis))
@@ -261,12 +270,7 @@ def _homology_at(A: AlgebraPresentation, theory: str, n: int, d: int,
     sl_up = build_tower(A, theory, n + 1, d, S)
     dn_cols = differential_columns(A, sl_n, sl_dn)
     up_cols = differential_columns(A, sl_up, sl_n)
-    pivot_rows, zero_trackers = eliminate_tracked(dn_cols)
-    cycles = echelonize_in(zero_trackers, sl_n.dim)
-    boundaries = echelonize_in(
-        [v for v in up_cols if v], sl_n.dim)
-    # boundaries must be cycles; reduce them into the cycle space
-    comp = complement_basis(cycles, boundaries)
+    cycles, boundaries, comp = homology_bases(dn_cols, up_cols)
     return HomologyPresentation(
         theory=sl_n.theory, n=n, d=d, S=S, slice=sl_n, cycles=cycles,
         boundaries=boundaries, complement=comp,
@@ -528,17 +532,7 @@ def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
         return 0, []
     out_mat = d1_matrix(A, alpha, beta, s, t, d, S)
     in_mat = d1_matrix(A, alpha, beta, s + 1, t, d, S)
-    dim_e1 = e1.dim
-    if out_mat is not None:
-        _, ker, _ = rank_kernel_image(out_mat)
-        cycle_vs = list(ker.vectors)
-    else:
-        cycle_vs = [1 << j for j in range(dim_e1)]
-    cycles = echelonize_in(cycle_vs, dim_e1)
-    if in_mat is not None:
-        bdry_vs = [c for c in in_mat.columns()]
-        boundaries = echelonize_in([v for v in bdry_vs if v], dim_e1)
-    else:
-        boundaries = SubspaceBasis(dim_e1, ())
-    comp = complement_basis(cycles, boundaries)
+    out_cols = out_mat.columns() if out_mat is not None else [0] * e1.dim
+    in_cols = in_mat.columns() if in_mat is not None else []
+    comp = homology_bases(out_cols, in_cols)[2]
     return len(comp), list(comp)

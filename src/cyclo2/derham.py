@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .f2linalg import QuotientBasis, SubspaceBasis, complement_basis, \
-    class_coordinates, echelonize_in, eliminate_tracked, matrix_from_columns
+from .f2linalg import QuotientBasis, SubspaceBasis, class_coordinates, \
+    homology_bases, matrix_from_columns, rank_kernel_image
 from .gralg import AlgebraPresentation, Monomial, grevlex_key
 
 FormGen = tuple  # (monomial, tuple of generator indices)
@@ -202,15 +202,9 @@ def de_rham_cohomology(A: AlgebraPresentation, n: int, d: int) -> DeRhamCohomolo
     if key in cache:
         return cache[key]
     space = omega_basis(A, n, d)
-    out_cols = d_matrix_columns(A, n, d)
-    pivot_rows, zero_trackers = eliminate_tracked(out_cols)
-    cycles = echelonize_in(zero_trackers, space.dim)
-    if n >= 1:
-        in_cols = d_matrix_columns(A, n - 1, d)
-        boundaries = echelonize_in([v for v in in_cols if v], space.dim)
-    else:
-        boundaries = SubspaceBasis(space.dim, ())
-    comp = complement_basis(cycles, boundaries)
+    in_cols = d_matrix_columns(A, n - 1, d) if n >= 1 else []
+    cycles, boundaries, comp = homology_bases(d_matrix_columns(A, n, d),
+                                              in_cols)
     result = DeRhamCohomology(n, d, space, cycles, boundaries, comp)
     cache[key] = result
     return result
@@ -252,7 +246,6 @@ def cartier_matrix(A: AlgebraPresentation, n: int, d: int):
 
 
 def cartier_bijective(A: AlgebraPresentation, n: int, d: int) -> bool:
-    from .f2linalg import rank_kernel_image
     mat, src, target = cartier_matrix(A, n, d)
     rank = rank_kernel_image(mat)[0]
     return rank == src.dim == target.dim

@@ -4,6 +4,12 @@ Vectors are Python ints used as bitmasks: bit j is coordinate j.  Addition
 is XOR and all arithmetic is exact; there are no tolerances anywhere.
 Elimination always picks the lowest available pivot column, so every basis
 produced here is reproducible bit for bit.
+
+Spans and kernels are eliminated from the last vector (or column) to the
+first.  A reduced row-echelon basis under the lowest-bit pivot rule is
+unique, so the order changes the work, not the bases; last-first leaves a
+kernel already in reduced echelon form (see null_space), and every span
+goes through the one back-substitution, _reduced_echelon.
 """
 
 from __future__ import annotations
@@ -228,20 +234,16 @@ def echelonize(vectors: Iterable[int]) -> SubspaceBasis:
     return echelonize_in(vs, dim)
 
 
-def echelonize_in(vectors: Iterable[int], ambient_dim: int) -> SubspaceBasis:
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            p = _lowest_bit(v)
-            if p in pivots:
-                v ^= pivots[p]
-            else:
-                pivots[p] = v
-                break
-    # back-substitute to full RREF, finalizing pivots from the top down;
-    # a finalized row has its pivot as its only bit in a pivot column
+def _reduced_echelon(pivots: dict[int, int], ambient_dim: int) -> SubspaceBasis:
+    """The RREF basis of echelon rows given as pivot -> row (each row's
+    lowest bit is its pivot).
+
+    Back-substitutes from the top pivot down; a finished row has its pivot
+    as its only bit in a pivot column.
+    """
+    order = sorted(pivots)
     mask_above = 0
-    for p in sorted(pivots, reverse=True):
+    for p in reversed(order):
         v = pivots[p]
         hit = v & mask_above
         while hit:
@@ -250,12 +252,73 @@ def echelonize_in(vectors: Iterable[int], ambient_dim: int) -> SubspaceBasis:
             v ^= pivots[low.bit_length() - 1]
         pivots[p] = v
         mask_above |= 1 << p
-    rows = tuple(pivots[p] for p in sorted(pivots))
-    return SubspaceBasis(ambient_dim, rows)
+    return SubspaceBasis(ambient_dim, tuple(pivots[p] for p in order))
+
+
+def echelonize_in(vectors: Iterable[int], ambient_dim: int) -> SubspaceBasis:
+    """RREF span of the given vectors in F2^ambient_dim.
+
+    The vectors are reduced from the last to the first; the RREF of a span
+    is unique, so the order changes the work, not the basis.
+    """
+    pivots: dict[int, int] = {}
+    for v in reversed(list(vectors)):
+        while v:
+            p = (v & -v).bit_length() - 1
+            w = pivots.get(p)
+            if w is None:
+                pivots[p] = v
+                break
+            v ^= w
+    return _reduced_echelon(pivots, ambient_dim)
+
+
+def null_space(cols: list[int]) -> tuple[SubspaceBasis, dict[int, int]]:
+    """Kernel of the matrix with the given columns, and the echelon rows of
+    its column space as pivot -> row.
+
+    The columns are eliminated from the last to the first, tracking which
+    columns each reduced vector combines.  A pivot row combines only
+    columns that became pivots, so when column k reduces to zero its
+    tracker is bit k plus pivot columns of larger index: the kernel comes
+    out in reduced echelon form, with one pivot per dependent column and
+    no bit at another one, and needs no back-substitution.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel: list[int] = []
+    for k in range(len(cols) - 1, -1, -1):
+        v = cols[k]
+        t = 1 << k
+        while v:
+            p = (v & -v).bit_length() - 1
+            row = pivots.get(p)
+            if row is None:
+                pivots[p] = (v, t)
+                break
+            v ^= row[0]
+            t ^= row[1]
+        else:
+            kernel.append(t)
+    image = {p: v for p, (v, _) in pivots.items()}
+    return SubspaceBasis(len(cols), tuple(reversed(kernel))), image
+
+
+def homology_bases(out_cols: list[int], in_cols: Iterable[int]
+                   ) -> tuple[SubspaceBasis, SubspaceBasis, tuple[int, ...]]:
+    """Cycles, boundaries and the complement basis of one degree of a chain
+    complex.
+
+    out_cols are the columns of the outgoing differential, one per basis
+    vector of the degree; in_cols are the columns of the incoming one.
+    """
+    dim = len(out_cols)
+    cycles = null_space(out_cols)[0]
+    boundaries = echelonize_in(in_cols, dim)
+    return cycles, boundaries, complement_basis(cycles, boundaries)
 
 
 def eliminate_tracked(vectors: list[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Gaussian elimination with combination tracking.
+    """Gaussian elimination with combination tracking, as solve() needs it.
 
     Returns (pivot_rows, zero_trackers) where pivot_rows is a list of
     (pivot_index, reduced_vector, tracker) and zero_trackers collects the
@@ -301,14 +364,8 @@ def rank_kernel_image(m: F2Matrix) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     the standard echelon basis read off the RREF with free variables set to
     unit vectors; rank + dim kernel = cols and dim image = rank always.
     """
-    # eliminate the columns, tracking combinations: zero combinations of
-    # columns are exactly the kernel vectors, surviving columns span the image
-    cols = m.columns()
-    pivot_rows, zero_trackers = eliminate_tracked(cols)
-    rank = len(pivot_rows)
-    kernel = echelonize_in(zero_trackers, m.cols)
-    image = echelonize_in([v for _, v, _ in pivot_rows], m.rows)
-    return rank, kernel, image
+    kernel, image = null_space(m.columns())
+    return len(image), kernel, _reduced_echelon(image, m.rows)
 
 
 def solve(m: F2Matrix, target: int) -> Optional[int]:

@@ -1,4 +1,15 @@
-"""Shared test plumbing: echo acceptance pass/fail lines past capture."""
+"""Shared test plumbing: echo acceptance pass/fail lines past capture, the
+default hypothesis profile, and the slow elimination oracle."""
+
+from hypothesis import settings
+
+from cyclo2.f2linalg import SubspaceBasis, complement_basis, eliminate_tracked
+
+# Fixed examples and no deadline: every run draws the same cases in bounded
+# time.  Another profile can still be chosen with --hypothesis-profile.
+settings.register_profile("cyclo2", derandomize=True, max_examples=100,
+                          deadline=None, database=None)
+settings.load_profile("cyclo2")
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -13,3 +24,45 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# ----- the first-to-last elimination path, kept as a slow oracle -----
+
+def oracle_echelonize_in(vectors, ambient_dim):
+    """RREF span, reducing the vectors from the first to the last."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            p = (v & -v).bit_length() - 1
+            if p in pivots:
+                v ^= pivots[p]
+            else:
+                pivots[p] = v
+                break
+    mask_above = 0
+    for p in sorted(pivots, reverse=True):
+        v = pivots[p]
+        hit = v & mask_above
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            v ^= pivots[low.bit_length() - 1]
+        pivots[p] = v
+        mask_above |= 1 << p
+    return SubspaceBasis(ambient_dim, tuple(pivots[p] for p in sorted(pivots)))
+
+
+def oracle_kernel_image(cols, nrows):
+    """Kernel and column space: tracked first-to-last elimination, then a
+    full echelonization of the zero trackers and of the pivot rows."""
+    pivot_rows, zero_trackers = eliminate_tracked(cols)
+    return (oracle_echelonize_in(zero_trackers, len(cols)),
+            oracle_echelonize_in([v for _, v, _ in pivot_rows], nrows))
+
+
+def oracle_homology_bases(out_cols, in_cols):
+    """Cycles, boundaries and complement of one degree of a complex."""
+    dim = len(out_cols)
+    cycles = oracle_echelonize_in(eliminate_tracked(out_cols)[1], dim)
+    boundaries = oracle_echelonize_in([v for v in in_cols if v], dim)
+    return cycles, boundaries, complement_basis(cycles, boundaries)

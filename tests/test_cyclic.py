@@ -1,7 +1,10 @@
 import itertools
 import random
 
+from conftest import oracle_homology_bases
 from cyclo2.cyclic import (
+    _homology_at,
+    bidegree_window,
     build_tower,
     differential_columns,
     e1_page,
@@ -11,8 +14,10 @@ from cyclo2.cyclic import (
     matrix_from_columns,
     vectorize,
 )
+from cyclo2.derham import d_matrix_columns, de_rham_cohomology
 from cyclo2.f2linalg import rank_kernel_image
 from cyclo2.gralg import (
+    AlgebraPresentation,
     dual_numbers,
     field_f4,
     polynomial_algebra,
@@ -356,3 +361,38 @@ def test_class_product_independent_of_representatives():
         c2 = H.coords(vectorize(PX, H.slice, mu_chain(PX, y2, x),
                                 allow_projection=True))
         assert c1 == c2
+
+
+def _oracle_homology_at(A, theory, n, d, S):
+    sl_n = build_tower(A, theory, n, d, S)
+    sl_dn = build_tower(A, theory, n - 1, d, S)
+    sl_up = build_tower(A, theory, n + 1, d, S)
+    return oracle_homology_bases(differential_columns(A, sl_n, sl_dn),
+                                 differential_columns(A, sl_up, sl_n))
+
+
+def _bases(h):
+    return h.cycles, h.boundaries, h.complement
+
+
+def test_homology_bases_match_oracle_path():
+    cusp = AlgebraPresentation(("x", "y"), (1, 1),
+                               (frozenset({(2, 1), (0, 3)}),), name="cusp")
+    for A in (polynomial_algebra(["x", "y"]), cusp):
+        for n, d in bidegree_window(A, 4, 4):
+            assert _bases(_homology_at(A, "minus", n, d, 0)) == \
+                _oracle_homology_at(A, "minus", n, d, 0), (A.name, n, d)
+    for A in (field_f4(), dual_numbers()):
+        for S in (2, 3):
+            for theory in ("minus", "per"):
+                for n in range(-3, 5):
+                    assert _bases(_homology_at(A, theory, n, 0, S)) == \
+                        _oracle_homology_at(A, theory, n, 0, S), \
+                        (A.name, theory, n, S)
+    A = polynomial_algebra(["x", "y"])
+    for n in range(4):
+        for d in range(6):
+            in_cols = d_matrix_columns(A, n - 1, d) if n >= 1 else []
+            assert _bases(de_rham_cohomology(A, n, d)) == \
+                oracle_homology_bases(d_matrix_columns(A, n, d), in_cols), \
+                (n, d)

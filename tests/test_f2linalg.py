@@ -1,12 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import (
+    oracle_echelonize_in,
+    oracle_homology_bases,
+    oracle_kernel_image,
+)
 from cyclo2.f2linalg import (
     F2LinalgError,
     F2Matrix,
     SubspaceBasis,
     echelonize,
+    echelonize_in,
+    homology_bases,
+    matrix_from_columns,
+    null_space,
     quotient_coordinates,
     rank_kernel_image,
     solve,
@@ -172,3 +182,44 @@ def test_compose_matches_apply():
         for _ in range(5):
             x = rng.getrandbits(c)
             assert comp.apply(x) == m1.apply(m2.apply(x))
+
+
+@st.composite
+def column_lists(draw):
+    """(rows, columns): up to 40 columns in F2^rows, rows <= 40, with zero,
+    repeated and dependent columns mixed in."""
+    rows = draw(st.integers(0, 40))
+    vector = st.integers(0, (1 << rows) - 1)
+    pool = draw(st.lists(vector, min_size=1, max_size=6)) + [0]
+    repeated = st.sampled_from(pool)
+    dependent = st.builds(lambda a, b: a ^ b, repeated, repeated)
+    cols = draw(st.lists(st.one_of(vector, repeated, dependent), max_size=40))
+    return rows, cols
+
+
+@given(column_lists())
+def test_last_first_elimination_matches_oracle(case):
+    rows, cols = case
+    kernel, image = oracle_kernel_image(cols, rows)
+    assert null_space(cols)[0].vectors == kernel.vectors
+    rank, ker, im = rank_kernel_image(matrix_from_columns(cols, rows))
+    assert (ker.vectors, im.vectors) == (kernel.vectors, image.vectors)
+    assert rank == im.dim and rank + ker.dim == len(cols)
+    assert echelonize_in(cols, rows).vectors == \
+        oracle_echelonize_in(cols, rows).vectors == image.vectors
+
+
+@given(column_lists(), st.data())
+def test_homology_bases_match_oracle(case, data):
+    # a complex C_2 -> C_1 -> C_0 with C_1 = F2^len(out): the incoming
+    # columns are kernel vectors of the outgoing map, summed at random
+    _, out = case
+    kernel = null_space(out)[0].vectors
+    combos = st.lists(st.sampled_from(kernel), max_size=4) if kernel \
+        else st.just([])
+    inc = [0]
+    for picks in data.draw(st.lists(combos, max_size=8)):
+        inc.append(0)
+        for v in picks:
+            inc[-1] ^= v
+    assert homology_bases(out, inc) == oracle_homology_bases(out, inc)
