@@ -33,10 +33,12 @@ from .derham import antisymmetrize, omega_basis
 from .ell import (
     EllElement,
     bd_plus_matrix,
+    ell_bidegree,
     ell_degree_basis,
     ell_mon_mul,
     iota_matrix,
     mul_u_matrix,
+    per_mon_mul,
     plus_mon_mul,
     r_matrix,
     tau_matrix,
@@ -44,7 +46,7 @@ from .ell import (
     D_matrix,
     S_matrix,
 )
-from .f2linalg import F2Matrix, matrix_from_columns, rank_kernel_image
+from .f2linalg import F2Matrix, rank_kernel_image
 from .gralg import AlgebraPresentation
 from .hochschild import UChain, mu_chain, uchain_boundary
 
@@ -162,7 +164,7 @@ def psi_matrix(A: AlgebraPresentation, theory: str, n: int, D: int,
     sp = ell_degree_basis(A, flavor, n, D - n)
     H = homology(A, THEORY_TOWER[theory], n, D, S)
     cols = [psi_class(A, frozenset({mon}), H) for mon in sp.basis()]
-    mat = matrix_from_columns(cols, H.dim)
+    mat = F2Matrix(H.dim, tuple(cols))
     if certify:
         for rel in sp.quotient.relations.vectors:
             el = frozenset(sp.cands[k] for k in range(len(sp.cands))
@@ -291,7 +293,8 @@ def _sample_product_checks(A, theory, bidegrees, S, rng, samples):
     for n, D in bidegrees:
         pool_l.extend(ell_degree_basis(A, left_flavor, n, D - n).basis())
         pool_r.extend(ell_degree_basis(A, flavor, n, D - n).basis())
-    from .ell import ell_bidegree, per_mon_mul
+    mul = {"hcminus": ell_mon_mul, "hcper": per_mon_mul,
+           "hc": plus_mon_mul}[theory]
     checks = failures = attempts = 0
     while checks < samples and attempts < samples * 30 and pool_l and pool_r:
         attempts += 1
@@ -302,8 +305,6 @@ def _sample_product_checks(A, theory, bidegrees, S, rng, samples):
         if (n, n + d) not in window:
             continue
         H = homology(A, THEORY_TOWER[theory], n, n + d, S)
-        mul = {"hcminus": ell_mon_mul, "hcper": per_mon_mul,
-               "hc": plus_mon_mul}[theory]
         prod = mul(A, m1, m2)
         lhs = psi_class(A, prod, H)
         chain = mu_chain(A, chain_of_monomial(A, m1), chain_of_monomial(A, m2))
@@ -324,7 +325,7 @@ def _eps_matrix(A: AlgebraPresentation, nf: int, D: int,
     for g in src.basis():
         x = UChain.make("minus", {0: antisymmetrize(A, frozenset({g}))})
         cols.append(H.coords(vectorize(A, H.slice, x)))
-    return matrix_from_columns(cols, H.dim)
+    return F2Matrix(H.dim, tuple(cols))
 
 
 def verify_squares(A: AlgebraPresentation, max_homological: int,
@@ -337,7 +338,7 @@ def verify_squares(A: AlgebraPresentation, max_homological: int,
 
     def residual(name, n, D, mat1, mat2):
         diff = mat1.add(mat2)
-        res = sum(bin(r).count("1") for r in diff.row_data)
+        res = sum(bin(c).count("1") for c in diff.columns)
         out.append({"square": name, "n": n, "internal": D, "residual": res})
 
     for n, D in bidegree_window(A, max_homological, max_internal):

@@ -25,7 +25,6 @@ from .f2linalg import (
     class_coordinates,
     echelonize_in,
     homology_bases,
-    matrix_from_columns,
     rank_kernel_image,
     solve,
 )
@@ -277,6 +276,23 @@ def _homology_at(A: AlgebraPresentation, theory: str, n: int, d: int,
         flag="stable", persistent_rank=None)
 
 
+def _needs_protocol(A: AlgebraPresentation, t: str) -> bool:
+    # only ungraded minus/per towers are truncated at -S
+    return THEORY_BOUNDS[t][0] is None and not A.graded
+
+
+def _homology_s(A: AlgebraPresentation, t: str, n: int, d: int,
+                S: int) -> HomologyPresentation:
+    """Homology of the tower t truncated at depth S alone, memoised; its
+    flag is always stable, since the S + 1 pass of homology() is not run."""
+    cache = A.memo("homology_s")
+    key = (t, n, d, S if _needs_protocol(A, t) else 0)
+    pres = cache.get(key)
+    if pres is None:
+        pres = cache[key] = _homology_at(A, t, n, d, S)
+    return pres
+
+
 def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
              S: int = 3) -> HomologyPresentation:
     """Homology of the chosen tower in bidegree (n, d).
@@ -287,17 +303,15 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     isomorphism between the two answers.
     """
     t = theory_key(theory)
-    alpha, _ = THEORY_BOUNDS[t]
-    needs_protocol = (alpha is None) and not A.graded
+    needs_protocol = _needs_protocol(A, t)
     cache = A.memo("homology")
     key = (t, n, d, S if needs_protocol else 0)
     if key in cache:
         return cache[key]
+    small = _homology_s(A, t, n, d, S)
     if not needs_protocol:
-        pres = _homology_at(A, t, n, d, S)
-        cache[key] = pres
-        return pres
-    small = _homology_at(A, t, n, d, S)
+        cache[key] = small
+        return small
     big = _homology_at(A, t, n, d, S + 1)
     # project the S+1 class representatives into the S window
     image = echelonize_in(
@@ -326,7 +340,7 @@ def class_map(A: AlgebraPresentation, src: HomologyPresentation,
     it must send cycles to cycles and boundaries to boundaries.
     """
     cols = [tgt.coords(chain_map(src.rep(k))) for k in range(src.dim)]
-    return matrix_from_columns(cols, tgt.dim)
+    return F2Matrix(tgt.dim, tuple(cols))
 
 
 def slice_shift_map(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
@@ -364,9 +378,9 @@ def connecting_map(A: AlgebraPresentation,
     closed formula.
     """
     p_cols = [p_map(1 << j) for j in range(M_n.dim)]
-    p_mat = matrix_from_columns(p_cols, HN.slice.dim)
+    p_mat = F2Matrix(HN.slice.dim, tuple(p_cols))
     i_cols = [i_map(1 << j) for j in range(HL.slice.dim)]
-    i_mat = matrix_from_columns(i_cols, M_n1.dim)
+    i_mat = F2Matrix(M_n1.dim, tuple(i_cols))
     d_cols = differential_columns(A, M_n, M_n1)
     cols = []
     for k in range(HN.dim):
@@ -384,7 +398,7 @@ def connecting_map(A: AlgebraPresentation,
         if w is None:
             raise TowerError("connecting map: boundary not in subcomplex")
         cols.append(HL.coords(w))
-    return matrix_from_columns(cols, HL.dim)
+    return F2Matrix(HL.dim, tuple(cols))
 
 
 class SES(NamedTuple):
@@ -460,6 +474,8 @@ def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
 
     L sits in M moved by the column shift of i, so for ungraded algebras
     its towers are truncated at S + shift: the columns of M at depth S.
+    The five spaces are computed at their depth only, without the S + 1
+    pass of homology().
     """
     try:
         ses = SEQUENCES[which]
@@ -468,11 +484,11 @@ def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
     (tl, ol), (tm, om), (tn, on) = ses.towers
     i_shift, p_shift = ses.shifts
     S_L = S if A.graded else S + i_shift
-    L_n = homology(A, tl, n + ol, d, S_L)
-    M_n = homology(A, tm, n + om, d, S)
-    N_n = homology(A, tn, n + on, d, S)
-    L_n1 = homology(A, tl, n - 1 + ol, d, S_L)
-    M_n1 = homology(A, tm, n - 1 + om, d, S)
+    L_n = _homology_s(A, tl, n + ol, d, S_L)
+    M_n = _homology_s(A, tm, n + om, d, S)
+    N_n = _homology_s(A, tn, n + on, d, S)
+    L_n1 = _homology_s(A, tl, n - 1 + ol, d, S_L)
+    M_n1 = _homology_s(A, tm, n - 1 + om, d, S)
 
     i_map = slice_shift_map(A, L_n.slice, M_n.slice, i_shift)
     p_map = slice_shift_map(A, M_n.slice, N_n.slice, p_shift)
@@ -520,7 +536,7 @@ def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
         for w in img:
             v ^= 1 << idx[(0, w)]
         cols.append(tgt.coords(v))
-    return matrix_from_columns(cols, tgt.dim)
+    return F2Matrix(tgt.dim, tuple(cols))
 
 
 def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
@@ -532,7 +548,7 @@ def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
         return 0, []
     out_mat = d1_matrix(A, alpha, beta, s, t, d, S)
     in_mat = d1_matrix(A, alpha, beta, s + 1, t, d, S)
-    out_cols = out_mat.columns() if out_mat is not None else [0] * e1.dim
-    in_cols = in_mat.columns() if in_mat is not None else []
+    out_cols = out_mat.columns if out_mat is not None else [0] * e1.dim
+    in_cols = in_mat.columns if in_mat is not None else []
     comp = homology_bases(out_cols, in_cols)[2]
     return len(comp), list(comp)

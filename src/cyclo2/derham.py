@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .f2linalg import QuotientBasis, SubspaceBasis, class_coordinates, \
-    homology_bases, matrix_from_columns, rank_kernel_image
+from .f2linalg import F2Matrix, QuotientBasis, SubspaceBasis, \
+    class_coordinates, homology_bases, rank_kernel_image
 from .gralg import AlgebraPresentation, Monomial, grevlex_key
 
 FormGen = tuple  # (monomial, tuple of generator indices)
@@ -242,7 +242,7 @@ def cartier_matrix(A: AlgebraPresentation, n: int, d: int):
     src = omega_basis(A, n, d)
     target = de_rham_cohomology(A, n, 2 * d)
     cols = [cartier(A, frozenset({g}), n, d) for g in src.basis()]
-    return matrix_from_columns(cols, target.dim), src, target
+    return F2Matrix(target.dim, tuple(cols)), src, target
 
 
 def cartier_bijective(A: AlgebraPresentation, n: int, d: int) -> bool:

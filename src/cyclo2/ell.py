@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .derham import OmegaElement, d_monomial, form_mul, omega_basis
-from .f2linalg import QuotientBasis, matrix_from_columns
+from .f2linalg import F2Matrix, QuotientBasis, rank_of
 from .gralg import AlgebraPresentation, Monomial, Poly
 
 EllMonomial = tuple
@@ -741,7 +741,7 @@ def r_matrix(A: AlgebraPresentation, n: int, d: int):
     src = ell_degree_basis(A, "ell", n, d)
     tgt = omega_basis(A, n, n + d)
     cols = [tgt.coords(map_r(A, m)) for m in src.basis()]
-    return matrix_from_columns(cols, tgt.dim), src, tgt
+    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 
 def tau_matrix(A: AlgebraPresentation, nform: int, D: int):
@@ -750,29 +750,22 @@ def tau_matrix(A: AlgebraPresentation, nform: int, D: int):
     src = omega_basis(A, nform, D)
     tgt = ell_degree_basis(A, "ell", nform + 1, D - nform - 1)
     cols = [tgt.coords(map_tau(A, g)) for g in src.basis()]
-    return matrix_from_columns(cols, tgt.dim), src, tgt
+    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 
 def mul_u_matrix(A: AlgebraPresentation, flavor: str, n: int, d: int):
     """Multiplication by u from (n, d) to (n - 2, d + 2)."""
     src = ell_degree_basis(A, flavor, n, d)
     tgt = ell_degree_basis(A, flavor, n - 2, d + 2)
-    u = ("e", 1, (), (), ())
-    mul = {"ell": ell_mon_mul, "ell_per": None,
-           "ell_plus": plus_mon_mul}.get(flavor, ell_mon_mul)
-    cols = []
-    for m in src.basis():
-        if flavor == "ell_per":
-            img = per_mon_mul(A, ("p", 1, (), ()), m)
-        else:
-            img = mul(A, u, m)
-        cols.append(tgt.coords(img))
-    return matrix_from_columns(cols, tgt.dim), src, tgt
+    u, mul = {"ell": (("e", 1, (), (), ()), ell_mon_mul),
+              "ell_plus": (("e", 1, (), (), ()), plus_mon_mul),
+              "ell_per": (("p", 1, (), ()), per_mon_mul)}[flavor]
+    cols = [tgt.coords(mul(A, u, m)) for m in src.basis()]
+    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 
 def gr_ell(A: AlgebraPresentation, n: int, d: int, imax: int) -> list[int]:
     """Dimensions of u^i ell / u^{i+1} ell arriving in bidegree (n, d)."""
-    from .f2linalg import rank_of
     tgt = ell_degree_basis(A, "ell", n, d)
     ranks = []
     for i in range(0, imax + 2):
@@ -795,7 +788,7 @@ def I_matrix(A: AlgebraPresentation, nform: int, D: int):
             el = el_mul(A, del_el(A, frozenset({A.gen_monomial(i)})), el,
                         mul=plus_mon_mul)
         cols.append(tgt.coords(el))
-    return matrix_from_columns(cols, tgt.dim), src, tgt
+    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 
 def D_matrix(A: AlgebraPresentation, n: int, d: int):
@@ -812,7 +805,7 @@ def D_matrix(A: AlgebraPresentation, n: int, d: int):
         coeff = map_r(A, ("e", 0, phi, q, dl))
         dm = frozenset((c, (i,)) for c, i in d_monomial(A, m))
         cols.append(tgt.coords(form_mul(A, coeff, dm)))
-    return matrix_from_columns(cols, tgt.dim), src, tgt
+    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 
 def iota_matrix(A: AlgebraPresentation, n: int, d: int):
@@ -826,7 +819,7 @@ def iota_matrix(A: AlgebraPresentation, n: int, d: int):
             cols.append(0)
         else:
             cols.append(tgt.coords(frozenset({("p", j, phi, q)})))
-    return matrix_from_columns(cols, tgt.dim), src, tgt
+    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 
 def S_matrix(A: AlgebraPresentation, n: int, d: int):
@@ -842,7 +835,7 @@ def S_matrix(A: AlgebraPresentation, n: int, d: int):
             # u^j = u^{j+1} u^{-1}: lands on u^{j+1} v^0
             x = ("v", j + 1, 0, phi, q)
         cols.append(tgt.coords(frozenset({x})))
-    return matrix_from_columns(cols, tgt.dim), src, tgt
+    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 
 def bd_plus_matrix(A: AlgebraPresentation, n: int, d: int):
@@ -859,7 +852,7 @@ def bd_plus_matrix(A: AlgebraPresentation, n: int, d: int):
         el = el_mul(A, frozenset({("e", 0, phi, q, dl)}),
                     del_el(A, frozenset({m})))
         cols.append(tgt.coords(el))
-    return matrix_from_columns(cols, tgt.dim), src, tgt
+    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 
 def ell_chain_maps(A: AlgebraPresentation, theory: str, n: int, d: int) -> dict:

@@ -5,35 +5,27 @@ is XOR and all arithmetic is exact; there are no tolerances anywhere.
 Elimination always picks the lowest available pivot column, so every basis
 produced here is reproducible bit for bit.
 
-Spans and kernels are eliminated from the last vector (or column) to the
-first.  A reduced row-echelon basis under the lowest-bit pivot rule is
-unique, so the order changes the work, not the bases; last-first leaves a
-kernel already in reduced echelon form (see null_space), and every span
-goes through the one back-substitution, _reduced_echelon.
+A matrix is stored as its columns, the form every producer of a matrix
+builds and every elimination reads.  There are two elimination loops: the
+span loop (_span_pivots) behind echelonize_in, rank_of and
+complement_basis, and the tracked loop null_space, whose pivot rows also
+serve solve.  Spans and kernels are eliminated from the last vector (or
+column) to the first.  A reduced row-echelon basis under the lowest-bit
+pivot rule is unique, so the order changes the work, not the bases;
+last-first leaves a kernel already in reduced echelon form (see
+null_space), and every span goes through the one back-substitution,
+_reduced_echelon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 class F2LinalgError(Exception):
     pass
-
-
-def vec_from_bits(bits: Iterable[int]) -> int:
-    """Pack an iterable of 0/1 coordinates into a bitmask int."""
-    v = 0
-    for j, b in enumerate(bits):
-        if b & 1:
-            v |= 1 << j
-    return v
-
-
-def vec_to_bits(v: int, length: int) -> tuple[int, ...]:
-    return tuple((v >> j) & 1 for j in range(length))
 
 
 def _lowest_bit(v: int) -> int:
@@ -43,87 +35,46 @@ def _lowest_bit(v: int) -> int:
 
 @dataclass(frozen=True)
 class F2Matrix:
-    """A rows x cols matrix over F2, stored as packed row bitmasks."""
+    """A rows x len(columns) matrix over F2, stored as column bitmasks:
+    bit i of columns[j] is the entry in row i, column j."""
 
     rows: int
-    cols: int
-    row_data: tuple[int, ...]
+    columns: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.row_data) != self.rows:
-            raise F2LinalgError("row count mismatch")
-        mask = (1 << self.cols) - 1
-        for r in self.row_data:
-            if r & ~mask:
-                raise F2LinalgError("entry outside declared columns")
+        for c in self.columns:
+            if c >> self.rows:
+                raise F2LinalgError("entry outside declared rows")
 
-    @classmethod
-    def from_dense(cls, dense: Iterable[Iterable[int]], cols: Optional[int] = None) -> "F2Matrix":
-        data = [vec_from_bits(row) for row in dense]
-        if cols is None:
-            cols = max((r.bit_length() for r in data), default=0)
-        return cls(len(data), cols, tuple(data))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, tuple(1 << j for j in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_data[i] >> j) & 1
-
-    def columns(self) -> list[int]:
-        """Column vectors as bitmasks of length ``rows``."""
-        cols = [0] * self.cols
-        for i, r in enumerate(self.row_data):
-            while r:
-                j = _lowest_bit(r)
-                r &= r - 1
-                cols[j] |= 1 << i
-        return cols
-
-    def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.cols, self.rows, tuple(self.columns()))
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
     def apply(self, x: int) -> int:
-        """Matrix-vector product m @ x with x a col-indexed bitmask."""
+        """Matrix-vector product m @ x: the XOR of the columns x selects."""
         if x >> self.cols:
             raise F2LinalgError("vector longer than column count")
         y = 0
-        for i, r in enumerate(self.row_data):
-            if bin(r & x).count("1") & 1:
-                y |= 1 << i
+        while x:
+            low = x & -x
+            x ^= low
+            y ^= self.columns[low.bit_length() - 1]
         return y
 
     def compose(self, other: "F2Matrix") -> "F2Matrix":
         """self @ other (apply other first)."""
         if self.cols != other.rows:
             raise F2LinalgError("dimension mismatch in compose")
-        cols = [self.apply(c) for c in other.columns()]
-        return F2Matrix(other.cols, self.rows, tuple(cols)).transpose()
+        return F2Matrix(self.rows, tuple(self.apply(c) for c in other.columns))
 
     def add(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise F2LinalgError("dimension mismatch in add")
-        return F2Matrix(self.rows, self.cols,
-                        tuple(a ^ b for a, b in zip(self.row_data, other.row_data)))
+        return F2Matrix(self.rows, tuple(
+            a ^ b for a, b in zip(self.columns, other.columns)))
 
     def is_zero(self) -> bool:
-        return not any(self.row_data)
-
-
-def matrix_from_columns(cols: list[int], nrows: int) -> F2Matrix:
-    """The nrows x len(cols) matrix whose column j is the bitmask cols[j]."""
-    rows = [0] * nrows
-    for j, c in enumerate(cols):
-        while c:
-            i = _lowest_bit(c)
-            c &= c - 1
-            rows[i] |= 1 << j
-    return F2Matrix(nrows, len(cols), tuple(rows))
+        return not any(self.columns)
 
 
 @dataclass(frozen=True)
@@ -227,11 +178,19 @@ class QuotientBasis:
         return v
 
 
-def echelonize(vectors: Iterable[int]) -> SubspaceBasis:
-    """RREF span of the given vectors (ambient dim = max bit length)."""
-    vs = list(vectors)
-    dim = max((v.bit_length() for v in vs), default=0)
-    return echelonize_in(vs, dim)
+def _span_pivots(vectors: Iterable[int]) -> dict[int, int]:
+    """Echelon rows of the span of the vectors as pivot -> row (each row's
+    lowest bit is its pivot), reducing the vectors in the order given."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            p = (v & -v).bit_length() - 1
+            w = pivots.get(p)
+            if w is None:
+                pivots[p] = v
+                break
+            v ^= w
+    return pivots
 
 
 def _reduced_echelon(pivots: dict[int, int], ambient_dim: int) -> SubspaceBasis:
@@ -261,28 +220,25 @@ def echelonize_in(vectors: Iterable[int], ambient_dim: int) -> SubspaceBasis:
     The vectors are reduced from the last to the first; the RREF of a span
     is unique, so the order changes the work, not the basis.
     """
-    pivots: dict[int, int] = {}
-    for v in reversed(list(vectors)):
-        while v:
-            p = (v & -v).bit_length() - 1
-            w = pivots.get(p)
-            if w is None:
-                pivots[p] = v
-                break
-            v ^= w
-    return _reduced_echelon(pivots, ambient_dim)
+    return _reduced_echelon(_span_pivots(reversed(list(vectors))), ambient_dim)
 
 
-def null_space(cols: list[int]) -> tuple[SubspaceBasis, dict[int, int]]:
+def rank_of(vectors: Iterable[int]) -> int:
+    return len(_span_pivots(vectors))
+
+
+def null_space(cols: Sequence[int]
+               ) -> tuple[SubspaceBasis, dict[int, tuple[int, int]]]:
     """Kernel of the matrix with the given columns, and the echelon rows of
-    its column space as pivot -> row.
+    its column space as pivot -> (row, tracker).
 
     The columns are eliminated from the last to the first, tracking which
-    columns each reduced vector combines.  A pivot row combines only
-    columns that became pivots, so when column k reduces to zero its
-    tracker is bit k plus pivot columns of larger index: the kernel comes
-    out in reduced echelon form, with one pivot per dependent column and
-    no bit at another one, and needs no back-substitution.
+    columns each reduced vector combines (tracker bit k is column k).  A
+    pivot row combines only columns that became pivots, so when column k
+    reduces to zero its tracker is bit k plus pivot columns of larger
+    index: the kernel comes out in reduced echelon form, with one pivot per
+    dependent column and no bit at another one, and needs no
+    back-substitution.
     """
     pivots: dict[int, tuple[int, int]] = {}
     kernel: list[int] = []
@@ -299,11 +255,10 @@ def null_space(cols: list[int]) -> tuple[SubspaceBasis, dict[int, int]]:
             t ^= row[1]
         else:
             kernel.append(t)
-    image = {p: v for p, (v, _) in pivots.items()}
-    return SubspaceBasis(len(cols), tuple(reversed(kernel))), image
+    return SubspaceBasis(len(cols), tuple(reversed(kernel))), pivots
 
 
-def homology_bases(out_cols: list[int], in_cols: Iterable[int]
+def homology_bases(out_cols: Sequence[int], in_cols: Iterable[int]
                    ) -> tuple[SubspaceBasis, SubspaceBasis, tuple[int, ...]]:
     """Cycles, boundaries and the complement basis of one degree of a chain
     complex.
@@ -317,46 +272,6 @@ def homology_bases(out_cols: list[int], in_cols: Iterable[int]
     return cycles, boundaries, complement_basis(cycles, boundaries)
 
 
-def eliminate_tracked(vectors: list[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Gaussian elimination with combination tracking, as solve() needs it.
-
-    Returns (pivot_rows, zero_trackers) where pivot_rows is a list of
-    (pivot_index, reduced_vector, tracker) and zero_trackers collects the
-    combinations that reduced to zero.  tracker bit k means input vector k
-    participated.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    zeros: list[int] = []
-    for k, v in enumerate(vectors):
-        t = 1 << k
-        while v:
-            p = _lowest_bit(v)
-            if p in pivots:
-                pv, pt = pivots[p]
-                v ^= pv
-                t ^= pt
-            else:
-                pivots[p] = (v, t)
-                break
-        if v == 0:
-            zeros.append(t)
-    rows = [(p, pivots[p][0], pivots[p][1]) for p in sorted(pivots)]
-    return rows, zeros
-
-
-def rank_of(vectors: Iterable[int]) -> int:
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            p = _lowest_bit(v)
-            if p in pivots:
-                v ^= pivots[p]
-            else:
-                pivots[p] = v
-                break
-    return len(pivots)
-
-
 def rank_kernel_image(m: F2Matrix) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     """Rank, null space and column space of m, all exact.
 
@@ -364,27 +279,28 @@ def rank_kernel_image(m: F2Matrix) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     the standard echelon basis read off the RREF with free variables set to
     unit vectors; rank + dim kernel = cols and dim image = rank always.
     """
-    kernel, image = null_space(m.columns())
+    kernel, pivots = null_space(m.columns)
+    image = {p: v for p, (v, _) in pivots.items()}
     return len(image), kernel, _reduced_echelon(image, m.rows)
 
 
 def solve(m: F2Matrix, target: int) -> Optional[int]:
     """One solution x of m @ x = target, or None if inconsistent.
 
-    Free variables are set to zero, so the result is the echelon particular
-    solution and deterministic.
+    The target is reduced, lowest bit first, against the tracked pivot rows
+    of null_space, so x sets only columns that became pivots there (free
+    variables are zero) and is deterministic.
     """
     if target >> m.rows:
         raise F2LinalgError("target longer than row count")
-    pivot_rows, _ = eliminate_tracked(m.columns())
-    v = target
+    pivots = null_space(m.columns)[1]
     x = 0
-    for p, pv, pt in pivot_rows:
-        if (v >> p) & 1:
-            v ^= pv
-            x ^= pt
-    if v != 0:
-        return None
+    while target:
+        row = pivots.get((target & -target).bit_length() - 1)
+        if row is None:
+            return None
+        target ^= row[0]
+        x ^= row[1]
     return x
 
 
@@ -406,17 +322,12 @@ def quotient_coordinates(cycles: SubspaceBasis, boundaries: SubspaceBasis,
 
 
 def complement_basis(cycles: SubspaceBasis, boundaries: SubspaceBasis) -> tuple[int, ...]:
-    """Echelon basis of a complement of boundaries inside cycles."""
-    pivots: dict[int, int] = {}
-    for c in cycles.vectors:
-        v = boundaries.reduce(c)
-        while v:
-            p = _lowest_bit(v)
-            if p in pivots:
-                v ^= pivots[p]
-            else:
-                pivots[p] = v
-                break
+    """Echelon basis of a complement of boundaries inside cycles.
+
+    The cycles are reduced from the first to the last and the result is
+    not back-substituted, so this order fixes the basis vectors.
+    """
+    pivots = _span_pivots(boundaries.reduce(c) for c in cycles.vectors)
     return tuple(pivots[p] for p in sorted(pivots))
 
 

@@ -3,7 +3,7 @@ default hypothesis profile, and the slow elimination oracle."""
 
 from hypothesis import settings
 
-from cyclo2.f2linalg import SubspaceBasis, complement_basis, eliminate_tracked
+from cyclo2.f2linalg import SubspaceBasis, complement_basis
 
 # Fixed examples and no deadline: every run draws the same cases in bounded
 # time.  Another profile can still be chosen with --hypothesis-profile.
@@ -27,6 +27,33 @@ def pytest_terminal_summary(terminalreporter):
 
 
 # ----- the first-to-last elimination path, kept as a slow oracle -----
+
+def eliminate_tracked(vectors):
+    """Gaussian elimination with combination tracking, first to last.
+
+    Returns (pivot_rows, zero_trackers) where pivot_rows is a list of
+    (pivot_index, reduced_vector, tracker), sorted by pivot, and
+    zero_trackers collects the combinations that reduced to zero.  tracker
+    bit k means input vector k participated.
+    """
+    pivots = {}
+    zeros = []
+    for k, v in enumerate(vectors):
+        t = 1 << k
+        while v:
+            p = (v & -v).bit_length() - 1
+            if p in pivots:
+                pv, pt = pivots[p]
+                v ^= pv
+                t ^= pt
+            else:
+                pivots[p] = (v, t)
+                break
+        if v == 0:
+            zeros.append(t)
+    rows = [(p, pivots[p][0], pivots[p][1]) for p in sorted(pivots)]
+    return rows, zeros
+
 
 def oracle_echelonize_in(vectors, ambient_dim):
     """RREF span, reducing the vectors from the first to the last."""

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -199,3 +200,30 @@ def test_spectral_bounds_and_theories():
     assert (report["alpha"], report["beta"]) == (0, None)
     with pytest.raises(CLIError):
         run(RunConfig(fixture("poly_x.alg"), "spectral", "ell"))
+
+
+def test_no_unused_imports():
+    # a name a module imports but never reads is dead code; __init__.py is
+    # exempt, since it imports to re-export
+    src = os.path.dirname(cyclo2.__file__)
+    unused = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(src, fname)) as fh:
+            tree = ast.parse(fh.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{fname}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []

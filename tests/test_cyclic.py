@@ -11,11 +11,10 @@ from cyclo2.cyclic import (
     e2_page,
     homology,
     les_maps,
-    matrix_from_columns,
     vectorize,
 )
 from cyclo2.derham import d_matrix_columns, de_rham_cohomology
-from cyclo2.f2linalg import rank_kernel_image
+from cyclo2.f2linalg import F2Matrix, rank_kernel_image
 from cyclo2.gralg import (
     AlgebraPresentation,
     dual_numbers,
@@ -116,8 +115,8 @@ def test_tower_differential_squares_to_zero():
             s2 = build_tower(A, "minus", n + 1, d, S=3)
             s1 = build_tower(A, "minus", n, d, S=3)
             s0 = build_tower(A, "minus", n - 1, d, S=3)
-            m1 = matrix_from_columns(differential_columns(A, s2, s1), s1.dim)
-            m0 = matrix_from_columns(differential_columns(A, s1, s0), s0.dim)
+            m1 = F2Matrix(s1.dim, tuple(differential_columns(A, s2, s1)))
+            m0 = F2Matrix(s0.dim, tuple(differential_columns(A, s1, s0)))
             assert m0.compose(m1).is_zero()
 
 
@@ -226,6 +225,20 @@ def test_les_exact_for_ungraded_truncations():
             assert data.spaces["Hminus_n1"].S == S - 1
 
 
+def test_les_spaces_computed_at_depth_S_only():
+    # the five spaces of a sequence skip the S + 1 pass of homology() but
+    # have its bases
+    A = AlgebraPresentation(("x",), (0,), (frozenset({(3,)}),),
+                            graded=False, name="F2[x]/(x^3)")
+    spaces = []
+    for n in (0, 1):
+        spaces.extend(les_maps(A, "per_les", n, 0, 3).spaces.values())
+    assert not A.memo("homology")
+    for h in spaces:
+        assert _bases(h) == _bases(homology(A, h.theory, h.n, h.d, h.S)), \
+            (h.theory, h.n)
+
+
 def test_connecting_map_formula():
     # HH_0 -> HC^-_1 sends the class of x[] to the class of 1 (x) 1[x]
     data = les_maps(PX, "minus_les", 0, 1)
@@ -233,7 +246,7 @@ def test_connecting_map_formula():
     hh0 = data.spaces["HH_n"]
     hm1 = data.spaces["Hminus_n1"]
     assert hh0.dim == 1 and hm1.dim == 1
-    assert bd.entry(0, 0) == 1
+    assert bd.columns[0] & 1 == 1
     # the target class is represented by 1 (x) 1[x]
     x = (1,)
     v = vectorize(PX, hm1.slice, UChain.make("minus", {0: chain([((0,), (x,))])}))
@@ -322,7 +335,7 @@ def test_mu_associative_up_to_boundary():
                 sl_up = build_tower(PX, "minus", n + 1, d)
                 cols = differential_columns(PX, sl_up, sl)
                 target = vectorize(PX, sl, diff)
-                mat = matrix_from_columns(cols, sl.dim)
+                mat = F2Matrix(sl.dim, tuple(cols))
                 assert solve(mat, target) is not None, (n, d)
                 count += 1
     # at least some nontrivial associators must have been checked

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    eliminate_tracked,
     oracle_echelonize_in,
     oracle_homology_bases,
     oracle_kernel_image,
@@ -12,21 +13,29 @@ from cyclo2.f2linalg import (
     F2LinalgError,
     F2Matrix,
     SubspaceBasis,
-    echelonize,
     echelonize_in,
     homology_bases,
-    matrix_from_columns,
     null_space,
     quotient_coordinates,
     rank_kernel_image,
     solve,
-    vec_from_bits,
-    vec_to_bits,
 )
 
 
-def dense(rows, cols=None):
-    return F2Matrix.from_dense(rows, cols)
+def transpose(m):
+    """The cols x rows matrix whose columns are the rows of m."""
+    rows = [0] * m.rows
+    for j, c in enumerate(m.columns):
+        while c:
+            low = c & -c
+            c ^= low
+            rows[low.bit_length() - 1] |= 1 << j
+    return F2Matrix(m.cols, tuple(rows))
+
+
+def from_rows(rows, ncols):
+    """The len(rows) x ncols matrix whose row i is the bitmask rows[i]."""
+    return transpose(F2Matrix(ncols, tuple(rows)))
 
 
 def oracle_rank(rows):
@@ -43,51 +52,52 @@ def oracle_rank(rows):
 
 
 def test_rank_kernel_image_empty():
-    rank, ker, im = rank_kernel_image(F2Matrix.zero(0, 0))
+    rank, ker, im = rank_kernel_image(F2Matrix(0, ()))
     assert rank == 0 and ker.dim == 0 and im.dim == 0
 
 
 def test_rank_kernel_image_identity():
-    rank, ker, im = rank_kernel_image(F2Matrix.identity(3))
+    rank, ker, im = rank_kernel_image(F2Matrix(3, (0b001, 0b010, 0b100)))
     assert rank == 3 and ker.dim == 0 and im.dim == 3
 
 
 def test_rank_kernel_all_ones():
-    m = dense([[1, 1], [1, 1]])
+    m = F2Matrix(2, (0b11, 0b11))
     rank, ker, im = rank_kernel_image(m)
     assert rank == 1
-    assert ker.vectors == (vec_from_bits([1, 1]),)
+    assert ker.vectors == (0b11,)
 
 
 def test_kernel_vectors_annihilate():
     rng = random.Random(7)
     for _ in range(50):
         r, c = rng.randint(0, 6), rng.randint(0, 6)
-        m = F2Matrix(r, c, tuple(rng.getrandbits(c) for _ in range(r)))
+        rows = [rng.getrandbits(c) for _ in range(r)]
+        m = from_rows(rows, c)
         rank, ker, im = rank_kernel_image(m)
         assert rank + ker.dim == c
         assert im.dim == rank
         for v in ker.vectors:
             assert m.apply(v) == 0
         # rank(m) == rank(m^T)
-        assert rank_kernel_image(m.transpose())[0] == rank
+        assert rank_kernel_image(transpose(m))[0] == rank
         # independent oracle
-        sets = [{j for j in range(c) if (row >> j) & 1} for row in m.row_data]
+        sets = [{j for j in range(c) if (row >> j) & 1} for row in rows]
         assert oracle_rank(sets) == rank
 
 
 def test_solve_identity():
-    m = F2Matrix.identity(3)
+    m = F2Matrix(3, (0b001, 0b010, 0b100))
     assert solve(m, 0b001) == 0b001
 
 
 def test_solve_zero_matrix_no_solution():
-    m = F2Matrix.zero(2, 2)
+    m = F2Matrix(2, (0, 0))
     assert solve(m, 0b01) is None
 
 
 def test_solve_picks_echelon_particular_solution():
-    m = dense([[1, 1]], cols=2)
+    m = F2Matrix(1, (1, 1))
     assert solve(m, 0) == 0  # (0,0), not (1,1)
 
 
@@ -95,7 +105,7 @@ def test_solve_membership_random():
     rng = random.Random(11)
     for _ in range(100):
         r, c = rng.randint(1, 7), rng.randint(1, 7)
-        m = F2Matrix(r, c, tuple(rng.getrandbits(c) for _ in range(r)))
+        m = from_rows([rng.getrandbits(c) for _ in range(r)], c)
         x = rng.getrandbits(c)
         t = m.apply(x)
         sol = solve(m, t)
@@ -111,34 +121,34 @@ def test_solve_membership_random():
 
 
 def test_quotient_trivial_homology():
-    basis = echelonize([0b01, 0b10])
+    basis = echelonize_in([0b01, 0b10], 2)
     assert quotient_coordinates(basis, basis, 0b11) == 0
 
 
 def test_quotient_zero_boundaries():
-    cycles = echelonize([0b01, 0b10])
+    cycles = echelonize_in([0b01, 0b10], 2)
     boundaries = SubspaceBasis(2, ())
     assert quotient_coordinates(cycles, boundaries, 0b01) == 0b01
     assert quotient_coordinates(cycles, boundaries, 0b11) == 0b11
 
 
 def test_quotient_forced_class():
-    cycles = echelonize([0b01, 0b10])
-    boundaries = echelonize([0b11])
+    cycles = echelonize_in([0b01, 0b10], 2)
+    boundaries = echelonize_in([0b11], 2)
     v = 0b01
     assert quotient_coordinates(cycles, boundaries, v) == 0b1
 
 
 def test_quotient_rejects_non_cycle():
-    cycles = echelonize([0b011])
+    cycles = echelonize_in([0b011], 3)
     boundaries = SubspaceBasis(3, ())
     with pytest.raises(F2LinalgError):
         quotient_coordinates(cycles, boundaries, 0b100)
 
 
 def test_quotient_containment_violation():
-    cycles = echelonize([0b01])
-    boundaries = echelonize([0b10])
+    cycles = echelonize_in([0b01], 2)
+    boundaries = echelonize_in([0b10], 2)
     with pytest.raises(F2LinalgError):
         quotient_coordinates(cycles, boundaries, 0b01)
 
@@ -147,11 +157,11 @@ def test_quotient_is_linear():
     rng = random.Random(3)
     for _ in range(50):
         dim = rng.randint(2, 8)
-        cycles = echelonize([rng.getrandbits(dim) | 1 for _ in range(dim)])
+        cycles = echelonize_in([rng.getrandbits(dim) | 1 for _ in range(dim)],
+                               dim)
         sub = [cycles.vectors[i] for i in range(cycles.dim) if rng.random() < 0.4]
-        boundaries = echelonize(sub) if sub else SubspaceBasis(dim, ())
-        pick = lambda: vec_from_bits(
-            [rng.randint(0, 1) for _ in range(cycles.dim)])
+        boundaries = echelonize_in(sub, dim)
+        pick = lambda: sum(rng.randint(0, 1) << i for i in range(cycles.dim))
         a = pick()
         b = pick()
         va = 0
@@ -167,16 +177,12 @@ def test_quotient_is_linear():
         assert cab == ca ^ cb
 
 
-def test_vec_roundtrip():
-    assert vec_to_bits(vec_from_bits([1, 0, 1]), 3) == (1, 0, 1)
-
-
 def test_compose_matches_apply():
     rng = random.Random(13)
     for _ in range(50):
         a, b, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-        m1 = F2Matrix(a, b, tuple(rng.getrandbits(b) for _ in range(a)))
-        m2 = F2Matrix(b, c, tuple(rng.getrandbits(c) for _ in range(b)))
+        m1 = from_rows([rng.getrandbits(b) for _ in range(a)], b)
+        m2 = from_rows([rng.getrandbits(c) for _ in range(b)], c)
         comp = m1.compose(m2)
         assert (comp.rows, comp.cols) == (a, c)
         for _ in range(5):
@@ -202,11 +208,63 @@ def test_last_first_elimination_matches_oracle(case):
     rows, cols = case
     kernel, image = oracle_kernel_image(cols, rows)
     assert null_space(cols)[0].vectors == kernel.vectors
-    rank, ker, im = rank_kernel_image(matrix_from_columns(cols, rows))
+    rank, ker, im = rank_kernel_image(F2Matrix(rows, tuple(cols)))
     assert (ker.vectors, im.vectors) == (kernel.vectors, image.vectors)
     assert rank == im.dim and rank + ker.dim == len(cols)
     assert echelonize_in(cols, rows).vectors == \
         oracle_echelonize_in(cols, rows).vectors == image.vectors
+
+
+def dense_of(m):
+    """m as a list of rows of 0/1 entries."""
+    return [[(c >> i) & 1 for c in m.columns] for i in range(m.rows)]
+
+
+@given(column_lists(), st.data())
+def test_column_store_matches_dense_oracle(case, data):
+    rows, cols = case
+    m = F2Matrix(rows, tuple(cols))
+    a = dense_of(m)
+    x = data.draw(st.integers(0, (1 << m.cols) - 1))
+    assert [(m.apply(x) >> i) & 1 for i in range(rows)] == \
+        [sum(e & (x >> j) for j, e in enumerate(row)) & 1 for row in a]
+    other = F2Matrix(m.cols, tuple(data.draw(
+        st.lists(st.integers(0, (1 << m.cols) - 1), max_size=8))))
+    b = dense_of(other)
+    product = m.compose(other)
+    assert (product.rows, product.cols) == (rows, other.cols)
+    assert dense_of(product) == [
+        [sum(a[i][k] & b[k][j] for k in range(m.cols)) & 1
+         for j in range(other.cols)] for i in range(rows)]
+    same = F2Matrix(rows, tuple(data.draw(st.lists(
+        st.integers(0, (1 << rows) - 1), min_size=m.cols, max_size=m.cols))))
+    total = m.add(same)
+    assert (total.rows, total.cols) == (rows, m.cols)
+    assert dense_of(total) == [[e ^ f for e, f in zip(r, s)]
+                               for r, s in zip(a, dense_of(same))]
+    for mat in (m, total, m.add(m)):
+        assert mat.is_zero() == (not any(map(any, dense_of(mat))))
+
+
+@given(column_lists(), st.data())
+def test_solve_matches_tracked_oracle(case, data):
+    rows, cols = case
+    m = F2Matrix(rows, tuple(cols))
+    if data.draw(st.booleans()):
+        target = m.apply(data.draw(st.integers(0, (1 << m.cols) - 1)))
+    else:
+        target = data.draw(st.integers(0, (1 << rows) - 1))
+    rest = target
+    for p, v, _ in eliminate_tracked(cols)[0]:
+        if (rest >> p) & 1:
+            rest ^= v
+    x = solve(m, target)
+    assert (x is None) == (rest != 0)
+    if x is not None:
+        assert m.apply(x) == target
+        # the free variables, one per kernel pivot, are zero
+        for v in null_space(cols)[0].vectors:
+            assert not x & v & -v
 
 
 @given(column_lists(), st.data())
