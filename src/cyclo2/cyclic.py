@@ -9,6 +9,12 @@ degree.  Only ungraded minus/per towers need the truncation column -S, and
 those results carry a stable / truncation-limited flag decided by
 recomputing at S + 1.
 
+Column p of T_n is the Hochschild chain group C_{n-2p,d}.  Its ordered
+basis and its b and B matrices are computed once per algebra and shared by
+every slice that holds it (the total complex of the mixed complex
+(C, b, B); Loday, Cyclic Homology, 2.5), so a slice differential is those
+matrices moved to the slice's offsets.
+
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
 
@@ -16,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .f2linalg import (
@@ -90,7 +95,7 @@ def enumerate_words(A: AlgebraPresentation, nbars: int, d: int) -> list[BarWord]
 
 def _word_key(w: BarWord, grevlex: dict):
     """grevlex_key of the head, then of each bar; grevlex holds the key of
-    every monomial seen so far in one slice, which repeat across words."""
+    every monomial seen so far in one degree, which repeat across words."""
     keys = []
     for m in (w[0],) + w[1]:
         k = grevlex.get(m)
@@ -108,9 +113,53 @@ def _block_key(w: BarWord):
     return total
 
 
+class HochschildBasis(NamedTuple):
+    """The ordered basis of one C_{k,d} and the position of each word."""
+
+    words: tuple[BarWord, ...]
+    index: dict[BarWord, int]
+
+
+def hochschild_basis(A: AlgebraPresentation, k: int,
+                     d: int) -> HochschildBasis:
+    """The normalized bar words with k bars and internal degree d, sorted
+    by a key of the word alone (block first for monomial ideals), so every
+    slice that holds C_{k,d} shares this list and its order; memoised."""
+    table = A.memo("hochschild_basis")
+    hb = table.get((k, d))
+    if hb is None:
+        grevlex: dict = {}
+        if A.monomial_ideal:
+            word_key = lambda w: (_block_key(w), _word_key(w, grevlex))
+        else:
+            word_key = lambda w: _word_key(w, grevlex)
+        words = tuple(sorted(enumerate_words(A, k, d), key=word_key))
+        hb = table[(k, d)] = HochschildBasis(
+            words, {w: j for j, w in enumerate(words)})
+    return hb
+
+
+def mixed_columns(A: AlgebraPresentation, op: str, k: int,
+                  d: int) -> tuple[tuple[int, ...], ...]:
+    """b: C_{k,d} -> C_{k-1,d} (op "b") or B: C_{k,d} -> C_{k+1,d} (op
+    "B"), one column per word of hochschild_basis(A, k, d): the positions
+    of the image's words in the target basis; memoised."""
+    table = A.memo("mixed_columns")
+    cols = table.get((op, k, d))
+    if cols is None:
+        f, k_tgt = (boundary_b, k - 1) if op == "b" else (connes_B, k + 1)
+        idx = hochschild_basis(A, k_tgt, d).index
+        cols = table[(op, k, d)] = tuple(
+            tuple(idx[w2] for w2 in f(A, frozenset({w})))
+            for w in hochschild_basis(A, k, d).words)
+    return cols
+
+
 @dataclass(frozen=True)
 class TowerSlice:
-    """One total degree of a truncated tower, with a fixed ordered basis."""
+    """One total degree of a truncated tower, with a fixed ordered basis:
+    column p = p_min + c is the shared basis parts[c] of C_{n-2p,d},
+    starting at position offsets[c]; offsets ends with the dimension."""
 
     theory: str
     n: int
@@ -119,15 +168,17 @@ class TowerSlice:
     p_min: int
     p_max: int
     truncated: bool
-    basis: tuple[tuple[int, BarWord], ...]
+    parts: tuple[HochschildBasis, ...]
+    offsets: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.offsets[-1]
 
-    @cached_property
-    def index(self) -> dict[tuple[int, BarWord], int]:
-        return {pw: k for k, pw in enumerate(self.basis)}
+    def columns(self):
+        """(p, basis of C_{n-2p,d}, offset) of every column, left to right."""
+        return zip(range(self.p_min, self.p_max + 1), self.parts,
+                   self.offsets)
 
 
 def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
@@ -136,7 +187,7 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
     t = theory_key(theory)
     alpha, beta = THEORY_BOUNDS[t]
     if not A.graded and d != 0:
-        return TowerSlice(t, n, d, S, 0, -1, False, ())
+        return TowerSlice(t, n, d, S, 0, -1, False, (), (0,))
     p_max = n // 2  # bar length n - 2p must be >= 0
     p_max = min(p_max, beta) if beta is not None else p_max
     truncated = False
@@ -153,18 +204,13 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
     cache = A.memo("tower")
     if key in cache:
         return cache[key]
-    grevlex: dict = {}
-    if A.monomial_ideal:
-        word_key = lambda w: (_block_key(w), _word_key(w, grevlex))
-    else:
-        word_key = lambda w: _word_key(w, grevlex)
-    basis: list[tuple[int, BarWord]] = []
-    for p in range(p_min, p_max + 1):
-        words = enumerate_words(A, n - 2 * p, d)
-        words.sort(key=word_key)
-        basis.extend((p, w) for w in words)
+    parts = tuple(hochschild_basis(A, n - 2 * p, d)
+                  for p in range(p_min, p_max + 1))
+    offsets = [0]
+    for hb in parts:
+        offsets.append(offsets[-1] + len(hb.words))
     sl = TowerSlice(t, n, d, S if truncated else 0, p_min, p_max, truncated,
-                    tuple(basis))
+                    parts, tuple(offsets))
     cache[key] = sl
     return sl
 
@@ -177,51 +223,80 @@ def vectorize(A: AlgebraPresentation, sl: TowerSlice, x: UChain,
     dropped (the quotient-complex projection); otherwise any missing word is
     an error.
     """
-    idx = sl.index
     v = 0
     for i, c in x.entries:
-        p = -i
+        col = -i - sl.p_min
+        if col < 0 and (allow_projection or sl.truncated):
+            continue
+        idx = sl.parts[col].index if 0 <= col < len(sl.parts) else {}
         for w in c:
-            key = (p, w)
-            j = idx.get(key)
+            j = idx.get(w)
             if j is None:
-                if p < sl.p_min and (allow_projection or sl.truncated):
-                    continue
-                raise TowerError(f"chain component {key} outside slice")
-            v ^= 1 << j
+                raise TowerError(f"chain component {(-i, w)} outside slice")
+            v ^= 1 << (sl.offsets[col] + j)
     return v
 
 
+def _chunks(sl: TowerSlice, v: int):
+    """(p, basis, offset, coordinates in that basis) of every column where
+    the slice vector v is nonzero; columns outside v's bit range are
+    skipped without shifting v."""
+    low = (v & -v).bit_length() - 1
+    high = v.bit_length()
+    for p, hb, off in sl.columns():
+        size = len(hb.words)
+        if off >= high:
+            break
+        if off + size > low:
+            chunk = (v >> off) & ((1 << size) - 1)
+            if chunk:
+                yield p, hb, off, chunk
+
+
 def unvectorize(sl: TowerSlice, v: int) -> UChain:
-    entries: dict[int, set] = {}
-    for j, (p, w) in enumerate(sl.basis):
-        if (v >> j) & 1:
-            entries.setdefault(-p, set()).add(w)
+    entries: dict[int, frozenset] = {}
+    for p, hb, _, chunk in _chunks(sl, v):
+        words = []
+        while chunk:
+            j = (chunk & -chunk).bit_length() - 1
+            chunk &= chunk - 1
+            words.append(hb.words[j])
+        entries[-p] = frozenset(words)
     theory = sl.theory if sl.theory != "hh" else "minus"
-    return UChain.make(theory, {i: frozenset(s) for i, s in entries.items()})
+    return UChain.make(theory, entries)
+
+
+def _shifted(cols: tuple[tuple[int, ...], ...], off: int) -> list[int]:
+    """Per-degree columns as bitmasks, moved to start at position off."""
+    out = []
+    for col in cols:
+        v = 0
+        for t in col:
+            v |= 1 << t
+        out.append(v << off)
+    return out
 
 
 def differential_columns(A: AlgebraPresentation, src: TowerSlice,
                          tgt: TowerSlice) -> list[int]:
-    """Columns of B + b from src (degree n) to tgt (degree n - 1)."""
+    """Columns of B + b from src (degree n) to tgt (degree n - 1): for each
+    column p of src, b of C_{n-2p,d} lands in column p of tgt and B in
+    column p - 1, so each is a per-degree matrix moved to tgt's offsets."""
     if tgt.n != src.n - 1 or tgt.d != src.d:
         raise TowerError("differential endpoints mismatch")
-    key = ("diff", src.theory, src.n, src.d, src.S if src.truncated else 0)
-    cache = A.memo("tower_matrix")
-    if key in cache:
-        return cache[key]
-    idx = tgt.index
     cols: list[int] = []
-    for p, w in src.basis:
-        v = 0
-        for w2 in boundary_b(A, frozenset({w})):
-            v ^= 1 << idx[(p, w2)]
+    for p in range(src.p_min, src.p_max + 1):
+        k = src.n - 2 * p
+        # column p of tgt holds C_{k-1,d}; for k = 0 it is past p_max, where
+        # offsets ends with the dimension, and b is zero anyway
+        part = _shifted(mixed_columns(A, "b", k, src.d),
+                        tgt.offsets[p - tgt.p_min])
         if p - 1 >= tgt.p_min:
-            for w2 in connes_B(A, frozenset({w})):
-                v ^= 1 << idx[(p - 1, w2)]
-        # p - 1 < p_min: the B-component is cut by the truncation / bound
-        cols.append(v)
-    cache[key] = cols
+            # otherwise the B-component is cut by the truncation / bound
+            B = _shifted(mixed_columns(A, "B", k, src.d),
+                         tgt.offsets[p - 1 - tgt.p_min])
+            part = [vb ^ vB for vb, vB in zip(part, B)]
+        cols.extend(part)
     return cols
 
 
@@ -345,22 +420,22 @@ def class_map(A: AlgebraPresentation, src: HomologyPresentation,
 
 def slice_shift_map(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
                     shift: int):
-    """Vector map moving column p to p + shift, dropping cut components."""
-    idx = tgt.index
+    """Vector map moving column p to p + shift, dropping cut components.
+
+    Column p of src and column p + shift of tgt must hold the same C_{k,d},
+    hence the same shared basis, so each column moves as one block."""
 
     def f(v: int) -> int:
         out = 0
-        while v:
-            j = (v & -v).bit_length() - 1
-            v &= v - 1
-            p, w = src.basis[j]
-            key = (p + shift, w)
-            k = idx.get(key)
-            if k is None:
-                if p + shift < tgt.p_min:
-                    continue
-                raise TowerError(f"shifted component {key} outside slice")
-            out ^= 1 << k
+        for p, hb, _, chunk in _chunks(src, v):
+            col = p + shift - tgt.p_min
+            if col < 0:
+                continue
+            if col >= len(tgt.parts) or tgt.parts[col] is not hb:
+                w = hb.words[(chunk & -chunk).bit_length() - 1]
+                raise TowerError(
+                    f"shifted component {(p + shift, w)} outside slice")
+            out ^= chunk << tgt.offsets[col]
         return out
 
     return f
@@ -520,21 +595,17 @@ def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
     tgt = e1_page(A, alpha, beta, s - 1, t, d, S)
     if src is None or tgt is None:
         return None
-    sl_src = src.slice
-    sl_tgt = tgt.slice
-    idx = sl_tgt.index
+    # both E^1 slices are one column, C_{t-s,d} and C_{t-s+1,d}, at offset 0
+    B = mixed_columns(A, "B", t - s, d)
     cols = []
     for k in range(src.dim):
         x = src.rep(k)
-        img: set = set()
+        v = 0
         while x:
             j = (x & -x).bit_length() - 1
             x &= x - 1
-            img.symmetric_difference_update(
-                connes_B(A, frozenset({sl_src.basis[j][1]})))
-        v = 0
-        for w in img:
-            v ^= 1 << idx[(0, w)]
+            for pos in B[j]:
+                v ^= 1 << pos
         cols.append(tgt.coords(v))
     return F2Matrix(tgt.dim, tuple(cols))
 

@@ -1,9 +1,11 @@
 """Shared test plumbing: echo acceptance pass/fail lines past capture, the
-default hypothesis profile, and the slow elimination oracle."""
+default hypothesis profile, and the slow elimination and differential
+oracles."""
 
 from hypothesis import settings
 
 from cyclo2.f2linalg import SubspaceBasis, complement_basis
+from cyclo2.hochschild import boundary_b, connes_B
 
 # Fixed examples and no deadline: every run draws the same cases in bounded
 # time.  Another profile can still be chosen with --hypothesis-profile.
@@ -93,3 +95,26 @@ def oracle_homology_bases(out_cols, in_cols):
     cycles = oracle_echelonize_in(eliminate_tracked(out_cols)[1], dim)
     boundaries = oracle_echelonize_in([v for v in in_cols if v], dim)
     return cycles, boundaries, complement_basis(cycles, boundaries)
+
+
+# ----- the per-word differential path, kept as a slow oracle -----
+
+def slice_basis(sl):
+    """The (column p, word) pairs of a tower slice, in slice order."""
+    return tuple((p, w) for p, hb, _ in sl.columns() for w in hb.words)
+
+
+def oracle_differential_columns(A, src, tgt):
+    """Columns of B + b from src to tgt, from one boundary_b and one
+    connes_B call per basis word, looked up through (p, w)."""
+    idx = {pw: k for k, pw in enumerate(slice_basis(tgt))}
+    cols = []
+    for p, w in slice_basis(src):
+        v = 0
+        for w2 in boundary_b(A, frozenset({w})):
+            v ^= 1 << idx[(p, w2)]
+        if p - 1 >= tgt.p_min:
+            for w2 in connes_B(A, frozenset({w})):
+                v ^= 1 << idx[(p - 1, w2)]
+        cols.append(v)
+    return cols

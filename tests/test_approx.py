@@ -15,8 +15,8 @@ from cyclo2.approx import (
 )
 from cyclo2.cyclic import homology, vectorize
 from cyclo2.ell import ell_degree_basis
-from cyclo2.gralg import dual_numbers, field_f4, polynomial_algebra, \
-    trivial_algebra
+from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
+    polynomial_algebra, trivial_algebra
 from cyclo2.hochschild import UChain, chain, mu_chain, uchain_boundary
 
 F2 = trivial_algebra()
@@ -155,6 +155,16 @@ def test_verify_squares_px():
 def test_verify_squares_f4():
     for record in verify_squares(F4, 2, 0):
         assert record["residual"] == 0, record
+
+
+def test_verify_squares_truncated_cube():
+    # the second non-smooth input after the dual numbers: every square of
+    # the three diagrams commutes on the truncated towers
+    A = AlgebraPresentation(("x",), (0,), (frozenset({(3,)}),),
+                            graded=False, name="F2[x]/(x^3)")
+    records = verify_squares(A, 3, 0, 3)
+    assert len(records) == 32
+    assert sum(r["residual"] for r in records) == 0
 
 
 def test_report_serialization():

@@ -186,6 +186,9 @@ def test_one_memo_store(monkeypatch):
     H = homology(A, "minus", 1, 2)
     assert homology(A, "minus", 1, 2) is H
     assert len(A.memo("homology")) == computed
+    # slice differentials are shifted from the per-degree b and B columns,
+    # never cached slice-wide
+    assert A.memo("mixed_columns") and "tower_matrix" not in A._memo
     # the basis of an ungraded algebra is memoised there too
     B = load_presentation(fixture("f4.alg"))
     basis = B.basis_all()
