@@ -456,20 +456,14 @@ def connecting_map(A: AlgebraPresentation,
     p_mat = F2Matrix(HN.slice.dim, tuple(p_cols))
     i_cols = [i_map(1 << j) for j in range(HL.slice.dim)]
     i_mat = F2Matrix(M_n1.dim, tuple(i_cols))
-    d_cols = differential_columns(A, M_n, M_n1)
+    d_mat = F2Matrix(M_n1.dim, tuple(differential_columns(A, M_n, M_n1)))
     cols = []
     for k in range(HN.dim):
         z = HN.rep(k)
         x = solve(p_mat, z)
         if x is None:
             raise TowerError("connecting map: lift failed")
-        dx = 0
-        xx = x
-        while xx:
-            j = (xx & -xx).bit_length() - 1
-            xx &= xx - 1
-            dx ^= d_cols[j]
-        w = solve(i_mat, dx)
+        w = solve(i_mat, d_mat.apply(x))
         if w is None:
             raise TowerError("connecting map: boundary not in subcomplex")
         cols.append(HL.coords(w))
@@ -596,18 +590,10 @@ def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
     if src is None or tgt is None:
         return None
     # both E^1 slices are one column, C_{t-s,d} and C_{t-s+1,d}, at offset 0
-    B = mixed_columns(A, "B", t - s, d)
-    cols = []
-    for k in range(src.dim):
-        x = src.rep(k)
-        v = 0
-        while x:
-            j = (x & -x).bit_length() - 1
-            x &= x - 1
-            for pos in B[j]:
-                v ^= 1 << pos
-        cols.append(tgt.coords(v))
-    return F2Matrix(tgt.dim, tuple(cols))
+    B = F2Matrix(tgt.slice.dim,
+                 tuple(_shifted(mixed_columns(A, "B", t - s, d), 0)))
+    return F2Matrix(tgt.dim, tuple(tgt.coords(B.apply(src.rep(k)))
+                                   for k in range(src.dim)))
 
 
 def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,

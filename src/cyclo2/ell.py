@@ -14,7 +14,11 @@ argument to basis monomials, with q picking up the delta(ab) correction term.
 A space in one bidegree is the span of these candidate monomials modulo all
 relation instances with basis-monomial arguments times all complementary
 monomials; the basis is the complement of the relation span under the
-deterministic pivot rule.
+deterministic pivot rule.  The instances come from one table of the
+defining relations of ell and ell_plus, built once per key degree (the
+instance's upper degree); the ell_per instances are the iota images of the
+ell ones.  The flavors that keep only some ell candidates project the ell
+relation span onto them.
 
 Bidegrees here are (homological, upper): |delta(a)| = |a|-1, |phi(a)| = 2|a|,
 |q(a)| = 2|a|-1, |u| = 2, |gamma(a)| = |a|, |v^i| = -2i, and homological
@@ -144,14 +148,11 @@ def el_mul(A: AlgebraPresentation, e1: EllElement, e2: EllElement,
 
 # ----- generator evaluation on arbitrary algebra elements -----
 
-def phi_el(A: AlgebraPresentation, p: Poly, kind: str = "e") -> EllElement:
+def phi_el(A: AlgebraPresentation, p: Poly) -> EllElement:
     out: set = set()
     for m in p:
-        if m == A.one:
-            mon = (kind, 0, (), (), ()) if kind == "e" else ("p", 0, (), ())
-        else:
-            mon = (kind, 0, (m,), (), ()) if kind == "e" else ("p", 0, (m,), ())
-        out.symmetric_difference_update({mon})
+        out.symmetric_difference_update(
+            {("e", 0, () if m == A.one else (m,), (), ())})
     return frozenset(out)
 
 
@@ -164,20 +165,17 @@ def del_el(A: AlgebraPresentation, p: Poly) -> EllElement:
     return frozenset(out)
 
 
-def q_el(A: AlgebraPresentation, p: Poly, additive: bool = False,
-         kind: str = "e") -> EllElement:
-    """q on a sum of monomials; the ell flavor picks up delta(m m') terms."""
+def q_el(A: AlgebraPresentation, p: Poly) -> EllElement:
+    """q on a sum of monomials, with the delta(m m') cross terms."""
     out: set = set()
     for m in p:
         if m == A.one:
             continue  # q(1) = 0
-        mon = ("e", 0, (), (m,), ()) if kind == "e" else ("p", 0, (), (m,))
-        out.symmetric_difference_update({mon})
-    if not additive:
-        ms = _sorted(A, p)
-        for i in range(len(ms)):
-            for k in range(i + 1, len(ms)):
-                out.symmetric_difference_update(del_el(A, A.mul(ms[i], ms[k])))
+        out.symmetric_difference_update({("e", 0, (), (m,), ())})
+    ms = _sorted(A, p)
+    for i in range(len(ms)):
+        for k in range(i + 1, len(ms)):
+            out.symmetric_difference_update(del_el(A, A.mul(ms[i], ms[k])))
     return frozenset(out)
 
 
@@ -369,157 +367,121 @@ def _mon_sort_key(A: AlgebraPresentation, mon: EllMonomial):
 
 
 # ----- relation instances -----
+#
+# Each defining relation once: its argument groups, the constant of its key
+# degree, and a builder.  A group (count, weight) is a multiset of count
+# basis-monomial arguments (the unit included), so a symmetric relation is
+# built once per multiset.  The key degree, weight * |arg| summed over the
+# arguments plus the constant, is the instance's upper degree d0.
 
-def _window(A: AlgebraPresentation, lo, hi: int):
-    """Whether an instance of upper degree (or bound) up is new in a list
-    grown from lo to hi.  Ungraded lists are built once, in full."""
-    if not A.graded:
-        return lambda up: True
-    return lambda up: lo < up <= hi
+def _act(A: AlgebraPresentation, e: EllElement, x: EllElement) -> EllElement:
+    return el_mul(A, e, x, mul=plus_mon_mul)
 
 
-def _ell_relation_instances(A: AlgebraPresentation, lo,
-                            hi: int) -> list[tuple[EllElement, int, int]]:
-    """The defining multiplicative relations over basis-monomial arguments
-    (the unit included) with instance upper degree in (lo, hi]."""
-    pool1 = [(A.one, 0)] + _arg_pool(A, hi + 2 if A.graded else 0)
-    new = _window(A, lo, hi)
-    out: list[tuple[EllElement, int, int]] = []
-
-    def push(el: EllElement):
-        if not el:
-            return
-        n0, d0 = _element_bidegree(A, el)
-        out.append((el, n0, d0))
-
-    for (a, ga), (b, gb) in itertools.combinations_with_replacement(pool1, 2):
-        # phi(ab) + phi(a)phi(b) + u q(a) q(b)
-        if new(2 * (ga + gb)):
-            push(phi_el(A, A.mul(a, b))
-                 ^ el_mul(A, phi_el(A, frozenset({a})),
-                          phi_el(A, frozenset({b})))
-                 ^ el_mul(A, frozenset({("e", 1, (), (), ())}),
-                          el_mul(A, q_el(A, frozenset({a})),
-                                 q_el(A, frozenset({b})))))
+_RELATIONS = {
+    "ell": (
+        # phi(ab) + phi(a)phi(b) + u q(a)q(b)
+        (((2, 2),), 0, lambda A, a, b: phi_el(A, A.mul(a, b))
+         ^ el_mul(A, phi_el(A, (a,)), phi_el(A, (b,)))
+         ^ el_mul(A, frozenset({("e", 1, (), (), ())}),
+                  el_mul(A, q_el(A, (a,)), q_el(A, (b,))))),
         # q(ab) + q(a)phi(b) + phi(a)q(b)
-        if new(2 * (ga + gb) - 1):
-            push(q_el(A, A.mul(a, b))
-                 ^ el_mul(A, q_el(A, frozenset({a})),
-                          phi_el(A, frozenset({b})))
-                 ^ el_mul(A, phi_el(A, frozenset({a})),
-                          q_el(A, frozenset({b}))))
-    # delta(ab)delta(c) + delta(bc)delta(a) + delta(ca)delta(b)
-    for (a, ga), (b, gb), (c, gc) in \
-            itertools.combinations_with_replacement(pool1, 3):
-        if new(ga + gb + gc - 2):
-            push(el_mul(A, del_el(A, A.mul(a, b)), del_el(A, frozenset({c})))
-                 ^ el_mul(A, del_el(A, A.mul(b, c)), del_el(A, frozenset({a})))
-                 ^ el_mul(A, del_el(A, A.mul(c, a)),
-                          del_el(A, frozenset({b}))))
-    for a, ga in pool1:
-        for b, gb in pool1:
-            # delta(a)phi(b) + delta(a b^2)
-            if new(ga - 1 + 2 * gb):
-                absq = A.mul_elements(frozenset({a}), A.mul(b, b))
-                push(el_mul(A, del_el(A, frozenset({a})),
-                            phi_el(A, frozenset({b}))) ^ del_el(A, absq))
-            # delta(a)q(b) + delta(ab)delta(b)
-            if new(ga + 2 * gb - 2):
-                push(el_mul(A, del_el(A, frozenset({a})),
-                            q_el(A, frozenset({b})))
-                     ^ el_mul(A, del_el(A, A.mul(a, b)),
-                              del_el(A, frozenset({b}))))
-    return out
+        (((2, 2),), -1, lambda A, a, b: q_el(A, A.mul(a, b))
+         ^ el_mul(A, q_el(A, (a,)), phi_el(A, (b,)))
+         ^ el_mul(A, phi_el(A, (a,)), q_el(A, (b,)))),
+        # delta(ab)delta(c) + delta(bc)delta(a) + delta(ca)delta(b)
+        (((3, 1),), -2, lambda A, a, b, c:
+         el_mul(A, del_el(A, A.mul(a, b)), del_el(A, (c,)))
+         ^ el_mul(A, del_el(A, A.mul(b, c)), del_el(A, (a,)))
+         ^ el_mul(A, del_el(A, A.mul(c, a)), del_el(A, (b,)))),
+        # delta(a)phi(b) + delta(a b^2)
+        (((1, 1), (1, 2)), -1, lambda A, a, b:
+         el_mul(A, del_el(A, (a,)), phi_el(A, (b,)))
+         ^ del_el(A, A.mul_elements((a,), A.mul(b, b)))),
+        # delta(a)q(b) + delta(ab)delta(b)
+        (((1, 1), (1, 2)), -2, lambda A, a, b:
+         el_mul(A, del_el(A, (a,)), q_el(A, (b,)))
+         ^ el_mul(A, del_el(A, A.mul(a, b)), del_el(A, (b,)))),
+    ),
+    "plus": (
+        # phi(a)gamma(b) + gamma(a^2 b)
+        (((1, 2), (1, 1)), 0, lambda A, a, b:
+         _act(A, phi_el(A, (a,)), gamma_el(A, (b,)))
+         ^ gamma_el(A, A.mul_elements(A.mul(a, a), (b,)))),
+        # q(a)gamma(b) + delta(a)gamma(ab)
+        (((1, 2), (1, 1)), -1, lambda A, a, b:
+         _act(A, q_el(A, (a,)), gamma_el(A, (b,)))
+         ^ _act(A, del_el(A, (a,)), gamma_el(A, A.mul(a, b)))),
+        # delta(a)gamma(b) + gamma(a)delta(b)
+        (((2, 1),), -1, lambda A, a, b:
+         _act(A, del_el(A, (a,)), gamma_el(A, (b,)))
+         ^ _act(A, del_el(A, (b,)), gamma_el(A, (a,)))),
+        # gamma(a)delta(bc) + gamma(ab)delta(c) + gamma(ac)delta(b)
+        (((1, 1), (2, 1)), -1, lambda A, a, b, c:
+         _act(A, del_el(A, A.mul(b, c)), gamma_el(A, (a,)))
+         ^ _act(A, del_el(A, (c,)), gamma_el(A, A.mul(a, b)))
+         ^ _act(A, del_el(A, (b,)), gamma_el(A, A.mul(a, c)))),
+        # gamma(1) + v^0
+        ((), 0, lambda A: gamma_el(A, (A.one,)) ^ frozenset({v_mon(0)})),
+    ),
+}
 
 
-def _per_relation_instances(A: AlgebraPresentation, lo,
-                            hi: int) -> list[tuple[EllElement, int, int]]:
-    """Instances of the per relations (q is purely additive here) with
-    bound in (lo, hi].
+def _multisets(A: AlgebraPresentation, count: int, s: int, lo: int = 0):
+    """Multisets of count basis monomials of total degree s, none of degree
+    below lo, each once and in mono_key order."""
+    if count == 0:
+        if s == 0:
+            yield ()
+        return
+    for g in range(lo, s // count + 1):
+        for k in range(1, count + 1):  # k arguments of the lowest degree g
+            for rest in _multisets(A, count - k, s - k * g, g + 1):
+                for head in itertools.combinations_with_replacement(
+                        A.degree_basis(g), k):
+                    yield head + rest
 
-    Since u is invertible, instances are bounded by n0 + d0: that sum is
-    what u-shifts cannot change.
+
+def _arguments(A: AlgebraPresentation, groups, t: int):
+    """The argument tuples of the groups whose weighted degree is t.
+
+    Ungraded algebras have all their basis in degree_basis(0), so only
+    t = 0 yields there."""
+    if not groups:
+        if t == 0:
+            yield ()
+        return
+    (count, weight), rest = groups[0], groups[1:]
+    for s in range(t // weight + 1):
+        for tail in _arguments(A, rest, t - weight * s):
+            for head in _multisets(A, count, s):
+                yield head + tail
+
+
+def _iota(el: EllElement) -> EllElement:
+    """iota: ell -> ell_per, deleting the monomials with a delta part."""
+    return frozenset(("p", j, phi, q) for _, j, phi, q, dl in el if not dl)
+
+
+def _instances(A: AlgebraPresentation, family: str,
+               t: int) -> list[tuple[EllElement, int, int]]:
+    """The nonzero instances (element, n0, d0) of the family's relations
+    with key degree t, memoised per (family, t).
+
+    The per instances are the iota images of the ell ones: the three delta
+    relations map to zero, and q is additive once delta is gone.
     """
-    pool1 = [(A.one, 0)] + _arg_pool(A, hi // 2 + 1 if A.graded else 0)
-    new = _window(A, lo, hi)
-    out = []
-
-    def push(el):
-        if el:
-            n0, d0 = _element_bidegree(A, el)
-            out.append((el, n0, d0))
-
-    u1 = frozenset({("p", 1, (), ())})
-    for (a, ga), (b, gb) in itertools.combinations_with_replacement(pool1, 2):
-        if not new(2 * (ga + gb)):
-            continue
-        el = phi_el(A, A.mul(a, b), kind="p") \
-            ^ per_el_mul(A, phi_el(A, frozenset({a}), kind="p"),
-                         phi_el(A, frozenset({b}), kind="p")) \
-            ^ per_el_mul(A, u1,
-                         per_el_mul(A, q_el(A, frozenset({a}), True, "p"),
-                                    q_el(A, frozenset({b}), True, "p")))
-        push(el)
-        el = q_el(A, A.mul(a, b), True, "p") \
-            ^ per_el_mul(A, q_el(A, frozenset({a}), True, "p"),
-                         phi_el(A, frozenset({b}), kind="p")) \
-            ^ per_el_mul(A, phi_el(A, frozenset({a}), kind="p"),
-                         q_el(A, frozenset({b}), True, "p"))
-        push(el)
-    return out
-
-
-def per_el_mul(A, e1, e2):
-    return el_mul(A, e1, e2, mul=per_mon_mul)
-
-
-def _plus_relation_instances(A: AlgebraPresentation, lo,
-                             hi: int) -> list[tuple[EllElement, int, int]]:
-    """The defining module relations over basis-monomial arguments with
-    instance upper degree in (lo, hi]."""
-    pool1 = [(A.one, 0)] + _arg_pool(A, hi + 2 if A.graded else 0)
-    new = _window(A, lo, hi)
-    out = []
-
-    def push(el):
-        if el:
-            n0, d0 = _element_bidegree(A, el)
-            out.append((el, n0, d0))
-
-    def dmon(m):
-        return del_el(A, frozenset({m}))
-
-    def act(e, x):
-        return el_mul(A, e, x, mul=plus_mon_mul)
-
-    for a, ga in pool1:
-        for b, gb in pool1:
-            # phi(a) gamma(b) + gamma(a^2 b)
-            if new(2 * ga + gb):
-                a2b = A.mul_elements(A.mul(a, a), frozenset({b}))
-                push(act(phi_el(A, frozenset({a})),
-                         gamma_el(A, frozenset({b})))
-                     ^ gamma_el(A, a2b))
-            # q(a) gamma(b) + delta(a) gamma(ab)
-            if new(2 * ga - 1 + gb):
-                push(act(q_el(A, frozenset({a})), gamma_el(A, frozenset({b})))
-                     ^ act(dmon(a), gamma_el(A, A.mul(a, b))))
-    for (a, ga), (b, gb) in itertools.combinations(pool1, 2):
-        # delta(a) gamma(b) + gamma(a) delta(b)
-        if new(ga + gb - 1):
-            push(act(dmon(a), gamma_el(A, frozenset({b})))
-                 ^ act(dmon(b), gamma_el(A, frozenset({a}))))
-    for a, ga in pool1:
-        for (b, gb), (c, gc) in \
-                itertools.combinations_with_replacement(pool1, 2):
-            # gamma(a) delta(bc) + gamma(ab) delta(c) + gamma(ac) delta(b)
-            if new(ga + gb + gc - 1):
-                push(act(del_el(A, A.mul(b, c)), gamma_el(A, frozenset({a})))
-                     ^ act(dmon(c), gamma_el(A, A.mul(a, b)))
-                     ^ act(dmon(b), gamma_el(A, A.mul(a, c))))
-    # gamma(1) = v^0, of upper degree 0
-    if new(0):
-        push(gamma_el(A, frozenset({A.one})) ^ frozenset({v_mon(0)}))
+    cache = A.memo("ell_instances")
+    out = cache.get((family, t))
+    if out is None:
+        if family == "per":
+            els = (_iota(el) for el, _, _ in _instances(A, "ell", t))
+        else:
+            els = (build(A, *args)
+                   for groups, const, build in _RELATIONS[family]
+                   for args in _arguments(A, groups, t - const))
+        out = cache[(family, t)] = [(el, *_element_bidegree(A, el))
+                                    for el in els if el]
     return out
 
 
@@ -575,21 +537,6 @@ class EllSpace:
         return frozenset(basis[k] for k in range(self.dim) if (mask >> k) & 1)
 
 
-def _instances(A: AlgebraPresentation, family: str, bound: int):
-    """The family's relation instances up to bound, memoised as one list
-    that each larger bound extends by the instances above the last one."""
-    cache = A.memo("ell")
-    key = ("instances", family)
-    lo, out = cache.get(key, (float("-inf"), []))
-    if bound > lo:
-        gen = {"ell": _ell_relation_instances,
-               "per": _per_relation_instances,
-               "plus": _plus_relation_instances}[family]
-        out.extend(gen(A, lo, bound))
-        cache[key] = (bound, out)
-    return out
-
-
 def _coefficient_mul(A: AlgebraPresentation, x: EllMonomial,
                      e: EllMonomial) -> EllElement:
     """An ell relation monomial e acting on an ell_plus monomial x."""
@@ -597,7 +544,7 @@ def _coefficient_mul(A: AlgebraPresentation, x: EllMonomial,
 
 
 def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
-                   d: int) -> tuple[list[int], list[EllElement]]:
+                   d: int) -> list[int]:
     """Spanning rows: every instance times every complementary multiplier.
 
     The families "ell", "per" and "plus" are the defining relations of
@@ -608,42 +555,52 @@ def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
     v sector.  Multipliers of ell and plus rows have non-negative upper
     degree, so instances above d cannot contribute; per and coefficient
     rows bound only n + d (u is invertible, and v^i trades homological for
-    upper degree two at a time).
+    upper degree two at a time).  The instance tables are read from key
+    degree -2 up to that bound, which covers d0 <= n0 + d0 since n0 >= 0;
+    ungraded keys all lie in [-2, 0].
 
-    Returns the distinct nonzero rows as candidate bitmasks, and the row
-    elements in the same order.
+    Returns the distinct nonzero rows as candidate bitmasks.
     """
-    instances, bound, multipliers, product = {
-        "ell": ("ell", d, ell_monomials, ell_mon_mul),
-        "per": ("per", n + d, per_monomials, per_mon_mul),
-        "plus": ("plus", d, ell_monomials, plus_mon_mul),
-        "coefficient": ("ell", max(d, n + d, 0), plus_monomials,
-                        _coefficient_mul),
+    instances, total, multipliers, product = {
+        "ell": ("ell", False, ell_monomials, ell_mon_mul),
+        "per": ("per", True, per_monomials, per_mon_mul),
+        "plus": ("plus", False, ell_monomials, plus_mon_mul),
+        "coefficient": ("ell", True, plus_monomials, _coefficient_mul),
     }[family]
-    total = family in ("per", "coefficient")
+    bound = (n + d if total else d) if A.graded else 0
     index = {m: k for k, m in enumerate(cands)}
     rows: list[int] = []
-    row_els: list[EllElement] = []
     seen = set()
-    for el, n0, d0 in _instances(A, instances, bound if A.graded else 0):
-        if A.graded and (n0 + d0 > n + d if total else d0 > d):
-            continue
-        for mult in multipliers(A, n - n0, d - d0):
-            row = el_mul(A, frozenset({mult}), el, mul=product)
-            if not row:
+    for t in range(-2, bound + 1):
+        for el, n0, d0 in _instances(A, instances, t):
+            if A.graded and (n0 + d0 > n + d if total else d0 > d):
                 continue
-            v = 0
-            for m in row:
-                k = index.get(m)
-                if k is None:
-                    raise EllError(
-                        f"{family} relation row leaves the candidates: {m}")
-                v ^= 1 << k
-            if v and v not in seen:
-                seen.add(v)
-                rows.append(v)
-                row_els.append(row)
-    return rows, row_els
+            for mult in multipliers(A, n - n0, d - d0):
+                v = 0
+                for m in el_mul(A, frozenset({mult}), el, mul=product):
+                    k = index.get(m)
+                    if k is None:
+                        raise EllError(f"{family} relation row leaves "
+                                       f"the candidates: {m}")
+                    v ^= 1 << k
+                if v and v not in seen:
+                    seen.add(v)
+                    rows.append(v)
+    return rows
+
+
+# The flavors that keep only some ell candidates; their relations are the
+# ell relation span projected onto the kept candidates.
+_RESTRICTED = {
+    "ell_tilde": lambda m: not m[4],
+    "script_L": lambda m: m[1] == 0,
+    "omega_tilde": lambda m: not m[4] and m[1] == 0,
+}
+
+
+def _project(v: int, keep: list[int]) -> int:
+    """The bits of v at the positions keep, moved to positions 0, 1, ..."""
+    return sum(((v >> k) & 1) << i for i, k in enumerate(keep))
 
 
 def ell_degree_basis(A: AlgebraPresentation, flavor: str, n: int,
@@ -655,50 +612,22 @@ def ell_degree_basis(A: AlgebraPresentation, flavor: str, n: int,
     key = (flavor, n, d)
     if key in cache:
         return cache[key]
-    if flavor in ("ell", "ell_tilde", "script_L", "omega_tilde"):
-        base = _ell_space_raw(A, n, d)
-        if flavor == "ell":
-            space = base
-        else:
-            keep = {
-                "ell_tilde": lambda m: not m[4],
-                "script_L": lambda m: m[1] == 0,
-                "omega_tilde": lambda m: not m[4] and m[1] == 0,
-            }[flavor]
-            cands = tuple(m for m in base.cands if keep(m))
-            pos = {m: k for k, m in enumerate(cands)}
-            rows = []
-            for r in cache[("rows", n, d)]:
-                v = 0
-                for m in r:
-                    if keep(m):
-                        v ^= 1 << pos[m]
-                if v:
-                    rows.append(v)
-            space = EllSpace(flavor, n, d, cands,
-                             QuotientBasis.from_relations(len(cands), rows))
-    else:
-        if flavor == "ell_per":
-            cands = tuple(per_monomials(A, n, d))
-            rows, _ = _relation_rows(A, "per", cands, n, d)
-        else:  # ell_plus
-            cands = tuple(plus_monomials(A, n, d))
-            rows = (_relation_rows(A, "plus", cands, n, d)[0]
-                    + _relation_rows(A, "coefficient", cands, n, d)[0])
-        space = EllSpace(flavor, n, d, cands,
-                         QuotientBasis.from_relations(len(cands), rows))
-    cache[key] = space
-    return space
-
-
-def _ell_space_raw(A: AlgebraPresentation, n: int, d: int) -> EllSpace:
-    cache = A.memo("ell")
-    key = ("ell", n, d)
-    if key in cache:
-        return cache[key]
-    cands = tuple(ell_monomials(A, n, d))
-    rows, cache[("rows", n, d)] = _relation_rows(A, "ell", cands, n, d)
-    space = EllSpace("ell", n, d, cands,
+    if flavor in _RESTRICTED:
+        base = ell_degree_basis(A, "ell", n, d)
+        keep = [k for k, m in enumerate(base.cands) if _RESTRICTED[flavor](m)]
+        cands = tuple(base.cands[k] for k in keep)
+        rows = [_project(v, keep) for v in base.quotient.relations.vectors]
+    elif flavor == "ell":
+        cands = tuple(ell_monomials(A, n, d))
+        rows = _relation_rows(A, "ell", cands, n, d)
+    elif flavor == "ell_per":
+        cands = tuple(per_monomials(A, n, d))
+        rows = _relation_rows(A, "per", cands, n, d)
+    else:  # ell_plus
+        cands = tuple(plus_monomials(A, n, d))
+        rows = (_relation_rows(A, "plus", cands, n, d)
+                + _relation_rows(A, "coefficient", cands, n, d))
+    space = EllSpace(flavor, n, d, cands,
                      QuotientBasis.from_relations(len(cands), rows))
     cache[key] = space
     return space
@@ -812,13 +741,7 @@ def iota_matrix(A: AlgebraPresentation, n: int, d: int):
     """iota: ell -> ell_per, killing delta and keeping phi, q, u."""
     src = ell_degree_basis(A, "ell", n, d)
     tgt = ell_degree_basis(A, "ell_per", n, d)
-    cols = []
-    for mon in src.basis():
-        _, j, phi, q, dl = mon
-        if dl:
-            cols.append(0)
-        else:
-            cols.append(tgt.coords(frozenset({("p", j, phi, q)})))
+    cols = [tgt.coords(_iota(frozenset({mon}))) for mon in src.basis()]
     return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 

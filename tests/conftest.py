@@ -1,9 +1,23 @@
 """Shared test plumbing: echo acceptance pass/fail lines past capture, the
-default hypothesis profile, and the slow elimination and differential
-oracles."""
+default hypothesis profile, and the slow elimination, differential and
+relation-instance oracles."""
+
+import itertools
 
 from hypothesis import settings
 
+from cyclo2.ell import (
+    _arg_pool,
+    _element_bidegree,
+    del_el,
+    el_mul,
+    gamma_el,
+    per_mon_mul,
+    phi_el,
+    plus_mon_mul,
+    q_el,
+    v_mon,
+)
 from cyclo2.f2linalg import SubspaceBasis, complement_basis
 from cyclo2.hochschild import boundary_b, connes_B
 
@@ -118,3 +132,154 @@ def oracle_differential_columns(A, src, tgt):
                 v ^= 1 << idx[(p - 1, w2)]
         cols.append(v)
     return cols
+
+
+# ----- the per-family relation generators, kept as a slow oracle -----
+#
+# Each family has its own generator over the whole argument pool, with its
+# own pool bound, and keeps the instances whose upper degree (n0 + d0 for
+# per) lies in (lo, hi].  Ungraded generators build every instance.
+
+def _window(A, lo, hi):
+    if not A.graded:
+        return lambda up: True
+    return lambda up: lo < up <= hi
+
+
+def _pusher(A, out):
+    def push(el):
+        if el:
+            n0, d0 = _element_bidegree(A, el)
+            out.append((el, n0, d0))
+    return push
+
+
+def oracle_ell_instances(A, lo, hi):
+    pool1 = [(A.one, 0)] + _arg_pool(A, hi + 2 if A.graded else 0)
+    new = _window(A, lo, hi)
+    out = []
+    push = _pusher(A, out)
+    for (a, ga), (b, gb) in itertools.combinations_with_replacement(pool1, 2):
+        # phi(ab) + phi(a)phi(b) + u q(a) q(b)
+        if new(2 * (ga + gb)):
+            push(phi_el(A, A.mul(a, b))
+                 ^ el_mul(A, phi_el(A, frozenset({a})),
+                          phi_el(A, frozenset({b})))
+                 ^ el_mul(A, frozenset({("e", 1, (), (), ())}),
+                          el_mul(A, q_el(A, frozenset({a})),
+                                 q_el(A, frozenset({b})))))
+        # q(ab) + q(a)phi(b) + phi(a)q(b)
+        if new(2 * (ga + gb) - 1):
+            push(q_el(A, A.mul(a, b))
+                 ^ el_mul(A, q_el(A, frozenset({a})),
+                          phi_el(A, frozenset({b})))
+                 ^ el_mul(A, phi_el(A, frozenset({a})),
+                          q_el(A, frozenset({b}))))
+    # delta(ab)delta(c) + delta(bc)delta(a) + delta(ca)delta(b)
+    for (a, ga), (b, gb), (c, gc) in \
+            itertools.combinations_with_replacement(pool1, 3):
+        if new(ga + gb + gc - 2):
+            push(el_mul(A, del_el(A, A.mul(a, b)), del_el(A, frozenset({c})))
+                 ^ el_mul(A, del_el(A, A.mul(b, c)), del_el(A, frozenset({a})))
+                 ^ el_mul(A, del_el(A, A.mul(c, a)),
+                          del_el(A, frozenset({b}))))
+    for a, ga in pool1:
+        for b, gb in pool1:
+            # delta(a)phi(b) + delta(a b^2)
+            if new(ga - 1 + 2 * gb):
+                absq = A.mul_elements(frozenset({a}), A.mul(b, b))
+                push(el_mul(A, del_el(A, frozenset({a})),
+                            phi_el(A, frozenset({b}))) ^ del_el(A, absq))
+            # delta(a)q(b) + delta(ab)delta(b)
+            if new(ga + 2 * gb - 2):
+                push(el_mul(A, del_el(A, frozenset({a})),
+                            q_el(A, frozenset({b})))
+                     ^ el_mul(A, del_el(A, A.mul(a, b)),
+                              del_el(A, frozenset({b}))))
+    return out
+
+
+def _per_phi(A, p):
+    out = set()
+    for m in p:
+        out.symmetric_difference_update(
+            {("p", 0, () if m == A.one else (m,), ())})
+    return frozenset(out)
+
+
+def _per_q(A, p):
+    """q on a sum of monomials, additive (no delta in ell_per)."""
+    out = set()
+    for m in p:
+        if m != A.one:
+            out.symmetric_difference_update({("p", 0, (), (m,))})
+    return frozenset(out)
+
+
+def oracle_per_instances(A, lo, hi):
+    pool1 = [(A.one, 0)] + _arg_pool(A, hi // 2 + 1 if A.graded else 0)
+    new = _window(A, lo, hi)
+    out = []
+    push = _pusher(A, out)
+    u1 = frozenset({("p", 1, (), ())})
+    for (a, ga), (b, gb) in itertools.combinations_with_replacement(pool1, 2):
+        if not new(2 * (ga + gb)):
+            continue
+        pa, pb = _per_phi(A, frozenset({a})), _per_phi(A, frozenset({b}))
+        qa, qb = _per_q(A, frozenset({a})), _per_q(A, frozenset({b}))
+        push(_per_phi(A, A.mul(a, b))
+             ^ el_mul(A, pa, pb, mul=per_mon_mul)
+             ^ el_mul(A, u1, el_mul(A, qa, qb, mul=per_mon_mul),
+                      mul=per_mon_mul))
+        push(_per_q(A, A.mul(a, b))
+             ^ el_mul(A, qa, pb, mul=per_mon_mul)
+             ^ el_mul(A, pa, qb, mul=per_mon_mul))
+    return out
+
+
+def oracle_plus_instances(A, lo, hi):
+    pool1 = [(A.one, 0)] + _arg_pool(A, hi + 2 if A.graded else 0)
+    new = _window(A, lo, hi)
+    out = []
+    push = _pusher(A, out)
+
+    def dmon(m):
+        return del_el(A, frozenset({m}))
+
+    def act(e, x):
+        return el_mul(A, e, x, mul=plus_mon_mul)
+
+    for a, ga in pool1:
+        for b, gb in pool1:
+            # phi(a) gamma(b) + gamma(a^2 b)
+            if new(2 * ga + gb):
+                a2b = A.mul_elements(A.mul(a, a), frozenset({b}))
+                push(act(phi_el(A, frozenset({a})),
+                         gamma_el(A, frozenset({b})))
+                     ^ gamma_el(A, a2b))
+            # q(a) gamma(b) + delta(a) gamma(ab)
+            if new(2 * ga - 1 + gb):
+                push(act(q_el(A, frozenset({a})), gamma_el(A, frozenset({b})))
+                     ^ act(dmon(a), gamma_el(A, A.mul(a, b))))
+    for (a, ga), (b, gb) in itertools.combinations(pool1, 2):
+        # delta(a) gamma(b) + gamma(a) delta(b)
+        if new(ga + gb - 1):
+            push(act(dmon(a), gamma_el(A, frozenset({b})))
+                 ^ act(dmon(b), gamma_el(A, frozenset({a}))))
+    for a, ga in pool1:
+        for (b, gb), (c, gc) in \
+                itertools.combinations_with_replacement(pool1, 2):
+            # gamma(a) delta(bc) + gamma(ab) delta(c) + gamma(ac) delta(b)
+            if new(ga + gb + gc - 1):
+                push(act(del_el(A, A.mul(b, c)), gamma_el(A, frozenset({a})))
+                     ^ act(dmon(c), gamma_el(A, A.mul(a, b)))
+                     ^ act(dmon(b), gamma_el(A, A.mul(a, c))))
+    # gamma(1) = v^0, of upper degree 0
+    if new(0):
+        push(gamma_el(A, frozenset({A.one})) ^ frozenset({v_mon(0)}))
+    return out
+
+
+ORACLE_INSTANCES = {"ell": oracle_ell_instances,
+                    "per": oracle_per_instances,
+                    "plus": oracle_plus_instances}

@@ -1,7 +1,12 @@
+import itertools
 import os
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import ORACLE_INSTANCES
 
 from cyclo2.derham import de_rham_d, form, omega_basis
 from cyclo2.f2linalg import F2Matrix, echelonize_in, rank_kernel_image, \
@@ -9,11 +14,13 @@ from cyclo2.f2linalg import F2Matrix, echelonize_in, rank_kernel_image, \
 from cyclo2.cli import load_presentation
 from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
     polynomial_algebra, trivial_algebra
+from cyclo2 import ell as ell_module
 from cyclo2.ell import (
     D_matrix,
     EllError,
     I_matrix,
     S_matrix,
+    _instances,
     _mon_sort_key,
     del_el,
     el_mul,
@@ -652,3 +659,111 @@ def test_candidates_match_oracle(name, window):
                              (per_monomials, _oracle_per),
                              (plus_monomials, _oracle_plus)):
                 assert new(A, n, d) == old(A, n, d), (new.__name__, n, d)
+
+
+# ----- the relation table against the per-family generators -----
+#
+# The oracle (tests/conftest.py) has one generator per family, which scans
+# the whole argument pool and keeps the instances whose upper degree, or
+# n0 + d0 for per, is at most the bound.
+
+def _upto(A, family, insts, bound):
+    """The instances whose bounding degree, n0 + d0 for per and d0
+    otherwise, is at most bound; ungraded instances are never bounded."""
+    return {(el, n0, d0) for el, n0, d0 in insts
+            if not A.graded or (n0 + d0 if family == "per" else d0) <= bound}
+
+
+def _assert_table_matches_oracle(A, max_bound):
+    for family, oracle in ORACLE_INSTANCES.items():
+        table = []
+        for t in range(-2, (max_bound if A.graded else 0) + 1):
+            insts = _instances(A, family, t)
+            assert all(d0 == t for _, _, d0 in insts), (A.name, family, t)
+            table.extend(insts)
+        old = oracle(A, float("-inf"), max_bound)
+        for bound in range(max_bound + 1) if A.graded else (0,):
+            assert _upto(A, family, table, bound) \
+                == _upto(A, family, old, bound), (A.name, family, bound)
+
+
+def _ungraded_x(*exponents, name):
+    """F2[x]/(f), f the sum of x^e over the exponents."""
+    return AlgebraPresentation(("x",), (0,),
+                               (frozenset((e,) for e in exponents),),
+                               graded=False, name=name)
+
+
+@pytest.mark.parametrize("name", [
+    "f2.alg", "poly_x.alg", "poly_xy.alg", "poly_xyz.alg",
+    "dual_numbers.alg", "f4.alg", "cusp", "F2[x,y], |y| = 2",
+    "F2[x]/(x^3)", "F8"])
+def test_relation_table_matches_oracle(name):
+    A = {"cusp": lambda: AlgebraPresentation(
+            ("x", "y"), (1, 1), (frozenset({(2, 1), (0, 3)}),), name=name),
+         "F2[x,y], |y| = 2": lambda: polynomial_algebra("xy", (1, 2)),
+         "F2[x]/(x^3)": lambda: _ungraded_x(3, name=name),
+         "F8": lambda: _ungraded_x(3, 1, 0, name=name),
+         }.get(name, lambda: _fixture(name))()
+    # the oracle's all-triples loop on F2[x,y,z] takes about 6 s at bound 8
+    _assert_table_matches_oracle(A, 6 if name == "poly_xyz.alg" else 8)
+
+
+@st.composite
+def small_presentations(draw):
+    """Graded presentations on 1-2 generators of weight 1-3 with at most
+    one homogeneous monomial or binomial relation, and ungraded F2[x]/(f)
+    with deg f = 2 or 3."""
+    if draw(st.booleans()):
+        k = draw(st.sampled_from((2, 3)))
+        low = draw(st.sets(st.integers(0, k - 1)))
+        return _ungraded_x(k, *sorted(low), name=f"F2[x]/{k}/{sorted(low)}")
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1,
+                                  max_size=2)))
+    names = ("x", "y")[:len(weights)]
+    kind = draw(st.sampled_from(("none", "monomial", "binomial")))
+    rels = ()
+    if kind != "none":
+        exps = st.tuples(*[st.integers(0, 3)] * len(weights))
+        m1 = draw(exps.filter(any))
+        deg = sum(e * w for e, w in zip(m1, weights))
+        others = [m for m in itertools.product(range(deg + 1),
+                                               repeat=len(weights))
+                  if m != m1 and sum(e * w for e, w in zip(m, weights)) == deg]
+        rel = {m1}
+        if kind == "binomial" and others:
+            rel.add(draw(st.sampled_from(others)))
+        rels = (frozenset(rel),)
+    return AlgebraPresentation(names, weights, rels,
+                               name=f"{weights}/{[sorted(r) for r in rels]}")
+
+
+def _from_oracle(A, bound):
+    """_instances read from the oracle generators at one bound."""
+    def instances(B, family, t):
+        assert B is A
+        table = A.memo("oracle_instances")
+        if family not in table:
+            table[family] = ORACLE_INSTANCES[family](A, float("-inf"), bound)
+        return [i for i in table[family] if i[2] == t]
+    return instances
+
+
+@settings(max_examples=40)
+@given(small_presentations())
+def test_relation_table_on_random_presentations(A):
+    bound = 6  # the largest n + d below
+    _assert_table_matches_oracle(A, bound)
+    ref = AlgebraPresentation(A.generators, A.degrees, A.relations,
+                              graded=A.graded, name=A.name)
+    bidegrees = [(n, d) for n in range(-2, 3)
+                 for d in (range(0, 5) if A.graded else (-n,))]
+    with mock.patch.object(ell_module, "_instances", _from_oracle(ref, bound)):
+        spaces = {(fl, n, d): ell_degree_basis(ref, fl, n, d)
+                  for fl in ("ell", "ell_per", "ell_plus")
+                  for n, d in bidegrees}
+    for (fl, n, d), sp in spaces.items():
+        new = ell_degree_basis(A, fl, n, d)
+        assert new.cands == sp.cands, (A.name, fl, n, d)
+        assert new.quotient.relations == sp.quotient.relations, \
+            (A.name, fl, n, d)
