@@ -13,7 +13,9 @@ Column p of T_n is the Hochschild chain group C_{n-2p,d}.  Its ordered
 basis and its b and B matrices are computed once per algebra and shared by
 every slice that holds it (the total complex of the mixed complex
 (C, b, B); Loday, Cyclic Homology, 2.5), so a slice differential is those
-matrices moved to the slice's offsets.
+matrices moved to the slice's offsets.  Each slice differential d_n is
+eliminated once per depth: its kernel is the cycles of T_n and its image
+the boundaries of T_{n-1}.
 
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
@@ -28,8 +30,10 @@ from .f2linalg import (
     F2Matrix,
     SubspaceBasis,
     class_coordinates,
+    complement_basis,
     echelonize_in,
     homology_bases,
+    null_space,
     rank_kernel_image,
     solve,
 )
@@ -337,23 +341,61 @@ class HomologyPresentation:
         return unvectorize(self.slice, self.complement[k])
 
 
-def _homology_at(A: AlgebraPresentation, theory: str, n: int, d: int,
-                 S: int) -> HomologyPresentation:
-    sl_n = build_tower(A, theory, n, d, S)
-    sl_dn = build_tower(A, theory, n - 1, d, S)
-    sl_up = build_tower(A, theory, n + 1, d, S)
-    dn_cols = differential_columns(A, sl_n, sl_dn)
-    up_cols = differential_columns(A, sl_up, sl_n)
-    cycles, boundaries, comp = homology_bases(dn_cols, up_cols)
-    return HomologyPresentation(
-        theory=sl_n.theory, n=n, d=d, S=S, slice=sl_n, cycles=cycles,
-        boundaries=boundaries, complement=comp,
-        flag="stable", persistent_rank=None)
-
-
 def _needs_protocol(A: AlgebraPresentation, t: str) -> bool:
     # only ungraded minus/per towers are truncated at -S
     return THEORY_BOUNDS[t][0] is None and not A.graded
+
+
+def _depth_key(A: AlgebraPresentation, t: str, n: int, d: int,
+               S: int) -> tuple:
+    # S matters only where the tower is truncated at -S
+    return (t, n, d, S if _needs_protocol(A, t) else 0)
+
+
+def _columns(A: AlgebraPresentation, t: str, n: int, d: int,
+             S: int) -> list[int]:
+    """Columns of d_n: T_n -> T_{n-1}."""
+    return differential_columns(A, build_tower(A, t, n, d, S),
+                                build_tower(A, t, n - 1, d, S))
+
+
+def _eliminated(A: AlgebraPresentation, t: str, n: int, d: int,
+                S: int) -> tuple[SubspaceBasis, SubspaceBasis]:
+    """Kernel and image of d_n: T_n -> T_{n-1}, that is the cycles of T_n
+    and the boundaries of T_{n-1}, from one tracked elimination; memoised,
+    so the homology on either side of d_n shares it."""
+    table = A.memo("differential")
+    key = _depth_key(A, t, n, d, S)
+    pair = table.get(key)
+    if pair is None:
+        rows = build_tower(A, t, n - 1, d, S).dim
+        _, kernel, image = rank_kernel_image(
+            F2Matrix(rows, tuple(_columns(A, t, n, d, S))))
+        pair = table[key] = (kernel, image)
+    return pair
+
+
+def _homology_at(A: AlgebraPresentation, theory: str, n: int, d: int,
+                 S: int, keep: bool = True) -> HomologyPresentation:
+    """Homology of T_n: cycles from d_n, boundaries from d_{n+1}.
+
+    With keep, both come from the memoised eliminations.  Without, nothing
+    is stored: d_n is eliminated for its kernel only and then d_{n+1} for
+    its image only, which needs neither the trackers of the image nor the
+    columns of both at once.
+    """
+    t = theory_key(theory)
+    sl = build_tower(A, t, n, d, S)
+    if keep:
+        cycles = _eliminated(A, t, n, d, S)[0]
+        boundaries = _eliminated(A, t, n + 1, d, S)[1]
+    else:
+        cycles = null_space(_columns(A, t, n, d, S))[0]
+        boundaries = echelonize_in(_columns(A, t, n + 1, d, S), sl.dim)
+    return HomologyPresentation(
+        theory=t, n=n, d=d, S=S, slice=sl, cycles=cycles,
+        boundaries=boundaries, complement=complement_basis(cycles, boundaries),
+        flag="stable", persistent_rank=None)
 
 
 def _homology_s(A: AlgebraPresentation, t: str, n: int, d: int,
@@ -361,7 +403,7 @@ def _homology_s(A: AlgebraPresentation, t: str, n: int, d: int,
     """Homology of the tower t truncated at depth S alone, memoised; its
     flag is always stable, since the S + 1 pass of homology() is not run."""
     cache = A.memo("homology_s")
-    key = (t, n, d, S if _needs_protocol(A, t) else 0)
+    key = _depth_key(A, t, n, d, S)
     pres = cache.get(key)
     if pres is None:
         pres = cache[key] = _homology_at(A, t, n, d, S)
@@ -378,16 +420,16 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     isomorphism between the two answers.
     """
     t = theory_key(theory)
-    needs_protocol = _needs_protocol(A, t)
     cache = A.memo("homology")
-    key = (t, n, d, S if needs_protocol else 0)
+    key = _depth_key(A, t, n, d, S)
     if key in cache:
         return cache[key]
     small = _homology_s(A, t, n, d, S)
-    if not needs_protocol:
+    if not _needs_protocol(A, t):
         cache[key] = small
         return small
-    big = _homology_at(A, t, n, d, S + 1)
+    # the S + 1 pass is read once, so its eliminations are not kept
+    big = _homology_at(A, t, n, d, S + 1, keep=False)
     # project the S+1 class representatives into the S window
     image = echelonize_in(
         [small.coords_of_uchain(A, big.rep_uchain(k), allow_projection=True)

@@ -281,6 +281,7 @@ def rank_kernel_image(m: F2Matrix) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     """
     kernel, pivots = null_space(m.columns)
     image = {p: v for p, (v, _) in pivots.items()}
+    del pivots  # free the trackers before the back-substitution
     return len(image), kernel, _reduced_echelon(image, m.rows)
 
 

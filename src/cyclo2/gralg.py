@@ -220,8 +220,11 @@ class AlgebraPresentation:
         return not any(mono_divides(lt, m) for lt in self.lead_terms)
 
     def mul(self, a: Monomial, b: Monomial) -> Poly:
-        """Normal form of a product of two reduced monomials (cached)."""
-        if grevlex_key(b) < grevlex_key(a):
+        """Normal form of a product of two reduced monomials (cached).
+
+        Products commute, so the memo key is the pair in plain tuple order.
+        """
+        if b < a:
             a, b = b, a
         products = self.memo("mul")
         key = (a, b)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 from conftest import (
     oracle_differential_columns,
@@ -20,7 +21,7 @@ from cyclo2.cyclic import (
     vectorize,
 )
 from cyclo2.derham import d_matrix_columns, de_rham_cohomology
-from cyclo2.f2linalg import F2Matrix, rank_kernel_image
+from cyclo2.f2linalg import F2Matrix, null_space, rank_kernel_image
 from cyclo2.gralg import (
     AlgebraPresentation,
     dual_numbers,
@@ -35,10 +36,20 @@ PX = polynomial_algebra(["x"])
 PXY = polynomial_algebra(["x", "y"])
 F4 = field_f4()
 DUAL = dual_numbers()
-CUSP = AlgebraPresentation(("x", "y"), (1, 1),
-                           (frozenset({(2, 1), (0, 3)}),), name="cusp")
-X3 = AlgebraPresentation(("x",), (0,), (frozenset({(3,)}),), graded=False,
-                         name="F2[x]/(x^3)")
+
+
+def cusp():
+    return AlgebraPresentation(("x", "y"), (1, 1),
+                               (frozenset({(2, 1), (0, 3)}),), name="cusp")
+
+
+def truncated_cube():
+    return AlgebraPresentation(("x",), (0,), (frozenset({(3,)}),),
+                               graded=False, name="F2[x]/(x^3)")
+
+
+CUSP = cusp()
+X3 = truncated_cube()
 
 
 # ----- independent brute-force oracle (dict-of-sets elimination) -----
@@ -188,6 +199,76 @@ def test_boundary_b_once_per_word(monkeypatch):
     for n, d in bidegree_window(A, 4, 4):
         homology(A, "minus", n, d)
     assert words and len(words) == len(set(words))
+
+
+def test_each_differential_eliminated_once(monkeypatch):
+    # the homology on either side of d_n reads one elimination of it, so
+    # no slice pair's columns are built or eliminated twice, and no other
+    # span of differential columns is echelonized
+    import cyclo2.cyclic as cyclic
+    import cyclo2.f2linalg as f2linalg
+    built, eliminated, spans = [], [], []
+    last = []
+
+    def tag(sl):
+        return sl.theory, sl.n, sl.d, sl.S
+
+    def counting_columns(A, src, tgt):
+        built.append((tag(src), tag(tgt)))
+        last[:] = built[-1:]
+        return differential_columns(A, src, tgt)
+
+    def counting_null_space(cols):
+        # a null space belongs to the columns built just before it
+        eliminated.append(last.pop() if last else None)
+        return null_space(cols)
+
+    def counting(f):
+        return lambda *args: spans.append(f.__name__) or f(*args)
+
+    monkeypatch.setattr(cyclic, "differential_columns", counting_columns)
+    monkeypatch.setattr(f2linalg, "null_space", counting_null_space)
+    for name in ("echelonize_in", "homology_bases"):
+        monkeypatch.setattr(cyclic, name, counting(getattr(cyclic, name)))
+    A = polynomial_algebra(["x", "y", "z"])
+    for n, d in bidegree_window(A, 4, 4):
+        homology(A, "minus", n, d)
+    assert built and len(built) == len(set(built))
+    assert Counter(eliminated) == Counter(built)
+    assert spans == []
+
+
+def test_shared_eliminations_in_either_order():
+    # cycles come from d_n and boundaries from d_{n+1}, whichever of the
+    # two homologies beside a differential eliminated it first; the
+    # unkept path of the S + 1 pass gives the same bases
+    cases = [(lambda: polynomial_algebra(["x", "y"]), ("minus",), range(5)),
+             (cusp, ("minus",), range(5)),
+             (field_f4, ("minus", "per"), (0,)),
+             (dual_numbers, ("minus", "per"), (0,)),
+             (truncated_cube, ("minus", "per"), (0,))]
+    for fresh, theories, degrees in cases:
+        for S in (2, 3):
+            A = fresh()
+            window = [(t, n, d) for t in theories for n in range(-3, 4)
+                      for d in degrees]
+            oracle = {w: _oracle_homology_at(A, *w, S) for w in window}
+            for (t, n, d), bases in oracle.items():
+                assert _bases(_homology_at(A, t, n, d, S, keep=False)) \
+                    == bases, (A.name, t, n, d, S)
+            for order in (window, window[::-1]):
+                A = fresh()
+                for t, n, d in order:
+                    assert _bases(_homology_at(A, t, n, d, S)) == \
+                        oracle[t, n, d], (A.name, t, n, d, S)
+
+
+def test_stabilization_pass_keeps_no_eliminations():
+    A = truncated_cube()
+    for n in range(-3, 4):
+        homology(A, "per", n, 0, 3)
+    depths = {key[3] for key in A.memo("differential")}
+    assert depths == {3}
 
 
 # ----- homology -----

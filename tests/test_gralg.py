@@ -1,7 +1,9 @@
+import os
 import random
 
 import pytest
 
+from cyclo2.cli import load_presentation
 from cyclo2.gralg import (
     AlgebraPresentation,
     AugmentationError,
@@ -10,9 +12,12 @@ from cyclo2.gralg import (
     dual_numbers,
     field_f4,
     grevlex_key,
+    mono_mul,
     polynomial_algebra,
     trivial_algebra,
 )
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def test_normal_form_f4():
@@ -86,6 +91,21 @@ def test_multiply_examples():
     assert A.mul_elements(a, b) == frozenset({(1, 1)})
     one = A.normal_form([(0, 0)])
     assert A.mul_elements(a, one) == a
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+def test_mul_memo_is_symmetric(name):
+    # products commute, so mul(a, b) and mul(b, a) share one memo entry
+    A = load_presentation(os.path.join(FIXTURES, name))
+    if A.graded:
+        basis = [m for e in range(4) for m in A.degree_basis(e)]
+    else:
+        basis = list(A.basis_all())
+    for a in basis:
+        for b in basis:
+            ab = A.mul(a, b)
+            assert A.mul(b, a) is ab, (name, a, b)
+            assert ab == A.normal_form([mono_mul(a, b)]), (name, a, b)
 
 
 def test_multiply_respects_grading():
