@@ -12,6 +12,11 @@ the rank of the class matrix.  Non-smooth ungraded inputs whose towers do
 not stabilize are still reported: a bidegree is called non-iso when the
 classes that persist one truncation window deeper already outrun the image
 of psi, and inconclusive otherwise.
+
+The commuting squares come from one table, SQUARES: each row pairs a map of
+the model sequences (ell.MODELS) with the map in the same position of the
+matching long exact sequence (cyclic.les_maps), and the vertical maps at
+both corners are read at the depth of the LES space there.
 """
 
 from __future__ import annotations
@@ -21,30 +26,24 @@ import time
 from dataclasses import dataclass, field
 
 from .cyclic import (
+    SEQUENCES,
     HomologyPresentation,
     bidegree_window,
-    class_map,
     homology,
     les_maps,
-    slice_shift_map,
     vectorize,
 )
 from .derham import antisymmetrize, omega_basis
 from .ell import (
+    MODELS,
     EllElement,
-    bd_plus_matrix,
     ell_bidegree,
     ell_degree_basis,
     ell_mon_mul,
-    iota_matrix,
-    mul_u_matrix,
+    model_matrix,
+    model_space,
     per_mon_mul,
     plus_mon_mul,
-    r_matrix,
-    tau_matrix,
-    I_matrix,
-    D_matrix,
-    S_matrix,
 )
 from .f2linalg import F2Matrix, rank_kernel_image
 from .gralg import AlgebraPresentation
@@ -93,7 +92,7 @@ def psi_generator_image(A: AlgebraPresentation, gen: tuple) -> UChain:
 
 
 def _as_per(x: UChain) -> UChain:
-    return UChain.make("per", dict(x.entries), x.clipped)
+    return UChain.make("per", dict(x.entries))
 
 
 def chain_of_monomial(A: AlgebraPresentation, mon: tuple) -> UChain:
@@ -328,6 +327,32 @@ def _eps_matrix(A: AlgebraPresentation, nf: int, D: int,
     return F2Matrix(H.dim, tuple(cols))
 
 
+# The squares of the three approximation diagrams, in report order: (name,
+# sequence, LES degree offset, LES map).  Around (n, D) a row compares that
+# map of les_maps(A, sequence, n + offset, D, S) with the model map in the
+# same position of MODELS[MODEL_OF[sequence]], around (n + offset, D).
+MODEL_OF = {"minus_les": "minus", "connes": "plus", "per_les": "per"}
+SQUARES = (
+    ("psi.u=u.psi", "minus_les", 0, "u"),
+    ("h.psi=eps.r", "minus_les", 0, "h"),
+    ("psi.tau=bd.eps", "minus_les", 0, "bd"),
+    ("psi+.I=I.eps", "connes", 0, "I"),
+    ("eps.D=bd.psi+", "connes", 2, "bd"),
+    ("psiper.iota=iota.psi", "per_les", 0, "iota"),
+    ("psi+.S=S.psiper", "per_les", 0, "S"),
+    ("psi.bd=bd.psi+", "per_les", 2, "bd"),
+)
+PSI_THEORY = {tower: theory for theory, tower in THEORY_TOWER.items()}
+
+
+def _vertical(A: AlgebraPresentation, H: HomologyPresentation) -> F2Matrix:
+    """The comparison map into the LES space H, read at H's own depth:
+    antisymmetrization into HH, psi into the other theories."""
+    if H.theory == "hh":
+        return _eps_matrix(A, H.n, H.d, H)
+    return psi_matrix(A, PSI_THEORY[H.theory], H.n, H.d, H.S)[0]
+
+
 def verify_squares(A: AlgebraPresentation, max_homological: int,
                    max_internal: int, S: int = 3) -> list[dict]:
     """Residuals of the commuting squares of the three approximation
@@ -335,91 +360,21 @@ def verify_squares(A: AlgebraPresentation, max_homological: int,
     the difference of the two composite matrices (zero when the square
     commutes)."""
     out = []
-
-    def residual(name, n, D, mat1, mat2):
-        diff = mat1.add(mat2)
-        res = sum(bin(c).count("1") for c in diff.columns)
-        out.append({"square": name, "n": n, "internal": D, "residual": res})
-
     for n, D in bidegree_window(A, max_homological, max_internal):
-        d = D - n
-        # psi . u = u . psi  (ell (n+2, d-2) -> HC^-_n)
-        sp2 = ell_degree_basis(A, "ell", n + 2, d - 2)
-        if sp2.dim:
-            mu, _, _ = mul_u_matrix(A, "ell", n + 2, d - 2)
-            psi_n, _, H_n = psi_matrix(A, "hcminus", n, D, S)
-            psi_n2, _, H_n2 = psi_matrix(A, "hcminus", n + 2, D, S)
-            u_star = class_map(A, H_n2, H_n,
-                               slice_shift_map(A, H_n2.slice, H_n.slice, -1))
-            residual("psi.u=u.psi", n, D, psi_n.compose(mu),
-                     u_star.compose(psi_n2))
-        # h . psi = eps . r  (ell (n,d) -> HH_n)
-        sp = ell_degree_basis(A, "ell", n, d)
-        if sp.dim:
-            psi_n, _, H_n = psi_matrix(A, "hcminus", n, D, S)
-            Hh = homology(A, "hh", n, D, S)
-            h_star = class_map(A, H_n, Hh,
-                               slice_shift_map(A, H_n.slice, Hh.slice, 0))
-            mr, _, omv = r_matrix(A, n, d)
-            eps = _eps_matrix(A, n, D, Hh)
-            residual("h.psi=eps.r", n, D, h_star.compose(psi_n),
-                     eps.compose(mr))
-        # psi . tau = bd . eps  (Omega^n_D -> HC^-_{n+1})
-        som = omega_basis(A, n, D)
-        if som.dim:
-            mt, _, _ = tau_matrix(A, n, D)
-            les = les_maps(A, "minus_les", n, D, S)
-            # bd lands in HC^- truncated one column shallower when ungraded
-            psi_n1, _, _ = psi_matrix(A, "hcminus", n + 1, D,
-                                      les.spaces["Hminus_n1"].S)
-            Hh = les.spaces["HH_n"]
-            eps = _eps_matrix(A, n, D, Hh)
-            residual("psi.tau=bd.eps", n, D, psi_n1.compose(mt),
-                     les.maps["bd"].compose(eps))
-        # plus diagram: psi+ . I = I* . eps   (Omega^n_D -> HC_n)
-        if som.dim and n >= 0:
-            mI, _, _ = I_matrix(A, n, D)
-            psip, _, Hc = psi_matrix(A, "hc", n, D, S)
-            Hh = homology(A, "hh", n, D, S)
-            I_star = class_map(A, Hh, Hc,
-                               slice_shift_map(A, Hh.slice, Hc.slice, 0))
-            eps = _eps_matrix(A, n, D, Hh)
-            residual("psi+.I=I.eps", n, D, psip.compose(mI),
-                     I_star.compose(eps))
-        # plus diagram: eps . D = bd . psi+  (ell+ (n,d) -> HH_{n+1})
-        spp = ell_degree_basis(A, "ell_plus", n, d)
-        if spp.dim and n >= 0:
-            mD, _, _ = D_matrix(A, n, d)
-            Hh1 = homology(A, "hh", n + 1, D, S)
-            eps1 = _eps_matrix(A, n + 1, D, Hh1)
-            psip, _, Hc = psi_matrix(A, "hc", n, D, S)
-            les = les_maps(A, "connes", n + 2, D, S)
-            residual("eps.D=bd.psi+", n, D, eps1.compose(mD),
-                     les.maps["bd"].compose(psip))
-        # per diagram: psi_per . iota = iota* . psi  (ell (n,d) -> HCper_n)
-        if sp.dim:
-            mi, _, _ = iota_matrix(A, n, d)
-            psim, _, Hm = psi_matrix(A, "hcminus", n, D, S)
-            psiper, _, Hp = psi_matrix(A, "hcper", n, D, S)
-            iota_star = class_map(A, Hm, Hp,
-                                  slice_shift_map(A, Hm.slice, Hp.slice, 0))
-            residual("psiper.iota=iota.psi", n, D, psiper.compose(mi),
-                     iota_star.compose(psim))
-        # per diagram: psi+ . S = S* . psi_per  (ell_per (n,d) -> HC_{n-2})
-        spper = ell_degree_basis(A, "ell_per", n, d)
-        if spper.dim:
-            mS, _, _ = S_matrix(A, n, d)
-            psiper, _, Hp = psi_matrix(A, "hcper", n, D, S)
-            psip2, _, _ = psi_matrix(A, "hc", n - 2, D, S)
-            les = les_maps(A, "per_les", n, D, S)
-            residual("psi+.S=S.psiper", n, D, psip2.compose(mS),
-                     les.maps["S"].compose(psiper))
-        # per diagram: psi . bd_ell = bd . psi+  (ell+ (n,d) -> HC^-_{n+1})
-        if spp.dim:
-            mbd, _, _ = bd_plus_matrix(A, n, d)
-            psim1, _, _ = psi_matrix(A, "hcminus", n + 1, D, S)
-            psip, _, Hc = psi_matrix(A, "hc", n, D, S)
-            les = les_maps(A, "per_les", n + 2, D, S)
-            residual("psi.bd=bd.psi+", n, D, psim1.compose(mbd),
-                     les.maps["bd"].compose(psip))
+        les = None  # rows on one sequence and degree are adjacent: one call
+        for name, which, offset, les_map in SQUARES:
+            k = SEQUENCES[which].maps.index(les_map)
+            entry = tuple(MODELS[MODEL_OF[which]].values())[k]
+            m, d = n + offset, D - n - offset
+            if not model_space(A, entry[0], m, d).dim:
+                continue
+            model = model_matrix(A, entry, m, d)[0]
+            if les is None or (les.which, les.n) != (which, m):
+                les = les_maps(A, which, m, D, S)
+            src, tgt = tuple(les.spaces.values())[k:k + 2]
+            diff = _vertical(A, tgt).compose(model).add(
+                les.maps[les_map].compose(_vertical(A, src)))
+            out.append({"square": name, "n": n, "internal": D,
+                        "residual": sum(bin(c).count("1")
+                                        for c in diff.columns)})
     return out

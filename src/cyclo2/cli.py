@@ -169,11 +169,14 @@ def load_presentation(path: str) -> AlgebraPresentation:
         if poly:
             relations.append(poly)
     try:
-        return AlgebraPresentation(
+        A = AlgebraPresentation(
             tuple(gen_names), tuple(gen_degs), tuple(relations),
             graded=graded,
             augmentation=tuple(gen_augs) if explicit_aug else None,
             name=name or os.path.splitext(os.path.basename(path))[0])
+        if not graded:
+            A.basis_all()  # raises NotFiniteTypeError on an infinite algebra
+        return A
     except PresentationError as exc:
         raise CLIError(str(exc)) from None
 

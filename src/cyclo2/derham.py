@@ -23,8 +23,6 @@ from .gralg import AlgebraPresentation, Monomial, grevlex_key
 FormGen = tuple  # (monomial, tuple of generator indices)
 OmegaElement = frozenset  # frozenset[FormGen]
 
-ZERO_FORM: OmegaElement = frozenset()
-
 
 class DeRhamError(Exception):
     pass

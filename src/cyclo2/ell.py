@@ -20,6 +20,11 @@ instance's upper degree); the ell_per instances are the iota images of the
 ell ones.  The flavors that keep only some ell candidates project the ell
 relation span onto them.
 
+The structural maps of the three modelled exact sequences (u, r, tau; I, D;
+iota, S, bd) form one table, MODELS, aligned with cyclic.SEQUENCES; a map is
+its source and target space plus an element-level map, and model_matrix
+turns it into a matrix.
+
 Bidegrees here are (homological, upper): |delta(a)| = |a|-1, |phi(a)| = 2|a|,
 |q(a)| = 2|a|-1, |u| = 2, |gamma(a)| = |a|, |v^i| = -2i, and homological
 degrees 1, 0, 1, -2, 0, 2i respectively.
@@ -52,13 +57,6 @@ def _sorted(A: AlgebraPresentation, ms) -> tuple[Monomial, ...]:
 
 
 # ----- monomial constructors and multiplication -----
-
-def unit_mon() -> EllMonomial:
-    return ("e", 0, (), (), ())
-
-
-UNIT: EllElement = frozenset({unit_mon()})
-
 
 def _phi_insert(A: AlgebraPresentation, phi: tuple, m: Monomial) -> frozenset:
     """Insert a phi factor, rewriting phi(m)^2 = phi(m^2) on collision."""
@@ -665,32 +663,115 @@ def map_tau(A: AlgebraPresentation, g) -> EllElement:
     return out
 
 
-def r_matrix(A: AlgebraPresentation, n: int, d: int):
-    """Matrix of r from ell bidegree (n, d) to Omega^n at internal n + d."""
-    src = ell_degree_basis(A, "ell", n, d)
-    tgt = omega_basis(A, n, n + d)
-    cols = [tgt.coords(map_r(A, m)) for m in src.basis()]
-    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
+_U: EllMonomial = ("e", 1, (), (), ())
 
 
-def tau_matrix(A: AlgebraPresentation, nform: int, D: int):
-    """Matrix of tau from Omega^nform at internal D to ell bidegree
-    (nform + 1, D - nform - 1)."""
-    src = omega_basis(A, nform, D)
-    tgt = ell_degree_basis(A, "ell", nform + 1, D - nform - 1)
-    cols = [tgt.coords(map_tau(A, g)) for g in src.basis()]
+def map_u(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
+    """Multiplication by u, on ell and on the ell_plus module."""
+    return (ell_mon_mul if mon[0] == "e" else plus_mon_mul)(A, _U, mon)
+
+
+def map_I(A: AlgebraPresentation, g) -> EllElement:
+    """I: a0 da1 ... dan -> gamma(a0) delta(a1) ... delta(an)."""
+    m, dgs = g
+    el = gamma_el(A, frozenset({m}))
+    for i in dgs:
+        el = el_mul(A, del_el(A, frozenset({A.gen_monomial(i)})), el,
+                    mul=plus_mon_mul)
+    return el
+
+
+def map_D(A: AlgebraPresentation, mon: EllMonomial) -> OmegaElement:
+    """D: gamma(a) -> da and v^i -> 0, extended ell-linearly."""
+    if mon[0] == "v":
+        return frozenset()
+    _, phi, q, dl, m = mon
+    dm = frozenset((c, (i,)) for c, i in d_monomial(A, m))
+    return form_mul(A, map_r(A, ("e", 0, phi, q, dl)), dm)
+
+
+def map_iota(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
+    """iota: ell -> ell_per, killing delta and keeping phi, q, u."""
+    return _iota(frozenset({mon}))
+
+
+def map_S(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
+    """S: ell_per -> ell_plus, u^{-i} -> v^{i-1}; u^j = u^{j+1} u^{-1}
+    lands on u^{j+1} v^0."""
+    _, j, phi, q = mon
+    return frozenset({("v", 0, -j - 1, phi, q) if j < 0
+                      else ("v", j + 1, 0, phi, q)})
+
+
+def map_bd(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
+    """The connecting model ell_plus -> ell: gamma(a) -> delta(a) and
+    v^i -> 0, extended ell-linearly."""
+    if mon[0] == "v":
+        return ZERO_ELL
+    _, phi, q, dl, m = mon
+    return el_mul(A, frozenset({("e", 0, phi, q, dl)}),
+                  del_el(A, frozenset({m})))
+
+
+# The modelled exact sequences, one row for each of the minus, Connes and
+# periodic sequences of cyclic.SEQUENCES, its four maps in their order there:
+#   minus: ... -> ell -(.u)-> ell -(r)-> Omega -(tau)-> ell -> ...
+#   plus:  ... -> Omega -(I)-> ell+ -(.u)-> ell+ -(D)-> Omega -> ...
+#   per:   ... -> ell -(iota)-> ell_per -(S)-> ell+ -(bd)-> ell -> ...
+# Each map is (source, target, element map); a space (flavor, k) around
+# bidegree (n, d) sits in homological degree n + k at internal degree n + d,
+# where the flavor "omega" is Omega^{n+k}.
+MODELS = {
+    "minus": {"u": (("ell", 2), ("ell", 0), map_u),
+              "r": (("ell", 0), ("omega", 0), map_r),
+              "tau": (("omega", 0), ("ell", 1), map_tau),
+              "u_next": (("ell", 1), ("ell", -1), map_u)},
+    "plus": {"I": (("omega", 0), ("ell_plus", 0), map_I),
+             "u": (("ell_plus", 0), ("ell_plus", -2), map_u),
+             "D": (("ell_plus", -2), ("omega", -1), map_D),
+             "I_next": (("omega", -1), ("ell_plus", -1), map_I)},
+    "per": {"iota": (("ell", 0), ("ell_per", 0), map_iota),
+            "S": (("ell_per", 0), ("ell_plus", -2), map_S),
+            "bd": (("ell_plus", -2), ("ell", -1), map_bd),
+            "iota_next": (("ell", -1), ("ell_per", -1), map_iota)},
+}
+
+
+def model_space(A: AlgebraPresentation, space: tuple, n: int, d: int):
+    """The space (flavor, k) of a model map around bidegree (n, d)."""
+    flavor, k = space
+    if flavor == "omega":
+        return omega_basis(A, n + k, n + d)
+    return ell_degree_basis(A, flavor, n + k, d - k)
+
+
+def model_matrix(A: AlgebraPresentation, entry: tuple, n: int, d: int):
+    """(matrix, source, target) of a model map (source, target, element
+    map) around bidegree (n, d)."""
+    src_space, tgt_space, f = entry
+    src = model_space(A, src_space, n, d)
+    tgt = model_space(A, tgt_space, n, d)
+    cols = [tgt.coords(f(A, g)) for g in src.basis()]
     return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 
 def mul_u_matrix(A: AlgebraPresentation, flavor: str, n: int, d: int):
-    """Multiplication by u from (n, d) to (n - 2, d + 2)."""
-    src = ell_degree_basis(A, flavor, n, d)
-    tgt = ell_degree_basis(A, flavor, n - 2, d + 2)
-    u, mul = {"ell": (("e", 1, (), (), ()), ell_mon_mul),
-              "ell_plus": (("e", 1, (), (), ()), plus_mon_mul),
-              "ell_per": (("p", 1, (), ()), per_mon_mul)}[flavor]
-    cols = [tgt.coords(mul(A, u, m)) for m in src.basis()]
-    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
+    """Multiplication by u from (n, d) to (n - 2, d + 2), on ell or ell+."""
+    return model_matrix(A, ((flavor, 0), (flavor, -2), map_u), n, d)
+
+
+def tau_matrix(A: AlgebraPresentation, nform: int, D: int):
+    """tau from Omega^nform at internal D to ell (nform + 1, D - nform - 1)."""
+    return model_matrix(A, MODELS["minus"]["tau"], nform, D - nform)
+
+
+def ell_chain_maps(A: AlgebraPresentation, theory: str, n: int,
+                   d: int) -> dict:
+    """The matrices of the four maps of MODELS[theory] around (n, d)."""
+    if theory not in MODELS:
+        raise EllError(f"unknown chain theory {theory!r}")
+    return {name: model_matrix(A, entry, n, d)[0]
+            for name, entry in MODELS[theory].items()}
 
 
 def gr_ell(A: AlgebraPresentation, n: int, d: int, imax: int) -> list[int]:
@@ -703,113 +784,6 @@ def gr_ell(A: AlgebraPresentation, n: int, d: int, imax: int) -> list[int]:
         vs = [tgt.coords(ell_mon_mul(A, ui, m)) for m in src.basis()]
         ranks.append(rank_of(vs))
     return [ranks[i] - ranks[i + 1] for i in range(imax + 1)]
-
-
-def I_matrix(A: AlgebraPresentation, nform: int, D: int):
-    """I: Omega^nform at internal D -> ell_plus (nform, D - nform),
-    a0 da1 ... dan -> gamma(a0) delta(a1) ... delta(an)."""
-    src = omega_basis(A, nform, D)
-    tgt = ell_degree_basis(A, "ell_plus", nform, D - nform)
-    cols = []
-    for m, dgs in src.basis():
-        el = gamma_el(A, frozenset({m}))
-        for i in dgs:
-            el = el_mul(A, del_el(A, frozenset({A.gen_monomial(i)})), el,
-                        mul=plus_mon_mul)
-        cols.append(tgt.coords(el))
-    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
-
-
-def D_matrix(A: AlgebraPresentation, n: int, d: int):
-    """D: ell_plus (n, d) -> Omega^{n+1} at internal n + d,
-    gamma(a) -> da and v^i -> 0, extended ell-linearly."""
-    src = ell_degree_basis(A, "ell_plus", n, d)
-    tgt = omega_basis(A, n + 1, n + d)
-    cols = []
-    for mon in src.basis():
-        if mon[0] == "v":
-            cols.append(0)
-            continue
-        _, phi, q, dl, m = mon
-        coeff = map_r(A, ("e", 0, phi, q, dl))
-        dm = frozenset((c, (i,)) for c, i in d_monomial(A, m))
-        cols.append(tgt.coords(form_mul(A, coeff, dm)))
-    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
-
-
-def iota_matrix(A: AlgebraPresentation, n: int, d: int):
-    """iota: ell -> ell_per, killing delta and keeping phi, q, u."""
-    src = ell_degree_basis(A, "ell", n, d)
-    tgt = ell_degree_basis(A, "ell_per", n, d)
-    cols = [tgt.coords(_iota(frozenset({mon}))) for mon in src.basis()]
-    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
-
-
-def S_matrix(A: AlgebraPresentation, n: int, d: int):
-    """S: ell_per (n, d) -> ell_plus (n - 2, d + 2), u^{-i} -> v^{i-1}."""
-    src = ell_degree_basis(A, "ell_per", n, d)
-    tgt = ell_degree_basis(A, "ell_plus", n - 2, d + 2)
-    cols = []
-    for mon in src.basis():
-        _, j, phi, q = mon
-        if j < 0:
-            x = ("v", 0, -j - 1, phi, q)
-        else:
-            # u^j = u^{j+1} u^{-1}: lands on u^{j+1} v^0
-            x = ("v", j + 1, 0, phi, q)
-        cols.append(tgt.coords(frozenset({x})))
-    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
-
-
-def bd_plus_matrix(A: AlgebraPresentation, n: int, d: int):
-    """The connecting model ell_plus (n, d) -> ell (n + 1, d - 1):
-    gamma(a) -> delta(a), v^i -> 0, extended ell-linearly."""
-    src = ell_degree_basis(A, "ell_plus", n, d)
-    tgt = ell_degree_basis(A, "ell", n + 1, d - 1)
-    cols = []
-    for mon in src.basis():
-        if mon[0] == "v":
-            cols.append(0)
-            continue
-        _, phi, q, dl, m = mon
-        el = el_mul(A, frozenset({("e", 0, phi, q, dl)}),
-                    del_el(A, frozenset({m})))
-        cols.append(tgt.coords(el))
-    return F2Matrix(tgt.dim, tuple(cols)), src, tgt
-
-
-def ell_chain_maps(A: AlgebraPresentation, theory: str, n: int, d: int) -> dict:
-    """The maps of the modelled exact sequence around bidegree (n, d).
-
-    theory "minus": ... -> ell -(.u)-> ell -(r)-> Omega -(tau)-> ell -> ...
-    theory "plus":  ... -> Omega -(I)-> ell+ -(.u)-> ell+ -(D)-> Omega -> ...
-    theory "per":   ... -> ell -(iota)-> ell_per -(S)-> ell+ -(bd)-> ell -> ...
-    """
-    if theory == "minus":
-        mu, s_u, _ = mul_u_matrix(A, "ell", n + 2, d - 2)
-        mr, s_r, t_r = r_matrix(A, n, d)
-        mt, s_t, t_t = tau_matrix(A, n, n + d)
-        mu2, _, _ = mul_u_matrix(A, "ell", n + 1, d - 1)
-        return {"u": mu, "r": mr, "tau": mt, "u_next": mu2,
-                "spaces": {"ell_n2": s_u, "ell_n": s_r, "omega": s_r,
-                           "omega_space": t_r, "ell_n1": t_t}}
-    if theory == "plus":
-        mI, sI, tI = I_matrix(A, n, n + d)
-        mu, _, _ = mul_u_matrix(A, "ell_plus", n, d)
-        mD, sD, tD = D_matrix(A, n - 2, d + 2)
-        mI2, _, _ = I_matrix(A, n - 1, n + d)
-        return {"I": mI, "u": mu, "D": mD, "I_next": mI2,
-                "spaces": {"omega": sI, "plus_n": tI, "plus_n2": sD,
-                           "omega_next": tD}}
-    if theory == "per":
-        mi, si, ti = iota_matrix(A, n, d)
-        mS, _, tS = S_matrix(A, n, d)
-        mbd, _, tbd = bd_plus_matrix(A, n - 2, d + 2)
-        mi2, _, _ = iota_matrix(A, n - 1, d + 1)
-        return {"iota": mi, "S": mS, "bd": mbd, "iota_next": mi2,
-                "spaces": {"ell_n": si, "per_n": ti, "plus_n2": tS,
-                           "ell_n1": tbd}}
-    raise EllError(f"unknown chain theory {theory!r}")
 
 
 # ----- the deformation model (Omega[u], *) -----

@@ -97,6 +97,9 @@ class AlgebraPresentation:
                 raise PresentationError("ungraded mode requires degree-0 generators")
         self.groebner = self._buchberger()
         self.lead_terms = tuple(leading_monomial(g) for g in self.groebner)
+        if self.one in self.lead_terms:
+            raise PresentationError(
+                "the relations generate the unit ideal: the algebra is zero")
         self.monomial_ideal = all(len(g) == 1 for g in self.groebner)
         explicit = self.augmentation is not None
         self._aug = self.augmentation if explicit else (0,) * k

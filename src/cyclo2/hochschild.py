@@ -200,7 +200,6 @@ class UChain:
 
     theory: str
     entries: tuple[tuple[int, ChainElement], ...]
-    clipped: bool = False
 
     def __post_init__(self):
         if self.theory not in THEORIES:
@@ -212,10 +211,9 @@ class UChain:
                 raise ChainError("positive u-exponent in a plus chain")
 
     @classmethod
-    def make(cls, theory: str, entries: dict[int, ChainElement],
-             clipped: bool = False) -> "UChain":
+    def make(cls, theory: str, entries: dict[int, ChainElement]) -> "UChain":
         items = tuple(sorted((i, c) for i, c in entries.items() if c))
-        return cls(theory, items, clipped)
+        return cls(theory, items)
 
     def entry(self, i: int) -> ChainElement:
         for j, c in self.entries:
@@ -233,8 +231,7 @@ class UChain:
         for i, c in self.entries + other.entries:
             acc.setdefault(i, set()).symmetric_difference_update(c)
         return UChain.make(self.theory,
-                           {i: frozenset(s) for i, s in acc.items()},
-                           self.clipped or other.clipped)
+                           {i: frozenset(s) for i, s in acc.items()})
 
     def total_degrees(self, A: AlgebraPresentation) -> tuple[int, int]:
         """(homological, internal) bidegree; requires homogeneity."""
@@ -254,18 +251,15 @@ def unit_uchain(A: AlgebraPresentation, theory: str = "minus",
     return UChain.make(theory, {exponent: frozenset({(A.one, ())})})
 
 
-def mu_chain(A: AlgebraPresentation, x: UChain, y: UChain,
-             window: int | None = None) -> UChain:
+def mu_chain(A: AlgebraPresentation, x: UChain, y: UChain) -> UChain:
     """The chain-level product: shuffle part plus u times the cyclic part.
 
     Works for minus x minus, per x per and the module pairings where one
     factor is a minus chain.  In the plus theory, terms pushed above u^0 are
-    quotiented away; with a per window, terms below -window are dropped and
-    the result is marked clipped.
+    quotiented away.
     """
     theory = _combine_theories(x.theory, y.theory)
     acc: dict[int, set] = {}
-    clipped = x.clipped or y.clipped
     one = A.one
 
     def add_word(exp: int, w: BarWord):
@@ -278,31 +272,24 @@ def mu_chain(A: AlgebraPresentation, x: UChain, y: UChain,
                     p, q = len(b1), len(b2)
                     # shuffle part at u^{i+j}
                     e0 = i + j
-                    keep0 = not (theory == "plus" and e0 > 0)
-                    if keep0 and not (window is not None and e0 < -window):
+                    if not (theory == "plus" and e0 > 0):
                         heads = A.mul(h1, h2)
                         content = b1 + b2
                         for tau in shuffles(p, q):
                             bars = act(tau, content)
                             for h in heads:
                                 add_word(e0, (h, bars))
-                    elif window is not None and e0 < -window:
-                        clipped = True
                     # cyclic-shuffle part at u^{i+j+1}; dies if a head is 1
                     if h1 == one or h2 == one:
                         continue
                     e1 = i + j + 1
                     if theory == "plus" and e1 > 0:
                         continue
-                    if window is not None and e1 < -window:
-                        clipped = True
-                        continue
                     content = (h1,) + b1 + (h2,) + b2
                     for sigma in cyclic_shuffles(p + 1, q + 1):
                         bars = act_inverse(sigma, content)
                         add_word(e1, (one, bars))
-    return UChain.make(theory, {i: frozenset(s) for i, s in acc.items()},
-                       clipped)
+    return UChain.make(theory, {i: frozenset(s) for i, s in acc.items()})
 
 
 def uchain_boundary(A: AlgebraPresentation, x: UChain) -> UChain:
@@ -315,14 +302,12 @@ def uchain_boundary(A: AlgebraPresentation, x: UChain) -> UChain:
         Bc = connes_B(A, c)
         if Bc and not (x.theory == "plus" and i + 1 > 0):
             acc.setdefault(i + 1, set()).symmetric_difference_update(Bc)
-    return UChain.make(x.theory, {i: frozenset(s) for i, s in acc.items()},
-                       x.clipped)
+    return UChain.make(x.theory, {i: frozenset(s) for i, s in acc.items()})
 
 
 def scale_u(x: UChain, k: int = 1) -> UChain:
     """Multiply by u^k (shift exponents); plus-theory overflow is quotiented."""
     acc = {}
-    clipped = x.clipped
     for i, c in x.entries:
         e = i + k
         if x.theory == "minus" and e < 0:
@@ -330,4 +315,4 @@ def scale_u(x: UChain, k: int = 1) -> UChain:
         if x.theory == "plus" and e > 0:
             continue
         acc[e] = c
-    return UChain.make(x.theory, acc, clipped)
+    return UChain.make(x.theory, acc)

@@ -1,24 +1,37 @@
 """Shared test plumbing: echo acceptance pass/fail lines past capture, the
-default hypothesis profile, and the slow elimination, differential and
-relation-instance oracles."""
+default hypothesis profile, and the slow elimination, differential,
+relation-instance and commuting-square oracles."""
 
 import itertools
 
 from hypothesis import settings
 
+from cyclo2.approx import _eps_matrix, psi_matrix
+from cyclo2.cyclic import bidegree_window, class_map, homology, les_maps, \
+    slice_shift_map
+from cyclo2.derham import omega_basis
 from cyclo2.ell import (
     _arg_pool,
     _element_bidegree,
     del_el,
     el_mul,
+    ell_degree_basis,
     gamma_el,
+    map_bd,
+    map_D,
+    map_I,
+    map_iota,
+    map_r,
+    map_S,
+    map_tau,
+    map_u,
     per_mon_mul,
     phi_el,
     plus_mon_mul,
     q_el,
     v_mon,
 )
-from cyclo2.f2linalg import SubspaceBasis, complement_basis
+from cyclo2.f2linalg import F2Matrix, SubspaceBasis, complement_basis
 from cyclo2.hochschild import boundary_b, connes_B
 
 # Fixed examples and no deadline: every run draws the same cases in bounded
@@ -283,3 +296,107 @@ def oracle_plus_instances(A, lo, hi):
 ORACLE_INSTANCES = {"ell": oracle_ell_instances,
                     "per": oracle_per_instances,
                     "plus": oracle_plus_instances}
+
+
+# ----- the eight hand-built commuting squares, kept as a slow oracle -----
+
+def _oracle_matrix(A, src, tgt, f):
+    return F2Matrix(tgt.dim, tuple(tgt.coords(f(A, g)) for g in src.basis()))
+
+
+def oracle_verify_squares(A, max_homological, max_internal, S=3):
+    """verify_squares written out square by square: every model map from
+    its own spaces, the HC maps u, h, I and iota as class maps of slice
+    shifts, psi at depth S except into the HC^- that bd lands in."""
+    out = []
+
+    def residual(name, n, D, mat1, mat2):
+        diff = mat1.add(mat2)
+        res = sum(bin(c).count("1") for c in diff.columns)
+        out.append({"square": name, "n": n, "internal": D, "residual": res})
+
+    def ell(flavor, n, d):
+        return ell_degree_basis(A, flavor, n, d)
+
+    for n, D in bidegree_window(A, max_homological, max_internal):
+        d = D - n
+        # psi . u = u . psi  (ell (n+2, d-2) -> HC^-_n)
+        sp2 = ell("ell", n + 2, d - 2)
+        if sp2.dim:
+            mu = _oracle_matrix(A, sp2, ell("ell", n, d), map_u)
+            psi_n, _, H_n = psi_matrix(A, "hcminus", n, D, S)
+            psi_n2, _, H_n2 = psi_matrix(A, "hcminus", n + 2, D, S)
+            u_star = class_map(A, H_n2, H_n,
+                               slice_shift_map(A, H_n2.slice, H_n.slice, -1))
+            residual("psi.u=u.psi", n, D, psi_n.compose(mu),
+                     u_star.compose(psi_n2))
+        # h . psi = eps . r  (ell (n,d) -> HH_n)
+        sp = ell("ell", n, d)
+        if sp.dim:
+            psi_n, _, H_n = psi_matrix(A, "hcminus", n, D, S)
+            Hh = homology(A, "hh", n, D, S)
+            h_star = class_map(A, H_n, Hh,
+                               slice_shift_map(A, H_n.slice, Hh.slice, 0))
+            mr = _oracle_matrix(A, sp, omega_basis(A, n, D), map_r)
+            eps = _eps_matrix(A, n, D, Hh)
+            residual("h.psi=eps.r", n, D, h_star.compose(psi_n),
+                     eps.compose(mr))
+        # psi . tau = bd . eps  (Omega^n_D -> HC^-_{n+1})
+        som = omega_basis(A, n, D)
+        if som.dim:
+            mt = _oracle_matrix(A, som, ell("ell", n + 1, d - 1), map_tau)
+            les = les_maps(A, "minus_les", n, D, S)
+            # bd lands in HC^- truncated one column shallower when ungraded
+            psi_n1, _, _ = psi_matrix(A, "hcminus", n + 1, D,
+                                      les.spaces["Hminus_n1"].S)
+            Hh = les.spaces["HH_n"]
+            eps = _eps_matrix(A, n, D, Hh)
+            residual("psi.tau=bd.eps", n, D, psi_n1.compose(mt),
+                     les.maps["bd"].compose(eps))
+        # plus diagram: psi+ . I = I* . eps   (Omega^n_D -> HC_n)
+        if som.dim and n >= 0:
+            mI = _oracle_matrix(A, som, ell("ell_plus", n, d), map_I)
+            psip, _, Hc = psi_matrix(A, "hc", n, D, S)
+            Hh = homology(A, "hh", n, D, S)
+            I_star = class_map(A, Hh, Hc,
+                               slice_shift_map(A, Hh.slice, Hc.slice, 0))
+            eps = _eps_matrix(A, n, D, Hh)
+            residual("psi+.I=I.eps", n, D, psip.compose(mI),
+                     I_star.compose(eps))
+        # plus diagram: eps . D = bd . psi+  (ell+ (n,d) -> HH_{n+1})
+        spp = ell("ell_plus", n, d)
+        if spp.dim and n >= 0:
+            mD = _oracle_matrix(A, spp, omega_basis(A, n + 1, D), map_D)
+            Hh1 = homology(A, "hh", n + 1, D, S)
+            eps1 = _eps_matrix(A, n + 1, D, Hh1)
+            psip, _, Hc = psi_matrix(A, "hc", n, D, S)
+            les = les_maps(A, "connes", n + 2, D, S)
+            residual("eps.D=bd.psi+", n, D, eps1.compose(mD),
+                     les.maps["bd"].compose(psip))
+        # per diagram: psi_per . iota = iota* . psi  (ell (n,d) -> HCper_n)
+        if sp.dim:
+            mi = _oracle_matrix(A, sp, ell("ell_per", n, d), map_iota)
+            psim, _, Hm = psi_matrix(A, "hcminus", n, D, S)
+            psiper, _, Hp = psi_matrix(A, "hcper", n, D, S)
+            iota_star = class_map(A, Hm, Hp,
+                                  slice_shift_map(A, Hm.slice, Hp.slice, 0))
+            residual("psiper.iota=iota.psi", n, D, psiper.compose(mi),
+                     iota_star.compose(psim))
+        # per diagram: psi+ . S = S* . psi_per  (ell_per (n,d) -> HC_{n-2})
+        spper = ell("ell_per", n, d)
+        if spper.dim:
+            mS = _oracle_matrix(A, spper, ell("ell_plus", n - 2, d + 2), map_S)
+            psiper, _, Hp = psi_matrix(A, "hcper", n, D, S)
+            psip2, _, _ = psi_matrix(A, "hc", n - 2, D, S)
+            les = les_maps(A, "per_les", n, D, S)
+            residual("psi+.S=S.psiper", n, D, psip2.compose(mS),
+                     les.maps["S"].compose(psiper))
+        # per diagram: psi . bd_ell = bd . psi+  (ell+ (n,d) -> HC^-_{n+1})
+        if spp.dim:
+            mbd = _oracle_matrix(A, spp, ell("ell", n + 1, d - 1), map_bd)
+            psim1, _, _ = psi_matrix(A, "hcminus", n + 1, D, S)
+            psip, _, Hc = psi_matrix(A, "hc", n, D, S)
+            les = les_maps(A, "per_les", n + 2, D, S)
+            residual("psi.bd=bd.psi+", n, D, psim1.compose(mbd),
+                     les.maps["bd"].compose(psip))
+    return out

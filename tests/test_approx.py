@@ -1,10 +1,14 @@
 import gc
+import os
 import random
 import weakref
 
 import pytest
 
+from conftest import oracle_verify_squares
 from cyclo2.approx import (
+    MODEL_OF,
+    SQUARES,
     ApproxError,
     chain_of_monomial,
     psi_class,
@@ -13,8 +17,9 @@ from cyclo2.approx import (
     verify_approximation,
     verify_squares,
 )
-from cyclo2.cyclic import homology, vectorize
-from cyclo2.ell import ell_degree_basis
+from cyclo2.cli import load_presentation
+from cyclo2.cyclic import SEQUENCES, homology, vectorize
+from cyclo2.ell import MODELS, ell_degree_basis
 from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
     polynomial_algebra, trivial_algebra
 from cyclo2.hochschild import UChain, chain, mu_chain, uchain_boundary
@@ -29,6 +34,21 @@ ONE = (0,)
 
 def w(head, *bars):
     return chain([(head, tuple(bars))])
+
+
+def _cube():
+    return AlgebraPresentation(("x",), (0,), (frozenset({(3,)}),),
+                               graded=False, name="F2[x]/(x^3)")
+
+
+def _cusp():
+    return AlgebraPresentation(("x", "y"), (1, 1),
+                               (frozenset({(2, 1), (0, 3)}),), name="cusp")
+
+
+def _fixture(name):
+    return load_presentation(os.path.join(os.path.dirname(__file__), "..",
+                                          "fixtures", name))
 
 
 def test_generator_images():
@@ -160,11 +180,71 @@ def test_verify_squares_f4():
 def test_verify_squares_truncated_cube():
     # the second non-smooth input after the dual numbers: every square of
     # the three diagrams commutes on the truncated towers
-    A = AlgebraPresentation(("x",), (0,), (frozenset({(3,)}),),
-                            graded=False, name="F2[x]/(x^3)")
-    records = verify_squares(A, 3, 0, 3)
+    records = verify_squares(_cube(), 3, 0, 3)
     assert len(records) == 32
     assert sum(r["residual"] for r in records) == 0
+
+
+# the theory of the LES space that each model space maps to, and the name
+# of that vertical map in the square names
+FLAVOR_THEORY = {"ell": "minus", "ell_plus": "plus", "ell_per": "per",
+                 "omega": "hh"}
+VERTICAL = {"minus": "psi", "plus": "psi+", "per": "psiper", "hh": "eps"}
+
+
+def _corners(which):
+    """(theory, degree offset) of L_n, M_n, N_n, L_{n-1}, M_{n-1}."""
+    (tl, ol), (tm, om), (tn, on) = SEQUENCES[which].towers
+    return (tl, ol), (tm, om), (tn, on), (tl, ol - 1), (tm, om - 1)
+
+
+def test_models_sit_on_the_les_corners():
+    assert set(MODEL_OF) == set(SEQUENCES)
+    for which, theory in MODEL_OF.items():
+        corners = _corners(which)
+        for k, (src, tgt, _) in enumerate(MODELS[theory].values()):
+            for (flavor, offset), corner in ((src, corners[k]),
+                                             (tgt, corners[k + 1])):
+                assert (FLAVOR_THEORY[flavor], offset) == corner, \
+                    (theory, k)
+
+
+def test_square_names_follow_the_tables():
+    # a square named a.b=c.d composes the model map with the vertical map
+    # into its target, and the LES map with the one into its source
+    assert len({row[1:] for row in SQUARES}) == len(SQUARES) == 8
+    for name, which, _, les_map in SQUARES:
+        k = SEQUENCES[which].maps.index(les_map)
+        model = tuple(MODELS[MODEL_OF[which]])[k]
+        corners = _corners(which)
+        v_src, v_tgt = (VERTICAL[corners[i][0]] for i in (k, k + 1))
+        assert set(name.split("=")) == {f"{v_tgt}.{model}",
+                                        f"{les_map}.{v_src}"}, name
+
+
+# (algebra, max_homological, max_internal, S)
+SQUARE_CASES = {
+    "f2.alg": (lambda: _fixture("f2.alg"), 3, 3, 3),
+    "poly_x.alg": (lambda: _fixture("poly_x.alg"), 3, 3, 3),
+    "poly_xy.alg": (lambda: _fixture("poly_xy.alg"), 3, 3, 3),
+    "poly_xyz.alg": (lambda: _fixture("poly_xyz.alg"), 2, 3, 3),
+    "dual_numbers.alg": (lambda: _fixture("dual_numbers.alg"), 3, 0, 3),
+    "f4.alg": (lambda: _fixture("f4.alg"), 3, 0, 3),
+    "F2[x,y], |y| = 2": (lambda: polynomial_algebra("xy", (1, 2)), 3, 3, 3),
+    "cusp": (_cusp, 3, 3, 3),
+    "F2[x]/(x^3), S = 2": (_cube, 2, 0, 2),
+    "F4, S = 2": (field_f4, 3, 0, 2),
+}
+
+
+@pytest.mark.parametrize("name", SQUARE_CASES)
+def test_squares_table_matches_oracle(name):
+    """The table of squares gives the records of the eight hand-built
+    blocks, each side on a fresh algebra."""
+    make, N, D, S = SQUARE_CASES[name]
+    records = verify_squares(make(), N, D, S)
+    assert records == oracle_verify_squares(make(), N, D, S)
+    assert records and all(r["residual"] == 0 for r in records)
 
 
 def test_report_serialization():

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclo2
 from cyclo2 import cli
@@ -55,6 +57,74 @@ def test_augmentation_inconsistency_rejected(tmp_path):
                  "[relations]\nx^2 + x + 1\n")
     with pytest.raises(CLIError):
         load_presentation(str(p))
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_infinite_ungraded_presentation_rejected(tmp_path, capsys, command):
+    # F2[x,y]/(x^2) is infinite dimensional: rejected when loaded, before
+    # any command enumerates its basis
+    p = tmp_path / "infinite.alg"
+    p.write_text("[options]\ngraded = false\n[generators]\nx 0\ny 0\n"
+                 "[relations]\nx^2\n")
+    with pytest.raises(CLIError):
+        run(RunConfig(str(p), command))
+    assert main(["--input", str(p), "--command", command]) == 2
+    assert "not finite type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graded, degree", [("true", 1), ("false", 0)])
+def test_zero_algebra_rejected(tmp_path, capsys, graded, degree):
+    # the relation 1 is homogeneous (of degree 0), so in graded mode only
+    # the unit-ideal check stops it before a command meets the empty basis
+    p = tmp_path / "zero.alg"
+    p.write_text(f"[options]\ngraded = {graded}\n[generators]\n"
+                 f"x {degree}\n[relations]\n1\n")
+    for command in cli.COMMANDS:
+        assert main(["--input", str(p), "--command", command]) == 2
+        assert "unit ideal" in capsys.readouterr().err
+
+
+THEORIES_OF = {"compute": cli.THEORIES,
+               "verify-approx": ("hcminus", "hc", "hcper"),
+               "spectral": ("hh", "hc", "hcminus", "hcper"),
+               "tables": ("ell",)}
+
+
+@st.composite
+def presentation_texts(draw):
+    """Graded and ungraded presentations on 1-2 generators with at most one
+    relation of 1-3 terms, which may leave an ungraded algebra infinite or
+    a graded one inhomogeneous."""
+    graded = draw(st.booleans())
+    names = "xy"[:draw(st.integers(1, 2))]
+    lines = ["[options]", f"graded = {str(graded).lower()}", "[generators]"]
+    lines += [f"{g} {draw(st.integers(1, 3)) if graded else 0}"
+              for g in names]
+    lines.append("[relations]")
+    if draw(st.booleans()):
+        exponents = st.tuples(*[st.integers(0, 3)] * len(names))
+        terms = draw(st.lists(exponents, min_size=1, max_size=3,
+                              unique=True))
+        lines.append(" + ".join(
+            "*".join(f"{g}^{e}" for g, e in zip(names, t) if e) or "1"
+            for t in terms))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200)
+@given(text=presentation_texts(), command=st.sampled_from(cli.COMMANDS),
+       data=st.data())
+def test_exit_status_is_never_internal_error(text, command, data):
+    theory = data.draw(st.sampled_from(THEORIES_OF[command]))
+    n, d = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "random.alg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        status = main(["--input", path, "--command", command, "--theory",
+                       theory, "--max-homological", str(n),
+                       "--max-internal", str(d), "--columns", "2"])
+    assert status in (0, 2), (text, command, theory, n, d)
 
 
 def test_compute_hcminus_f2():

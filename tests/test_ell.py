@@ -16,10 +16,8 @@ from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
     polynomial_algebra, trivial_algebra
 from cyclo2 import ell as ell_module
 from cyclo2.ell import (
-    D_matrix,
+    MODELS,
     EllError,
-    I_matrix,
-    S_matrix,
     _instances,
     _mon_sort_key,
     del_el,
@@ -30,9 +28,9 @@ from cyclo2.ell import (
     ell_monomials,
     f_bar,
     gr_ell,
-    iota_matrix,
     map_r,
     map_tau,
+    model_matrix,
     mul_u_matrix,
     omega_u_gens,
     omega_u_reduce,
@@ -229,7 +227,7 @@ def test_ker_I_is_exact_forms():
     # Ker(I) = d Omega^{nf-1} (Prop on I), as a rank identity
     for nf in range(0, 2):
         for D in range(0, 6):
-            mI, src, _ = I_matrix(PX, nf, D)
+            mI, src, _ = model_matrix(PX, MODELS["plus"]["I"], nf, D - nf)
             _, ker, _ = rank_kernel_image(mI)
             from cyclo2.derham import d_matrix_columns
             if nf >= 1:
@@ -244,8 +242,10 @@ def test_D_circ_I_is_d():
     from cyclo2.derham import d_matrix_columns
     for nf in range(0, 2):
         for D in range(nf, 6):
-            mI, src, mid = I_matrix(PX, nf, D)
-            mD, src2, tgt = D_matrix(PX, nf, D - nf)
+            mI, src, mid = model_matrix(PX, MODELS["plus"]["I"], nf,
+                                        D - nf)
+            mD, src2, tgt = model_matrix(PX, MODELS["plus"]["D"], nf + 2,
+                                         D - nf - 2)
             assert src2 is mid or (src2.n, src2.d) == (mid.n, mid.d)
             dmat = F2Matrix(tgt.dim, tuple(d_matrix_columns(PX, nf, D)))
             assert mD.compose(mI).columns == dmat.columns
@@ -264,7 +264,7 @@ def test_iota_isomorphism_in_negative_degrees():
     # u delta(a) = 0 makes iota: ell -> ell_per an iso for n < 0
     for n in range(-4, 0):
         for d in range(0, 7):
-            mi, src, tgt = iota_matrix(PX, n, d)
+            mi, src, tgt = model_matrix(PX, MODELS["per"]["iota"], n, d)
             assert rank_kernel_image(mi)[0] == src.dim == tgt.dim, (n, d)
 
 
@@ -479,7 +479,7 @@ def test_unknown_flavor_rejected():
 
 def test_I_sends_form_to_gamma_delta():
     # I(x dy) = gamma(x) delta(y)
-    mI, src, tgt = I_matrix(PXY, 1, 2)
+    mI, src, tgt = model_matrix(PXY, MODELS["plus"]["I"], 1, 1)
     g = ((1, 0), (1,))  # x dy
     k = src.basis().index(g)
     img_mask = mI.columns[k]
@@ -490,7 +490,7 @@ def test_I_sends_form_to_gamma_delta():
 
 def test_S_sends_u_inverse_to_v0():
     # S(u^{-1}) = v^0, and v^0 = gamma(1) by the last plus relation
-    mS, src, tgt = S_matrix(PX, 2, -2)
+    mS, src, tgt = model_matrix(PX, MODELS["per"]["S"], 2, -2)
     k = src.basis().index(("p", -1, (), ()))
     img_mask = mS.columns[k]
     v0 = tgt.coords(frozenset({v_mon(0)}))

@@ -185,15 +185,6 @@ def test_plus_truncation():
     assert prod.entry(0) == w((1, 1, 0))
 
 
-def test_per_window_clipping_recorded():
-    x = UChain.make("per", {-2: w(X)})
-    y = UChain.make("per", {-2: w(Y)})
-    prod = mu_chain(A3, x, y, window=3)
-    assert prod.clipped
-    assert prod.entry(-4) == frozenset()
-    assert prod.entry(-3) == w(ONE, X, Y)
-
-
 FIXTURES = [polynomial_algebra(["x"]), polynomial_algebra(["x", "y"]),
             field_f4(), dual_numbers()]
 
