@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from .cyclic import (
     SEQUENCES,
     HomologyPresentation,
+    _homology_s,
     bidegree_window,
     homology,
     les_maps,
@@ -152,7 +153,7 @@ def psi_matrix(A: AlgebraPresentation, theory: str, n: int, D: int,
 
     With certify=True every relation-spanning row of the source is pushed
     through psi and asserted to vanish in homology, certifying that the map
-    is well defined on the quotient.
+    is well defined on the quotient.  H is the homology at depth S only.
     """
     cache = A.memo("psi_matrix")
     key = (theory, n, D, 0 if A.graded else S)
@@ -161,7 +162,7 @@ def psi_matrix(A: AlgebraPresentation, theory: str, n: int, D: int,
         return cached[0], cached[1], cached[2]
     flavor = THEORY_FLAVOR[theory]
     sp = ell_degree_basis(A, flavor, n, D - n)
-    H = homology(A, THEORY_TOWER[theory], n, D, S)
+    H = _homology_s(A, THEORY_TOWER[theory], n, D, S)
     cols = [psi_class(A, frozenset({mon}), H) for mon in sp.basis()]
     mat = F2Matrix(H.dim, tuple(cols))
     if certify:
@@ -266,7 +267,7 @@ def verify_approximation(A: AlgebraPresentation, theory: str,
                 n, D, D - n, 0, 0, 0, "iso", "stable", "both sides zero"))
             continue
         certify = len(sp.cands) <= certify_limit
-        mat, sp, H = psi_matrix(A, theory, n, D, S, certify=certify)
+        mat, sp, _ = psi_matrix(A, theory, n, D, S, certify=certify)
         if certify:
             report.certified.append((n, D))
         rank = rank_kernel_image(mat)[0]

@@ -550,12 +550,15 @@ def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
     relations acting on ell_plus monomials: the plus functor is a module
     over ell(A), so every relation among the coefficients kills its
     multiples too, and the plus relations alone do not imply these in the
-    v sector.  Multipliers of ell and plus rows have non-negative upper
-    degree, so instances above d cannot contribute; per and coefficient
-    rows bound only n + d (u is invertible, and v^i trades homological for
-    upper degree two at a time).  The instance tables are read from key
-    degree -2 up to that bound, which covers d0 <= n0 + d0 since n0 >= 0;
-    ungraded keys all lie in [-2, 0].
+    v sector.  Only instances that some multiplier reaches are read.  In
+    graded mode every monomial of every flavor has internal degree n + d =
+    2 sum |phi| + 2 sum |q| + sum |dl| (+ |m| for gamma(m)) >= 0, and
+    products add bidegrees, so an instance (n0, d0) with n0 + d0 > n + d
+    has no multiplier; as n0 >= 0, the key degree d0 read is at most n + d.
+    Multipliers of ell and plus rows also have upper degree >= 0, which
+    bounds d0 by d; per and coefficient ones do not (u is invertible, and
+    v^i trades homological for upper degree).  Ungraded keys all lie in
+    [-2, 0], and every ungraded instance is read.
 
     Returns the distinct nonzero rows as candidate bitmasks.
     """
@@ -565,15 +568,19 @@ def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
         "plus": ("plus", False, ell_monomials, plus_mon_mul),
         "coefficient": ("ell", True, plus_monomials, _coefficient_mul),
     }[family]
-    bound = (n + d if total else d) if A.graded else 0
+    bound = (n + d if total else min(d, n + d)) if A.graded else 0
     index = {m: k for k, m in enumerate(cands)}
+    mults: dict[tuple[int, int], list[EllMonomial]] = {}
     rows: list[int] = []
     seen = set()
     for t in range(-2, bound + 1):
         for el, n0, d0 in _instances(A, instances, t):
-            if A.graded and (n0 + d0 > n + d if total else d0 > d):
+            if A.graded and n0 + d0 > n + d:
                 continue
-            for mult in multipliers(A, n - n0, d - d0):
+            ms = mults.get((n0, d0))
+            if ms is None:
+                ms = mults[(n0, d0)] = multipliers(A, n - n0, d - d0)
+            for mult in ms:
                 v = 0
                 for m in el_mul(A, frozenset({mult}), el, mul=product):
                     k = index.get(m)

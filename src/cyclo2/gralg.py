@@ -133,14 +133,20 @@ class AlgebraPresentation:
         return tuple(1 if j == i else 0 for j in range(self.ngens))
 
     def mono_degree(self, m: Monomial) -> int:
-        return sum(e * d for e, d in zip(m, self.degrees))
+        return self.mono_key(m)[0]
 
     def mono_key(self, m: Monomial):
         """Sort key of the canonical monomial order: internal degree, then
-        grevlex.  Argument pools list degree_basis(1), degree_basis(2), ...
-        in this order, so products sorted with it are spelled the way the
-        candidate enumeration spells them."""
-        return (self.mono_degree(m), grevlex_key(m))
+        grevlex, memoised per monomial.  Argument pools list
+        degree_basis(1), degree_basis(2), ... in this order, so products
+        sorted with it are spelled the way the candidate enumeration spells
+        them."""
+        keys = self.memo("mono_key")
+        key = keys.get(m)
+        if key is None:
+            key = keys[m] = (sum(e * d for e, d in zip(m, self.degrees)),
+                             grevlex_key(m))
+        return key
 
     def degree(self, p: Poly) -> int:
         """Internal degree of a homogeneous element (0 for the zero element)."""
@@ -301,21 +307,6 @@ class AlgebraPresentation:
                 "algebra is not supplemented (default augmentation "
                 "inconsistent with the relations)")
         return self._eval_aug_poly(frozenset(p))
-
-    # ----- display -----
-
-    def mono_str(self, m: Monomial) -> str:
-        parts = []
-        for name, e in zip(self.generators, m):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
-
-    def poly_str(self, p: Iterable[Monomial]) -> str:
-        ms = sorted(p, key=grevlex_key, reverse=True)
-        return " + ".join(self.mono_str(m) for m in ms) if ms else "0"
 
 
 # ----- stock presentations used across tests and the CLI -----

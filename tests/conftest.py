@@ -1,6 +1,6 @@
 """Shared test plumbing: echo acceptance pass/fail lines past capture, the
 default hypothesis profile, and the slow elimination, differential,
-relation-instance and commuting-square oracles."""
+relation-instance, relation-row and commuting-square oracles."""
 
 import itertools
 
@@ -11,11 +11,16 @@ from cyclo2.cyclic import bidegree_window, class_map, homology, les_maps, \
     slice_shift_map
 from cyclo2.derham import omega_basis
 from cyclo2.ell import (
+    EllError,
     _arg_pool,
+    _coefficient_mul,
     _element_bidegree,
+    _instances,
     del_el,
     el_mul,
     ell_degree_basis,
+    ell_mon_mul,
+    ell_monomials,
     gamma_el,
     map_bd,
     map_D,
@@ -26,8 +31,10 @@ from cyclo2.ell import (
     map_tau,
     map_u,
     per_mon_mul,
+    per_monomials,
     phi_el,
     plus_mon_mul,
+    plus_monomials,
     q_el,
     v_mon,
 )
@@ -296,6 +303,40 @@ def oracle_plus_instances(A, lo, hi):
 ORACLE_INSTANCES = {"ell": oracle_ell_instances,
                     "per": oracle_per_instances,
                     "plus": oracle_plus_instances}
+
+
+# ----- the relation rows bounded by upper degree, kept as a slow oracle -----
+
+def oracle_relation_rows(A, family, cands, n, d):
+    """ell._relation_rows with the key degrees of ell and plus instances
+    bounded by d alone, so a window with negative n reads instances that
+    no multiplier reaches; each instance looks up its own multipliers."""
+    instances, total, multipliers, product = {
+        "ell": ("ell", False, ell_monomials, ell_mon_mul),
+        "per": ("per", True, per_monomials, per_mon_mul),
+        "plus": ("plus", False, ell_monomials, plus_mon_mul),
+        "coefficient": ("ell", True, plus_monomials, _coefficient_mul),
+    }[family]
+    bound = (n + d if total else d) if A.graded else 0
+    index = {m: k for k, m in enumerate(cands)}
+    rows = []
+    seen = set()
+    for t in range(-2, bound + 1):
+        for el, n0, d0 in _instances(A, instances, t):
+            if A.graded and (n0 + d0 > n + d if total else d0 > d):
+                continue
+            for mult in multipliers(A, n - n0, d - d0):
+                v = 0
+                for m in el_mul(A, frozenset({mult}), el, mul=product):
+                    k = index.get(m)
+                    if k is None:
+                        raise EllError(f"{family} relation row leaves "
+                                       f"the candidates: {m}")
+                    v ^= 1 << k
+                if v and v not in seen:
+                    seen.add(v)
+                    rows.append(v)
+    return rows
 
 
 # ----- the eight hand-built commuting squares, kept as a slow oracle -----

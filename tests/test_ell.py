@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ORACLE_INSTANCES
+from conftest import ORACLE_INSTANCES, oracle_relation_rows
 
 from cyclo2.derham import de_rham_d, form, omega_basis
 from cyclo2.f2linalg import F2Matrix, echelonize_in, rank_kernel_image, \
@@ -16,6 +16,7 @@ from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
     polynomial_algebra, trivial_algebra
 from cyclo2 import ell as ell_module
 from cyclo2.ell import (
+    FLAVORS,
     MODELS,
     EllError,
     _instances,
@@ -767,3 +768,48 @@ def test_relation_table_on_random_presentations(A):
         assert new.cands == sp.cands, (A.name, fl, n, d)
         assert new.quotient.relations == sp.quotient.relations, \
             (A.name, fl, n, d)
+
+
+# ----- the instance bound against the upper-degree bound -----
+
+@pytest.mark.parametrize("name, window", [
+    ("f2.alg", (range(-6, 4), range(0, 10))),
+    ("poly_x.alg", (range(-5, 4), range(0, 9))),
+    ("poly_xy.alg", (range(-4, 3), range(0, 7))),
+    ("poly_xyz.alg", (range(-3, 2), range(0, 5))),
+    ("dual_numbers.alg", (range(-6, 7), None)),
+    ("f4.alg", (range(-6, 7), None)),
+])
+def test_relation_rows_match_oracle(name, window):
+    """Bounding the instance key degrees by n + d gives the relations and
+    pivots that bounding them by d gives, negative n included."""
+    A, ref = _fixture(name), _fixture(name)
+    ns, ds = window
+    bidegrees = [(n, d) for n in ns for d in (ds if A.graded else (-n,))]
+    with mock.patch.object(ell_module, "_relation_rows", oracle_relation_rows):
+        old = {(fl, n, d): ell_degree_basis(ref, fl, n, d)
+               for fl in FLAVORS for n, d in bidegrees}
+    for (fl, n, d), sp in old.items():
+        new = ell_degree_basis(A, fl, n, d)
+        assert new.cands == sp.cands, (name, fl, n, d)
+        assert new.quotient.relations == sp.quotient.relations, \
+            (name, fl, n, d)
+        assert new.quotient.positions == sp.quotient.positions, \
+            (name, fl, n, d)
+
+
+@given(small_presentations().filter(lambda A: A.graded))
+def test_instances_stop_at_the_window_internal_degree(A):
+    """Candidates of negative internal degree n + d do not exist, so a
+    window reads no instance table above its largest n + d."""
+    for n in range(-6, 0):
+        for d in range(0, -n):
+            assert not ell_monomials(A, n, d), (A.name, n, d)
+            assert not per_monomials(A, n, d), (A.name, n, d)
+            assert not plus_monomials(A, n, d), (A.name, n, d)
+    bidegrees = [(n, d) for n in range(-4, 0) for d in range(0, 6)]
+    for fl in FLAVORS:
+        for n, d in bidegrees:
+            ell_degree_basis(A, fl, n, d)
+    top = max(n + d for n, d in bidegrees)
+    assert max(t for _, t in A.memo("ell_instances")) <= top, A.name
