@@ -32,7 +32,6 @@ from .derham import (
     omega_basis,
 )
 from .ell import (
-    EllSpace,
     ell_chain_maps,
     ell_degree_basis,
     f_bar,
@@ -44,6 +43,7 @@ from .ell import (
 )
 from .f2linalg import (
     F2Matrix,
+    PresentedSpace,
     SubspaceBasis,
     quotient_coordinates,
     rank_kernel_image,

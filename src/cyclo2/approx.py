@@ -46,7 +46,7 @@ from .ell import (
     per_mon_mul,
     plus_mon_mul,
 )
-from .f2linalg import F2Matrix, rank_kernel_image
+from .f2linalg import F2Matrix, rank_of
 from .gralg import AlgebraPresentation
 from .hochschild import UChain, mu_chain, uchain_boundary
 
@@ -270,7 +270,7 @@ def verify_approximation(A: AlgebraPresentation, theory: str,
         mat, sp, _ = psi_matrix(A, theory, n, D, S, certify=certify)
         if certify:
             report.certified.append((n, D))
-        rank = rank_kernel_image(mat)[0]
+        rank = rank_of(mat.columns)
         verdict, note = _verdict(sp.dim, H, rank)
         report.entries.append(BidegreeVerdict(
             n, D, D - n, sp.dim, H.dim, rank, verdict, H.flag, note))

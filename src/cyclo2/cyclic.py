@@ -23,18 +23,17 @@ The u-exponent i of the chain notation corresponds to column p = -i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from .f2linalg import (
     F2Matrix,
+    Homology,
     SubspaceBasis,
-    class_coordinates,
-    complement_basis,
     echelonize_in,
-    homology_bases,
     null_space,
     rank_kernel_image,
+    rank_of,
     solve,
 )
 from .gralg import AlgebraPresentation, grevlex_key, mono_mul
@@ -305,37 +304,18 @@ def differential_columns(A: AlgebraPresentation, src: TowerSlice,
 
 
 @dataclass(frozen=True)
-class HomologyPresentation:
-    """Cycle/boundary bases and class coordinates in one bidegree."""
+class HomologyPresentation(Homology):
+    """The homology of one tower slice, on slice vectors."""
 
     theory: str
     n: int
     d: int
     S: int
     slice: TowerSlice
-    cycles: SubspaceBasis
-    boundaries: SubspaceBasis
-    complement: tuple[int, ...]
-    flag: str  # "stable" | "truncation-limited"
-    persistent_rank: Optional[int] = None
+    flag: str = "stable"  # or "truncation-limited"
     # classes (in this presentation's coordinates) that lift one window up;
     # only populated when the stabilization protocol ran
     persistent_image: Optional[SubspaceBasis] = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.complement)
-
-    def coords(self, v: int) -> int:
-        """Class coordinates (a bitmask) of a cycle given as a slice vector."""
-        return class_coordinates(self.complement, self.boundaries, v)
-
-    def coords_of_uchain(self, A: AlgebraPresentation, x: UChain,
-                         allow_projection: bool = False) -> int:
-        return self.coords(vectorize(A, self.slice, x, allow_projection))
-
-    def rep(self, k: int) -> int:
-        return self.complement[k]
 
     def rep_uchain(self, k: int) -> UChain:
         return unvectorize(self.slice, self.complement[k])
@@ -382,7 +362,7 @@ def _homology_at(A: AlgebraPresentation, theory: str, n: int, d: int,
     With keep, both come from the memoised eliminations.  Without, nothing
     is stored: d_n is eliminated for its kernel only and then d_{n+1} for
     its image only, which needs neither the trackers of the image nor the
-    columns of both at once.
+    columns of both at once (Homology.from_columns would hold both).
     """
     t = theory_key(theory)
     sl = build_tower(A, t, n, d, S)
@@ -392,10 +372,8 @@ def _homology_at(A: AlgebraPresentation, theory: str, n: int, d: int,
     else:
         cycles = null_space(_columns(A, t, n, d, S))[0]
         boundaries = echelonize_in(_columns(A, t, n + 1, d, S), sl.dim)
-    return HomologyPresentation(
-        theory=t, n=n, d=d, S=S, slice=sl, cycles=cycles,
-        boundaries=boundaries, complement=complement_basis(cycles, boundaries),
-        flag="stable", persistent_rank=None)
+    return HomologyPresentation.of(cycles, boundaries, theory=t, n=n, d=d,
+                                   S=S, slice=sl)
 
 
 def _homology_s(A: AlgebraPresentation, t: str, n: int, d: int,
@@ -431,18 +409,12 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     # the S + 1 pass is read once, so its eliminations are not kept
     big = _homology_at(A, t, n, d, S + 1, keep=False)
     # project the S+1 class representatives into the S window
-    image = echelonize_in(
-        [small.coords_of_uchain(A, big.rep_uchain(k), allow_projection=True)
-         for k in range(big.dim)],
-        small.dim)
-    rank = image.dim
-    stable = small.dim == big.dim and rank == small.dim
-    pres = HomologyPresentation(
-        theory=small.theory, n=n, d=d, S=S, slice=small.slice,
-        cycles=small.cycles, boundaries=small.boundaries,
-        complement=small.complement,
-        flag="stable" if stable else "truncation-limited",
-        persistent_rank=rank, persistent_image=image)
+    project = slice_shift_map(A, big.slice, small.slice, 0)
+    image = echelonize_in([small.coords(project(v)) for v in big.complement],
+                          small.dim)
+    stable = small.dim == big.dim == image.dim
+    pres = replace(small, flag="stable" if stable else "truncation-limited",
+                   persistent_image=image)
     cache[key] = pres
     return pres
 
@@ -570,8 +542,8 @@ class LESData:
         for joint, (fname, mid, gname) in self.joints.items():
             f = self.maps[fname]
             g = self.maps[gname]
-            rf = rank_kernel_image(f)[0]
-            rg = rank_kernel_image(g)[0]
+            rf = rank_of(f.columns)
+            rg = rank_of(g.columns)
             comp = g.compose(f)
             out[joint] = abs(rf + rg - self.spaces[mid].dim) + \
                 (0 if comp.is_zero() else 1)
@@ -634,8 +606,7 @@ def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
     # both E^1 slices are one column, C_{t-s,d} and C_{t-s+1,d}, at offset 0
     B = F2Matrix(tgt.slice.dim,
                  tuple(_shifted(mixed_columns(A, "B", t - s, d), 0)))
-    return F2Matrix(tgt.dim, tuple(tgt.coords(B.apply(src.rep(k)))
-                                   for k in range(src.dim)))
+    return class_map(A, src, tgt, B.apply)
 
 
 def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
@@ -649,5 +620,5 @@ def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
     in_mat = d1_matrix(A, alpha, beta, s + 1, t, d, S)
     out_cols = out_mat.columns if out_mat is not None else [0] * e1.dim
     in_cols = in_mat.columns if in_mat is not None else []
-    comp = homology_bases(out_cols, in_cols)[2]
+    comp = Homology.from_columns(out_cols, in_cols).complement
     return len(comp), list(comp)

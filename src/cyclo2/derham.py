@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
-from .f2linalg import F2Matrix, QuotientBasis, SubspaceBasis, \
-    class_coordinates, homology_bases, rank_kernel_image
+from .f2linalg import F2Matrix, Homology, PresentedSpace, QuotientBasis, \
+    rank_of
 from .gralg import AlgebraPresentation, Monomial, grevlex_key
 
 FormGen = tuple  # (monomial, tuple of generator indices)
@@ -67,47 +66,7 @@ def form_mul(A: AlgebraPresentation, e1: OmegaElement,
     return frozenset(out)
 
 
-@dataclass
-class OmegaSpace:
-    """Basis of Omega^n in one internal degree, as a quotient presentation."""
-
-    n: int
-    d: int
-    free: tuple[FormGen, ...]
-    quotient: QuotientBasis
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
-
-    def basis(self) -> tuple[FormGen, ...]:
-        return tuple(self.free[k] for k in self.quotient.positions)
-
-    @cached_property
-    def _index(self) -> dict:
-        return {g: k for k, g in enumerate(self.free)}
-
-    def vectorize(self, el: OmegaElement) -> int:
-        index = self._index
-        v = 0
-        for g in el:
-            if g not in index:
-                raise DeRhamError(f"form generator {g} outside space "
-                                  f"(n={self.n}, d={self.d})")
-            v ^= 1 << index[g]
-        return v
-
-    def coords(self, el: OmegaElement) -> int:
-        """Basis coordinates of a form, as a bitmask."""
-        return self.quotient.coords(self.vectorize(el))
-
-    def element(self, coords: int) -> OmegaElement:
-        v = self.quotient.lift(coords)
-        return frozenset(self.free[k] for k in range(len(self.free))
-                         if (v >> k) & 1)
-
-
-def omega_basis(A: AlgebraPresentation, n: int, d: int) -> OmegaSpace:
+def omega_basis(A: AlgebraPresentation, n: int, d: int) -> PresentedSpace:
     """Omega^n in internal degree d: free on (monomial, dg-subset) pairs
     modulo multiples of the relation differentials."""
     cache = A.memo("omega")
@@ -153,8 +112,8 @@ def omega_basis(A: AlgebraPresentation, n: int, d: int) -> OmegaSpace:
                         v ^= 1 << index[gen]
                 if v:
                     rows.append(v)
-    space = OmegaSpace(n, d, tuple(free),
-                       QuotientBasis.from_relations(len(free), rows))
+    space = PresentedSpace("omega", n, d, tuple(free),
+                           QuotientBasis.from_relations(len(free), rows))
     cache[key] = space
     return space
 
@@ -171,40 +130,29 @@ def d_matrix_columns(A: AlgebraPresentation, n: int, d: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class DeRhamCohomology:
-    """H_DR in one (form degree, internal degree) spot, with representatives."""
+class DeRhamCohomology(Homology):
+    """H_DR in one (form degree, internal degree) spot, on forms."""
 
     n: int
     d: int
-    space: OmegaSpace
-    cycles: SubspaceBasis
-    boundaries: SubspaceBasis
-    complement: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.complement)
+    space: PresentedSpace
 
     def coords(self, el: OmegaElement) -> int:
         """Class coordinates (a bitmask) of a closed form."""
-        return class_coordinates(self.complement, self.boundaries,
-                                 self.space.coords(el))
+        return super().coords(self.space.coords(el))
 
     def rep(self, k: int) -> OmegaElement:
-        return self.space.element(self.complement[k])
+        return self.space.element(super().rep(k))
 
 
 def de_rham_cohomology(A: AlgebraPresentation, n: int, d: int) -> DeRhamCohomology:
-    cache = A.memo("omega")
-    key = ("hdr", n, d)
-    if key in cache:
-        return cache[key]
-    space = omega_basis(A, n, d)
-    in_cols = d_matrix_columns(A, n - 1, d) if n >= 1 else []
-    cycles, boundaries, comp = homology_bases(d_matrix_columns(A, n, d),
-                                              in_cols)
-    result = DeRhamCohomology(n, d, space, cycles, boundaries, comp)
-    cache[key] = result
+    cache = A.memo("de_rham")
+    result = cache.get((n, d))
+    if result is None:
+        in_cols = d_matrix_columns(A, n - 1, d) if n >= 1 else []
+        result = cache[(n, d)] = DeRhamCohomology.from_columns(
+            d_matrix_columns(A, n, d), in_cols,
+            n=n, d=d, space=omega_basis(A, n, d))
     return result
 
 
@@ -245,8 +193,7 @@ def cartier_matrix(A: AlgebraPresentation, n: int, d: int):
 
 def cartier_bijective(A: AlgebraPresentation, n: int, d: int) -> bool:
     mat, src, target = cartier_matrix(A, n, d)
-    rank = rank_kernel_image(mat)[0]
-    return rank == src.dim == target.dim
+    return rank_of(mat.columns) == src.dim == target.dim
 
 
 def antisymmetrize(A: AlgebraPresentation, el: OmegaElement) -> frozenset:

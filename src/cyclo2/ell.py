@@ -33,11 +33,9 @@ degrees 1, 0, 1, -2, 0, 2i respectively.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 
 from .derham import OmegaElement, d_monomial, form_mul, omega_basis
-from .f2linalg import F2Matrix, QuotientBasis, rank_of
+from .f2linalg import F2Matrix, PresentedSpace, QuotientBasis, rank_of
 from .gralg import AlgebraPresentation, Monomial, Poly
 
 EllMonomial = tuple
@@ -492,49 +490,6 @@ def _element_bidegree(A: AlgebraPresentation, el: EllElement) -> tuple[int, int]
 
 # ----- spaces -----
 
-@dataclass
-class EllSpace:
-    """Reduced basis of one bidegree of an approximation functor."""
-
-    flavor: str
-    n: int
-    d: int
-    cands: tuple[EllMonomial, ...]
-    quotient: QuotientBasis
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
-
-    def basis(self) -> tuple[EllMonomial, ...]:
-        return tuple(self.cands[k] for k in self.quotient.positions)
-
-    @cached_property
-    def _index(self) -> dict:
-        return {m: k for k, m in enumerate(self.cands)}
-
-    def vectorize(self, el: EllElement) -> int:
-        index = self._index
-        v = 0
-        for m in el:
-            k = index.get(m)
-            if k is None:
-                raise EllError(f"monomial {m!r} outside space "
-                               f"({self.flavor}, {self.n}, {self.d})")
-            v ^= 1 << k
-        return v
-
-    def coords(self, el: EllElement) -> int:
-        """Basis coordinates of an element, as a bitmask."""
-        return self.quotient.coords(self.vectorize(el))
-
-    def reduce(self, el: EllElement) -> EllElement:
-        """Canonical representative supported on the basis monomials."""
-        mask = self.coords(el)
-        basis = self.basis()
-        return frozenset(basis[k] for k in range(self.dim) if (mask >> k) & 1)
-
-
 def _coefficient_mul(A: AlgebraPresentation, x: EllMonomial,
                      e: EllMonomial) -> EllElement:
     """An ell relation monomial e acting on an ell_plus monomial x."""
@@ -609,7 +564,7 @@ def _project(v: int, keep: list[int]) -> int:
 
 
 def ell_degree_basis(A: AlgebraPresentation, flavor: str, n: int,
-                     d: int) -> EllSpace:
+                     d: int) -> PresentedSpace:
     """Basis of the chosen functor in bidegree (homological n, upper d)."""
     if flavor not in FLAVORS:
         raise EllError(f"unknown flavor {flavor!r}")
@@ -632,8 +587,8 @@ def ell_degree_basis(A: AlgebraPresentation, flavor: str, n: int,
         cands = tuple(plus_monomials(A, n, d))
         rows = (_relation_rows(A, "plus", cands, n, d)
                 + _relation_rows(A, "coefficient", cands, n, d))
-    space = EllSpace(flavor, n, d, cands,
-                     QuotientBasis.from_relations(len(cands), rows))
+    space = PresentedSpace(flavor, n, d, cands,
+                           QuotientBasis.from_relations(len(cands), rows))
     cache[key] = space
     return space
 

@@ -15,6 +15,11 @@ pivot rule is unique, so the order changes the work, not the bases;
 last-first leaves a kernel already in reduced echelon form (see
 null_space), and every span goes through the one back-substitution,
 _reduced_echelon.
+
+Every quotient the package takes is one of two records built on these:
+PresentedSpace, generators modulo relations (the ell functors and the
+Kahler forms), and Homology, cycles modulo boundaries (the towers, de Rham
+cohomology and the E^2 page).
 """
 
 from __future__ import annotations
@@ -106,10 +111,16 @@ class SubspaceBasis:
 
     @cached_property
     def _tables(self) -> tuple[int, dict[int, int]]:
+        # checked here, on first use, rather than at every construction
         table = {_lowest_bit(w): w for w in self.vectors}
         mask = 0
         for p in table:
             mask |= 1 << p
+        for p, w in table.items():
+            if w >> self.ambient_dim:
+                raise F2LinalgError("basis vector outside the ambient space")
+            if w & mask != 1 << p:
+                raise F2LinalgError("basis not back-substituted")
         return mask, table
 
     def reduce(self, v: int) -> int:
@@ -169,13 +180,53 @@ class QuotientBasis:
             out |= 1 << idx[low.bit_length() - 1]
         return out
 
-    def lift(self, coords: int) -> int:
-        """Ambient representative of a coordinate vector."""
+
+@dataclass(frozen=True)
+class PresentedSpace:
+    """One degree (n, d) of a space presented by generators and relations:
+    the candidates cands modulo quotient.relations, with the candidates at
+    the quotient positions as basis.  An element is a frozenset of
+    candidates (their sum); kind is an ell flavor or "omega"."""
+
+    kind: str
+    n: int
+    d: int
+    cands: tuple
+    quotient: QuotientBasis
+
+    @property
+    def dim(self) -> int:
+        return self.quotient.dim
+
+    def basis(self) -> tuple:
+        return tuple(self.cands[k] for k in self.quotient.positions)
+
+    @cached_property
+    def _index(self) -> dict:
+        return {g: k for k, g in enumerate(self.cands)}
+
+    def vectorize(self, el: frozenset) -> int:
+        """The element as a bitmask over the candidates."""
+        index = self._index
         v = 0
-        for k, j in enumerate(self.positions):
-            if (coords >> k) & 1:
-                v |= 1 << j
+        for g in el:
+            k = index.get(g)
+            if k is None:
+                raise F2LinalgError(f"generator {g!r} outside space "
+                                    f"({self.kind}, {self.n}, {self.d})")
+            v ^= 1 << k
         return v
+
+    def coords(self, el: frozenset) -> int:
+        """Basis coordinates of an element, as a bitmask."""
+        return self.quotient.coords(self.vectorize(el))
+
+    def element(self, coords: int) -> frozenset:
+        """The element with these basis coordinates: the canonical
+        representative, supported on the basis."""
+        basis = self.basis()
+        return frozenset(basis[k] for k in range(self.dim)
+                         if (coords >> k) & 1)
 
 
 def _span_pivots(vectors: Iterable[int]) -> dict[int, int]:
@@ -258,20 +309,6 @@ def null_space(cols: Sequence[int]
     return SubspaceBasis(len(cols), tuple(reversed(kernel))), pivots
 
 
-def homology_bases(out_cols: Sequence[int], in_cols: Iterable[int]
-                   ) -> tuple[SubspaceBasis, SubspaceBasis, tuple[int, ...]]:
-    """Cycles, boundaries and the complement basis of one degree of a chain
-    complex.
-
-    out_cols are the columns of the outgoing differential, one per basis
-    vector of the degree; in_cols are the columns of the incoming one.
-    """
-    dim = len(out_cols)
-    cycles = null_space(out_cols)[0]
-    boundaries = echelonize_in(in_cols, dim)
-    return cycles, boundaries, complement_basis(cycles, boundaries)
-
-
 def rank_kernel_image(m: F2Matrix) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     """Rank, null space and column space of m, all exact.
 
@@ -305,23 +342,6 @@ def solve(m: F2Matrix, target: int) -> Optional[int]:
     return x
 
 
-def quotient_coordinates(cycles: SubspaceBasis, boundaries: SubspaceBasis,
-                         v: int) -> int:
-    """Coordinates (a bitmask) of the class [v] in a fixed complement of
-    boundaries.
-
-    The complement basis is obtained by reducing the cycle basis against the
-    boundary basis under the deterministic pivot rule, so coordinates are
-    stable across calls.  Raises if v is not a cycle; a broken containment
-    (boundaries not inside cycles) is an internal error in the caller's
-    complex.
-    """
-    if not cycles.contains_subspace(boundaries):
-        raise F2LinalgError("boundary space not contained in cycle space")
-    comp = complement_basis(cycles, boundaries)
-    return class_coordinates(comp, boundaries, v)
-
-
 def complement_basis(cycles: SubspaceBasis, boundaries: SubspaceBasis) -> tuple[int, ...]:
     """Echelon basis of a complement of boundaries inside cycles.
 
@@ -345,3 +365,57 @@ def class_coordinates(comp: tuple[int, ...], boundaries: SubspaceBasis,
     if r != 0:
         raise F2LinalgError("vector is not a cycle")
     return coords
+
+
+@dataclass(frozen=True)
+class Homology:
+    """Cycles modulo boundaries in one degree of a complex.
+
+    Class k is represented by complement[k], a cycle of complement_basis,
+    and coords(v) has bit k where the class of v uses complement[k].
+    """
+
+    cycles: SubspaceBasis
+    boundaries: SubspaceBasis
+    complement: tuple[int, ...]
+
+    @classmethod
+    def of(cls, cycles: SubspaceBasis, boundaries: SubspaceBasis,
+           **fields) -> "Homology":
+        """The homology of cycles modulo boundaries; fields are those a
+        subclass adds."""
+        return cls(cycles, boundaries, complement_basis(cycles, boundaries),
+                   **fields)
+
+    @classmethod
+    def from_columns(cls, out_cols: Sequence[int], in_cols: Iterable[int],
+                     **fields) -> "Homology":
+        """The homology at one degree of a complex: out_cols are the
+        columns of the outgoing differential, one per basis vector of the
+        degree, and in_cols those of the incoming one, held at once."""
+        return cls.of(null_space(out_cols)[0],
+                      echelonize_in(in_cols, len(out_cols)), **fields)
+
+    @property
+    def dim(self) -> int:
+        return len(self.complement)
+
+    def coords(self, v: int) -> int:
+        """Class coordinates (a bitmask) of a cycle."""
+        return class_coordinates(self.complement, self.boundaries, v)
+
+    def rep(self, k: int) -> int:
+        return self.complement[k]
+
+
+def quotient_coordinates(cycles: SubspaceBasis, boundaries: SubspaceBasis,
+                         v: int) -> int:
+    """Coordinates (a bitmask) of the class [v] in the Homology of cycles
+    modulo boundaries.
+
+    Raises if v is not a cycle; a broken containment (boundaries not inside
+    cycles) is an internal error in the caller's complex.
+    """
+    if not cycles.contains_subspace(boundaries):
+        raise F2LinalgError("boundary space not contained in cycle space")
+    return Homology.of(cycles, boundaries).coords(v)

@@ -1,10 +1,11 @@
 """Shared test plumbing: echo acceptance pass/fail lines past capture, the
-default hypothesis profile, and the slow elimination, differential,
-relation-instance, relation-row and commuting-square oracles."""
+default hypothesis profile and its random small presentations, and the
+slow elimination, differential, relation-instance, relation-row and
+commuting-square oracles."""
 
 import itertools
 
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from cyclo2.approx import _eps_matrix, psi_matrix
 from cyclo2.cyclic import bidegree_window, class_map, homology, les_maps, \
@@ -39,6 +40,7 @@ from cyclo2.ell import (
     v_mon,
 )
 from cyclo2.f2linalg import F2Matrix, SubspaceBasis, complement_basis
+from cyclo2.gralg import AlgebraPresentation
 from cyclo2.hochschild import boundary_b, connes_B
 
 # Fixed examples and no deadline: every run draws the same cases in bounded
@@ -60,6 +62,44 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# ----- random small presentations for the property tests -----
+
+def ungraded_x(*exponents, name):
+    """F2[x]/(f), f the sum of x^e over the exponents."""
+    return AlgebraPresentation(("x",), (0,),
+                               (frozenset((e,) for e in exponents),),
+                               graded=False, name=name)
+
+
+@st.composite
+def small_presentations(draw):
+    """Graded presentations on 1-2 generators of weight 1-3 with at most
+    one homogeneous monomial or binomial relation, and ungraded F2[x]/(f)
+    with deg f = 2 or 3."""
+    if draw(st.booleans()):
+        k = draw(st.sampled_from((2, 3)))
+        low = draw(st.sets(st.integers(0, k - 1)))
+        return ungraded_x(k, *sorted(low), name=f"F2[x]/{k}/{sorted(low)}")
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1,
+                                  max_size=2)))
+    names = ("x", "y")[:len(weights)]
+    kind = draw(st.sampled_from(("none", "monomial", "binomial")))
+    rels = ()
+    if kind != "none":
+        exps = st.tuples(*[st.integers(0, 3)] * len(weights))
+        m1 = draw(exps.filter(any))
+        deg = sum(e * w for e, w in zip(m1, weights))
+        others = [m for m in itertools.product(range(deg + 1),
+                                               repeat=len(weights))
+                  if m != m1 and sum(e * w for e, w in zip(m, weights)) == deg]
+        rel = {m1}
+        if kind == "binomial" and others:
+            rel.add(draw(st.sampled_from(others)))
+        rels = (frozenset(rel),)
+    return AlgebraPresentation(names, weights, rels,
+                               name=f"{weights}/{[sorted(r) for r in rels]}")
 
 
 # ----- the first-to-last elimination path, kept as a slow oracle -----

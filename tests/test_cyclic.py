@@ -2,13 +2,19 @@ import itertools
 import random
 from collections import Counter
 
+from hypothesis import given, settings
+
 from conftest import (
     oracle_differential_columns,
     oracle_homology_bases,
     slice_basis,
+    small_presentations,
 )
 from cyclo2.cyclic import (
+    SEQUENCES,
+    THEORY_BOUNDS,
     _homology_at,
+    _homology_s,
     bidegree_window,
     build_tower,
     differential_columns,
@@ -20,7 +26,8 @@ from cyclo2.cyclic import (
     mixed_columns,
     vectorize,
 )
-from cyclo2.derham import d_matrix_columns, de_rham_cohomology
+from cyclo2.derham import d_matrix_columns, de_rham_cohomology, omega_basis
+from cyclo2.ell import FLAVORS, ell_degree_basis
 from cyclo2.f2linalg import F2Matrix, null_space, rank_kernel_image
 from cyclo2.gralg import (
     AlgebraPresentation,
@@ -228,8 +235,9 @@ def test_each_differential_eliminated_once(monkeypatch):
 
     monkeypatch.setattr(cyclic, "differential_columns", counting_columns)
     monkeypatch.setattr(f2linalg, "null_space", counting_null_space)
-    for name in ("echelonize_in", "homology_bases"):
-        monkeypatch.setattr(cyclic, name, counting(getattr(cyclic, name)))
+    for module in (cyclic, f2linalg):
+        monkeypatch.setattr(module, "echelonize_in",
+                            counting(module.echelonize_in))
     A = polynomial_algebra(["x", "y", "z"])
     for n, d in bidegree_window(A, 4, 4):
         homology(A, "minus", n, d)
@@ -310,7 +318,7 @@ def test_hh_dual_numbers_table():
 def test_dual_numbers_minus_is_truncation_limited():
     h = homology(DUAL, "hcminus", 0, 0, S=3)
     assert h.flag == "truncation-limited"
-    assert h.persistent_rank is not None and h.persistent_rank >= 1
+    assert h.persistent_image is not None and h.persistent_image.dim >= 1
 
 
 def test_graded_towers_always_stable():
@@ -558,3 +566,45 @@ def test_homology_bases_match_oracle_path():
             assert _bases(de_rham_cohomology(A, n, d)) == \
                 oracle_homology_bases(d_matrix_columns(A, n, d), in_cols), \
                 (n, d)
+
+
+# ----- the homology-side property slice -----
+
+def _assert_homology(H, where):
+    assert H.cycles.contains_subspace(H.boundaries), where
+    assert H.dim == H.cycles.dim - H.boundaries.dim, where
+    for k in range(H.dim):
+        assert H.coords(H.rep(k)) == 1 << k, (where, k)
+
+
+def _assert_presented(sp, where):
+    for c in [1 << k for k in range(sp.dim)] + [(1 << sp.dim) - 1]:
+        assert sp.coords(sp.element(c)) == c, (where, c)
+
+
+@settings(max_examples=50)
+@given(small_presentations())
+def test_homology_side_properties(A):
+    """In a small window every tower homology and de Rham cohomology is
+    cycles modulo boundaries with unit class coordinates, every presented
+    space reads its own elements back, and on graded draws the three long
+    exact sequences are exact."""
+    S = 2
+    window = bidegree_window(A, 3, 3)
+    for t in THEORY_BOUNDS:
+        for n, D in window:
+            _assert_homology(_homology_s(A, t, n, D, S), (A.name, t, n, D))
+    for nf in range(A.ngens + 1):
+        for D in range(4) if A.graded else (0,):
+            _assert_homology(de_rham_cohomology(A, nf, D), (A.name, nf, D))
+            _assert_presented(omega_basis(A, nf, D), (A.name, nf, D))
+    for fl in FLAVORS:
+        for n, D in window:
+            _assert_presented(ell_degree_basis(A, fl, n, D - n),
+                              (A.name, fl, n, D))
+    if A.graded:
+        for which in SEQUENCES:
+            for n, D in bidegree_window(A, 2, 3):
+                defects = les_maps(A, which, n, D, S).exactness_defects()
+                assert not any(defects.values()), (A.name, which, n, D,
+                                                   defects)

@@ -1,12 +1,12 @@
-import itertools
 import os
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from conftest import ORACLE_INSTANCES, oracle_relation_rows
+from conftest import ORACLE_INSTANCES, oracle_relation_rows, \
+    small_presentations, ungraded_x
 
 from cyclo2.derham import de_rham_d, form, omega_basis
 from cyclo2.f2linalg import F2Matrix, echelonize_in, rank_kernel_image, \
@@ -319,8 +319,8 @@ def test_f_bar_s_bar_inverse_on_basis():
                             if (mask >> k) & 1:
                                 g = osp.basis()[k]
                                 back.add(s_bar(A, (j, g[0], g[1])))
-                    assert sp.reduce(frozenset(back)) == \
-                        sp.reduce(frozenset({mon}))
+                    assert sp.element(sp.coords(frozenset(back))) == \
+                        sp.element(sp.coords(frozenset({mon})))
 
 
 def test_f_bar_multiplicative_samples():
@@ -688,13 +688,6 @@ def _assert_table_matches_oracle(A, max_bound):
                 == _upto(A, family, old, bound), (A.name, family, bound)
 
 
-def _ungraded_x(*exponents, name):
-    """F2[x]/(f), f the sum of x^e over the exponents."""
-    return AlgebraPresentation(("x",), (0,),
-                               (frozenset((e,) for e in exponents),),
-                               graded=False, name=name)
-
-
 @pytest.mark.parametrize("name", [
     "f2.alg", "poly_x.alg", "poly_xy.alg", "poly_xyz.alg",
     "dual_numbers.alg", "f4.alg", "cusp", "F2[x,y], |y| = 2",
@@ -703,40 +696,11 @@ def test_relation_table_matches_oracle(name):
     A = {"cusp": lambda: AlgebraPresentation(
             ("x", "y"), (1, 1), (frozenset({(2, 1), (0, 3)}),), name=name),
          "F2[x,y], |y| = 2": lambda: polynomial_algebra("xy", (1, 2)),
-         "F2[x]/(x^3)": lambda: _ungraded_x(3, name=name),
-         "F8": lambda: _ungraded_x(3, 1, 0, name=name),
+         "F2[x]/(x^3)": lambda: ungraded_x(3, name=name),
+         "F8": lambda: ungraded_x(3, 1, 0, name=name),
          }.get(name, lambda: _fixture(name))()
     # the oracle's all-triples loop on F2[x,y,z] takes about 6 s at bound 8
     _assert_table_matches_oracle(A, 6 if name == "poly_xyz.alg" else 8)
-
-
-@st.composite
-def small_presentations(draw):
-    """Graded presentations on 1-2 generators of weight 1-3 with at most
-    one homogeneous monomial or binomial relation, and ungraded F2[x]/(f)
-    with deg f = 2 or 3."""
-    if draw(st.booleans()):
-        k = draw(st.sampled_from((2, 3)))
-        low = draw(st.sets(st.integers(0, k - 1)))
-        return _ungraded_x(k, *sorted(low), name=f"F2[x]/{k}/{sorted(low)}")
-    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1,
-                                  max_size=2)))
-    names = ("x", "y")[:len(weights)]
-    kind = draw(st.sampled_from(("none", "monomial", "binomial")))
-    rels = ()
-    if kind != "none":
-        exps = st.tuples(*[st.integers(0, 3)] * len(weights))
-        m1 = draw(exps.filter(any))
-        deg = sum(e * w for e, w in zip(m1, weights))
-        others = [m for m in itertools.product(range(deg + 1),
-                                               repeat=len(weights))
-                  if m != m1 and sum(e * w for e, w in zip(m, weights)) == deg]
-        rel = {m1}
-        if kind == "binomial" and others:
-            rel.add(draw(st.sampled_from(others)))
-        rels = (frozenset(rel),)
-    return AlgebraPresentation(names, weights, rels,
-                               name=f"{weights}/{[sorted(r) for r in rels]}")
 
 
 def _from_oracle(A, bound):

@@ -12,9 +12,9 @@ from conftest import (
 from cyclo2.f2linalg import (
     F2LinalgError,
     F2Matrix,
+    Homology,
     SubspaceBasis,
     echelonize_in,
-    homology_bases,
     null_space,
     quotient_coordinates,
     rank_kernel_image,
@@ -118,6 +118,18 @@ def test_solve_membership_random():
             if not im.contains(bad ^ (1 << j)):
                 assert solve(m, bad ^ (1 << j)) is None
                 break
+
+
+def test_subspace_rejects_a_basis_that_is_not_back_substituted():
+    # 0b01 = 0b11 + 0b10 lies in the span, but a reduce that trusts the
+    # pivot mask would leave it unreduced
+    with pytest.raises(F2LinalgError):
+        SubspaceBasis(2, (0b11, 0b10)).contains(0b01)
+
+
+def test_subspace_rejects_a_vector_outside_the_ambient_space():
+    with pytest.raises(F2LinalgError):
+        SubspaceBasis(2, (0b100,)).contains(0b1)
 
 
 def test_quotient_trivial_homology():
@@ -280,4 +292,6 @@ def test_homology_bases_match_oracle(case, data):
         inc.append(0)
         for v in picks:
             inc[-1] ^= v
-    assert homology_bases(out, inc) == oracle_homology_bases(out, inc)
+    h = Homology.from_columns(out, inc)
+    assert (h.cycles, h.boundaries, h.complement) == \
+        oracle_homology_bases(out, inc)
