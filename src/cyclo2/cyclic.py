@@ -13,9 +13,21 @@ Column p of T_n is the Hochschild chain group C_{n-2p,d}.  Its ordered
 basis and its b and B matrices are computed once per algebra and shared by
 every slice that holds it (the total complex of the mixed complex
 (C, b, B); Loday, Cyclic Homology, 2.5), so a slice differential is those
-matrices moved to the slice's offsets.  Each slice differential d_n is
-eliminated once per depth: its kernel is the cycles of T_n and its image
-the boundaries of T_{n-1}.
+matrices moved to the slice's offsets.
+
+For a monomial ideal, b and B preserve the multidegree of a word (the
+weight decomposition; Loday, Cyclic Homology, 1992), so every slice
+differential is block diagonal.  Each C_{k,d} is sorted block by block and
+records the range of every block; a slice's blocks are the segments of
+its columns with one multidegree, in column order.  Other presentations
+have one block per slice, placed as the slice itself.  Each block of a
+slice differential d_n is built straight from the per-degree matrices and
+eliminated once per depth, in block-local coordinates: its kernel is the
+cycles of that block of T_n and its image the boundaries of that block of
+T_{n-1}.  The homology of a slice is a Homology split into these blocks:
+its dimension is a sum over blocks, and its cycles, boundaries and class
+representatives on slice vectors are assembled only when something reads
+them.
 
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
@@ -24,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .f2linalg import (
@@ -36,7 +49,7 @@ from .f2linalg import (
     rank_of,
     solve,
 )
-from .gralg import AlgebraPresentation, grevlex_key, mono_mul
+from .gralg import AlgebraPresentation, grevlex_key
 from .hochschild import BarWord, UChain, boundary_b, connes_B
 
 THEORY_BOUNDS = {
@@ -109,53 +122,92 @@ def _word_key(w: BarWord, grevlex: dict):
 
 
 def _block_key(w: BarWord):
-    # multidegree of the whole word; valid block split for monomial ideals
-    total = w[0]
-    for b in w[1]:
-        total = mono_mul(total, b)
-    return total
+    """The multidegree of the whole word, which b and B preserve when the
+    relations are monomial."""
+    return tuple(map(sum, zip(w[0], *w[1])))
 
 
 class HochschildBasis(NamedTuple):
-    """The ordered basis of one C_{k,d} and the position of each word."""
+    """The ordered basis of one C_{k,d}, the position of each word and the
+    (start, stop) position range of each multidegree block."""
 
     words: tuple[BarWord, ...]
     index: dict[BarWord, int]
+    blocks: dict
 
 
 def hochschild_basis(A: AlgebraPresentation, k: int,
                      d: int) -> HochschildBasis:
     """The normalized bar words with k bars and internal degree d, sorted
-    by a key of the word alone (block first for monomial ideals), so every
-    slice that holds C_{k,d} shares this list and its order; memoised."""
+    by a key of the word alone, so every slice that holds C_{k,d} shares
+    this list and its order; memoised.
+
+    For a monomial ideal the words are grouped by _block_key, blocks in
+    key order, each sorted on its own; otherwise all words are one block,
+    keyed None.
+    """
     table = A.memo("hochschild_basis")
     hb = table.get((k, d))
     if hb is None:
         grevlex: dict = {}
+        groups: dict = {}
         if A.monomial_ideal:
-            word_key = lambda w: (_block_key(w), _word_key(w, grevlex))
+            for w in enumerate_words(A, k, d):
+                groups.setdefault(_block_key(w), []).append(w)
         else:
-            word_key = lambda w: _word_key(w, grevlex)
-        words = tuple(sorted(enumerate_words(A, k, d), key=word_key))
+            groups[None] = enumerate_words(A, k, d)
+        words: list[BarWord] = []
+        blocks = {}
+        for key in sorted(groups):
+            start = len(words)
+            words.extend(sorted(groups[key],
+                                key=lambda w: _word_key(w, grevlex)))
+            if len(words) > start:
+                blocks[key] = (start, len(words))
         hb = table[(k, d)] = HochschildBasis(
-            words, {w: j for j, w in enumerate(words)})
+            tuple(words), {w: j for j, w in enumerate(words)}, blocks)
     return hb
 
 
 def mixed_columns(A: AlgebraPresentation, op: str, k: int,
-                  d: int) -> tuple[tuple[int, ...], ...]:
+                  d: int) -> tuple[int, ...]:
     """b: C_{k,d} -> C_{k-1,d} (op "b") or B: C_{k,d} -> C_{k+1,d} (op
-    "B"), one column per word of hochschild_basis(A, k, d): the positions
-    of the image's words in the target basis; memoised."""
+    "B"), one column per word of hochschild_basis(A, k, d): the image as a
+    bitmask over the target's block of the word, bit i for the word at
+    position start + i of the target basis, where the block starts;
+    memoised.  An image word outside that block raises TowerError."""
     table = A.memo("mixed_columns")
     cols = table.get((op, k, d))
     if cols is None:
         f, k_tgt = (boundary_b, k - 1) if op == "b" else (connes_B, k + 1)
-        idx = hochschild_basis(A, k_tgt, d).index
-        cols = table[(op, k, d)] = tuple(
-            tuple(idx[w2] for w2 in f(A, frozenset({w})))
-            for w in hochschild_basis(A, k, d).words)
+        src = hochschild_basis(A, k, d)
+        tgt = hochschild_basis(A, k_tgt, d)
+        out = []
+        for key, (start, stop) in src.blocks.items():
+            lo, hi = tgt.blocks.get(key, (0, 0))
+            for w in src.words[start:stop]:
+                v = 0
+                for w2 in f(A, frozenset({w})):
+                    i = tgt.index[w2]
+                    if not lo <= i < hi:
+                        raise TowerError(f"{op} leaves the multidegree "
+                                         f"block of {w}")
+                    v |= 1 << (i - lo)
+                out.append(v)
+        cols = table[(op, k, d)] = tuple(out)
     return cols
+
+
+def mixed_matrix(A: AlgebraPresentation, op: str, k: int, d: int) -> F2Matrix:
+    """mixed_columns(A, op, k, d) as a matrix on the whole bases."""
+    src = hochschild_basis(A, k, d)
+    tgt = hochschild_basis(A, k - 1 if op == "b" else k + 1, d)
+    cols = mixed_columns(A, op, k, d)
+    out: list[int] = []
+    for key, (start, stop) in src.blocks.items():
+        lo = tgt.blocks.get(key, (0, 0))[0]
+        out.extend(v << lo for v in cols[start:stop])
+    return F2Matrix(len(tgt.words), tuple(out))
 
 
 @dataclass(frozen=True)
@@ -182,6 +234,34 @@ class TowerSlice:
         """(p, basis of C_{n-2p,d}, offset) of every column, left to right."""
         return zip(range(self.p_min, self.p_max + 1), self.parts,
                    self.offsets)
+
+    @cached_property
+    def blocks(self) -> dict:
+        """key -> segments of every multidegree block of the slice: a
+        segment (p, start, stop, local) puts words start..stop of column p
+        at block-local positions local, local + 1, ...; segments run left
+        to right, so block-local order is slice order."""
+        layout: dict = {}
+        for p, hb, _ in self.columns():
+            for key, (start, stop) in hb.blocks.items():
+                segments = layout.setdefault(key, [])
+                segments.append((p, start, stop, _block_dim(segments)))
+        return layout
+
+    def runs(self) -> tuple:
+        """The (slice position, block-local position, length) runs of each
+        block, in the order of blocks."""
+        return tuple(
+            tuple((self.offsets[p - self.p_min] + start, local, stop - start)
+                  for p, start, stop, local in segments)
+            for segments in self.blocks.values())
+
+
+def _block_dim(segments) -> int:
+    if not segments:
+        return 0
+    _, start, stop, local = segments[-1]
+    return local + stop - start
 
 
 def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
@@ -269,43 +349,60 @@ def unvectorize(sl: TowerSlice, v: int) -> UChain:
     return UChain.make(theory, entries)
 
 
-def _shifted(cols: tuple[tuple[int, ...], ...], off: int) -> list[int]:
-    """Per-degree columns as bitmasks, moved to start at position off."""
-    out = []
-    for col in cols:
-        v = 0
-        for t in col:
-            v |= 1 << t
-        out.append(v << off)
-    return out
-
-
-def differential_columns(A: AlgebraPresentation, src: TowerSlice,
-                         tgt: TowerSlice) -> list[int]:
-    """Columns of B + b from src (degree n) to tgt (degree n - 1): for each
-    column p of src, b of C_{n-2p,d} lands in column p of tgt and B in
-    column p - 1, so each is a per-degree matrix moved to tgt's offsets."""
-    if tgt.n != src.n - 1 or tgt.d != src.d:
-        raise TowerError("differential endpoints mismatch")
+def _segment_columns(A: AlgebraPresentation, src: TowerSlice,
+                     tgt: TowerSlice, segments, place: dict) -> list[int]:
+    """Columns of B + b from src (degree n) to tgt (degree n - 1) on the
+    words of segments, (p, key, start, stop) ranges of blocks of columns
+    of src.  b of C_{n-2p,d} lands in column p of tgt and B in column
+    p - 1; place[(p, key)] is the position of the first word of that
+    block of column p of tgt.  A component with no place is cut: its
+    column is past the truncation or bound of tgt, or tgt lacks the block
+    there, where mixed_columns has checked it is zero."""
     cols: list[int] = []
-    for p in range(src.p_min, src.p_max + 1):
+    for p, key, start, stop in segments:
         k = src.n - 2 * p
-        # column p of tgt holds C_{k-1,d}; for k = 0 it is past p_max, where
-        # offsets ends with the dimension, and b is zero anyway
-        part = _shifted(mixed_columns(A, "b", k, src.d),
-                        tgt.offsets[p - tgt.p_min])
-        if p - 1 >= tgt.p_min:
-            # otherwise the B-component is cut by the truncation / bound
-            B = _shifted(mixed_columns(A, "B", k, src.d),
-                         tgt.offsets[p - 1 - tgt.p_min])
-            part = [vb ^ vB for vb, vB in zip(part, B)]
+        off = place.get((p, key))
+        if off is None:
+            part = [0] * (stop - start)
+        else:
+            part = [v << off
+                    for v in mixed_columns(A, "b", k, src.d)[start:stop]]
+        off = place.get((p - 1, key))
+        if off is not None:
+            B = mixed_columns(A, "B", k, src.d)[start:stop]
+            part = [vb ^ (vB << off) for vb, vB in zip(part, B)]
         cols.extend(part)
     return cols
 
 
+def differential_columns(A: AlgebraPresentation, src: TowerSlice,
+                         tgt: TowerSlice) -> list[int]:
+    """Columns of B + b from src (degree n) to tgt (degree n - 1) on whole
+    slices: each block of a per-degree matrix moved to tgt's offsets."""
+    if tgt.n != src.n - 1 or tgt.d != src.d:
+        raise TowerError("differential endpoints mismatch")
+    return _segment_columns(
+        A, src, tgt,
+        [(p, key, start, stop) for p, hb, _ in src.columns()
+         for key, (start, stop) in hb.blocks.items()],
+        {(p, key): off + start for p, hb, off in tgt.columns()
+         for key, (start, _) in hb.blocks.items()})
+
+
+def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
+                   key) -> list[int]:
+    """Columns of B + b on the block key of src, in the block-local
+    coordinates of the block key of tgt (zero if tgt has no such block)."""
+    return _segment_columns(
+        A, src, tgt,
+        [(p, key, start, stop) for p, start, stop, _ in src.blocks[key]],
+        {(p, key): local for p, _, _, local in tgt.blocks.get(key, ())})
+
+
 @dataclass(frozen=True)
 class HomologyPresentation(Homology):
-    """The homology of one tower slice, on slice vectors."""
+    """The homology of one tower slice on slice vectors, the direct sum of
+    its multidegree blocks, which slice.runs() places."""
 
     theory: str
     n: int
@@ -332,48 +429,58 @@ def _depth_key(A: AlgebraPresentation, t: str, n: int, d: int,
     return (t, n, d, S if _needs_protocol(A, t) else 0)
 
 
-def _columns(A: AlgebraPresentation, t: str, n: int, d: int,
-             S: int) -> list[int]:
-    """Columns of d_n: T_n -> T_{n-1}."""
-    return differential_columns(A, build_tower(A, t, n, d, S),
-                                build_tower(A, t, n - 1, d, S))
-
-
 def _eliminated(A: AlgebraPresentation, t: str, n: int, d: int,
-                S: int) -> tuple[SubspaceBasis, SubspaceBasis]:
-    """Kernel and image of d_n: T_n -> T_{n-1}, that is the cycles of T_n
-    and the boundaries of T_{n-1}, from one tracked elimination; memoised,
-    so the homology on either side of d_n shares it."""
+                S: int) -> dict:
+    """Block key -> kernel and image of that block of d_n: T_n -> T_{n-1},
+    that is the cycles of the block of T_n and the boundaries of the same
+    block of T_{n-1}, in block-local coordinates, from one tracked
+    elimination per block; memoised, so the homology on either side of
+    d_n shares it."""
     table = A.memo("differential")
-    key = _depth_key(A, t, n, d, S)
-    pair = table.get(key)
-    if pair is None:
-        rows = build_tower(A, t, n - 1, d, S).dim
-        _, kernel, image = rank_kernel_image(
-            F2Matrix(rows, tuple(_columns(A, t, n, d, S))))
-        pair = table[key] = (kernel, image)
-    return pair
+    depth = _depth_key(A, t, n, d, S)
+    pairs = table.get(depth)
+    if pairs is None:
+        src = build_tower(A, t, n, d, S)
+        tgt = build_tower(A, t, n - 1, d, S)
+        pairs = table[depth] = {}
+        for key in src.blocks:
+            rows = _block_dim(tgt.blocks.get(key))
+            _, kernel, image = rank_kernel_image(
+                F2Matrix(rows, tuple(_block_columns(A, src, tgt, key))))
+            pairs[key] = (kernel, image)
+    return pairs
 
 
 def _homology_at(A: AlgebraPresentation, theory: str, n: int, d: int,
                  S: int, keep: bool = True) -> HomologyPresentation:
-    """Homology of T_n: cycles from d_n, boundaries from d_{n+1}.
+    """Homology of T_n, block by block: cycles from d_n, boundaries from
+    d_{n+1}; a block of T_n that T_{n+1} lacks has no boundaries.
 
     With keep, both come from the memoised eliminations.  Without, nothing
-    is stored: d_n is eliminated for its kernel only and then d_{n+1} for
-    its image only, which needs neither the trackers of the image nor the
-    columns of both at once (Homology.from_columns would hold both).
+    is stored: each block of d_n is eliminated for its kernel only and then
+    that of d_{n+1} for its image only, which needs neither the trackers of
+    the image nor the columns of both at once.
     """
     t = theory_key(theory)
     sl = build_tower(A, t, n, d, S)
     if keep:
-        cycles = _eliminated(A, t, n, d, S)[0]
-        boundaries = _eliminated(A, t, n + 1, d, S)[1]
+        out = _eliminated(A, t, n, d, S)
+        into = _eliminated(A, t, n + 1, d, S)
+        pairs = tuple(
+            (out[key][0], into[key][1] if key in into
+             else SubspaceBasis(_block_dim(segments)))
+            for key, segments in sl.blocks.items())
     else:
-        cycles = null_space(_columns(A, t, n, d, S))[0]
-        boundaries = echelonize_in(_columns(A, t, n + 1, d, S), sl.dim)
-    return HomologyPresentation.of(cycles, boundaries, theory=t, n=n, d=d,
-                                   S=S, slice=sl)
+        down = build_tower(A, t, n - 1, d, S)
+        up = build_tower(A, t, n + 1, d, S)
+        pairs = tuple(
+            (null_space(_block_columns(A, sl, down, key))[0],
+             echelonize_in(_block_columns(A, up, sl, key)
+                           if key in up.blocks else (),
+                           _block_dim(segments)))
+            for key, segments in sl.blocks.items())
+    return HomologyPresentation(sl.dim, sl.runs(), pairs, theory=t, n=n,
+                                d=d, S=S, slice=sl)
 
 
 def _homology_s(A: AlgebraPresentation, t: str, n: int, d: int,
@@ -415,6 +522,9 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     stable = small.dim == big.dim == image.dim
     pres = replace(small, flag="stable" if stable else "truncation-limited",
                    persistent_image=image)
+    # the projection assembled small's slice bases; the copy reads them
+    for name in ("cycles", "boundaries", "complement"):
+        vars(pres)[name] = getattr(small, name)
     cache[key] = pres
     return pres
 
@@ -604,9 +714,7 @@ def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
     if src is None or tgt is None:
         return None
     # both E^1 slices are one column, C_{t-s,d} and C_{t-s+1,d}, at offset 0
-    B = F2Matrix(tgt.slice.dim,
-                 tuple(_shifted(mixed_columns(A, "B", t - s, d), 0)))
-    return class_map(A, src, tgt, B.apply)
+    return class_map(A, src, tgt, mixed_matrix(A, "B", t - s, d).apply)
 
 
 def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,

@@ -19,7 +19,10 @@ _reduced_echelon.
 Every quotient the package takes is one of two records built on these:
 PresentedSpace, generators modulo relations (the ell functors and the
 Kahler forms), and Homology, cycles modulo boundaries (the towers, de Rham
-cohomology and the E^2 page).
+cohomology and the E^2 page).  A Homology may be split into blocks on
+disjoint coordinates, one cycles and boundaries pair each (a tower slice
+of a monomial ideal); its bases on the whole degree are assembled from the
+blocks only when read.
 """
 
 from __future__ import annotations
@@ -367,24 +370,48 @@ def class_coordinates(comp: tuple[int, ...], boundaries: SubspaceBasis,
     return coords
 
 
+def _placed(v: int, runs: tuple[tuple[int, int, int], ...]) -> int:
+    """A block vector moved to ambient coordinates along its runs."""
+    w = 0
+    for ambient, local, length in runs:
+        w |= ((v >> local) & ((1 << length) - 1)) << ambient
+    return w
+
+
 @dataclass(frozen=True)
 class Homology:
-    """Cycles modulo boundaries in one degree of a complex.
+    """Cycles modulo boundaries in one degree of a complex, as the direct
+    sum of blocks on disjoint coordinates.
+
+    pairs[i] is the (cycles, boundaries) pair of block i in the block's
+    own coordinates, and runs[i] places it in F2^ambient_dim as
+    (ambient, local, length) runs: block coordinate local + j is ambient
+    coordinate ambient + j for j < length.  Runs increase in both
+    coordinates and the blocks partition the ambient coordinates.
+    Homology.of makes the single block placed as itself.
+
+    dim is a sum over the blocks.  cycles, boundaries and complement are
+    in ambient coordinates, assembled on first read.  The RREF of a sum of
+    subspaces on disjoint coordinates is the union of their RREFs, and a
+    monotone placement keeps a basis reduced, so each is bit for bit what
+    the unsplit degree gives; a single block placed as itself is read as it
+    is.
 
     Class k is represented by complement[k], a cycle of complement_basis,
     and coords(v) has bit k where the class of v uses complement[k].
     """
 
-    cycles: SubspaceBasis
-    boundaries: SubspaceBasis
-    complement: tuple[int, ...]
+    ambient_dim: int
+    runs: tuple[tuple[tuple[int, int, int], ...], ...]
+    pairs: tuple[tuple[SubspaceBasis, SubspaceBasis], ...]
 
     @classmethod
     def of(cls, cycles: SubspaceBasis, boundaries: SubspaceBasis,
            **fields) -> "Homology":
         """The homology of cycles modulo boundaries; fields are those a
         subclass adds."""
-        return cls(cycles, boundaries, complement_basis(cycles, boundaries),
+        dim = cycles.ambient_dim
+        return cls(dim, (((0, 0, dim),),), ((cycles, boundaries),),
                    **fields)
 
     @classmethod
@@ -398,7 +425,32 @@ class Homology:
 
     @property
     def dim(self) -> int:
-        return len(self.complement)
+        return sum(c.dim - b.dim for c, b in self.pairs)
+
+    @property
+    def _unsplit(self) -> bool:
+        return len(self.pairs) == 1 and all(
+            ambient == local for ambient, local, _ in self.runs[0])
+
+    def _assembled(self, side: int) -> SubspaceBasis:
+        if self._unsplit:
+            return self.pairs[0][side]
+        vectors = [_placed(v, runs) for runs, pair in zip(self.runs, self.pairs)
+                   for v in pair[side].vectors]
+        vectors.sort(key=_lowest_bit)
+        return SubspaceBasis(self.ambient_dim, tuple(vectors))
+
+    @cached_property
+    def cycles(self) -> SubspaceBasis:
+        return self._assembled(0)
+
+    @cached_property
+    def boundaries(self) -> SubspaceBasis:
+        return self._assembled(1)
+
+    @cached_property
+    def complement(self) -> tuple[int, ...]:
+        return complement_basis(self.cycles, self.boundaries)
 
     def coords(self, v: int) -> int:
         """Class coordinates (a bitmask) of a cycle."""

@@ -13,6 +13,8 @@ from conftest import (
 from cyclo2.cyclic import (
     SEQUENCES,
     THEORY_BOUNDS,
+    _block_key,
+    _eliminated,
     _homology_at,
     _homology_s,
     bidegree_window,
@@ -24,6 +26,7 @@ from cyclo2.cyclic import (
     homology,
     les_maps,
     mixed_columns,
+    mixed_matrix,
     vectorize,
 )
 from cyclo2.derham import d_matrix_columns, de_rham_cohomology, omega_basis
@@ -170,20 +173,13 @@ def test_differential_columns_match_per_word_oracle():
                         (A.name, theory, n, S)
 
 
-def _mixed_matrix(A, op, k, d):
-    k_tgt = k - 1 if op == "b" else k + 1
-    cols = tuple(sum(1 << t for t in col)
-                 for col in mixed_columns(A, op, k, d))
-    return F2Matrix(len(hochschild_basis(A, k_tgt, d).words), cols)
-
-
 def test_mixed_columns_form_a_mixed_complex():
     # b b = B B = b B + B b = 0 as products of the per-degree matrices
     for A, degrees in ((PXY, range(5)), (CUSP, range(5)), (F4, (0,)),
                        (DUAL, (0,)), (X3, (0,))):
         for d in degrees:
-            b = lambda j: _mixed_matrix(A, "b", j, d)
-            B = lambda j: _mixed_matrix(A, "B", j, d)
+            b = lambda j: mixed_matrix(A, "b", j, d)
+            B = lambda j: mixed_matrix(A, "B", j, d)
             for k in range(1, 6):
                 assert b(k - 1).compose(b(k)).is_zero(), (A.name, k, d)
                 assert B(k + 1).compose(B(k)).is_zero(), (A.name, k, d)
@@ -209,41 +205,64 @@ def test_boundary_b_once_per_word(monkeypatch):
 
 
 def test_each_differential_eliminated_once(monkeypatch):
-    # the homology on either side of d_n reads one elimination of it, so
-    # no slice pair's columns are built or eliminated twice, and no other
-    # span of differential columns is echelonized
+    # the homology on either side of d_n reads one elimination of each of
+    # its multidegree blocks, so no (differential, block) pair's columns
+    # are built or eliminated twice, no whole-slice columns are built, and
+    # no span of differential columns is echelonized
     import cyclo2.cyclic as cyclic
     import cyclo2.f2linalg as f2linalg
-    built, eliminated, spans = [], [], []
+    built, eliminated, spans, whole = [], [], [], []
     last = []
+    block_columns = cyclic._block_columns
 
     def tag(sl):
         return sl.theory, sl.n, sl.d, sl.S
 
-    def counting_columns(A, src, tgt):
-        built.append((tag(src), tag(tgt)))
+    def counting_columns(A, src, tgt, key):
+        built.append((tag(src), tag(tgt), key))
         last[:] = built[-1:]
-        return differential_columns(A, src, tgt)
+        return block_columns(A, src, tgt, key)
 
     def counting_null_space(cols):
         # a null space belongs to the columns built just before it
         eliminated.append(last.pop() if last else None)
         return null_space(cols)
 
-    def counting(f):
-        return lambda *args: spans.append(f.__name__) or f(*args)
+    def counting(f, calls):
+        return lambda *args: calls.append(f.__name__) or f(*args)
 
-    monkeypatch.setattr(cyclic, "differential_columns", counting_columns)
+    monkeypatch.setattr(cyclic, "_block_columns", counting_columns)
+    monkeypatch.setattr(cyclic, "differential_columns",
+                        counting(differential_columns, whole))
     monkeypatch.setattr(f2linalg, "null_space", counting_null_space)
     for module in (cyclic, f2linalg):
         monkeypatch.setattr(module, "echelonize_in",
-                            counting(module.echelonize_in))
+                            counting(module.echelonize_in, spans))
     A = polynomial_algebra(["x", "y", "z"])
     for n, d in bidegree_window(A, 4, 4):
         homology(A, "minus", n, d)
     assert built and len(built) == len(set(built))
     assert Counter(eliminated) == Counter(built)
-    assert spans == []
+    assert spans == [] and whole == []
+    # the differentials really are split
+    blocks = Counter((src, tgt) for src, tgt, _ in built)
+    assert max(blocks.values()) > 1
+
+
+def test_one_block_is_read_as_it_is():
+    # a presentation that is not a monomial ideal has one block per slice,
+    # placed as the slice itself, so its homology reads the memoised
+    # eliminations without a copy; a monomial slice is split
+    for A, d in ((cusp(), 3), (field_f4(), 0)):
+        for n in range(-2, 3):
+            h = _homology_at(A, "minus", n, d, 3)
+            sl = h.slice
+            assert list(sl.blocks) == ([None] if sl.dim else []), (A.name, n)
+            if sl.dim:
+                out = _eliminated(A, "minus", n, d, 3)[None]
+                assert h.cycles is out[0], (A.name, n)
+    h = _homology_at(polynomial_algebra(["x", "y"]), "minus", 0, 3, 0)
+    assert len(h.slice.blocks) == 4
 
 
 def test_shared_eliminations_in_either_order():
@@ -277,6 +296,18 @@ def test_stabilization_pass_keeps_no_eliminations():
         homology(A, "per", n, 0, 3)
     depths = {key[3] for key in A.memo("differential")}
     assert depths == {3}
+
+
+def test_truncation_check_shares_the_depth_S_bases():
+    # the S + 1 check assembles the depth-S slice bases once; the flagged
+    # result reads those, not a second assembly
+    A = truncated_cube()
+    for n in range(-3, 4):
+        h, small = homology(A, "minus", n, 0, 3), _homology_s(A, "minus", n,
+                                                             0, 3)
+        assert h is not small and len(h.slice.blocks) > 1, n
+        assert all(getattr(h, name) is getattr(small, name)
+                   for name in ("cycles", "boundaries", "complement")), n
 
 
 # ----- homology -----
@@ -536,29 +567,45 @@ def test_class_product_independent_of_representatives():
 
 
 def _oracle_homology_at(A, theory, n, d, S):
+    """The unsplit path: whole-slice eliminations of the per-word
+    differential columns."""
     sl_n = build_tower(A, theory, n, d, S)
     sl_dn = build_tower(A, theory, n - 1, d, S)
     sl_up = build_tower(A, theory, n + 1, d, S)
-    return oracle_homology_bases(differential_columns(A, sl_n, sl_dn),
-                                 differential_columns(A, sl_up, sl_n))
+    return oracle_homology_bases(oracle_differential_columns(A, sl_n, sl_dn),
+                                 oracle_differential_columns(A, sl_up, sl_n))
 
 
 def _bases(h):
     return h.cycles, h.boundaries, h.complement
 
 
+def _assert_oracle_bases(A, theory, n, d, S):
+    # the kept path (memoised block eliminations) and the unkept one of
+    # the S + 1 pass both give the whole-slice oracle's bases
+    oracle = _oracle_homology_at(A, theory, n, d, S)
+    assert _bases(_homology_at(A, theory, n, d, S)) == oracle, \
+        (A.name, theory, n, d, S)
+    assert _bases(_homology_at(A, theory, n, d, S, keep=False)) == oracle, \
+        (A.name, theory, n, d, S, "unkept")
+
+
 def test_homology_bases_match_oracle_path():
     for A in (polynomial_algebra(["x", "y"]), CUSP):
         for n, d in bidegree_window(A, 4, 4):
-            assert _bases(_homology_at(A, "minus", n, d, 0)) == \
-                _oracle_homology_at(A, "minus", n, d, 0), (A.name, n, d)
-    for A in (field_f4(), dual_numbers()):
+            _assert_oracle_bases(A, "minus", n, d, 0)
+    # many blocks per slice: three variables, and a monomial relation
+    xy = AlgebraPresentation(("x", "y"), (1, 1), (frozenset({(1, 1)}),),
+                             name="F2[x,y]/(xy)")
+    for A in (polynomial_algebra(["x", "y", "z"]), xy):
+        for theory in THEORY_BOUNDS:
+            for n, d in bidegree_window(A, 3, 3):
+                _assert_oracle_bases(A, theory, n, d, 0)
+    for A in (field_f4(), dual_numbers(), truncated_cube()):
         for S in (2, 3):
             for theory in ("minus", "per"):
                 for n in range(-3, 5):
-                    assert _bases(_homology_at(A, theory, n, 0, S)) == \
-                        _oracle_homology_at(A, theory, n, 0, S), \
-                        (A.name, theory, n, S)
+                    _assert_oracle_bases(A, theory, n, 0, S)
     A = polynomial_algebra(["x", "y"])
     for n in range(4):
         for d in range(6):
@@ -569,6 +616,32 @@ def test_homology_bases_match_oracle_path():
 
 
 # ----- the homology-side property slice -----
+
+@settings(max_examples=50)
+@given(small_presentations())
+def test_mixed_columns_keep_blocks_and_form_a_mixed_complex(A):
+    """On monomial draws every b and B column stays inside the block of
+    its source word's _block_key; on every draw b b = B B = b B + B b = 0
+    on the per-degree matrices."""
+    for d in range(5) if A.graded else (0,):
+        b = lambda j: mixed_matrix(A, "b", j, d)
+        B = lambda j: mixed_matrix(A, "B", j, d)
+        for k in range(5):
+            if A.monomial_ideal:
+                src = hochschild_basis(A, k, d)
+                for op, k_tgt in (("b", k - 1), ("B", k + 1)):
+                    tgt = hochschild_basis(A, k_tgt, d).words
+                    for w, col in zip(src.words, mixed_matrix(A, op, k, d)
+                                      .columns):
+                        keys = {_block_key(tgt[i])
+                                for i in range(col.bit_length())
+                                if col >> i & 1}
+                        assert keys <= {_block_key(w)}, (A.name, op, w)
+            assert b(k).compose(b(k + 1)).is_zero(), (A.name, k, d)
+            assert B(k + 1).compose(B(k)).is_zero(), (A.name, k, d)
+            assert b(k + 1).compose(B(k)).add(
+                B(k - 1).compose(b(k))).is_zero(), (A.name, k, d)
+
 
 def _assert_homology(H, where):
     assert H.cycles.contains_subspace(H.boundaries), where
@@ -594,6 +667,15 @@ def test_homology_side_properties(A):
     for t in THEORY_BOUNDS:
         for n, D in window:
             _assert_homology(_homology_s(A, t, n, D, S), (A.name, t, n, D))
+            # rank + nullity: kernel and image of each block of d_n add up
+            # to the block's dimension, and the blocks to the slice's
+            sl = build_tower(A, t, n, D, S)
+            dims = {key: kernel.dim + image.dim for key, (kernel, image)
+                    in _eliminated(A, t, n, D, S).items()}
+            assert dims == {
+                key: sum(stop - start for _, start, stop, _ in segments)
+                for key, segments in sl.blocks.items()}, (A.name, t, n, D)
+            assert sum(dims.values()) == sl.dim, (A.name, t, n, D)
     for nf in range(A.ngens + 1):
         for D in range(4) if A.graded else (0,):
             _assert_homology(de_rham_cohomology(A, nf, D), (A.name, nf, D))
