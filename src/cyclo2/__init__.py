@@ -47,7 +47,6 @@ from .f2linalg import (
     SubspaceBasis,
     quotient_coordinates,
     rank_kernel_image,
-    solve,
 )
 from .gralg import (
     AlgebraPresentation,

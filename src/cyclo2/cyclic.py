@@ -47,10 +47,10 @@ from .f2linalg import (
     null_space,
     rank_kernel_image,
     rank_of,
-    solve,
 )
 from .gralg import AlgebraPresentation, grevlex_key
-from .hochschild import BarWord, UChain, boundary_b, connes_B
+from .hochschild import BarWord, UChain, boundary_b, connes_B, \
+    uchain_boundary
 
 THEORY_BOUNDS = {
     "hh": (0, 0),
@@ -349,54 +349,30 @@ def unvectorize(sl: TowerSlice, v: int) -> UChain:
     return UChain.make(theory, entries)
 
 
-def _segment_columns(A: AlgebraPresentation, src: TowerSlice,
-                     tgt: TowerSlice, segments, place: dict) -> list[int]:
+def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
+                   key) -> list[int]:
     """Columns of B + b from src (degree n) to tgt (degree n - 1) on the
-    words of segments, (p, key, start, stop) ranges of blocks of columns
-    of src.  b of C_{n-2p,d} lands in column p of tgt and B in column
-    p - 1; place[(p, key)] is the position of the first word of that
-    block of column p of tgt.  A component with no place is cut: its
-    column is past the truncation or bound of tgt, or tgt lacks the block
-    there, where mixed_columns has checked it is zero."""
+    block key of src, in the block-local coordinates of the block key of
+    tgt (zero if tgt has no such block).  b of C_{n-2p,d} lands in column
+    p of tgt and B in column p - 1.  A component with no place in tgt is
+    cut: its column is past the truncation or bound of tgt, or tgt lacks
+    the block there, where mixed_columns has checked it is zero."""
+    place = {p: local for p, _, _, local in tgt.blocks.get(key, ())}
     cols: list[int] = []
-    for p, key, start, stop in segments:
+    for p, start, stop, _ in src.blocks[key]:
         k = src.n - 2 * p
-        off = place.get((p, key))
+        off = place.get(p)
         if off is None:
             part = [0] * (stop - start)
         else:
             part = [v << off
                     for v in mixed_columns(A, "b", k, src.d)[start:stop]]
-        off = place.get((p - 1, key))
+        off = place.get(p - 1)
         if off is not None:
             B = mixed_columns(A, "B", k, src.d)[start:stop]
             part = [vb ^ (vB << off) for vb, vB in zip(part, B)]
         cols.extend(part)
     return cols
-
-
-def differential_columns(A: AlgebraPresentation, src: TowerSlice,
-                         tgt: TowerSlice) -> list[int]:
-    """Columns of B + b from src (degree n) to tgt (degree n - 1) on whole
-    slices: each block of a per-degree matrix moved to tgt's offsets."""
-    if tgt.n != src.n - 1 or tgt.d != src.d:
-        raise TowerError("differential endpoints mismatch")
-    return _segment_columns(
-        A, src, tgt,
-        [(p, key, start, stop) for p, hb, _ in src.columns()
-         for key, (start, stop) in hb.blocks.items()],
-        {(p, key): off + start for p, hb, off in tgt.columns()
-         for key, (start, _) in hb.blocks.items()})
-
-
-def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
-                   key) -> list[int]:
-    """Columns of B + b on the block key of src, in the block-local
-    coordinates of the block key of tgt (zero if tgt has no such block)."""
-    return _segment_columns(
-        A, src, tgt,
-        [(p, key, start, stop) for p, start, stop, _ in src.blocks[key]],
-        {(p, key): local for p, _, _, local in tgt.blocks.get(key, ())})
 
 
 @dataclass(frozen=True)
@@ -568,27 +544,28 @@ def slice_shift_map(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
 def connecting_map(A: AlgebraPresentation,
                    HN: HomologyPresentation, HL: HomologyPresentation,
                    M_n: TowerSlice, M_n1: TowerSlice,
-                   p_map, i_map) -> F2Matrix:
-    """Snake-lemma connecting homomorphism via explicit lifting.
+                   p_shift: int, i_shift: int) -> F2Matrix:
+    """Snake-lemma connecting homomorphism N_n -> L_{n-1} of a short exact
+    sequence of towers that splits column by column.
 
-    p_map : M_n slice vector -> N_n slice vector (surjection of the SES)
-    i_map : L slice vector -> M_{n-1} slice vector (injection of the SES)
-    The lift and the preimage are found with f2linalg.solve, not by a
-    closed formula.
+    p: M -> N moves column p to p + p_shift and i: L -> M moves column p to
+    p + i_shift, so a cycle z of N_n lifts to x in M_n by the shift -p_shift
+    and the boundary dx comes back to L_{n-1} by the shift -i_shift.  Both
+    steps are checked exactly: p(x) = z and i(w) = dx.
     """
-    p_cols = [p_map(1 << j) for j in range(M_n.dim)]
-    p_mat = F2Matrix(HN.slice.dim, tuple(p_cols))
-    i_cols = [i_map(1 << j) for j in range(HL.slice.dim)]
-    i_mat = F2Matrix(M_n1.dim, tuple(i_cols))
-    d_mat = F2Matrix(M_n1.dim, tuple(differential_columns(A, M_n, M_n1)))
+    lift = slice_shift_map(A, HN.slice, M_n, -p_shift)
+    p_map = slice_shift_map(A, M_n, HN.slice, p_shift)
+    back = slice_shift_map(A, M_n1, HL.slice, -i_shift)
+    i_map = slice_shift_map(A, HL.slice, M_n1, i_shift)
     cols = []
     for k in range(HN.dim):
         z = HN.rep(k)
-        x = solve(p_mat, z)
-        if x is None:
+        x = lift(z)
+        if p_map(x) != z:
             raise TowerError("connecting map: lift failed")
-        w = solve(i_mat, d_mat.apply(x))
-        if w is None:
+        dx = vectorize(A, M_n1, uchain_boundary(A, unvectorize(M_n, x)))
+        w = back(dx)
+        if i_map(w) != dx:
             raise TowerError("connecting map: boundary not in subcomplex")
         cols.append(HL.coords(w))
     return F2Matrix(HL.dim, tuple(cols))
@@ -688,8 +665,8 @@ def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
     i_next_map = slice_shift_map(A, L_n1.slice, M_n1.slice, i_shift)
     mats = (class_map(A, L_n, M_n, i_map),
             class_map(A, M_n, N_n, p_map),
-            connecting_map(A, N_n, L_n1, M_n.slice, M_n1.slice, p_map,
-                           i_next_map),
+            connecting_map(A, N_n, L_n1, M_n.slice, M_n1.slice, p_shift,
+                           i_shift),
             class_map(A, L_n1, M_n1, i_next_map))
     return LESData(which, n, d,
                    spaces=dict(zip(ses.spaces, (L_n, M_n, N_n, L_n1, M_n1))),

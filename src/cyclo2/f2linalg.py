@@ -8,13 +8,12 @@ produced here is reproducible bit for bit.
 A matrix is stored as its columns, the form every producer of a matrix
 builds and every elimination reads.  There are two elimination loops: the
 span loop (_span_pivots) behind echelonize_in, rank_of and
-complement_basis, and the tracked loop null_space, whose pivot rows also
-serve solve.  Spans and kernels are eliminated from the last vector (or
-column) to the first.  A reduced row-echelon basis under the lowest-bit
-pivot rule is unique, so the order changes the work, not the bases;
-last-first leaves a kernel already in reduced echelon form (see
-null_space), and every span goes through the one back-substitution,
-_reduced_echelon.
+complement_basis, and the tracked loop null_space.  Spans and kernels are
+eliminated from the last vector (or column) to the first.  A reduced
+row-echelon basis under the lowest-bit pivot rule is unique, so the order
+changes the work, not the bases; last-first leaves a kernel already in
+reduced echelon form (see null_space), and every span goes through the
+one back-substitution, _reduced_echelon.
 
 Every quotient the package takes is one of two records built on these:
 PresentedSpace, generators modulo relations (the ell functors and the
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class F2LinalgError(Exception):
@@ -323,26 +322,6 @@ def rank_kernel_image(m: F2Matrix) -> tuple[int, SubspaceBasis, SubspaceBasis]:
     image = {p: v for p, (v, _) in pivots.items()}
     del pivots  # free the trackers before the back-substitution
     return len(image), kernel, _reduced_echelon(image, m.rows)
-
-
-def solve(m: F2Matrix, target: int) -> Optional[int]:
-    """One solution x of m @ x = target, or None if inconsistent.
-
-    The target is reduced, lowest bit first, against the tracked pivot rows
-    of null_space, so x sets only columns that became pivots there (free
-    variables are zero) and is deterministic.
-    """
-    if target >> m.rows:
-        raise F2LinalgError("target longer than row count")
-    pivots = null_space(m.columns)[1]
-    x = 0
-    while target:
-        row = pivots.get((target & -target).bit_length() - 1)
-        if row is None:
-            return None
-        target ^= row[0]
-        x ^= row[1]
-    return x
 
 
 def complement_basis(cycles: SubspaceBasis, boundaries: SubspaceBasis) -> tuple[int, ...]:

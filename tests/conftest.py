@@ -1,7 +1,7 @@
 """Shared test plumbing: echo acceptance pass/fail lines past capture, the
 default hypothesis profile and its random small presentations, and the
-slow elimination, differential, relation-instance, relation-row and
-commuting-square oracles."""
+slow elimination, differential, connecting-map, relation-instance,
+relation-row and commuting-square oracles."""
 
 import itertools
 
@@ -192,6 +192,41 @@ def oracle_differential_columns(A, src, tgt):
                 v ^= 1 << idx[(p - 1, w2)]
         cols.append(v)
     return cols
+
+
+# ----- the connecting map by solving, kept as a slow oracle -----
+
+def oracle_solve(cols, target):
+    """One x whose set bits k sum cols[k] to target, or None: the target
+    reduced, lowest bit first, against the pivot rows of eliminate_tracked."""
+    rows = {p: (v, t) for p, v, t in eliminate_tracked(cols)[0]}
+    x = 0
+    while target:
+        row = rows.get((target & -target).bit_length() - 1)
+        if row is None:
+            return None
+        target ^= row[0]
+        x ^= row[1]
+    return x
+
+
+def oracle_connecting_map(A, HN, HL, M_n, M_n1, p_map, i_map):
+    """The connecting map N_n -> L_{n-1} by explicit lifting: a lift x of
+    each class representative z solved for against the whole matrix of p,
+    and a preimage of dx against the whole matrix of i, with d from the
+    per-word differential columns; p_map and i_map are slice vector maps."""
+    p_cols = [p_map(1 << j) for j in range(M_n.dim)]
+    i_cols = [i_map(1 << j) for j in range(HL.slice.dim)]
+    d_mat = F2Matrix(M_n1.dim,
+                     tuple(oracle_differential_columns(A, M_n, M_n1)))
+    cols = []
+    for k in range(HN.dim):
+        x = oracle_solve(p_cols, HN.rep(k))
+        assert x is not None, "connecting map: lift failed"
+        w = oracle_solve(i_cols, d_mat.apply(x))
+        assert w is not None, "connecting map: boundary not in subcomplex"
+        cols.append(HL.coords(w))
+    return F2Matrix(HL.dim, tuple(cols))
 
 
 # ----- the per-family relation generators, kept as a slow oracle -----

@@ -1,25 +1,34 @@
 import itertools
+import os
 import random
 from collections import Counter
 
 from hypothesis import given, settings
 
+import pytest
+
 from conftest import (
+    oracle_connecting_map,
     oracle_differential_columns,
+    oracle_echelonize_in,
     oracle_homology_bases,
     slice_basis,
     small_presentations,
 )
+from cyclo2.approx import verify_squares
+from cyclo2.cli import load_presentation
 from cyclo2.cyclic import (
     SEQUENCES,
     THEORY_BOUNDS,
+    TowerError,
+    _block_columns,
     _block_key,
     _eliminated,
     _homology_at,
     _homology_s,
     bidegree_window,
     build_tower,
-    differential_columns,
+    connecting_map,
     e1_page,
     e2_page,
     hochschild_basis,
@@ -27,11 +36,12 @@ from cyclo2.cyclic import (
     les_maps,
     mixed_columns,
     mixed_matrix,
+    slice_shift_map,
     vectorize,
 )
 from cyclo2.derham import d_matrix_columns, de_rham_cohomology, omega_basis
 from cyclo2.ell import FLAVORS, ell_degree_basis
-from cyclo2.f2linalg import F2Matrix, null_space, rank_kernel_image
+from cyclo2.f2linalg import F2Matrix, _placed, null_space, rank_kernel_image
 from cyclo2.gralg import (
     AlgebraPresentation,
     dual_numbers,
@@ -60,6 +70,7 @@ def truncated_cube():
 
 CUSP = cusp()
 X3 = truncated_cube()
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 # ----- independent brute-force oracle (dict-of-sets elimination) -----
@@ -146,20 +157,37 @@ def test_tower_differential_squares_to_zero():
             s2 = build_tower(A, "minus", n + 1, d, S=3)
             s1 = build_tower(A, "minus", n, d, S=3)
             s0 = build_tower(A, "minus", n - 1, d, S=3)
-            m1 = F2Matrix(s1.dim, tuple(differential_columns(A, s2, s1)))
-            m0 = F2Matrix(s0.dim, tuple(differential_columns(A, s1, s0)))
+            m1 = F2Matrix(s1.dim,
+                          tuple(oracle_differential_columns(A, s2, s1)))
+            m0 = F2Matrix(s0.dim,
+                          tuple(oracle_differential_columns(A, s1, s0)))
             assert m0.compose(m1).is_zero()
 
 
+def _placed_block_columns(A, src, tgt):
+    """The block columns of every block of src, placed in slice
+    coordinates of src and tgt along their runs."""
+    tgt_runs = dict(zip(tgt.blocks, tgt.runs()))
+    cols = [0] * src.dim
+    for key, runs in zip(src.blocks, src.runs()):
+        block = _block_columns(A, src, tgt, key)
+        for pos, local, length in runs:
+            for j in range(length):
+                cols[pos + j] = _placed(block[local + j],
+                                        tgt_runs.get(key, ()))
+    return cols
+
+
 def test_differential_columns_match_per_word_oracle():
-    # graded towers are finite; ungraded ones are cut at -S, so the B
-    # column of their deepest p is dropped
+    # the block columns, placed in the slices, are the whole-slice
+    # differential; graded towers are finite, ungraded ones are cut at -S,
+    # so the B column of their deepest p is dropped
     for A in (PXY, CUSP):
         for theory in ("hh", "plus", "minus", "per"):
             for n, d in bidegree_window(A, 4, 4):
                 src = build_tower(A, theory, n, d)
                 tgt = build_tower(A, theory, n - 1, d)
-                assert differential_columns(A, src, tgt) == \
+                assert _placed_block_columns(A, src, tgt) == \
                     oracle_differential_columns(A, src, tgt), \
                     (A.name, theory, n, d)
     for A in (F4, DUAL, X3):
@@ -168,7 +196,7 @@ def test_differential_columns_match_per_word_oracle():
                 for n in range(-2, 4):
                     src = build_tower(A, theory, n, 0, S)
                     tgt = build_tower(A, theory, n - 1, 0, S)
-                    assert differential_columns(A, src, tgt) == \
+                    assert _placed_block_columns(A, src, tgt) == \
                         oracle_differential_columns(A, src, tgt), \
                         (A.name, theory, n, S)
 
@@ -207,11 +235,11 @@ def test_boundary_b_once_per_word(monkeypatch):
 def test_each_differential_eliminated_once(monkeypatch):
     # the homology on either side of d_n reads one elimination of each of
     # its multidegree blocks, so no (differential, block) pair's columns
-    # are built or eliminated twice, no whole-slice columns are built, and
-    # no span of differential columns is echelonized
+    # are built or eliminated twice, and no span of differential columns
+    # is echelonized
     import cyclo2.cyclic as cyclic
     import cyclo2.f2linalg as f2linalg
-    built, eliminated, spans, whole = [], [], [], []
+    built, eliminated, spans = [], [], []
     last = []
     block_columns = cyclic._block_columns
 
@@ -232,8 +260,6 @@ def test_each_differential_eliminated_once(monkeypatch):
         return lambda *args: calls.append(f.__name__) or f(*args)
 
     monkeypatch.setattr(cyclic, "_block_columns", counting_columns)
-    monkeypatch.setattr(cyclic, "differential_columns",
-                        counting(differential_columns, whole))
     monkeypatch.setattr(f2linalg, "null_space", counting_null_space)
     for module in (cyclic, f2linalg):
         monkeypatch.setattr(module, "echelonize_in",
@@ -243,7 +269,7 @@ def test_each_differential_eliminated_once(monkeypatch):
         homology(A, "minus", n, d)
     assert built and len(built) == len(set(built))
     assert Counter(eliminated) == Counter(built)
-    assert spans == [] and whole == []
+    assert spans == []
     # the differentials really are split
     blocks = Counter((src, tgt) for src, tgt, _ in built)
     assert max(blocks.values()) > 1
@@ -443,6 +469,43 @@ def test_connecting_map_formula():
     assert hm1.coords(v) == 0b1
 
 
+def _assert_bd_matches_oracle(A, which, n, D, S):
+    # the connecting map of les_maps is the one found by solving against
+    # the whole p and i matrices
+    les = les_maps(A, which, n, D, S)
+    ses = SEQUENCES[which]
+    _, M_n, N_n, L_n1, M_n1 = (les.spaces[name] for name in ses.spaces)
+    i_shift, p_shift = ses.shifts
+    oracle = oracle_connecting_map(
+        A, N_n, L_n1, M_n.slice, M_n1.slice,
+        slice_shift_map(A, M_n.slice, N_n.slice, p_shift),
+        slice_shift_map(A, L_n1.slice, M_n1.slice, i_shift))
+    assert les.maps["bd"] == oracle, (A.name, which, n, D, S)
+
+
+def test_connecting_maps_match_solving_oracle():
+    fixtures = [load_presentation(os.path.join(FIXTURES, name))
+                for name in sorted(os.listdir(FIXTURES))]
+    for A in fixtures + [CUSP, truncated_cube()]:
+        N = 2 if A.ngens > 2 else 3
+        for S in (2, 3) if not A.graded else (3,):
+            for which in SEQUENCES:
+                for n, D in bidegree_window(A, N, N):
+                    _assert_bd_matches_oracle(A, which, n, D, S)
+
+
+def test_connecting_map_rejects_a_wrong_shift():
+    # HH_0 -> HC^-_1 of F2[x] at D = 1 is nonzero; lifting along any other
+    # column shift, or pulling back along one, fails its exact check
+    sp = les_maps(PX, "minus_les", 0, 1).spaces
+    args = (PX, sp["HH_n"], sp["Hminus_n1"], sp["Hminus_n"].slice,
+            sp["Hminus_nm1"].slice)
+    assert not connecting_map(*args, 0, -1).is_zero()
+    for p_shift, i_shift in ((1, -1), (-1, -1), (0, 0), (0, -2)):
+        with pytest.raises(TowerError):
+            connecting_map(*args, p_shift, i_shift)
+
+
 def test_h_after_u_is_zero():
     for d in range(0, 4):
         data = les_maps(PX, "minus_les", 0, d)
@@ -504,9 +567,8 @@ def _class_reps(A, theory, pairs):
 
 
 def test_mu_associative_up_to_boundary():
-    # mu(mu(x,y),z) + mu(x,mu(y,z)) on cycles is a boundary: solve() finds
-    # an explicit witness in the truncated tower
-    from cyclo2.f2linalg import solve
+    # mu(mu(x,y),z) + mu(x,mu(y,z)) on cycles is a boundary: it lies in
+    # the span of the differential columns of the truncated tower
     from cyclo2.hochschild import mu_chain
     reps = _class_reps(PX, "hcminus",
                        [(n, d) for n in range(0, 2) for d in range(0, 3)])
@@ -523,13 +585,13 @@ def test_mu_associative_up_to_boundary():
                 d = Hx.d + Hy.d + Hz.d
                 sl = build_tower(PX, "minus", n, d)
                 sl_up = build_tower(PX, "minus", n + 1, d)
-                cols = differential_columns(PX, sl_up, sl)
+                cols = oracle_differential_columns(PX, sl_up, sl)
                 target = vectorize(PX, sl, diff)
-                mat = F2Matrix(sl.dim, tuple(cols))
-                assert solve(mat, target) is not None, (n, d)
+                assert oracle_echelonize_in(cols, sl.dim).contains(target), \
+                    (n, d)
                 count += 1
     # at least some nontrivial associators must have been checked
-    assert count >= 0
+    assert count > 0
 
 
 def test_class_product_independent_of_representatives():
@@ -550,7 +612,7 @@ def test_class_product_independent_of_representatives():
         if sl_up.dim == 0:
             continue
         w = rng.getrandbits(sl_up.dim)
-        cols = differential_columns(PX, sl_up, Hy.slice)
+        cols = oracle_differential_columns(PX, sl_up, Hy.slice)
         bnd = 0
         ww = w
         while ww:
@@ -660,8 +722,10 @@ def _assert_presented(sp, where):
 def test_homology_side_properties(A):
     """In a small window every tower homology and de Rham cohomology is
     cycles modulo boundaries with unit class coordinates, every presented
-    space reads its own elements back, and on graded draws the three long
-    exact sequences are exact."""
+    space reads its own elements back, and every connecting map is the one
+    found by solving.  On graded draws the three long exact sequences are
+    exact and the squares of the approximation diagrams commute; on
+    polynomial draws HH_n has the dimension of Omega^n (HKR)."""
     S = 2
     window = bidegree_window(A, 3, 3)
     for t in THEORY_BOUNDS:
@@ -684,9 +748,19 @@ def test_homology_side_properties(A):
         for n, D in window:
             _assert_presented(ell_degree_basis(A, fl, n, D - n),
                               (A.name, fl, n, D))
+    for which in SEQUENCES:
+        for n, D in bidegree_window(A, 2, 3):
+            _assert_bd_matches_oracle(A, which, n, D, S)
     if A.graded:
         for which in SEQUENCES:
             for n, D in bidegree_window(A, 2, 3):
                 defects = les_maps(A, which, n, D, S).exactness_defects()
                 assert not any(defects.values()), (A.name, which, n, D,
                                                    defects)
+        residuals = [r for r in verify_squares(A, 2, 3, S) if r["residual"]]
+        assert not residuals, (A.name, residuals)
+    if A.graded and not A.relations:
+        for nf in range(A.ngens + 2):
+            for D in range(4):
+                assert homology(A, "hh", nf, D).dim == \
+                    omega_basis(A, nf, D).dim, (A.name, nf, D)

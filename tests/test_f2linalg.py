@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
-    eliminate_tracked,
     oracle_echelonize_in,
     oracle_homology_bases,
     oracle_kernel_image,
@@ -18,7 +17,6 @@ from cyclo2.f2linalg import (
     null_space,
     quotient_coordinates,
     rank_kernel_image,
-    solve,
 )
 
 
@@ -84,40 +82,6 @@ def test_kernel_vectors_annihilate():
         # independent oracle
         sets = [{j for j in range(c) if (row >> j) & 1} for row in rows]
         assert oracle_rank(sets) == rank
-
-
-def test_solve_identity():
-    m = F2Matrix(3, (0b001, 0b010, 0b100))
-    assert solve(m, 0b001) == 0b001
-
-
-def test_solve_zero_matrix_no_solution():
-    m = F2Matrix(2, (0, 0))
-    assert solve(m, 0b01) is None
-
-
-def test_solve_picks_echelon_particular_solution():
-    m = F2Matrix(1, (1, 1))
-    assert solve(m, 0) == 0  # (0,0), not (1,1)
-
-
-def test_solve_membership_random():
-    rng = random.Random(11)
-    for _ in range(100):
-        r, c = rng.randint(1, 7), rng.randint(1, 7)
-        m = from_rows([rng.getrandbits(c) for _ in range(r)], c)
-        x = rng.getrandbits(c)
-        t = m.apply(x)
-        sol = solve(m, t)
-        assert sol is not None
-        assert m.apply(sol) == t
-        _, _, im = rank_kernel_image(m)
-        bad = t
-        # perturb target outside the image if possible
-        for j in range(r):
-            if not im.contains(bad ^ (1 << j)):
-                assert solve(m, bad ^ (1 << j)) is None
-                break
 
 
 def test_subspace_rejects_a_basis_that_is_not_back_substituted():
@@ -256,27 +220,6 @@ def test_column_store_matches_dense_oracle(case, data):
                                for r, s in zip(a, dense_of(same))]
     for mat in (m, total, m.add(m)):
         assert mat.is_zero() == (not any(map(any, dense_of(mat))))
-
-
-@given(column_lists(), st.data())
-def test_solve_matches_tracked_oracle(case, data):
-    rows, cols = case
-    m = F2Matrix(rows, tuple(cols))
-    if data.draw(st.booleans()):
-        target = m.apply(data.draw(st.integers(0, (1 << m.cols) - 1)))
-    else:
-        target = data.draw(st.integers(0, (1 << rows) - 1))
-    rest = target
-    for p, v, _ in eliminate_tracked(cols)[0]:
-        if (rest >> p) & 1:
-            rest ^= v
-    x = solve(m, target)
-    assert (x is None) == (rest != 0)
-    if x is not None:
-        assert m.apply(x) == target
-        # the free variables, one per kernel pivot, are zero
-        for v in null_space(cols)[0].vectors:
-            assert not x & v & -v
 
 
 @given(column_lists(), st.data())
