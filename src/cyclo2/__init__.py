@@ -23,6 +23,7 @@ from .cyclic import (
     e2_page,
     homology,
     les_maps,
+    truncation,
 )
 from .derham import (
     antisymmetrize,

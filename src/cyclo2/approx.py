@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 from .cyclic import (
     SEQUENCES,
     HomologyPresentation,
-    _homology_s,
+    Truncation,
     bidegree_window,
     homology,
     les_maps,
+    theory_key,
+    truncation,
     vectorize,
 )
 from .derham import antisymmetrize, omega_basis
@@ -50,8 +52,8 @@ from .f2linalg import F2Matrix, rank_of
 from .gralg import AlgebraPresentation
 from .hochschild import UChain, mu_chain, uchain_boundary
 
-THEORY_FLAVOR = {"hcminus": "ell", "hc": "ell_plus", "hcper": "ell_per"}
-THEORY_TOWER = {"hcminus": "minus", "hc": "plus", "hcper": "per"}
+# the approximation functor of each tower, keyed by cyclic.theory_key
+THEORY_FLAVOR = {"minus": "ell", "plus": "ell_plus", "per": "ell_per"}
 
 
 class ApproxError(Exception):
@@ -143,7 +145,7 @@ def psi_class(A: AlgebraPresentation, el: EllElement,
     v = 0
     for mon in el:
         x = chain_of_monomial(A, mon)
-        v ^= vectorize(A, H.slice, x, allow_projection=True)
+        v ^= vectorize(A, H.slice, x)
     return H.coords(v)
 
 
@@ -155,14 +157,14 @@ def psi_matrix(A: AlgebraPresentation, theory: str, n: int, D: int,
     through psi and asserted to vanish in homology, certifying that the map
     is well defined on the quotient.  H is the homology at depth S only.
     """
+    t = theory_key(theory)
     cache = A.memo("psi_matrix")
-    key = (theory, n, D, 0 if A.graded else S)
+    key = (t, n, D, 0 if A.graded else S)
     cached = cache.get(key)
     if cached is not None and (cached[3] or not certify):
         return cached[0], cached[1], cached[2]
-    flavor = THEORY_FLAVOR[theory]
-    sp = ell_degree_basis(A, flavor, n, D - n)
-    H = _homology_s(A, THEORY_TOWER[theory], n, D, S)
+    sp = ell_degree_basis(A, THEORY_FLAVOR[t], n, D - n)
+    H = homology(A, t, n, D, S)
     cols = [psi_class(A, frozenset({mon}), H) for mon in sp.basis()]
     mat = F2Matrix(H.dim, tuple(cols))
     if certify:
@@ -232,18 +234,17 @@ class ApproxReport:
         }
 
 
-def _verdict(sp_dim: int, H: HomologyPresentation, rank: int) -> tuple[str, str]:
-    if H.flag == "stable":
+def _verdict(sp_dim: int, H: HomologyPresentation, trunc: Truncation,
+             rank: int) -> tuple[str, str]:
+    if trunc.flag == "stable":
         if sp_dim == H.dim == rank:
             return "iso", ""
         return "not_iso", "stable dimensions differ or rank deficient"
     # truncation-limited: only persistent evidence is trusted
-    if H.persistent_image is not None:
-        p = H.persistent_image.dim
-        if sp_dim < p:
-            return "not_iso", (
-                "source dimension below persistent class rank "
-                f"({sp_dim} < {p})")
+    p = trunc.persistent_image.dim
+    if sp_dim < p:
+        return "not_iso", ("source dimension below persistent class rank "
+                           f"({sp_dim} < {p})")
     return "inconclusive", "truncation-limited window"
 
 
@@ -253,48 +254,48 @@ def verify_approximation(A: AlgebraPresentation, theory: str,
                          certify_limit: int = 40,
                          product_samples: int = 25) -> ApproxReport:
     """Per-bidegree isomorphism verdicts plus multiplicativity samples."""
-    if theory not in THEORY_FLAVOR:
+    if theory not in ("hcminus", "hc", "hcper"):
         raise ApproxError(f"unknown theory {theory!r} for approximation")
+    t = theory_key(theory)
     t0 = time.time()
     report = ApproxReport(A.name, theory, max_homological, max_internal, S)
     bidegrees = bidegree_window(A, max_homological, max_internal)
     for n, D in bidegrees:
-        flavor = THEORY_FLAVOR[theory]
-        sp = ell_degree_basis(A, flavor, n, D - n)
-        H = homology(A, THEORY_TOWER[theory], n, D, S)
-        if sp.dim == 0 and H.dim == 0 and H.flag == "stable":
+        sp = ell_degree_basis(A, THEORY_FLAVOR[t], n, D - n)
+        H = homology(A, t, n, D, S)
+        trunc = truncation(A, H)
+        if sp.dim == 0 and H.dim == 0 and trunc.flag == "stable":
             report.entries.append(BidegreeVerdict(
                 n, D, D - n, 0, 0, 0, "iso", "stable", "both sides zero"))
             continue
         certify = len(sp.cands) <= certify_limit
-        mat, sp, _ = psi_matrix(A, theory, n, D, S, certify=certify)
+        mat, sp, _ = psi_matrix(A, t, n, D, S, certify=certify)
         if certify:
             report.certified.append((n, D))
         rank = rank_of(mat.columns)
-        verdict, note = _verdict(sp.dim, H, rank)
+        verdict, note = _verdict(sp.dim, H, trunc, rank)
         report.entries.append(BidegreeVerdict(
-            n, D, D - n, sp.dim, H.dim, rank, verdict, H.flag, note))
+            n, D, D - n, sp.dim, H.dim, rank, verdict, trunc.flag, note))
     # multiplicativity / linearity spot checks on sampled pairs
     checks, failures = _sample_product_checks(
-        A, theory, bidegrees, S, random.Random(seed), product_samples)
+        A, t, bidegrees, S, random.Random(seed), product_samples)
     report.product_checks = checks
     report.product_failures = failures
     report.elapsed = time.time() - t0
     return report
 
 
-def _sample_product_checks(A, theory, bidegrees, S, rng, samples):
-    """For hcminus/hcper: psi(xy) = psi(x)psi(y) as classes; for hc the
-    module structure: psi+(M x) = psi(M) psi+(x)."""
-    flavor = THEORY_FLAVOR[theory]
-    left_flavor = "ell" if theory != "hcper" else "ell_per"
+def _sample_product_checks(A, t, bidegrees, S, rng, samples):
+    """For the minus and per towers: psi(xy) = psi(x)psi(y) as classes;
+    for plus the module structure: psi+(M x) = psi(M) psi+(x)."""
+    flavor = THEORY_FLAVOR[t]
+    left_flavor = "ell" if t != "per" else "ell_per"
     window = set(bidegrees)
     pool_l, pool_r = [], []
     for n, D in bidegrees:
         pool_l.extend(ell_degree_basis(A, left_flavor, n, D - n).basis())
         pool_r.extend(ell_degree_basis(A, flavor, n, D - n).basis())
-    mul = {"hcminus": ell_mon_mul, "hcper": per_mon_mul,
-           "hc": plus_mon_mul}[theory]
+    mul = {"minus": ell_mon_mul, "per": per_mon_mul, "plus": plus_mon_mul}[t]
     checks = failures = attempts = 0
     while checks < samples and attempts < samples * 30 and pool_l and pool_r:
         attempts += 1
@@ -304,11 +305,11 @@ def _sample_product_checks(A, theory, bidegrees, S, rng, samples):
         n, d = n1 + n2, d1 + d2
         if (n, n + d) not in window:
             continue
-        H = homology(A, THEORY_TOWER[theory], n, n + d, S)
+        H = homology(A, t, n, n + d, S)
         prod = mul(A, m1, m2)
         lhs = psi_class(A, prod, H)
         chain = mu_chain(A, chain_of_monomial(A, m1), chain_of_monomial(A, m2))
-        rhs = H.coords(vectorize(A, H.slice, chain, allow_projection=True))
+        rhs = H.coords(vectorize(A, H.slice, chain))
         if lhs != rhs:
             failures += 1
         checks += 1
@@ -343,7 +344,6 @@ SQUARES = (
     ("psi+.S=S.psiper", "per_les", 0, "S"),
     ("psi.bd=bd.psi+", "per_les", 2, "bd"),
 )
-PSI_THEORY = {tower: theory for theory, tower in THEORY_TOWER.items()}
 
 
 def _vertical(A: AlgebraPresentation, H: HomologyPresentation) -> F2Matrix:
@@ -351,7 +351,7 @@ def _vertical(A: AlgebraPresentation, H: HomologyPresentation) -> F2Matrix:
     antisymmetrization into HH, psi into the other theories."""
     if H.theory == "hh":
         return _eps_matrix(A, H.n, H.d, H)
-    return psi_matrix(A, PSI_THEORY[H.theory], H.n, H.d, H.S)[0]
+    return psi_matrix(A, H.theory, H.n, H.d, H.S)[0]
 
 
 def verify_squares(A: AlgebraPresentation, max_homological: int,

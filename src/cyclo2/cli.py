@@ -38,6 +38,7 @@ from .cyclic import (
     e2_page,
     homology,
     theory_key,
+    truncation,
 )
 from .derham import de_rham_cohomology, omega_basis
 from .ell import ell_degree_basis, gr_ell, omega_u_gens
@@ -188,7 +189,7 @@ def cmd_compute(A: AlgebraPresentation, cfg: RunConfig) -> dict:
         for n, D in bidegree_window(A, cfg.max_homological, cfg.max_internal):
             h = homology(A, theory, n, D, cfg.columns)
             entries.append({"n": n, "internal": D, "dim": h.dim,
-                            "flag": h.flag})
+                            "flag": truncation(A, h).flag})
     elif theory in ("ell", "ellplus", "ellper"):
         flavor = {"ell": "ell", "ellplus": "ell_plus",
                   "ellper": "ell_per"}[theory]
@@ -241,9 +242,9 @@ def cmd_spectral(A: AlgebraPresentation, cfg: RunConfig) -> dict:
     for s in range(s_lo, s_hi + 1):
         for t in range(0, cfg.max_homological + 1):
             for D in (range(0, cfg.max_internal + 1) if A.graded else (0,)):
-                e1 = e1_page(A, alpha, beta, s, t, D, cfg.columns)
+                e1 = e1_page(A, alpha, beta, s, t, D)
                 dim1 = e1.dim if e1 is not None else 0
-                dim2, _ = e2_page(A, alpha, beta, s, t, D, cfg.columns)
+                dim2, _ = e2_page(A, alpha, beta, s, t, D)
                 if dim1 or dim2:
                     entries.append({"s": s, "t": t, "internal": D,
                                     "e1": dim1, "e2": dim2})

@@ -5,9 +5,10 @@ the chosen theory allows, in one total degree n and one internal degree d
 (the plain sum of slot degrees, which B + b preserves).  Bar length in
 column p is n - 2p, so the right bound is always finite; for graded
 algebras the left bound is finite too because every bar entry has positive
-degree.  Only ungraded minus/per towers need the truncation column -S, and
-those results carry a stable / truncation-limited flag decided by
-recomputing at S + 1.
+degree.  Only ungraded minus/per towers need the truncation column -S.
+homology() is the homology at that depth, memoised once per bidegree and
+depth; truncation() checks it against depth S + 1, storing nothing, and
+flags it stable or truncation-limited.
 
 Column p of T_n is the Hochschild chain group C_{n-2p,d}.  Its ordered
 basis and its b and B matrices are computed once per algebra and shared by
@@ -35,7 +36,7 @@ The u-exponent i of the chain notation corresponds to column p = -i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -298,18 +299,17 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
     return sl
 
 
-def vectorize(A: AlgebraPresentation, sl: TowerSlice, x: UChain,
-              allow_projection: bool = False) -> int:
+def vectorize(A: AlgebraPresentation, sl: TowerSlice, x: UChain) -> int:
     """Coordinates of a u-chain in a slice basis (bitmask).
 
-    With allow_projection, components below the truncation window are
+    On a truncated slice, components below the truncation window are
     dropped (the quotient-complex projection); otherwise any missing word is
     an error.
     """
     v = 0
     for i, c in x.entries:
         col = -i - sl.p_min
-        if col < 0 and (allow_projection or sl.truncated):
+        if col < 0 and sl.truncated:
             continue
         idx = sl.parts[col].index if 0 <= col < len(sl.parts) else {}
         for w in c:
@@ -385,24 +385,13 @@ class HomologyPresentation(Homology):
     d: int
     S: int
     slice: TowerSlice
-    flag: str = "stable"  # or "truncation-limited"
-    # classes (in this presentation's coordinates) that lift one window up;
-    # only populated when the stabilization protocol ran
-    persistent_image: Optional[SubspaceBasis] = None
-
-    def rep_uchain(self, k: int) -> UChain:
-        return unvectorize(self.slice, self.complement[k])
-
-
-def _needs_protocol(A: AlgebraPresentation, t: str) -> bool:
-    # only ungraded minus/per towers are truncated at -S
-    return THEORY_BOUNDS[t][0] is None and not A.graded
 
 
 def _depth_key(A: AlgebraPresentation, t: str, n: int, d: int,
                S: int) -> tuple:
-    # S matters only where the tower is truncated at -S
-    return (t, n, d, S if _needs_protocol(A, t) else 0)
+    # S matters only where the tower is truncated at -S: ungraded minus/per
+    return (t, n, d, S if THEORY_BOUNDS[t][0] is None and not A.graded
+            else 0)
 
 
 def _eliminated(A: AlgebraPresentation, t: str, n: int, d: int,
@@ -427,82 +416,78 @@ def _eliminated(A: AlgebraPresentation, t: str, n: int, d: int,
     return pairs
 
 
-def _homology_at(A: AlgebraPresentation, theory: str, n: int, d: int,
-                 S: int, keep: bool = True) -> HomologyPresentation:
-    """Homology of T_n, block by block: cycles from d_n, boundaries from
-    d_{n+1}; a block of T_n that T_{n+1} lacks has no boundaries.
+def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
+             S: int = 3) -> HomologyPresentation:
+    """Homology of the chosen tower in bidegree (n, d), truncated at depth
+    S where the tower is infinite (see truncation); memoised.
 
-    With keep, both come from the memoised eliminations.  Without, nothing
-    is stored: each block of d_n is eliminated for its kernel only and then
-    that of d_{n+1} for its image only, which needs neither the trackers of
-    the image nor the columns of both at once.
+    Block by block, cycles come from d_n and boundaries from d_{n+1}, both
+    read from the memoised eliminations; a block of T_n that T_{n+1} lacks
+    has no boundaries.
     """
     t = theory_key(theory)
-    sl = build_tower(A, t, n, d, S)
-    if keep:
+    cache = A.memo("homology")
+    depth = _depth_key(A, t, n, d, S)
+    pres = cache.get(depth)
+    if pres is None:
+        sl = build_tower(A, t, n, d, S)
         out = _eliminated(A, t, n, d, S)
         into = _eliminated(A, t, n + 1, d, S)
         pairs = tuple(
             (out[key][0], into[key][1] if key in into
              else SubspaceBasis(_block_dim(segments)))
             for key, segments in sl.blocks.items())
-    else:
-        down = build_tower(A, t, n - 1, d, S)
-        up = build_tower(A, t, n + 1, d, S)
-        pairs = tuple(
-            (null_space(_block_columns(A, sl, down, key))[0],
-             echelonize_in(_block_columns(A, up, sl, key)
-                           if key in up.blocks else (),
-                           _block_dim(segments)))
-            for key, segments in sl.blocks.items())
+        pres = cache[depth] = HomologyPresentation(
+            sl.dim, sl.runs(), pairs, theory=t, n=n, d=d, S=S, slice=sl)
+    return pres
+
+
+def _unkept_homology(A: AlgebraPresentation, t: str, n: int, d: int,
+                     S: int) -> HomologyPresentation:
+    """The bases of homology(A, t, n, d, S) with nothing stored: each block
+    of d_n is eliminated for its kernel only and then that of d_{n+1} for
+    its image only, which needs neither the trackers of the image nor the
+    columns of both at once."""
+    sl = build_tower(A, t, n, d, S)
+    down = build_tower(A, t, n - 1, d, S)
+    up = build_tower(A, t, n + 1, d, S)
+    pairs = tuple(
+        (null_space(_block_columns(A, sl, down, key))[0],
+         echelonize_in(_block_columns(A, up, sl, key)
+                       if key in up.blocks else (),
+                       _block_dim(segments)))
+        for key, segments in sl.blocks.items())
     return HomologyPresentation(sl.dim, sl.runs(), pairs, theory=t, n=n,
                                 d=d, S=S, slice=sl)
 
 
-def _homology_s(A: AlgebraPresentation, t: str, n: int, d: int,
-                S: int) -> HomologyPresentation:
-    """Homology of the tower t truncated at depth S alone, memoised; its
-    flag is always stable, since the S + 1 pass of homology() is not run."""
-    cache = A.memo("homology_s")
-    key = _depth_key(A, t, n, d, S)
-    pres = cache.get(key)
-    if pres is None:
-        pres = cache[key] = _homology_at(A, t, n, d, S)
-    return pres
+class Truncation(NamedTuple):
+    """The check of a homology truncated at depth S against depth S + 1.
+
+    flag is "stable" or "truncation-limited"; persistent_image is the span,
+    in the class coordinates of the depth-S homology, of the classes that
+    lift one column deeper (None where the tower is not truncated)."""
+
+    flag: str
+    persistent_image: Optional[SubspaceBasis]
 
 
-def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
-             S: int = 3) -> HomologyPresentation:
-    """Homology of the chosen tower in bidegree (n, d).
+def truncation(A: AlgebraPresentation,
+               H: HomologyPresentation) -> Truncation:
+    """The check of H, a homology at depth S, against depth S + 1.
 
-    For graded algebras all towers are finite and the result is exact.  For
-    ungraded minus/per towers the computation runs at S and S + 1; the flag
-    is stable only if the dimensions agree and the projection induces an
-    isomorphism between the two answers.
-    """
-    t = theory_key(theory)
-    cache = A.memo("homology")
-    key = _depth_key(A, t, n, d, S)
-    if key in cache:
-        return cache[key]
-    small = _homology_s(A, t, n, d, S)
-    if not _needs_protocol(A, t):
-        cache[key] = small
-        return small
-    # the S + 1 pass is read once, so its eliminations are not kept
-    big = _homology_at(A, t, n, d, S + 1, keep=False)
-    # project the S+1 class representatives into the S window
-    project = slice_shift_map(A, big.slice, small.slice, 0)
-    image = echelonize_in([small.coords(project(v)) for v in big.complement],
-                          small.dim)
-    stable = small.dim == big.dim == image.dim
-    pres = replace(small, flag="stable" if stable else "truncation-limited",
-                   persistent_image=image)
-    # the projection assembled small's slice bases; the copy reads them
-    for name in ("cycles", "boundaries", "complement"):
-        vars(pres)[name] = getattr(small, name)
-    cache[key] = pres
-    return pres
+    A tower that is not truncated is exact.  Otherwise the homology is computed again at
+    S + 1, with nothing stored, and its class representatives are
+    projected into the depth-S window: the flag is stable only if the
+    dimensions agree and the projection is an isomorphism."""
+    if not H.slice.truncated:
+        return Truncation("stable", None)
+    big = _unkept_homology(A, H.theory, H.n, H.d, H.S + 1)
+    project = slice_shift_map(A, big.slice, H.slice, 0)
+    image = echelonize_in([H.coords(project(v)) for v in big.complement],
+                          H.dim)
+    stable = H.dim == big.dim == image.dim
+    return Truncation("stable" if stable else "truncation-limited", image)
 
 
 # ----- maps of the three long exact sequences -----
@@ -644,8 +629,8 @@ def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
 
     L sits in M moved by the column shift of i, so for ungraded algebras
     its towers are truncated at S + shift: the columns of M at depth S.
-    The five spaces are computed at their depth only, without the S + 1
-    pass of homology().
+    The five spaces are the homology at that depth, without the check of
+    truncation().
     """
     try:
         ses = SEQUENCES[which]
@@ -654,11 +639,11 @@ def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
     (tl, ol), (tm, om), (tn, on) = ses.towers
     i_shift, p_shift = ses.shifts
     S_L = S if A.graded else S + i_shift
-    L_n = _homology_s(A, tl, n + ol, d, S_L)
-    M_n = _homology_s(A, tm, n + om, d, S)
-    N_n = _homology_s(A, tn, n + on, d, S)
-    L_n1 = _homology_s(A, tl, n - 1 + ol, d, S_L)
-    M_n1 = _homology_s(A, tm, n - 1 + om, d, S)
+    L_n = homology(A, tl, n + ol, d, S_L)
+    M_n = homology(A, tm, n + om, d, S)
+    N_n = homology(A, tn, n + on, d, S)
+    L_n1 = homology(A, tl, n - 1 + ol, d, S_L)
+    M_n1 = homology(A, tm, n - 1 + om, d, S)
 
     i_map = slice_shift_map(A, L_n.slice, M_n.slice, i_shift)
     p_map = slice_shift_map(A, M_n.slice, N_n.slice, p_shift)
@@ -676,33 +661,33 @@ def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
 # ----- the column-filtration spectral sequence -----
 
 def e1_page(A: AlgebraPresentation, alpha: Optional[int], beta: Optional[int],
-            s: int, t: int, d: int, S: int = 3):
+            s: int, t: int, d: int):
     """E^1_{s,t} = HH_{t-s} at internal degree d, zero outside [alpha, beta]."""
     if (alpha is not None and s < alpha) or (beta is not None and s > beta):
         return None
-    return homology(A, "hh", t - s, d, S)
+    return homology(A, "hh", t - s, d)
 
 
-def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
-              S: int = 3) -> Optional[F2Matrix]:
+def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int,
+              d: int) -> Optional[F2Matrix]:
     """d^1 = B_*, from (s, t) to (s - 1, t)."""
-    src = e1_page(A, alpha, beta, s, t, d, S)
-    tgt = e1_page(A, alpha, beta, s - 1, t, d, S)
+    src = e1_page(A, alpha, beta, s, t, d)
+    tgt = e1_page(A, alpha, beta, s - 1, t, d)
     if src is None or tgt is None:
         return None
     # both E^1 slices are one column, C_{t-s,d} and C_{t-s+1,d}, at offset 0
     return class_map(A, src, tgt, mixed_matrix(A, "B", t - s, d).apply)
 
 
-def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
-            S: int = 3) -> tuple[int, list[int]]:
+def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int,
+            d: int) -> tuple[int, list[int]]:
     """Dimension and basis (E^1 class coordinates, as bitmasks) of
     E^2_{s,t}."""
-    e1 = e1_page(A, alpha, beta, s, t, d, S)
+    e1 = e1_page(A, alpha, beta, s, t, d)
     if e1 is None:
         return 0, []
-    out_mat = d1_matrix(A, alpha, beta, s, t, d, S)
-    in_mat = d1_matrix(A, alpha, beta, s + 1, t, d, S)
+    out_mat = d1_matrix(A, alpha, beta, s, t, d)
+    in_mat = d1_matrix(A, alpha, beta, s + 1, t, d)
     out_cols = out_mat.columns if out_mat is not None else [0] * e1.dim
     in_cols = in_mat.columns if in_mat is not None else []
     comp = Homology.from_columns(out_cols, in_cols).complement

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclo2
-from cyclo2 import cli
+from cyclo2 import cli, cyclic
 from cyclo2.cli import CLIError, RunConfig, load_presentation, main, run
 from cyclo2.cyclic import homology
 
@@ -264,6 +264,25 @@ def test_one_memo_store(monkeypatch):
     basis = B.basis_all()
     assert B.basis_all() is basis and B.memo("degree_basis")[0] is basis
     assert set(vars(B)) == {f.name for f in dataclasses.fields(B)}
+
+
+def test_verify_approx_checks_each_truncation_once(monkeypatch):
+    # the S + 1 check runs once per ungraded minus/per bidegree of the
+    # verdict window; the squares and product samples never run it
+    calls = []
+    unkept = cyclic._unkept_homology
+
+    def counted(A, t, n, d, S):
+        calls.append((t, n, d, S))
+        return unkept(A, t, n, d, S)
+
+    monkeypatch.setattr(cyclic, "_unkept_homology", counted)
+    for theory, t in (("hcminus", "minus"), ("hcper", "per"), ("hc", "plus")):
+        calls.clear()
+        run(RunConfig(fixture("dual_numbers.alg"), "verify-approx", theory,
+                      0, 2))
+        assert calls == ([] if t == "plus"
+                         else [(t, n, 0, 4) for n in range(-2, 3)]), theory
 
 
 def test_spectral_bounds_and_theories():

@@ -24,8 +24,7 @@ from cyclo2.cyclic import (
     _block_columns,
     _block_key,
     _eliminated,
-    _homology_at,
-    _homology_s,
+    _unkept_homology,
     bidegree_window,
     build_tower,
     connecting_map,
@@ -37,6 +36,8 @@ from cyclo2.cyclic import (
     mixed_columns,
     mixed_matrix,
     slice_shift_map,
+    truncation,
+    unvectorize,
     vectorize,
 )
 from cyclo2.derham import d_matrix_columns, de_rham_cohomology, omega_basis
@@ -281,20 +282,20 @@ def test_one_block_is_read_as_it_is():
     # eliminations without a copy; a monomial slice is split
     for A, d in ((cusp(), 3), (field_f4(), 0)):
         for n in range(-2, 3):
-            h = _homology_at(A, "minus", n, d, 3)
+            h = homology(A, "minus", n, d, 3)
             sl = h.slice
             assert list(sl.blocks) == ([None] if sl.dim else []), (A.name, n)
             if sl.dim:
                 out = _eliminated(A, "minus", n, d, 3)[None]
                 assert h.cycles is out[0], (A.name, n)
-    h = _homology_at(polynomial_algebra(["x", "y"]), "minus", 0, 3, 0)
+    h = homology(polynomial_algebra(["x", "y"]), "minus", 0, 3, 0)
     assert len(h.slice.blocks) == 4
 
 
 def test_shared_eliminations_in_either_order():
     # cycles come from d_n and boundaries from d_{n+1}, whichever of the
     # two homologies beside a differential eliminated it first; the
-    # unkept path of the S + 1 pass gives the same bases
+    # unkept path of the S + 1 check gives the same bases
     cases = [(lambda: polynomial_algebra(["x", "y"]), ("minus",), range(5)),
              (cusp, ("minus",), range(5)),
              (field_f4, ("minus", "per"), (0,)),
@@ -307,33 +308,21 @@ def test_shared_eliminations_in_either_order():
                       for d in degrees]
             oracle = {w: _oracle_homology_at(A, *w, S) for w in window}
             for (t, n, d), bases in oracle.items():
-                assert _bases(_homology_at(A, t, n, d, S, keep=False)) \
-                    == bases, (A.name, t, n, d, S)
+                assert _bases(_unkept_homology(A, t, n, d, S)) == bases, \
+                    (A.name, t, n, d, S)
             for order in (window, window[::-1]):
                 A = fresh()
                 for t, n, d in order:
-                    assert _bases(_homology_at(A, t, n, d, S)) == \
+                    assert _bases(homology(A, t, n, d, S)) == \
                         oracle[t, n, d], (A.name, t, n, d, S)
 
 
 def test_stabilization_pass_keeps_no_eliminations():
     A = truncated_cube()
     for n in range(-3, 4):
-        homology(A, "per", n, 0, 3)
-    depths = {key[3] for key in A.memo("differential")}
-    assert depths == {3}
-
-
-def test_truncation_check_shares_the_depth_S_bases():
-    # the S + 1 check assembles the depth-S slice bases once; the flagged
-    # result reads those, not a second assembly
-    A = truncated_cube()
-    for n in range(-3, 4):
-        h, small = homology(A, "minus", n, 0, 3), _homology_s(A, "minus", n,
-                                                             0, 3)
-        assert h is not small and len(h.slice.blocks) > 1, n
-        assert all(getattr(h, name) is getattr(small, name)
-                   for name in ("cycles", "boundaries", "complement")), n
+        truncation(A, homology(A, "per", n, 0, 3))
+    assert {key[3] for key in A.memo("differential")} == {3}
+    assert {key[3] for key in A.memo("homology")} == {3}
 
 
 # ----- homology -----
@@ -343,7 +332,7 @@ def test_hcminus_of_f2():
         h = homology(F2, "hcminus", n, 0)
         expected = 1 if (n <= 0 and n % 2 == 0) else 0
         assert h.dim == expected, n
-        assert h.flag == "stable"
+        assert truncation(F2, h).flag == "stable"
 
 
 def test_hh_px_against_oracle():
@@ -373,14 +362,16 @@ def test_hh_dual_numbers_table():
 
 
 def test_dual_numbers_minus_is_truncation_limited():
-    h = homology(DUAL, "hcminus", 0, 0, S=3)
-    assert h.flag == "truncation-limited"
-    assert h.persistent_image is not None and h.persistent_image.dim >= 1
+    trunc = truncation(DUAL, homology(DUAL, "hcminus", 0, 0, S=3))
+    assert trunc.flag == "truncation-limited"
+    assert trunc.persistent_image is not None
+    assert trunc.persistent_image.dim >= 1
 
 
 def test_graded_towers_always_stable():
     for n in range(-4, 4):
-        assert homology(PX, "hcminus", n, 3).flag == "stable"
+        assert truncation(PX, homology(PX, "hcminus", n, 3)) == \
+            ("stable", None)
 
 
 def test_f4_hh_is_trivial_in_positive_degrees():
@@ -396,7 +387,7 @@ def test_f4_hcminus_dims():
         h = homology(F4, "hcminus", n, 0, S=3)
         expected = 2 if (n <= 0 and n % 2 == 0) else 0
         assert h.dim == expected, n
-        assert h.flag == "stable"
+        assert truncation(F4, h).flag == "stable"
 
 
 # ----- long exact sequences -----
@@ -442,17 +433,37 @@ def test_les_exact_for_ungraded_truncations():
 
 
 def test_les_spaces_computed_at_depth_S_only():
-    # the five spaces of a sequence skip the S + 1 pass of homology() but
-    # have its bases
+    # the five spaces of a sequence are read at their depth, without the
+    # S + 1 check of truncation(): no tower one column deeper is built
     A = AlgebraPresentation(("x",), (0,), (frozenset({(3,)}),),
                             graded=False, name="F2[x]/(x^3)")
-    spaces = []
     for n in (0, 1):
-        spaces.extend(les_maps(A, "per_les", n, 0, 3).spaces.values())
-    assert not A.memo("homology")
-    for h in spaces:
-        assert _bases(h) == _bases(homology(A, h.theory, h.n, h.d, h.S)), \
-            (h.theory, h.n)
+        les_maps(A, "per_les", n, 0, 3)
+    assert {key[3] for key in A.memo("tower")} == {0, 3}
+
+
+def test_les_spaces_are_the_homology_records():
+    for A, d, S in ((PX, 2, 3), (DUAL, 0, 3), (F4, 0, 2)):
+        for which in SEQUENCES:
+            for n in range(-2, 3):
+                for h in les_maps(A, which, n, d, S).spaces.values():
+                    assert h is homology(A, h.theory, h.n, h.d, h.S), \
+                        (A.name, which, n, h.theory, h.n)
+
+
+def test_truncated_les_spaces_of_the_dual_numbers_are_flagged():
+    # at S = 3 every truncated space of the three sequences around
+    # n = -2..2 is truncation-limited, and every finite one stable
+    truncated = 0
+    for which in SEQUENCES:
+        for n in range(-2, 3):
+            for h in les_maps(DUAL, which, n, 0, 3).spaces.values():
+                expected = "truncation-limited" if h.slice.truncated \
+                    else "stable"
+                assert truncation(DUAL, h).flag == expected, \
+                    (which, n, h.theory, h.n)
+                truncated += h.slice.truncated
+    assert truncated
 
 
 def test_connecting_map_formula():
@@ -562,7 +573,7 @@ def _class_reps(A, theory, pairs):
     out = []
     for n, d in pairs:
         H = homology(A, theory, n, d)
-        out.extend((H, H.rep_uchain(k)) for k in range(H.dim))
+        out.extend((H, unvectorize(H.slice, H.rep(k))) for k in range(H.dim))
     return out
 
 
@@ -597,7 +608,6 @@ def test_mu_associative_up_to_boundary():
 def test_class_product_independent_of_representatives():
     rng = random.Random(77)
     from cyclo2.hochschild import mu_chain
-    from cyclo2.cyclic import unvectorize
     for _ in range(40):
         ny, dy = rng.randint(0, 2), rng.randint(0, 3)
         nx, dx = rng.randint(0, 2), rng.randint(0, 3)
@@ -605,8 +615,8 @@ def test_class_product_independent_of_representatives():
         Hx = homology(PX, "hcminus", nx, dx)
         if Hy.dim == 0 or Hx.dim == 0:
             continue
-        y = Hy.rep_uchain(rng.randrange(Hy.dim))
-        x = Hx.rep_uchain(rng.randrange(Hx.dim))
+        y = unvectorize(Hy.slice, Hy.rep(rng.randrange(Hy.dim)))
+        x = unvectorize(Hx.slice, Hx.rep(rng.randrange(Hx.dim)))
         # perturb y by a boundary
         sl_up = build_tower(PX, "minus", ny + 1, dy)
         if sl_up.dim == 0:
@@ -621,10 +631,8 @@ def test_class_product_independent_of_representatives():
             bnd ^= cols[j]
         y2 = y + unvectorize(Hy.slice, bnd)
         H = homology(PX, "hcminus", ny + nx, dy + dx)
-        c1 = H.coords(vectorize(PX, H.slice, mu_chain(PX, y, x),
-                                allow_projection=True))
-        c2 = H.coords(vectorize(PX, H.slice, mu_chain(PX, y2, x),
-                                allow_projection=True))
+        c1 = H.coords(vectorize(PX, H.slice, mu_chain(PX, y, x)))
+        c2 = H.coords(vectorize(PX, H.slice, mu_chain(PX, y2, x)))
         assert c1 == c2
 
 
@@ -644,11 +652,11 @@ def _bases(h):
 
 def _assert_oracle_bases(A, theory, n, d, S):
     # the kept path (memoised block eliminations) and the unkept one of
-    # the S + 1 pass both give the whole-slice oracle's bases
+    # the S + 1 check both give the whole-slice oracle's bases
     oracle = _oracle_homology_at(A, theory, n, d, S)
-    assert _bases(_homology_at(A, theory, n, d, S)) == oracle, \
+    assert _bases(homology(A, theory, n, d, S)) == oracle, \
         (A.name, theory, n, d, S)
-    assert _bases(_homology_at(A, theory, n, d, S, keep=False)) == oracle, \
+    assert _bases(_unkept_homology(A, theory, n, d, S)) == oracle, \
         (A.name, theory, n, d, S, "unkept")
 
 
@@ -730,7 +738,7 @@ def test_homology_side_properties(A):
     window = bidegree_window(A, 3, 3)
     for t in THEORY_BOUNDS:
         for n, D in window:
-            _assert_homology(_homology_s(A, t, n, D, S), (A.name, t, n, D))
+            _assert_homology(homology(A, t, n, D, S), (A.name, t, n, D))
             # rank + nullity: kernel and image of each block of d_n add up
             # to the block's dimension, and the blocks to the slice's
             sl = build_tower(A, t, n, D, S)

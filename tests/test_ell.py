@@ -500,12 +500,14 @@ def test_S_sends_u_inverse_to_v0():
 
 
 def test_graded_homology_independent_of_S():
-    from cyclo2.cyclic import homology
+    from cyclo2.cyclic import homology, truncation
     for n in range(-3, 3):
         for d in range(0, 4):
             a = homology(PX, "hcminus", n, d, S=3)
             b = homology(PX, "hcminus", n, d, S=9)
-            assert a.dim == b.dim and a.flag == b.flag == "stable"
+            assert a.dim == b.dim
+            assert truncation(PX, a).flag == truncation(PX, b).flag \
+                == "stable"
 
 
 # ----- the candidate enumerators against a test-only oracle -----
