@@ -215,9 +215,6 @@ class ApproxReport:
     def all_iso(self) -> bool:
         return all(e.verdict == "iso" for e in self.entries)
 
-    def non_iso_entries(self) -> list[BidegreeVerdict]:
-        return [e for e in self.entries if e.verdict == "not_iso"]
-
     def to_dict(self) -> dict:
         return {
             "algebra": self.algebra,

@@ -188,8 +188,10 @@ def cmd_compute(A: AlgebraPresentation, cfg: RunConfig) -> dict:
     if theory in ("hh", "hc", "hcminus", "hcper"):
         for n, D in bidegree_window(A, cfg.max_homological, cfg.max_internal):
             h = homology(A, theory, n, D, cfg.columns)
+            # first: where the check reads bases, their elimination gives dim
+            flag = truncation(A, h).flag
             entries.append({"n": n, "internal": D, "dim": h.dim,
-                            "flag": truncation(A, h).flag})
+                            "flag": flag})
     elif theory in ("ell", "ellplus", "ellper"):
         flavor = {"ell": "ell", "ellplus": "ell_plus",
                   "ellper": "ell_per"}[theory]

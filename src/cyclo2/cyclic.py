@@ -22,13 +22,16 @@ differential is block diagonal.  Each C_{k,d} is sorted block by block and
 records the range of every block; a slice's blocks are the segments of
 its columns with one multidegree, in column order.  Other presentations
 have one block per slice, placed as the slice itself.  Each block of a
-slice differential d_n is built straight from the per-degree matrices and
-eliminated once per depth, in block-local coordinates: its kernel is the
-cycles of that block of T_n and its image the boundaries of that block of
-T_{n-1}.  The homology of a slice is a Homology split into these blocks:
-its dimension is a sum over blocks, and its cycles, boundaries and class
-representatives on slice vectors are assembled only when something reads
-them.
+slice differential d_n is built straight from the per-degree matrices, in
+block-local coordinates.  Ranks come first, bases on demand: the homology
+of a slice is a Homology split into these blocks, and its dimension, a
+sum over blocks, reads one memoised rank of each block of d_n and d_{n+1}
+(differential_ranks), which keeps no basis.  Its cycles, boundaries and
+class representatives on slice vectors are built only when something
+reads them, from one shared elimination of each block per depth
+(differential_bases): its kernel is the cycles of that block of T_n and
+its image the boundaries of that block of T_{n-1}.  That elimination
+records its ranks too, so bases read first leave no rank pass to run.
 
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
@@ -36,7 +39,8 @@ The u-exponent i of the chain notation corresponds to column p = -i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -375,18 +379,6 @@ def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
     return cols
 
 
-@dataclass(frozen=True)
-class HomologyPresentation(Homology):
-    """The homology of one tower slice on slice vectors, the direct sum of
-    its multidegree blocks, which slice.runs() places."""
-
-    theory: str
-    n: int
-    d: int
-    S: int
-    slice: TowerSlice
-
-
 def _depth_key(A: AlgebraPresentation, t: str, n: int, d: int,
                S: int) -> tuple:
     # S matters only where the tower is truncated at -S: ungraded minus/per
@@ -394,13 +386,33 @@ def _depth_key(A: AlgebraPresentation, t: str, n: int, d: int,
             else 0)
 
 
-def _eliminated(A: AlgebraPresentation, t: str, n: int, d: int,
-                S: int) -> dict:
+def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
+                       S: int = 3) -> dict:
+    """Block key -> rank of that block of d_n: T_n -> T_{n-1}; memoised.
+    Unless differential_bases has recorded them, each block's columns are
+    reduced by rank_of, last first (as null_space; other orders were far
+    slower), and nothing else is kept."""
+    t = theory_key(theory)
+    table = A.memo("differential_rank")
+    depth = _depth_key(A, t, n, d, S)
+    ranks = table.get(depth)
+    if ranks is None:
+        src = build_tower(A, t, n, d, S)
+        tgt = build_tower(A, t, n - 1, d, S)
+        ranks = table[depth] = {
+            key: rank_of(_block_columns(A, src, tgt, key)[::-1])
+            for key in src.blocks}
+    return ranks
+
+
+def differential_bases(A: AlgebraPresentation, theory: str, n: int, d: int,
+                       S: int = 3) -> dict:
     """Block key -> kernel and image of that block of d_n: T_n -> T_{n-1},
     that is the cycles of the block of T_n and the boundaries of the same
     block of T_{n-1}, in block-local coordinates, from one tracked
     elimination per block; memoised, so the homology on either side of
-    d_n shares it."""
+    d_n shares it, and its ranks are recorded for differential_ranks."""
+    t = theory_key(theory)
     table = A.memo("differential")
     depth = _depth_key(A, t, n, d, S)
     pairs = table.get(depth)
@@ -413,7 +425,47 @@ def _eliminated(A: AlgebraPresentation, t: str, n: int, d: int,
             _, kernel, image = rank_kernel_image(
                 F2Matrix(rows, tuple(_block_columns(A, src, tgt, key))))
             pairs[key] = (kernel, image)
+        A.memo("differential_rank").setdefault(
+            depth, {key: image.dim for key, (_, image) in pairs.items()})
     return pairs
+
+
+@dataclass(frozen=True)
+class HomologyPresentation(Homology):
+    """The homology of one tower slice on slice vectors, the direct sum of
+    its multidegree blocks, which slice.runs() places.  Made by homology()
+    without bases, it reads dim and its bases from d_n and d_{n+1} on first
+    read.  It is stored in a memo table of its algebra, so it holds the
+    algebra weakly: no reference cycle may run through an algebra."""
+
+    theory: str
+    n: int
+    d: int
+    S: int
+    slice: TowerSlice
+    algebra: Optional[weakref.ref] = field(default=None, repr=False,
+                                           compare=False)
+
+    def _sides(self, of) -> tuple[dict, dict]:
+        """of(A, theory, m, d, S) for d_m = d_n and d_{n+1}."""
+        A = self.algebra()
+        if A is None:
+            raise TowerError("the algebra of this homology is gone")
+        return tuple(of(A, self.theory, self.n + k, self.d, self.S)
+                     for k in (0, 1))
+
+    def _ranked_dim(self) -> int:
+        out, into = self._sides(differential_ranks)
+        return sum(_block_dim(segments) - out[key] - into.get(key, 0)
+                   for key, segments in self.slice.blocks.items())
+
+    def _eliminate(self) -> tuple:
+        # a block of T_n that T_{n+1} lacks has no boundaries
+        out, into = self._sides(differential_bases)
+        return tuple(
+            (out[key][0], into[key][1] if key in into
+             else SubspaceBasis(_block_dim(segments)))
+            for key, segments in self.slice.blocks.items())
 
 
 def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
@@ -421,9 +473,9 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     """Homology of the chosen tower in bidegree (n, d), truncated at depth
     S where the tower is infinite (see truncation); memoised.
 
-    Block by block, cycles come from d_n and boundaries from d_{n+1}, both
-    read from the memoised eliminations; a block of T_n that T_{n+1} lacks
-    has no boundaries.
+    Nothing is eliminated here: the record's dim comes from the ranks of
+    d_n and d_{n+1}, and its bases from their shared eliminations, each
+    when first read.
     """
     t = theory_key(theory)
     cache = A.memo("homology")
@@ -431,14 +483,9 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     pres = cache.get(depth)
     if pres is None:
         sl = build_tower(A, t, n, d, S)
-        out = _eliminated(A, t, n, d, S)
-        into = _eliminated(A, t, n + 1, d, S)
-        pairs = tuple(
-            (out[key][0], into[key][1] if key in into
-             else SubspaceBasis(_block_dim(segments)))
-            for key, segments in sl.blocks.items())
         pres = cache[depth] = HomologyPresentation(
-            sl.dim, sl.runs(), pairs, theory=t, n=n, d=d, S=S, slice=sl)
+            sl.dim, sl.runs(), None, theory=t, n=n, d=d, S=S, slice=sl,
+            algebra=weakref.ref(A))
     return pres
 
 
@@ -499,7 +546,7 @@ def class_map(A: AlgebraPresentation, src: HomologyPresentation,
     chain_map takes a slice vector of src and returns a slice vector of tgt;
     it must send cycles to cycles and boundaries to boundaries.
     """
-    cols = [tgt.coords(chain_map(src.rep(k))) for k in range(src.dim)]
+    cols = [tgt.coords(chain_map(z)) for z in src.complement]
     return F2Matrix(tgt.dim, tuple(cols))
 
 
@@ -543,8 +590,7 @@ def connecting_map(A: AlgebraPresentation,
     back = slice_shift_map(A, M_n1, HL.slice, -i_shift)
     i_map = slice_shift_map(A, HL.slice, M_n1, i_shift)
     cols = []
-    for k in range(HN.dim):
-        z = HN.rep(k)
+    for z in HN.complement:
         x = lift(z)
         if p_map(x) != z:
             raise TowerError("connecting map: lift failed")

@@ -816,23 +816,3 @@ def s_bar(A: AlgebraPresentation, g) -> EllMonomial:
     phi = () if m == A.one else (m,)
     q = _sorted(A, (A.gen_monomial(i) for i in dgs))
     return ("e", j, phi, q, ())
-
-
-def omega_u_reduce(A: AlgebraPresentation, el: OmegaUElement) -> dict:
-    """Coordinates of an Omega[u] element: per u-power, reduced in Omega."""
-    by_j: dict[int, set] = {}
-    for j, m, t in el:
-        by_j.setdefault(j, set()).symmetric_difference_update({(m, t)})
-    out = {}
-    for j, forms in by_j.items():
-        degs = {len(t) for _, t in forms}
-        if len(degs) != 1:
-            raise EllError("inhomogeneous form part")
-        nf = degs.pop()
-        D = {A.mono_degree(m) + sum(A.degrees[i] for i in t)
-             for m, t in forms}
-        sp = omega_basis(A, nf, D.pop())
-        mask = sp.coords(frozenset(forms))
-        if mask:
-            out[j] = (sp, mask)
-    return out

@@ -21,14 +21,16 @@ Kahler forms), and Homology, cycles modulo boundaries (the towers, de Rham
 cohomology and the E^2 page).  A Homology may be split into blocks on
 disjoint coordinates, one cycles and boundaries pair each (a tower slice
 of a monomial ideal); its bases on the whole degree are assembled from the
-blocks only when read.
+blocks only when read.  A Homology made without bases takes its dimension
+from ranks (rank_of keeps no basis) and eliminates its blocks only when a
+basis is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class F2LinalgError(Exception):
@@ -369,6 +371,10 @@ class Homology:
     coordinates and the blocks partition the ambient coordinates.
     Homology.of makes the single block placed as itself.
 
+    The pairs are given as bases, or else (bases None) built on first read
+    by _eliminate(), which a subclass made without them defines, with
+    _ranked_dim(): dim from ranks alone, so reading it builds no basis.
+
     dim is a sum over the blocks.  cycles, boundaries and complement are
     in ambient coordinates, assembled on first read.  The RREF of a sum of
     subspaces on disjoint coordinates is the union of their RREFs, and a
@@ -382,7 +388,7 @@ class Homology:
 
     ambient_dim: int
     runs: tuple[tuple[tuple[int, int, int], ...], ...]
-    pairs: tuple[tuple[SubspaceBasis, SubspaceBasis], ...]
+    bases: Optional[tuple[tuple[SubspaceBasis, SubspaceBasis], ...]]
 
     @classmethod
     def of(cls, cycles: SubspaceBasis, boundaries: SubspaceBasis,
@@ -402,9 +408,15 @@ class Homology:
         return cls.of(null_space(out_cols)[0],
                       echelonize_in(in_cols, len(out_cols)), **fields)
 
-    @property
+    @cached_property
+    def pairs(self) -> tuple[tuple[SubspaceBasis, SubspaceBasis], ...]:
+        return self._eliminate() if self.bases is None else self.bases
+
+    @cached_property
     def dim(self) -> int:
-        return sum(c.dim - b.dim for c, b in self.pairs)
+        if self.bases is None:
+            return self._ranked_dim()
+        return sum(c.dim - b.dim for c, b in self.bases)
 
     @property
     def _unsplit(self) -> bool:

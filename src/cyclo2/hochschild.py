@@ -34,14 +34,6 @@ def word(head: Monomial, bars: tuple[Monomial, ...]) -> BarWord:
     return (head, bars)
 
 
-def word_hom_degree(w: BarWord) -> int:
-    return len(w[1])
-
-
-def word_internal_degree(A: AlgebraPresentation, w: BarWord) -> int:
-    return A.mono_degree(w[0]) + sum(A.mono_degree(b) for b in w[1])
-
-
 def chain(words) -> ChainElement:
     out: set = set()
     for w in words:
@@ -233,23 +225,6 @@ class UChain:
         return UChain.make(self.theory,
                            {i: frozenset(s) for i, s in acc.items()})
 
-    def total_degrees(self, A: AlgebraPresentation) -> tuple[int, int]:
-        """(homological, internal) bidegree; requires homogeneity."""
-        homs = set()
-        ints = set()
-        for i, c in self.entries:
-            for w in c:
-                homs.add(word_hom_degree(w) - 2 * i)
-                ints.add(word_internal_degree(A, w))
-        if len(homs) > 1 or len(ints) > 1:
-            raise ChainError("inhomogeneous u-chain")
-        return (homs.pop() if homs else 0, ints.pop() if ints else 0)
-
-
-def unit_uchain(A: AlgebraPresentation, theory: str = "minus",
-                exponent: int = 0) -> UChain:
-    return UChain.make(theory, {exponent: frozenset({(A.one, ())})})
-
 
 def mu_chain(A: AlgebraPresentation, x: UChain, y: UChain) -> UChain:
     """The chain-level product: shuffle part plus u times the cyclic part.
@@ -303,16 +278,3 @@ def uchain_boundary(A: AlgebraPresentation, x: UChain) -> UChain:
         if Bc and not (x.theory == "plus" and i + 1 > 0):
             acc.setdefault(i + 1, set()).symmetric_difference_update(Bc)
     return UChain.make(x.theory, {i: frozenset(s) for i, s in acc.items()})
-
-
-def scale_u(x: UChain, k: int = 1) -> UChain:
-    """Multiply by u^k (shift exponents); plus-theory overflow is quotiented."""
-    acc = {}
-    for i, c in x.entries:
-        e = i + k
-        if x.theory == "minus" and e < 0:
-            raise ChainError("u^-1 does not act on minus chains")
-        if x.theory == "plus" and e > 0:
-            continue
-        acc[e] = c
-    return UChain.make(x.theory, acc)

@@ -1,6 +1,7 @@
 """Shared test plumbing: echo acceptance pass/fail lines past capture, the
-default hypothesis profile and its random small presentations, and the
-slow elimination, differential, connecting-map, relation-instance,
+default hypothesis profile and its random small presentations, the u-chain,
+Omega[u] and report helpers that only the tests use, and the slow
+elimination, differential, connecting-map, relation-instance,
 relation-row and commuting-square oracles."""
 
 import itertools
@@ -41,7 +42,7 @@ from cyclo2.ell import (
 )
 from cyclo2.f2linalg import F2Matrix, SubspaceBasis, complement_basis
 from cyclo2.gralg import AlgebraPresentation
-from cyclo2.hochschild import boundary_b, connes_B
+from cyclo2.hochschild import ChainError, UChain, boundary_b, connes_B
 
 # Fixed examples and no deadline: every run draws the same cases in bounded
 # time.  Another profile can still be chosen with --hypothesis-profile.
@@ -100,6 +101,65 @@ def small_presentations(draw):
         rels = (frozenset(rel),)
     return AlgebraPresentation(names, weights, rels,
                                name=f"{weights}/{[sorted(r) for r in rels]}")
+
+
+# ----- u-chain, Omega[u] and report helpers that only the tests use -----
+
+def unit_uchain(A, theory="minus", exponent=0):
+    """The unit 1[] at u-exponent exponent, as a chain of the theory."""
+    return UChain.make(theory, {exponent: frozenset({(A.one, ())})})
+
+
+def scale_u(x, k=1):
+    """Multiply by u^k (shift exponents); plus-theory overflow is quotiented."""
+    acc = {}
+    for i, c in x.entries:
+        e = i + k
+        if x.theory == "minus" and e < 0:
+            raise ChainError("u^-1 does not act on minus chains")
+        if x.theory == "plus" and e > 0:
+            continue
+        acc[e] = c
+    return UChain.make(x.theory, acc)
+
+
+def total_degrees(A, x):
+    """(homological, internal) bidegree of a u-chain; requires
+    homogeneity."""
+    homs = set()
+    ints = set()
+    for i, c in x.entries:
+        for head, bars in c:
+            homs.add(len(bars) - 2 * i)
+            ints.add(A.mono_degree(head) + sum(map(A.mono_degree, bars)))
+    if len(homs) > 1 or len(ints) > 1:
+        raise ChainError("inhomogeneous u-chain")
+    return (homs.pop() if homs else 0, ints.pop() if ints else 0)
+
+
+def non_iso_entries(report):
+    """The not_iso verdicts of an ApproxReport."""
+    return [e for e in report.entries if e.verdict == "not_iso"]
+
+
+def omega_u_reduce(A, el):
+    """Coordinates of an Omega[u] element: per u-power, reduced in Omega."""
+    by_j = {}
+    for j, m, t in el:
+        by_j.setdefault(j, set()).symmetric_difference_update({(m, t)})
+    out = {}
+    for j, forms in by_j.items():
+        degs = {len(t) for _, t in forms}
+        if len(degs) != 1:
+            raise EllError("inhomogeneous form part")
+        nf = degs.pop()
+        D = {A.mono_degree(m) + sum(A.degrees[i] for i in t)
+             for m, t in forms}
+        sp = omega_basis(A, nf, D.pop())
+        mask = sp.coords(frozenset(forms))
+        if mask:
+            out[j] = (sp, mask)
+    return out
 
 
 # ----- the first-to-last elimination path, kept as a slow oracle -----

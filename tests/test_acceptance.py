@@ -7,7 +7,7 @@ asserts make the suite fail loudly either way.
 
 import random
 
-from conftest import acceptance_line
+from conftest import acceptance_line, non_iso_entries
 from cyclo2.approx import verify_approximation
 from cyclo2.cyclic import e2_page, homology, les_maps, unvectorize, vectorize
 from cyclo2.derham import d_matrix_columns, de_rham_cohomology, omega_basis
@@ -337,7 +337,7 @@ def test_criterion_09_negative_control():
                 ok = False
     # and the verdict: at least one bidegree with n <= 4 is not an iso
     rep = verify_approximation(DUAL, "hcminus", 4, 0, S=3)
-    bad = [e for e in rep.non_iso_entries() if e.n <= 4]
+    bad = [e for e in non_iso_entries(rep) if e.n <= 4]
     ok = ok and bool(bad)
     report(9, ok, f"dual numbers: {len(bad)} non-iso bidegrees with n <= 4, "
                   "HC^- dims match the brute-force fixture at S and S+1")

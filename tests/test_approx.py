@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from conftest import oracle_verify_squares
+from conftest import non_iso_entries, oracle_verify_squares, total_degrees
 from cyclo2.approx import (
     MODEL_OF,
     SQUARES,
@@ -103,7 +103,7 @@ def test_psi_respects_bidegrees():
                 x = chain_of_monomial(PX, mon)
                 if x.is_zero():
                     continue
-                hom, internal = x.total_degrees(PX)
+                hom, internal = total_degrees(PX, x)
                 assert (hom, internal) == (n, n + d)
 
 
@@ -160,7 +160,7 @@ def test_verify_approximation_f4():
 
 def test_negative_control_dual_numbers():
     rep = verify_approximation(DUAL, "hcminus", 4, 0)
-    bad = rep.non_iso_entries()
+    bad = non_iso_entries(rep)
     assert any(e.n <= 4 for e in bad)
     assert all(e.flag == "truncation-limited" for e in bad)
     # evidence recorded

@@ -266,6 +266,48 @@ def test_one_memo_store(monkeypatch):
     assert set(vars(B)) == {f.name for f in dataclasses.fields(B)}
 
 
+def test_graded_compute_builds_no_bases(monkeypatch):
+    # compute reads only dimensions, and on a graded input each comes from
+    # block ranks: no kernel or image is eliminated or memoised
+    from cyclo2 import f2linalg
+    loaded, eliminated = [], []
+
+    def load(path):
+        loaded.append(load_presentation(path))
+        return loaded[-1]
+
+    def counted(f):
+        return lambda cols: eliminated.append(len(cols)) or f(cols)
+
+    monkeypatch.setattr(cli, "load_presentation", load)
+    for module in (cyclic, f2linalg):
+        monkeypatch.setattr(module, "null_space", counted(module.null_space))
+    for theory in ("hcminus", "hh", "hc", "hcper"):
+        status, report = run(RunConfig(fixture("poly_xyz.alg"), "compute",
+                                       theory, 3, 4))
+        assert status == 0 and any(e["dim"] for e in report["entries"])
+        A = loaded[-1]
+        assert A.memo("homology") and A.memo("differential_rank"), theory
+        assert A.memo("differential") == {}, theory
+    assert eliminated == []
+
+
+def test_truncated_compute_ranks_nothing_apart(monkeypatch):
+    # compute runs the truncation check, which reads the bases, before it
+    # reads dim: on the truncated towers of the dual numbers every
+    # dimension comes from the eliminations, with no rank pass of its own
+    ranked = []
+    rank_of = cyclic.rank_of
+    monkeypatch.setattr(cyclic, "rank_of", lambda cols: ranked.append(
+        len(cols)) or rank_of(cols))
+    for theory in ("hcminus", "hcper"):
+        status, report = run(RunConfig(fixture("dual_numbers.alg"),
+                                       "compute", theory, 0, 6))
+        assert status == 0, theory
+        assert "truncation-limited" in {e["flag"] for e in report["entries"]}
+    assert ranked == []
+
+
 def test_verify_approx_checks_each_truncation_once(monkeypatch):
     # the S + 1 check runs once per ungraded minus/per bidegree of the
     # verdict window; the squares and product samples never run it

@@ -23,11 +23,13 @@ from cyclo2.cyclic import (
     TowerError,
     _block_columns,
     _block_key,
-    _eliminated,
+    _depth_key,
     _unkept_homology,
     bidegree_window,
     build_tower,
     connecting_map,
+    differential_bases,
+    differential_ranks,
     e1_page,
     e2_page,
     hochschild_basis,
@@ -42,7 +44,7 @@ from cyclo2.cyclic import (
 )
 from cyclo2.derham import d_matrix_columns, de_rham_cohomology, omega_basis
 from cyclo2.ell import FLAVORS, ell_degree_basis
-from cyclo2.f2linalg import F2Matrix, _placed, null_space, rank_kernel_image
+from cyclo2.f2linalg import F2Matrix, _placed, rank_kernel_image
 from cyclo2.gralg import (
     AlgebraPresentation,
     dual_numbers,
@@ -218,7 +220,7 @@ def test_mixed_columns_form_a_mixed_complex():
 
 def test_boundary_b_once_per_word(monkeypatch):
     # every slice holding C_{k,d} shares its b columns, so no word's b is
-    # computed twice across a window of homology
+    # computed twice across a window of homology, by its ranks or its bases
     import cyclo2.cyclic as cyclic
     words = []
 
@@ -229,51 +231,90 @@ def test_boundary_b_once_per_word(monkeypatch):
     monkeypatch.setattr(cyclic, "boundary_b", counting)
     A = polynomial_algebra(["x", "y", "z"])
     for n, d in bidegree_window(A, 4, 4):
-        homology(A, "minus", n, d)
+        h = homology(A, "minus", n, d)
+        h.dim, _bases(h)
     assert words and len(words) == len(set(words))
 
 
+class _Counted:
+    """Counts, by monkeypatching, the block columns _block_columns builds
+    and which of them rank_of ranks and null_space eliminates, tagging each
+    reduction with the columns built just before it, plus the spans
+    echelonize_in takes."""
+
+    def __init__(self, monkeypatch):
+        import cyclo2.cyclic as cyclic
+        import cyclo2.f2linalg as f2linalg
+        self.built, self.ranked, self.eliminated, self.spans = [], [], [], []
+        last = []
+        block_columns, rank_of = cyclic._block_columns, cyclic.rank_of
+
+        def tag(sl):
+            return sl.theory, sl.n, sl.d, sl.S
+
+        def counting_columns(A, src, tgt, key):
+            self.built.append((tag(src), tag(tgt), key))
+            last[:] = self.built[-1:]
+            return block_columns(A, src, tgt, key)
+
+        def reduction(f, calls):
+            def counted(cols):
+                # a reduction belongs to the columns built just before it
+                calls.append(last.pop() if last else None)
+                return f(cols)
+            return counted
+
+        def counting(f, calls):
+            return lambda *args: calls.append(f.__name__) or f(*args)
+
+        monkeypatch.setattr(cyclic, "_block_columns", counting_columns)
+        monkeypatch.setattr(cyclic, "rank_of",
+                            reduction(rank_of, self.ranked))
+        for module in (cyclic, f2linalg):
+            monkeypatch.setattr(module, "null_space",
+                                reduction(module.null_space, self.eliminated))
+            monkeypatch.setattr(module, "echelonize_in",
+                                counting(module.echelonize_in, self.spans))
+
+    def clear(self):
+        for calls in (self.built, self.ranked, self.eliminated, self.spans):
+            calls.clear()
+
+
 def test_each_differential_eliminated_once(monkeypatch):
-    # the homology on either side of d_n reads one elimination of each of
-    # its multidegree blocks, so no (differential, block) pair's columns
-    # are built or eliminated twice, and no span of differential columns
-    # is echelonized
-    import cyclo2.cyclic as cyclic
-    import cyclo2.f2linalg as f2linalg
-    built, eliminated, spans = [], [], []
-    last = []
-    block_columns = cyclic._block_columns
-
-    def tag(sl):
-        return sl.theory, sl.n, sl.d, sl.S
-
-    def counting_columns(A, src, tgt, key):
-        built.append((tag(src), tag(tgt), key))
-        last[:] = built[-1:]
-        return block_columns(A, src, tgt, key)
-
-    def counting_null_space(cols):
-        # a null space belongs to the columns built just before it
-        eliminated.append(last.pop() if last else None)
-        return null_space(cols)
-
-    def counting(f, calls):
-        return lambda *args: calls.append(f.__name__) or f(*args)
-
-    monkeypatch.setattr(cyclic, "_block_columns", counting_columns)
-    monkeypatch.setattr(f2linalg, "null_space", counting_null_space)
-    for module in (cyclic, f2linalg):
-        monkeypatch.setattr(module, "echelonize_in",
-                            counting(module.echelonize_in, spans))
+    # dimensions come from one rank of each multidegree block of each
+    # differential, with no basis built or stored; bases, once read, come
+    # from at most one elimination more of each block, shared by the
+    # homology on either side of it; no span of differential columns is
+    # ever echelonized
+    counted = _Counted(monkeypatch)
     A = polynomial_algebra(["x", "y", "z"])
-    for n, d in bidegree_window(A, 4, 4):
-        homology(A, "minus", n, d)
+    window = bidegree_window(A, 4, 4)
+    dims = [homology(A, "minus", n, d).dim for n, d in window]
+    built = list(counted.built)
     assert built and len(built) == len(set(built))
-    assert Counter(eliminated) == Counter(built)
-    assert spans == []
+    assert Counter(counted.ranked) == Counter(built)
+    assert counted.eliminated == [] and counted.spans == []
+    assert A.memo("differential") == {}
     # the differentials really are split
     blocks = Counter((src, tgt) for src, tgt, _ in built)
     assert max(blocks.values()) > 1
+    counted.clear()
+    for n, d in window:
+        _bases(homology(A, "minus", n, d))
+    assert counted.built and len(counted.built) == len(set(counted.built))
+    assert set(counted.built) <= set(built)
+    assert Counter(counted.eliminated) == Counter(counted.built)
+    assert counted.ranked == [] and counted.spans == []
+    # bases read first: their eliminations give the dimensions too
+    A = polynomial_algebra(["x", "y", "z"])
+    counted.clear()
+    for n, d in window:
+        _bases(homology(A, "minus", n, d))
+    assert [homology(A, "minus", n, d).dim for n, d in window] == dims
+    assert len(counted.built) == len(set(counted.built))
+    assert Counter(counted.eliminated) == Counter(counted.built)
+    assert counted.ranked == [] and counted.spans == []
 
 
 def test_one_block_is_read_as_it_is():
@@ -286,7 +327,7 @@ def test_one_block_is_read_as_it_is():
             sl = h.slice
             assert list(sl.blocks) == ([None] if sl.dim else []), (A.name, n)
             if sl.dim:
-                out = _eliminated(A, "minus", n, d, 3)[None]
+                out = differential_bases(A, "minus", n, d, 3)[None]
                 assert h.cycles is out[0], (A.name, n)
     h = homology(polynomial_algebra(["x", "y"]), "minus", 0, 3, 0)
     assert len(h.slice.blocks) == 4
@@ -322,6 +363,7 @@ def test_stabilization_pass_keeps_no_eliminations():
     for n in range(-3, 4):
         truncation(A, homology(A, "per", n, 0, 3))
     assert {key[3] for key in A.memo("differential")} == {3}
+    assert {key[3] for key in A.memo("differential_rank")} == {3}
     assert {key[3] for key in A.memo("homology")} == {3}
 
 
@@ -720,6 +762,33 @@ def _assert_homology(H, where):
         assert H.coords(H.rep(k)) == 1 << k, (where, k)
 
 
+def _assert_rank_path(A, windows):
+    """Reads the dimension of every homology of the four theories over
+    windows[S] at each depth S from ranks alone, then checks each against
+    the basis path: the sum over blocks of cycles.dim - boundaries.dim and
+    the unkept homology's dim.  Returns the (theory, n, D, S) read, with
+    S = 0 where the tower is not truncated, once each."""
+    ranked = {_depth_key(A, t, n, D, S): homology(A, t, n, D, S).dim
+              for S, window in windows.items()
+              for t in THEORY_BOUNDS for n, D in window}
+    assert A.memo("differential") == {}, A.name
+    for (t, n, D, S), dim in ranked.items():
+        H = homology(A, t, n, D, S)
+        assert dim == sum(c.dim - b.dim for c, b in H.pairs) == \
+            _unkept_homology(A, t, n, D, S).dim, (A.name, t, n, D, S)
+    return list(ranked)
+
+
+@pytest.mark.parametrize("name", ["dual_numbers.alg", "f2.alg", "f4.alg",
+                                  "poly_x.alg", "poly_xy.alg",
+                                  "poly_xyz.alg"])
+def test_rank_path_matches_basis_path_on_fixtures(name):
+    A = load_presentation(os.path.join(FIXTURES, name))
+    window = bidegree_window(A, 5, 5)
+    assert _assert_rank_path(A, {S: window for S in (
+        (3,) if A.graded else (2, 3))})
+
+
 def _assert_presented(sp, where):
     for c in [1 << k for k in range(sp.dim)] + [(1 << sp.dim) - 1]:
         assert sp.coords(sp.element(c)) == c, (where, c)
@@ -734,20 +803,28 @@ def test_homology_side_properties(A):
     found by solving.  On graded draws the three long exact sequences are
     exact and the squares of the approximation diagrams commute; on
     polynomial draws HH_n has the dimension of Omega^n (HKR)."""
-    S = 2
     window = bidegree_window(A, 3, 3)
-    for t in THEORY_BOUNDS:
-        for n, D in window:
-            _assert_homology(homology(A, t, n, D, S), (A.name, t, n, D))
-            # rank + nullity: kernel and image of each block of d_n add up
-            # to the block's dimension, and the blocks to the slice's
-            sl = build_tower(A, t, n, D, S)
-            dims = {key: kernel.dim + image.dim for key, (kernel, image)
-                    in _eliminated(A, t, n, D, S).items()}
-            assert dims == {
-                key: sum(stop - start for _, start, stop, _ in segments)
-                for key, segments in sl.blocks.items()}, (A.name, t, n, D)
-            assert sum(dims.values()) == sl.dim, (A.name, t, n, D)
+    # at S = 3 the deepest column holds up to four times the words of the
+    # one before it: |n| <= 1 there keeps the draws fast
+    windows = {2: window} if A.graded else \
+        {2: window, 3: bidegree_window(A, 1, 0)}
+    for t, n, D, S in _assert_rank_path(A, windows):
+        _assert_homology(homology(A, t, n, D, S), (A.name, t, n, D, S))
+        # rank + nullity: kernel and image of each block of d_n add up to
+        # the block's dimension, and the blocks to the slice's; the rank
+        # pass, run before any elimination, gave each block's image dim
+        sl = build_tower(A, t, n, D, S)
+        bases = differential_bases(A, t, n, D, S)
+        dims = {key: kernel.dim + image.dim
+                for key, (kernel, image) in bases.items()}
+        assert dims == {
+            key: sum(stop - start for _, start, stop, _ in segments)
+            for key, segments in sl.blocks.items()}, (A.name, t, n, D, S)
+        assert sum(dims.values()) == sl.dim, (A.name, t, n, D, S)
+        assert differential_ranks(A, t, n, D, S) == {
+            key: image.dim for key, (_, image) in bases.items()}, \
+            (A.name, t, n, D, S)
+    S = 2
     for nf in range(A.ngens + 1):
         for D in range(4) if A.graded else (0,):
             _assert_homology(de_rham_cohomology(A, nf, D), (A.name, nf, D))

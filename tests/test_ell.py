@@ -5,8 +5,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from conftest import ORACLE_INSTANCES, oracle_relation_rows, \
-    small_presentations, ungraded_x
+from conftest import ORACLE_INSTANCES, omega_u_reduce, \
+    oracle_relation_rows, small_presentations, ungraded_x
 
 from cyclo2.derham import de_rham_d, form, omega_basis
 from cyclo2.f2linalg import F2Matrix, echelonize_in, rank_kernel_image, \
@@ -34,7 +34,6 @@ from cyclo2.ell import (
     model_matrix,
     mul_u_matrix,
     omega_u_gens,
-    omega_u_reduce,
     per_monomials,
     phi_el,
     plus_monomials,

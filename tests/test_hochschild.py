@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import scale_u, unit_uchain
 from cyclo2.gralg import dual_numbers, field_f4, polynomial_algebra
 from cyclo2.hochschild import (
     ChainError,
@@ -13,12 +14,10 @@ from cyclo2.hochschild import (
     connes_B,
     cyclic_shuffles,
     mu_chain,
-    scale_u,
     shuffle_product,
     shuffles,
     single,
     uchain_boundary,
-    unit_uchain,
 )
 
 A3 = polynomial_algebra(["x", "y", "z"])
