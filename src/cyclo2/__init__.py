@@ -46,7 +46,6 @@ from .f2linalg import (
     F2Matrix,
     PresentedSpace,
     SubspaceBasis,
-    quotient_coordinates,
     rank_kernel_image,
 )
 from .gralg import (

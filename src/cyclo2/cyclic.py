@@ -7,8 +7,8 @@ column p is n - 2p, so the right bound is always finite; for graded
 algebras the left bound is finite too because every bar entry has positive
 degree.  Only ungraded minus/per towers need the truncation column -S.
 homology() is the homology at that depth, memoised once per bidegree and
-depth; truncation() checks it against depth S + 1, storing nothing, and
-flags it stable or truncation-limited.
+depth; truncation() checks it against depth S + 1, from ranks and unkept
+cycles, and flags it stable or truncation-limited.
 
 Column p of T_n is the Hochschild chain group C_{n-2p,d}.  Its ordered
 basis and its b and B matrices are computed once per algebra and shared by
@@ -26,7 +26,8 @@ slice differential d_n is built straight from the per-degree matrices, in
 block-local coordinates.  Ranks come first, bases on demand: the homology
 of a slice is a Homology split into these blocks, and its dimension, a
 sum over blocks, reads one memoised rank of each block of d_n and d_{n+1}
-(differential_ranks), which keeps no basis.  Its cycles, boundaries and
+(differential_ranks), which keeps no basis and stops where the ranks of
+its neighbours, once memoised, bound it.  Its cycles, boundaries and
 class representatives on slice vectors are built only when something
 reads them, from one shared elimination of each block per depth
 (differential_bases): its kernel is the cycles of that block of T_n and
@@ -391,7 +392,10 @@ def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
     """Block key -> rank of that block of d_n: T_n -> T_{n-1}; memoised.
     Unless differential_bases has recorded them, each block's columns are
     reduced by rank_of, last first (as null_space; other orders were far
-    slower), and nothing else is kept."""
+    slower), and nothing else is kept.  As d_{n-1} d_n = 0 = d_n d_{n+1},
+    a block's rank is at most rows - its rank in d_{n-1} and cols - its
+    rank in d_{n+1}, and rank_of stops at the bound that the neighbours
+    already memoised give."""
     t = theory_key(theory)
     table = A.memo("differential_rank")
     depth = _depth_key(A, t, n, d, S)
@@ -399,9 +403,13 @@ def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
     if ranks is None:
         src = build_tower(A, t, n, d, S)
         tgt = build_tower(A, t, n - 1, d, S)
+        below = table.get(_depth_key(A, t, n - 1, d, S), {})
+        above = table.get(_depth_key(A, t, n + 1, d, S), {})
         ranks = table[depth] = {
-            key: rank_of(_block_columns(A, src, tgt, key)[::-1])
-            for key in src.blocks}
+            key: rank_of(_block_columns(A, src, tgt, key)[::-1], min(
+                _block_dim(tgt.blocks.get(key)) - below.get(key, 0),
+                _block_dim(segments) - above.get(key, 0)))
+            for key, segments in src.blocks.items()}
     return ranks
 
 
@@ -455,9 +463,7 @@ class HomologyPresentation(Homology):
                      for k in (0, 1))
 
     def _ranked_dim(self) -> int:
-        out, into = self._sides(differential_ranks)
-        return sum(_block_dim(segments) - out[key] - into.get(key, 0)
-                   for key, segments in self.slice.blocks.items())
+        return _dim_from_ranks(self.slice, *self._sides(differential_ranks))
 
     def _eliminate(self) -> tuple:
         # a block of T_n that T_{n+1} lacks has no boundaries
@@ -466,6 +472,13 @@ class HomologyPresentation(Homology):
             (out[key][0], into[key][1] if key in into
              else SubspaceBasis(_block_dim(segments)))
             for key, segments in self.slice.blocks.items())
+
+
+def _dim_from_ranks(sl: TowerSlice, out: dict, into: dict) -> int:
+    """The homology dimension of the slice T_n from the block ranks of d_n
+    (out) and d_{n+1} (into); a block that T_{n+1} lacks has none."""
+    return sum(_block_dim(segments) - out[key] - into.get(key, 0)
+               for key, segments in sl.blocks.items())
 
 
 def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
@@ -489,25 +502,6 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     return pres
 
 
-def _unkept_homology(A: AlgebraPresentation, t: str, n: int, d: int,
-                     S: int) -> HomologyPresentation:
-    """The bases of homology(A, t, n, d, S) with nothing stored: each block
-    of d_n is eliminated for its kernel only and then that of d_{n+1} for
-    its image only, which needs neither the trackers of the image nor the
-    columns of both at once."""
-    sl = build_tower(A, t, n, d, S)
-    down = build_tower(A, t, n - 1, d, S)
-    up = build_tower(A, t, n + 1, d, S)
-    pairs = tuple(
-        (null_space(_block_columns(A, sl, down, key))[0],
-         echelonize_in(_block_columns(A, up, sl, key)
-                       if key in up.blocks else (),
-                       _block_dim(segments)))
-        for key, segments in sl.blocks.items())
-    return HomologyPresentation(sl.dim, sl.runs(), pairs, theory=t, n=n,
-                                d=d, S=S, slice=sl)
-
-
 class Truncation(NamedTuple):
     """The check of a homology truncated at depth S against depth S + 1.
 
@@ -523,17 +517,29 @@ def truncation(A: AlgebraPresentation,
                H: HomologyPresentation) -> Truncation:
     """The check of H, a homology at depth S, against depth S + 1.
 
-    A tower that is not truncated is exact.  Otherwise the homology is computed again at
-    S + 1, with nothing stored, and its class representatives are
-    projected into the depth-S window: the flag is stable only if the
-    dimensions agree and the projection is an isomorphism."""
+    A tower that is not truncated is exact.  Otherwise H's bases are read
+    first, so its dim comes from their eliminations; the dim at S + 1 comes
+    from the ranks of d_n and d_{n+1} there, and the cycles of d_n there,
+    eliminated and not kept, are projected to depth S.  The projection is
+    a chain map, so it sends boundaries to boundaries, and their classes
+    span the image of the homology at S + 1.  The flag is stable only if
+    the dimensions agree and the projection is an isomorphism."""
     if not H.slice.truncated:
         return Truncation("stable", None)
-    big = _unkept_homology(A, H.theory, H.n, H.d, H.S + 1)
-    project = slice_shift_map(A, big.slice, H.slice, 0)
-    image = echelonize_in([H.coords(project(v)) for v in big.complement],
-                          H.dim)
-    stable = H.dim == big.dim == image.dim
+    t, n, d, S = H.theory, H.n, H.d, H.S + 1
+    big = build_tower(A, t, n, d, S)
+    image = SubspaceBasis(0)
+    if H.complement:
+        down = build_tower(A, t, n - 1, d, S)
+        cycles = Homology(big.dim, big.runs(), tuple(
+            (null_space(_block_columns(A, big, down, key))[0],
+             SubspaceBasis(_block_dim(segments)))
+            for key, segments in big.blocks.items())).cycles
+        project = slice_shift_map(A, big, H.slice, 0)
+        image = echelonize_in([H.coords(project(z)) for z in cycles.vectors],
+                              H.dim)
+    stable = H.dim == _dim_from_ranks(big, *(
+        differential_ranks(A, t, n + k, d, S) for k in (0, 1))) == image.dim
     return Truncation("stable" if stable else "truncation-limited", image)
 
 

@@ -22,8 +22,8 @@ cohomology and the E^2 page).  A Homology may be split into blocks on
 disjoint coordinates, one cycles and boundaries pair each (a tower slice
 of a monomial ideal); its bases on the whole degree are assembled from the
 blocks only when read.  A Homology made without bases takes its dimension
-from ranks (rank_of keeps no basis) and eliminates its blocks only when a
-basis is first read.
+from ranks (rank_of keeps no basis, and stops at a proven bound) and
+eliminates its blocks only when a basis is first read.
 """
 
 from __future__ import annotations
@@ -233,16 +233,22 @@ class PresentedSpace:
                          if (coords >> k) & 1)
 
 
-def _span_pivots(vectors: Iterable[int]) -> dict[int, int]:
+def _span_pivots(vectors: Iterable[int],
+                 limit: Optional[int] = None) -> dict[int, int]:
     """Echelon rows of the span of the vectors as pivot -> row (each row's
-    lowest bit is its pivot), reducing the vectors in the order given."""
+    lowest bit is its pivot), reducing the vectors in the order given and
+    stopping once there are limit rows."""
     pivots: dict[int, int] = {}
+    if limit == 0:
+        return pivots
     for v in vectors:
         while v:
             p = (v & -v).bit_length() - 1
             w = pivots.get(p)
             if w is None:
                 pivots[p] = v
+                if len(pivots) == limit:
+                    return pivots
                 break
             v ^= w
     return pivots
@@ -278,8 +284,11 @@ def echelonize_in(vectors: Iterable[int], ambient_dim: int) -> SubspaceBasis:
     return _reduced_echelon(_span_pivots(reversed(list(vectors))), ambient_dim)
 
 
-def rank_of(vectors: Iterable[int]) -> int:
-    return len(_span_pivots(vectors))
+def rank_of(vectors: Sequence[int], bound: Optional[int] = None) -> int:
+    """The rank of the span of the vectors, reduced in the order given.
+    bound must be a proven upper bound on it: the reduction stops there,
+    as every vector left is then dependent (a smaller bound is returned)."""
+    return len(_span_pivots(vectors, bound))
 
 
 def null_space(cols: Sequence[int]
@@ -450,15 +459,3 @@ class Homology:
     def rep(self, k: int) -> int:
         return self.complement[k]
 
-
-def quotient_coordinates(cycles: SubspaceBasis, boundaries: SubspaceBasis,
-                         v: int) -> int:
-    """Coordinates (a bitmask) of the class [v] in the Homology of cycles
-    modulo boundaries.
-
-    Raises if v is not a cycle; a broken containment (boundaries not inside
-    cycles) is an internal error in the caller's complex.
-    """
-    if not cycles.contains_subspace(boundaries):
-        raise F2LinalgError("boundary space not contained in cycle space")
-    return Homology.of(cycles, boundaries).coords(v)

@@ -300,14 +300,6 @@ class AlgebraPresentation:
             frontier = nxt
         return seen
 
-    def augment(self, p: Iterable[Monomial]) -> int:
-        """Evaluate the augmentation homomorphism on a reduced element."""
-        if not self.supplemented:
-            raise AugmentationError(
-                "algebra is not supplemented (default augmentation "
-                "inconsistent with the relations)")
-        return self._eval_aug_poly(frozenset(p))
-
 
 # ----- stock presentations used across tests and the CLI -----
 

@@ -1,16 +1,29 @@
 """Shared test plumbing: echo acceptance pass/fail lines past capture, the
-default hypothesis profile and its random small presentations, the u-chain,
-Omega[u] and report helpers that only the tests use, and the slow
-elimination, differential, connecting-map, relation-instance,
-relation-row and commuting-square oracles."""
+default hypothesis profile and its random small presentations, the
+augmentation, u-chain, Omega[u], report and class-coordinate helpers that
+only the tests use, a counter of the eliminations the towers run, and the slow
+elimination, differential, truncation-check, connecting-map,
+relation-instance, relation-row and commuting-square oracles."""
 
 import itertools
 
 from hypothesis import settings, strategies as st
 
 from cyclo2.approx import _eps_matrix, psi_matrix
-from cyclo2.cyclic import bidegree_window, class_map, homology, les_maps, \
-    slice_shift_map
+import cyclo2.cyclic as cyclic
+import cyclo2.f2linalg as f2linalg
+from cyclo2.cyclic import (
+    HomologyPresentation,
+    Truncation,
+    _block_columns,
+    _block_dim,
+    bidegree_window,
+    build_tower,
+    class_map,
+    homology,
+    les_maps,
+    slice_shift_map,
+)
 from cyclo2.derham import omega_basis
 from cyclo2.ell import (
     EllError,
@@ -40,8 +53,16 @@ from cyclo2.ell import (
     q_el,
     v_mon,
 )
-from cyclo2.f2linalg import F2Matrix, SubspaceBasis, complement_basis
-from cyclo2.gralg import AlgebraPresentation
+from cyclo2.f2linalg import (
+    F2LinalgError,
+    F2Matrix,
+    Homology,
+    SubspaceBasis,
+    complement_basis,
+    echelonize_in,
+    null_space,
+)
+from cyclo2.gralg import AlgebraPresentation, AugmentationError
 from cyclo2.hochschild import ChainError, UChain, boundary_b, connes_B
 
 # Fixed examples and no deadline: every run draws the same cases in bounded
@@ -103,7 +124,17 @@ def small_presentations(draw):
                                name=f"{weights}/{[sorted(r) for r in rels]}")
 
 
-# ----- u-chain, Omega[u] and report helpers that only the tests use -----
+# ----- augmentation, u-chain, Omega[u] and report helpers that only the
+# tests use -----
+
+def augment(A, p):
+    """The augmentation homomorphism of A on a reduced element."""
+    if not A.supplemented:
+        raise AugmentationError(
+            "algebra is not supplemented (default augmentation "
+            "inconsistent with the relations)")
+    return A._eval_aug_poly(frozenset(p))
+
 
 def unit_uchain(A, theory="minus", exponent=0):
     """The unit 1[] at u-exponent exponent, as a chain of the theory."""
@@ -160,6 +191,58 @@ def omega_u_reduce(A, el):
         if mask:
             out[j] = (sp, mask)
     return out
+
+
+def quotient_coordinates(cycles, boundaries, v):
+    """Coordinates (a bitmask) of the class [v] in the Homology of cycles
+    modulo boundaries; raises if boundaries are not inside cycles or v is
+    not a cycle."""
+    if not cycles.contains_subspace(boundaries):
+        raise F2LinalgError("boundary space not contained in cycle space")
+    return Homology.of(cycles, boundaries).coords(v)
+
+
+# ----- the eliminations of the towers, counted -----
+
+class CountedReductions:
+    """Counts, by monkeypatching, the block columns _block_columns builds
+    and which of them rank_of ranks, null_space eliminates and
+    echelonize_in spans, tagging each reduction with the columns built
+    just before it (None if there are none): a tag is ((theory, n, d, S)
+    of the source slice, the same of the target, block key)."""
+
+    def __init__(self, monkeypatch):
+        self.built, self.ranked, self.eliminated, self.spans = [], [], [], []
+        last = []
+        block_columns = cyclic._block_columns
+
+        def tag(sl):
+            return sl.theory, sl.n, sl.d, sl.S
+
+        def counting_columns(A, src, tgt, key):
+            self.built.append((tag(src), tag(tgt), key))
+            last[:] = self.built[-1:]
+            return block_columns(A, src, tgt, key)
+
+        def reduction(f, calls):
+            def counted(*args):
+                # a reduction belongs to the columns built just before it
+                calls.append(last.pop() if last else None)
+                return f(*args)
+            return counted
+
+        monkeypatch.setattr(cyclic, "_block_columns", counting_columns)
+        monkeypatch.setattr(cyclic, "rank_of",
+                            reduction(cyclic.rank_of, self.ranked))
+        for module in (cyclic, f2linalg):
+            monkeypatch.setattr(module, "null_space",
+                                reduction(module.null_space, self.eliminated))
+            monkeypatch.setattr(module, "echelonize_in",
+                                reduction(module.echelonize_in, self.spans))
+
+    def clear(self):
+        for calls in (self.built, self.ranked, self.eliminated, self.spans):
+            calls.clear()
 
 
 # ----- the first-to-last elimination path, kept as a slow oracle -----
@@ -252,6 +335,39 @@ def oracle_differential_columns(A, src, tgt):
                 v ^= 1 << idx[(p - 1, w2)]
         cols.append(v)
     return cols
+
+
+# ----- the truncation check by whole homologies, kept as a slow oracle -----
+
+def oracle_unkept_homology(A, t, n, d, S):
+    """The bases of homology(A, t, n, d, S) with nothing stored: each block
+    of d_n is eliminated for its kernel only and then that of d_{n+1} for
+    its image only."""
+    sl = build_tower(A, t, n, d, S)
+    down = build_tower(A, t, n - 1, d, S)
+    up = build_tower(A, t, n + 1, d, S)
+    pairs = tuple(
+        (null_space(_block_columns(A, sl, down, key))[0],
+         echelonize_in(_block_columns(A, up, sl, key)
+                       if key in up.blocks else (),
+                       _block_dim(segments)))
+        for key, segments in sl.blocks.items())
+    return HomologyPresentation(sl.dim, sl.runs(), pairs, theory=t, n=n,
+                                d=d, S=S, slice=sl)
+
+
+def oracle_truncation(A, H):
+    """truncation(A, H) from the whole homology at depth S + 1: its class
+    representatives projected into the depth-S window, and its dimension
+    from its bases."""
+    if not H.slice.truncated:
+        return Truncation("stable", None)
+    big = oracle_unkept_homology(A, H.theory, H.n, H.d, H.S + 1)
+    project = slice_shift_map(A, big.slice, H.slice, 0)
+    image = echelonize_in([H.coords(project(v)) for v in big.complement],
+                          H.dim)
+    stable = H.dim == big.dim == image.dim
+    return Truncation("stable" if stable else "truncation-limited", image)
 
 
 # ----- the connecting map by solving, kept as a slow oracle -----

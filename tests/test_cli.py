@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclo2
-from cyclo2 import cli, cyclic
+from conftest import CountedReductions
+from cyclo2 import approx, cli, cyclic
 from cyclo2.cli import CLIError, RunConfig, load_presentation, main, run
 from cyclo2.cyclic import homology
 
@@ -294,31 +296,50 @@ def test_graded_compute_builds_no_bases(monkeypatch):
 
 def test_truncated_compute_ranks_nothing_apart(monkeypatch):
     # compute runs the truncation check, which reads the bases, before it
-    # reads dim: on the truncated towers of the dual numbers every
-    # dimension comes from the eliminations, with no rank pass of its own
-    ranked = []
-    rank_of = cyclic.rank_of
-    monkeypatch.setattr(cyclic, "rank_of", lambda cols: ranked.append(
-        len(cols)) or rank_of(cols))
+    # reads dim: on the truncated towers of the dual numbers every depth-S
+    # dimension comes from the eliminations, with no rank pass of its own.
+    # The depth S + 1 dimensions come from ranks, one per block of each
+    # differential; the check at n eliminates the cycles of d_n there and
+    # never runs an elimination on d_{n+1} there.
+    counted = CountedReductions(monkeypatch)
+    check = cli.truncation
+    deeper = []  # (n of the check, source slice of each elimination)
+
+    def checking(A, H):
+        start = len(counted.eliminated), len(counted.spans)
+        out = check(A, H)
+        tags = counted.eliminated[start[0]:] + counted.spans[start[1]:]
+        deeper.extend((H.n, src) for src, _, _ in filter(None, tags)
+                      if src[3] == S + 1)
+        return out
+
+    monkeypatch.setattr(cli, "truncation", checking)
+    S = 3
     for theory in ("hcminus", "hcper"):
         status, report = run(RunConfig(fixture("dual_numbers.alg"),
-                                       "compute", theory, 0, 6))
+                                       "compute", theory, 0, 6, S))
         assert status == 0, theory
         assert "truncation-limited" in {e["flag"] for e in report["entries"]}
-    assert ranked == []
+    # source slices are (theory, n, d, S)
+    assert counted.ranked and None not in counted.ranked
+    assert {src[3] for src, _, _ in counted.ranked} == {S + 1}
+    assert max(Counter(counted.ranked).values()) == 1
+    assert deeper and all(src[1] == n for n, src in deeper)
 
 
 def test_verify_approx_checks_each_truncation_once(monkeypatch):
     # the S + 1 check runs once per ungraded minus/per bidegree of the
     # verdict window; the squares and product samples never run it
     calls = []
-    unkept = cyclic._unkept_homology
+    check = cyclic.truncation
 
-    def counted(A, t, n, d, S):
-        calls.append((t, n, d, S))
-        return unkept(A, t, n, d, S)
+    def counted(A, H):
+        if H.slice.truncated:
+            calls.append((H.theory, H.n, H.d, H.S + 1))
+        return check(A, H)
 
-    monkeypatch.setattr(cyclic, "_unkept_homology", counted)
+    for module in (cyclic, approx):
+        monkeypatch.setattr(module, "truncation", counted)
     for theory, t in (("hcminus", "minus"), ("hcper", "per"), ("hc", "plus")):
         calls.clear()
         run(RunConfig(fixture("dual_numbers.alg"), "verify-approx", theory,

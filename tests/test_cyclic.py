@@ -1,17 +1,21 @@
+import dataclasses
 import itertools
 import os
 import random
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import pytest
 
 from conftest import (
+    CountedReductions,
     oracle_connecting_map,
     oracle_differential_columns,
     oracle_echelonize_in,
     oracle_homology_bases,
+    oracle_truncation,
+    oracle_unkept_homology,
     slice_basis,
     small_presentations,
 )
@@ -24,7 +28,6 @@ from cyclo2.cyclic import (
     _block_columns,
     _block_key,
     _depth_key,
-    _unkept_homology,
     bidegree_window,
     build_tower,
     connecting_map,
@@ -44,7 +47,7 @@ from cyclo2.cyclic import (
 )
 from cyclo2.derham import d_matrix_columns, de_rham_cohomology, omega_basis
 from cyclo2.ell import FLAVORS, ell_degree_basis
-from cyclo2.f2linalg import F2Matrix, _placed, rank_kernel_image
+from cyclo2.f2linalg import F2Matrix, _placed, rank_kernel_image, rank_of
 from cyclo2.gralg import (
     AlgebraPresentation,
     dual_numbers,
@@ -236,58 +239,13 @@ def test_boundary_b_once_per_word(monkeypatch):
     assert words and len(words) == len(set(words))
 
 
-class _Counted:
-    """Counts, by monkeypatching, the block columns _block_columns builds
-    and which of them rank_of ranks and null_space eliminates, tagging each
-    reduction with the columns built just before it, plus the spans
-    echelonize_in takes."""
-
-    def __init__(self, monkeypatch):
-        import cyclo2.cyclic as cyclic
-        import cyclo2.f2linalg as f2linalg
-        self.built, self.ranked, self.eliminated, self.spans = [], [], [], []
-        last = []
-        block_columns, rank_of = cyclic._block_columns, cyclic.rank_of
-
-        def tag(sl):
-            return sl.theory, sl.n, sl.d, sl.S
-
-        def counting_columns(A, src, tgt, key):
-            self.built.append((tag(src), tag(tgt), key))
-            last[:] = self.built[-1:]
-            return block_columns(A, src, tgt, key)
-
-        def reduction(f, calls):
-            def counted(cols):
-                # a reduction belongs to the columns built just before it
-                calls.append(last.pop() if last else None)
-                return f(cols)
-            return counted
-
-        def counting(f, calls):
-            return lambda *args: calls.append(f.__name__) or f(*args)
-
-        monkeypatch.setattr(cyclic, "_block_columns", counting_columns)
-        monkeypatch.setattr(cyclic, "rank_of",
-                            reduction(rank_of, self.ranked))
-        for module in (cyclic, f2linalg):
-            monkeypatch.setattr(module, "null_space",
-                                reduction(module.null_space, self.eliminated))
-            monkeypatch.setattr(module, "echelonize_in",
-                                counting(module.echelonize_in, self.spans))
-
-    def clear(self):
-        for calls in (self.built, self.ranked, self.eliminated, self.spans):
-            calls.clear()
-
-
 def test_each_differential_eliminated_once(monkeypatch):
     # dimensions come from one rank of each multidegree block of each
     # differential, with no basis built or stored; bases, once read, come
     # from at most one elimination more of each block, shared by the
     # homology on either side of it; no span of differential columns is
     # ever echelonized
-    counted = _Counted(monkeypatch)
+    counted = CountedReductions(monkeypatch)
     A = polynomial_algebra(["x", "y", "z"])
     window = bidegree_window(A, 4, 4)
     dims = [homology(A, "minus", n, d).dim for n, d in window]
@@ -336,7 +294,7 @@ def test_one_block_is_read_as_it_is():
 def test_shared_eliminations_in_either_order():
     # cycles come from d_n and boundaries from d_{n+1}, whichever of the
     # two homologies beside a differential eliminated it first; the
-    # unkept path of the S + 1 check gives the same bases
+    # unkept homology of the truncation oracle gives the same bases
     cases = [(lambda: polynomial_algebra(["x", "y"]), ("minus",), range(5)),
              (cusp, ("minus",), range(5)),
              (field_f4, ("minus", "per"), (0,)),
@@ -349,8 +307,8 @@ def test_shared_eliminations_in_either_order():
                       for d in degrees]
             oracle = {w: _oracle_homology_at(A, *w, S) for w in window}
             for (t, n, d), bases in oracle.items():
-                assert _bases(_unkept_homology(A, t, n, d, S)) == bases, \
-                    (A.name, t, n, d, S)
+                assert _bases(oracle_unkept_homology(A, t, n, d, S)) == \
+                    bases, (A.name, t, n, d, S)
             for order in (window, window[::-1]):
                 A = fresh()
                 for t, n, d in order:
@@ -359,11 +317,13 @@ def test_shared_eliminations_in_either_order():
 
 
 def test_stabilization_pass_keeps_no_eliminations():
+    # the S + 1 pass keeps no basis: only its ranks, which are ints, are
+    # memoised at depth S + 1
     A = truncated_cube()
     for n in range(-3, 4):
         truncation(A, homology(A, "per", n, 0, 3))
     assert {key[3] for key in A.memo("differential")} == {3}
-    assert {key[3] for key in A.memo("differential_rank")} == {3}
+    assert {key[3] for key in A.memo("differential_rank")} == {3, 4}
     assert {key[3] for key in A.memo("homology")} == {3}
 
 
@@ -414,6 +374,57 @@ def test_graded_towers_always_stable():
     for n in range(-4, 4):
         assert truncation(PX, homology(PX, "hcminus", n, 3)) == \
             ("stable", None)
+
+
+def _assert_truncation_matches_oracle(fresh, S, window):
+    """truncation(A, H) equals oracle_truncation(A, H), persistent image
+    included, on a fresh algebra visiting the window (theory, n) in each
+    order, so the ranks at S + 1 are bounded by either neighbour."""
+    for order in (window, window[::-1]):
+        A = fresh()
+        for t, n in order:
+            H = homology(A, t, n, 0, S)
+            assert truncation(A, H) == oracle_truncation(A, H), \
+                (A.name, t, n, S)
+
+
+def test_truncation_matches_oracle():
+    window = [(t, n) for t in ("minus", "per") for n in range(-3, 4)]
+    for fresh in (field_f4, dual_numbers, truncated_cube):
+        for S in (1, 2, 3):
+            _assert_truncation_matches_oracle(fresh, S, window)
+
+
+@settings(max_examples=12)
+@given(small_presentations().filter(lambda A: not A.graded),
+       st.integers(1, 3))
+def test_truncation_matches_oracle_on_draws(A, S):
+    window = [(t, n) for t in ("minus", "per") for n in range(-2, 3)]
+    _assert_truncation_matches_oracle(lambda: dataclasses.replace(A), S,
+                                      window)
+
+
+def test_bounded_ranks_match_plain_ranks(monkeypatch):
+    # each block rank of a differential stops at the bound its memoised
+    # neighbours give, and equals the plain rank of the same columns
+    # whichever way n runs; some ranks do reach their bound
+    import cyclo2.cyclic as cyclic
+    bounded = []
+    monkeypatch.setattr(cyclic, "rank_of", lambda cols, bound: bounded.append(
+        (rank_of(cols, bound), bound)) or bounded[-1][0])
+    for name in ("dual_numbers.alg", "f2.alg", "f4.alg", "poly_x.alg",
+                 "poly_xy.alg", "poly_xyz.alg"):
+        for descending in (False, True):
+            A = load_presentation(os.path.join(FIXTURES, name))
+            window = sorted(bidegree_window(A, 4, 3), reverse=descending)
+            for t in THEORY_BOUNDS:
+                for n, D in window:
+                    src = build_tower(A, t, n, D, 2)
+                    tgt = build_tower(A, t, n - 1, D, 2)
+                    assert differential_ranks(A, t, n, D, 2) == {
+                        key: rank_of(_block_columns(A, src, tgt, key))
+                        for key in src.blocks}, (name, t, n, D, descending)
+    assert any(0 < r == bound for r, bound in bounded)
 
 
 def test_f4_hh_is_trivial_in_positive_degrees():
@@ -698,7 +709,7 @@ def _assert_oracle_bases(A, theory, n, d, S):
     oracle = _oracle_homology_at(A, theory, n, d, S)
     assert _bases(homology(A, theory, n, d, S)) == oracle, \
         (A.name, theory, n, d, S)
-    assert _bases(_unkept_homology(A, theory, n, d, S)) == oracle, \
+    assert _bases(oracle_unkept_homology(A, theory, n, d, S)) == oracle, \
         (A.name, theory, n, d, S, "unkept")
 
 
@@ -775,7 +786,7 @@ def _assert_rank_path(A, windows):
     for (t, n, D, S), dim in ranked.items():
         H = homology(A, t, n, D, S)
         assert dim == sum(c.dim - b.dim for c, b in H.pairs) == \
-            _unkept_homology(A, t, n, D, S).dim, (A.name, t, n, D, S)
+            oracle_unkept_homology(A, t, n, D, S).dim, (A.name, t, n, D, S)
     return list(ranked)
 
 

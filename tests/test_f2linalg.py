@@ -7,6 +7,7 @@ from conftest import (
     oracle_echelonize_in,
     oracle_homology_bases,
     oracle_kernel_image,
+    quotient_coordinates,
 )
 from cyclo2.f2linalg import (
     F2LinalgError,
@@ -15,8 +16,8 @@ from cyclo2.f2linalg import (
     SubspaceBasis,
     echelonize_in,
     null_space,
-    quotient_coordinates,
     rank_kernel_image,
+    rank_of,
 )
 
 
@@ -238,3 +239,33 @@ def test_homology_bases_match_oracle(case, data):
     h = Homology.from_columns(out, inc)
     assert (h.cycles, h.boundaries, h.complement) == \
         oracle_homology_bases(out, inc)
+
+
+class _Reads(list):
+    """A list of vectors that records each one iterated."""
+
+    def __iter__(self):
+        self.read = []
+        for v in list.__iter__(self):
+            self.read.append(v)
+            yield v
+
+
+@given(column_lists())
+def test_bounded_rank_equals_rank(case):
+    # a rank that stops at any upper bound on it is still the rank, and
+    # with bound 0 no vector is read
+    rows, cols = case
+    rank = rank_kernel_image(F2Matrix(rows, tuple(cols)))[0]
+    assert rank_of(cols) == rank
+    for bound in range(rank, len(cols) + 2):
+        assert rank_of(cols, bound) == rank, bound
+    vectors = _Reads(cols)
+    vectors.read = []
+    assert rank_of(vectors, 0) == 0 and vectors.read == []
+
+
+def test_bounded_rank_stops_at_its_bound():
+    # the vectors after the one that reaches the bound are not read
+    vectors = _Reads([0b001, 0b010, 0b100, 0b111, 0b011])
+    assert rank_of(vectors, 3) == 3 and vectors.read == [0b001, 0b010, 0b100]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import augment
 from cyclo2.cli import load_presentation
 from cyclo2.gralg import (
     AlgebraPresentation,
@@ -126,9 +127,9 @@ def test_multiply_respects_grading():
 
 def test_augmentation_defaults():
     A = polynomial_algebra(["x"])
-    assert A.augment([(0,)]) == 1
-    assert A.augment([(1,)]) == 0
-    assert A.augment([(2,), (0,)]) == 1  # x^2 + 1 -> 1
+    assert augment(A, [(0,)]) == 1
+    assert augment(A, [(1,)]) == 0
+    assert augment(A, [(2,), (0,)]) == 1  # x^2 + 1 -> 1
 
 
 def test_augmentation_inconsistent_rejected():
@@ -141,7 +142,7 @@ def test_f4_not_supplemented_but_loads():
     A = field_f4()
     assert not A.supplemented
     with pytest.raises(AugmentationError):
-        A.augment([(1,)])
+        augment(A, [(1,)])
 
 
 def test_graded_rejects_inhomogeneous():
