@@ -14,12 +14,16 @@ Column p of T_n is the Hochschild chain group C_{n-2p,d}.  Its ordered
 basis and its b and B matrices are computed once per algebra and shared by
 every slice that holds it (the total complex of the mixed complex
 (C, b, B); Loday, Cyclic Homology, 2.5), so a slice differential is those
-matrices moved to the slice's offsets.
+matrices moved to the slice's offsets.  The basis is a product: in each
+multidegree block, the sorted heads, each followed by the sorted bar
+tuples of its multidegree (or degree), which every C_{k,d} shares.  A
+word's position is its block's start + its head's run + its bar tuple's
+rank; b and B columns are set from positions, and the words are built
+only when read.
 
 For a monomial ideal, b and B preserve the multidegree of a word (the
 weight decomposition; Loday, Cyclic Homology, 1992), so every slice
-differential is block diagonal.  Each C_{k,d} is sorted block by block and
-records the range of every block; a slice's blocks are the segments of
+differential is block diagonal; a slice's blocks are the segments of
 its columns with one multidegree, in column order.  Other presentations
 have one block per slice, placed as the slice itself.  Each block of a
 slice differential d_n is built straight from the per-degree matrices, in
@@ -39,10 +43,10 @@ The u-exponent i of the chain notation corresponds to column p = -i.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add, itemgetter
 from typing import NamedTuple, Optional
 
 from .f2linalg import (
@@ -55,8 +59,7 @@ from .f2linalg import (
     rank_of,
 )
 from .gralg import AlgebraPresentation, grevlex_key
-from .hochschild import BarWord, UChain, boundary_b, connes_B, \
-    uchain_boundary
+from .hochschild import BarWord, UChain, uchain_boundary
 
 THEORY_BOUNDS = {
     "hh": (0, 0),
@@ -91,87 +94,103 @@ def bidegree_window(A: AlgebraPresentation, max_homological: int,
             for D in internal]
 
 
-def enumerate_words(A: AlgebraPresentation, nbars: int, d: int) -> list[BarWord]:
-    """All normalized bar words with nbars bars and internal degree d."""
-    if nbars < 0:
-        return []
-    if A.graded:
-        # build bars left to right (degree >= 1 each), head soaks up the rest
-        partial: list[tuple[tuple, int]] = [((), d)]  # (bars, rest)
-        for slots_left in range(nbars, 0, -1):
-            partial = [(acc + (m,), rem - e) for acc, rem in partial
-                       for e in range(1, rem - slots_left + 2)
-                       for m in A.degree_basis(e)]
-        return [(head, acc) for acc, rem in partial
-                for head in A.degree_basis(rem)]
-    if d != 0:
-        return []
-    basis = A.basis_all()
-    bars_pool = [m for m in basis if m != A.one]
-    out = []
-    for head in basis:
-        for bars in itertools.product(bars_pool, repeat=nbars):
-            out.append((head, bars))
-    return out
-
-
-def _word_key(w: BarWord, grevlex: dict):
-    """grevlex_key of the head, then of each bar; grevlex holds the key of
-    every monomial seen so far in one degree, which repeat across words."""
-    keys = []
-    for m in (w[0],) + w[1]:
-        k = grevlex.get(m)
-        if k is None:
-            k = grevlex[m] = grevlex_key(m)
-        keys.append(k)
-    return keys[0], tuple(keys[1:])
-
-
 def _block_key(w: BarWord):
     """The multidegree of the whole word, which b and B preserve when the
     relations are monomial."""
     return tuple(map(sum, zip(w[0], *w[1])))
 
 
-class HochschildBasis(NamedTuple):
-    """The ordered basis of one C_{k,d}, the position of each word and the
-    (start, stop) position range of each multidegree block."""
+def _bar_tuples(A: AlgebraPresentation, k: int, e: int) -> dict:
+    """group -> the tuples of k bars (reduced monomials other than 1) of
+    internal degree e, sorted by the grevlex_key of each bar in turn: each
+    first bar, then the sorted shorter tuples after it; group is the
+    multidegree of the tuple for a monomial ideal, else None.  Memoised; the
+    rank of each tuple in its group goes to A.memo("bar_rank"), so the
+    tail and the init of every tuple, built on the way, have ranks too."""
+    table = A.memo("bar_tuples")
+    groups = table.get((k, e))
+    if groups is None:
+        groups = table[(k, e)] = {}
+        if k == 0 and e == 0:
+            groups[A.one if A.monomial_ideal else None] = [()]
+        elif k > 0:
+            # 1 sorts first; bars have degree 1 to e - k + 1 (graded) or 0
+            pool = sorted((m for e1 in range(e - k + 2 if A.graded else 1)
+                           for m in A.degree_basis(e1)), key=grevlex_key)
+            for a in pool[1:]:
+                rest = _bar_tuples(A, k - 1, e - A.mono_degree(a))
+                for group, tails in rest.items():
+                    if group is not None:
+                        group = tuple(map(add, a, group))
+                    groups.setdefault(group, []).extend((a,) + t
+                                                        for t in tails)
+        for tuples in groups.values():
+            A.memo("bar_rank").update(zip(tuples, range(len(tuples))))
+    return groups
 
-    words: tuple[BarWord, ...]
-    index: dict[BarWord, int]
+
+@dataclass(frozen=True, eq=False)
+class HochschildBasis:
+    """The ordered basis of one C_{k,d}: its dimension, the (start, stop)
+    range of each multidegree block, the runs of each block (head ->
+    block-local position of its first word), the rank of every bar tuple in
+    its group (A.memo("bar_rank"), shared by every k and d) and the (block
+    key, head, bar tuples) of every run in basis order.  The word (h, bars)
+    of block key sits at blocks[key][0] + runs[key][h] + ranks[bars]."""
+
+    dim: int
     blocks: dict
+    runs: dict
+    ranks: dict
+    heads: tuple
+
+    @cached_property
+    def words(self) -> tuple[BarWord, ...]:
+        """Every word, in basis order; built on first read."""
+        return tuple((h, t) for _, h, tuples in self.heads for t in tuples)
+
+    def position(self, w: BarWord, key) -> Optional[int]:
+        """The position of w, a word of block key; None if w is not here."""
+        run = self.runs.get(key, {}).get(w[0])
+        rank = self.ranks.get(w[1])
+        if run is None or rank is None:
+            return None
+        j = self.blocks[key][0] + run + rank
+        return j if j < self.dim and self.words[j] == w else None
 
 
 def hochschild_basis(A: AlgebraPresentation, k: int,
                      d: int) -> HochschildBasis:
-    """The normalized bar words with k bars and internal degree d, sorted
-    by a key of the word alone, so every slice that holds C_{k,d} shares
-    this list and its order; memoised.
-
-    For a monomial ideal the words are grouped by _block_key, blocks in
-    key order, each sorted on its own; otherwise all words are one block,
-    keyed None.
-    """
+    """The normalized bar words with k bars and internal degree d, in an
+    order of the word alone, so every slice that holds C_{k,d} shares this
+    basis; memoised.  For a monomial ideal the words are grouped by
+    _block_key, blocks in key order; otherwise they are one block, keyed
+    None.  In a block the heads run in grevlex_key order, each followed by
+    its bar tuples (_bar_tuples): words sorted by the grevlex_key of the
+    head, then of each bar."""
     table = A.memo("hochschild_basis")
     hb = table.get((k, d))
     if hb is None:
-        grevlex: dict = {}
-        groups: dict = {}
-        if A.monomial_ideal:
-            for w in enumerate_words(A, k, d):
-                groups.setdefault(_block_key(w), []).append(w)
-        else:
-            groups[None] = enumerate_words(A, k, d)
-        words: list[BarWord] = []
-        blocks = {}
-        for key in sorted(groups):
-            start = len(words)
-            words.extend(sorted(groups[key],
-                                key=lambda w: _word_key(w, grevlex)))
-            if len(words) > start:
-                blocks[key] = (start, len(words))
-        hb = table[(k, d)] = HochschildBasis(
-            tuple(words), {w: j for j, w in enumerate(words)}, blocks)
+        parts: dict = {}  # block key -> [(grevlex_key(h), h, bar tuples)]
+        for e in range(d + 1) if k >= 0 and (A.graded or d == 0) else ():
+            heads = A.degree_basis(d - e)  # e is the degree of the bars
+            for group, tuples in _bar_tuples(A, k, e).items() \
+                    if heads else ():
+                for h in heads:
+                    key = None if group is None else tuple(map(add, h, group))
+                    parts.setdefault(key, []).append(
+                        (grevlex_key(h), h, tuples))
+        dim, blocks, runs, heads = 0, {}, {}, []
+        for key in sorted(parts):
+            start = dim
+            run = runs[key] = {}
+            for _, h, tuples in sorted(parts[key], key=itemgetter(0)):
+                run[h] = dim - start
+                heads.append((key, h, tuples))
+                dim += len(tuples)
+            blocks[key] = (start, dim)
+        hb = table[(k, d)] = HochschildBasis(dim, blocks, runs,
+                                             A.memo("bar_rank"), tuple(heads))
     return hb
 
 
@@ -181,27 +200,85 @@ def mixed_columns(A: AlgebraPresentation, op: str, k: int,
     "B"), one column per word of hochschild_basis(A, k, d): the image as a
     bitmask over the target's block of the word, bit i for the word at
     position start + i of the target basis, where the block starts;
-    memoised.  An image word outside that block raises TowerError."""
+    memoised.  An image word outside that block raises TowerError.  Bits
+    are set at the target's positions (runs and bar ranks), and XOR is the
+    sum in F2, as in hochschild.boundary_b and connes_B: b of h[a1|...|ak]
+    is h a1[a2|...|ak] + ak h[a1|...|a(k-1)] + h b''[a1|...|ak], and B of
+    h[bars], h not 1, the sum of the rotations of h, bars as bars of 1."""
     table = A.memo("mixed_columns")
     cols = table.get((op, k, d))
     if cols is None:
-        f, k_tgt = (boundary_b, k - 1) if op == "b" else (connes_B, k + 1)
-        src = hochschild_basis(A, k, d)
-        tgt = hochschild_basis(A, k_tgt, d)
-        out = []
-        for key, (start, stop) in src.blocks.items():
-            lo, hi = tgt.blocks.get(key, (0, 0))
-            for w in src.words[start:stop]:
-                v = 0
-                for w2 in f(A, frozenset({w})):
-                    i = tgt.index[w2]
-                    if not lo <= i < hi:
-                        raise TowerError(f"{op} leaves the multidegree "
-                                         f"block of {w}")
-                    v |= 1 << (i - lo)
-                out.append(v)
+        tgt = hochschild_basis(A, k - 1 if op == "b" else k + 1, d)
+        terms: dict = {}  # id of memoised bar tuples -> their _b_terms
+        out: list[int] = []
+        for key, h, tuples in hochschild_basis(A, k, d).heads:
+            run = tgt.runs.get(key, {})
+            try:
+                if k == 0 if op == "b" else h == A.one:
+                    out.extend([0] * len(tuples))
+                elif op == "B":
+                    out.extend(_B_run(A, h, tuples, run))
+                else:
+                    if id(tuples) not in terms:
+                        terms[id(tuples)] = _b_terms(A, k, tuples)
+                    out.extend(_b_run(A, h, tuples, terms[id(tuples)], run))
+            except KeyError:
+                raise TowerError(f"{op} leaves the multidegree block of "
+                                 f"a word with head {h}") from None
         cols = table[(op, k, d)] = tuple(out)
     return cols
+
+
+def _b_terms(A: AlgebraPresentation, k: int, tuples: tuple) -> list:
+    """(rank of a2...ak, rank of a1...a(k-1), b'' as a bitmask over bar
+    ranks) of each tuple a1...ak of k >= 1 bars, where b'' sums the merges
+    a1...(ai ai+1)...ak that are not scalars; the merged tuples must be
+    ranked first, as the bars of C_{k-1,d} are."""
+    rank = A.memo("bar_rank")
+    one = A.one
+    out = []
+    for t in tuples:
+        mid = 0
+        for i in range(k - 1):
+            for m in A.mul(t[i], t[i + 1]):
+                if m != one:
+                    mid ^= 1 << rank[t[:i] + (m,) + t[i + 2:]]
+        out.append((rank[t[1:]], rank[t[:-1]], mid))
+    return out
+
+
+def _b_run(A: AlgebraPresentation, h, tuples: tuple, terms: list,
+           run: dict) -> list[int]:
+    """The b columns of the words h[t], t in tuples, on the target block
+    whose runs are run; KeyError for a term outside it."""
+    # bar a -> the target runs of the monomials of h a
+    starts = {a: [run[m] for m in A.mul(h, a)]
+              for a in {t[0] for t in tuples} | {t[-1] for t in tuples}}
+    out = []
+    for t, (tail, init, mid) in zip(tuples, terms):
+        v = mid << run[h] if mid else 0  # h has a run wherever a merge does
+        for s in starts[t[0]]:
+            v ^= 1 << (s + tail)
+        for s in starts[t[-1]]:
+            v ^= 1 << (s + init)
+        out.append(v)
+    return out
+
+
+def _B_run(A: AlgebraPresentation, h, tuples: tuple,
+           run: dict) -> list[int]:
+    """The B columns of the words h[t], t in tuples, h not 1, on the target
+    block whose runs are run; KeyError for a term outside it."""
+    rank = A.memo("bar_rank")
+    at = run[A.one]
+    out = []
+    for t in tuples:
+        cycle = (h,) + t
+        v = 0
+        for i in range(len(cycle)):
+            v ^= 1 << rank[cycle[i:] + cycle[:i]]
+        out.append(v << at)
+    return out
 
 
 def mixed_matrix(A: AlgebraPresentation, op: str, k: int, d: int) -> F2Matrix:
@@ -213,7 +290,7 @@ def mixed_matrix(A: AlgebraPresentation, op: str, k: int, d: int) -> F2Matrix:
     for key, (start, stop) in src.blocks.items():
         lo = tgt.blocks.get(key, (0, 0))[0]
         out.extend(v << lo for v in cols[start:stop])
-    return F2Matrix(len(tgt.words), tuple(out))
+    return F2Matrix(tgt.dim, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -297,7 +374,7 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
                   for p in range(p_min, p_max + 1))
     offsets = [0]
     for hb in parts:
-        offsets.append(offsets[-1] + len(hb.words))
+        offsets.append(offsets[-1] + hb.dim)
     sl = TowerSlice(t, n, d, S if truncated else 0, p_min, p_max, truncated,
                     parts, tuple(offsets))
     cache[key] = sl
@@ -316,9 +393,10 @@ def vectorize(A: AlgebraPresentation, sl: TowerSlice, x: UChain) -> int:
         col = -i - sl.p_min
         if col < 0 and sl.truncated:
             continue
-        idx = sl.parts[col].index if 0 <= col < len(sl.parts) else {}
+        hb = sl.parts[col] if 0 <= col < len(sl.parts) else None
         for w in c:
-            j = idx.get(w)
+            j = None if hb is None else hb.position(
+                w, _block_key(w) if A.monomial_ideal else None)
             if j is None:
                 raise TowerError(f"chain component {(-i, w)} outside slice")
             v ^= 1 << (sl.offsets[col] + j)
@@ -332,7 +410,7 @@ def _chunks(sl: TowerSlice, v: int):
     low = (v & -v).bit_length() - 1
     high = v.bit_length()
     for p, hb, off in sl.columns():
-        size = len(hb.words)
+        size = hb.dim
         if off >= high:
             break
         if off + size > low:
@@ -651,27 +729,6 @@ class LESData:
     d: int
     spaces: dict
     maps: dict
-
-    @property
-    def joints(self) -> dict[str, tuple[str, str, str]]:
-        """The joints M_n, N_n and L_{n-1} as (incoming, space, outgoing)."""
-        _, m, nn, l1, _ = SEQUENCES[self.which].spaces
-        i, p, bd, i_next = SEQUENCES[self.which].maps
-        return {f"at_{m}": (i, m, p), f"at_{nn}": (p, nn, bd),
-                f"at_{l1}": (bd, l1, i_next)}
-
-    def exactness_defects(self) -> dict[str, int]:
-        """rank f + rank g - dim(middle) at each joint (0 iff exact)."""
-        out = {}
-        for joint, (fname, mid, gname) in self.joints.items():
-            f = self.maps[fname]
-            g = self.maps[gname]
-            rf = rank_of(f.columns)
-            rg = rank_of(g.columns)
-            comp = g.compose(f)
-            out[joint] = abs(rf + rg - self.spaces[mid].dim) + \
-                (0 if comp.is_zero() else 1)
-        return out
 
 
 def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,

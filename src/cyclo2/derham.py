@@ -15,8 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .f2linalg import F2Matrix, Homology, PresentedSpace, QuotientBasis, \
-    rank_of
+from .f2linalg import Homology, PresentedSpace, QuotientBasis
 from .gralg import AlgebraPresentation, Monomial, grevlex_key
 
 FormGen = tuple  # (monomial, tuple of generator indices)
@@ -181,19 +180,6 @@ def cartier(A: AlgebraPresentation, el: OmegaElement, n: int,
         raise DeRhamError("cartier image is not closed")
     target = de_rham_cohomology(A, n, 2 * d)
     return target.coords(img)
-
-
-def cartier_matrix(A: AlgebraPresentation, n: int, d: int):
-    """Matrix of the Cartier map Omega^n_d -> H_DR^n at internal 2d."""
-    src = omega_basis(A, n, d)
-    target = de_rham_cohomology(A, n, 2 * d)
-    cols = [cartier(A, frozenset({g}), n, d) for g in src.basis()]
-    return F2Matrix(target.dim, tuple(cols)), src, target
-
-
-def cartier_bijective(A: AlgebraPresentation, n: int, d: int) -> bool:
-    mat, src, target = cartier_matrix(A, n, d)
-    return rank_of(mat.columns) == src.dim == target.dim
 
 
 def antisymmetrize(A: AlgebraPresentation, el: OmegaElement) -> frozenset:

@@ -717,16 +717,6 @@ def model_matrix(A: AlgebraPresentation, entry: tuple, n: int, d: int):
     return F2Matrix(tgt.dim, tuple(cols)), src, tgt
 
 
-def mul_u_matrix(A: AlgebraPresentation, flavor: str, n: int, d: int):
-    """Multiplication by u from (n, d) to (n - 2, d + 2), on ell or ell+."""
-    return model_matrix(A, ((flavor, 0), (flavor, -2), map_u), n, d)
-
-
-def tau_matrix(A: AlgebraPresentation, nform: int, D: int):
-    """tau from Omega^nform at internal D to ell (nform + 1, D - nform - 1)."""
-    return model_matrix(A, MODELS["minus"]["tau"], nform, D - nform)
-
-
 def ell_chain_maps(A: AlgebraPresentation, theory: str, n: int,
                    d: int) -> dict:
     """The matrices of the four maps of MODELS[theory] around (n, d)."""

@@ -1,9 +1,10 @@
 """Shared test plumbing: echo acceptance pass/fail lines past capture, the
 default hypothesis profile and its random small presentations, the
-augmentation, u-chain, Omega[u], report and class-coordinate helpers that
-only the tests use, a counter of the eliminations the towers run, and the slow
-elimination, differential, truncation-check, connecting-map,
-relation-instance, relation-row and commuting-square oracles."""
+augmentation, u-chain, Omega[u], report, model-map, Cartier, exactness and
+class-coordinate helpers that only the tests use, a counter of the
+eliminations the towers run, and the slow chain-group, elimination,
+differential, truncation-check, connecting-map, relation-instance,
+relation-row and commuting-square oracles."""
 
 import itertools
 
@@ -13,10 +14,12 @@ from cyclo2.approx import _eps_matrix, psi_matrix
 import cyclo2.cyclic as cyclic
 import cyclo2.f2linalg as f2linalg
 from cyclo2.cyclic import (
+    SEQUENCES,
     HomologyPresentation,
     Truncation,
     _block_columns,
     _block_dim,
+    _block_key,
     bidegree_window,
     build_tower,
     class_map,
@@ -24,8 +27,9 @@ from cyclo2.cyclic import (
     les_maps,
     slice_shift_map,
 )
-from cyclo2.derham import omega_basis
+from cyclo2.derham import cartier, de_rham_cohomology, omega_basis
 from cyclo2.ell import (
+    MODELS,
     EllError,
     _arg_pool,
     _coefficient_mul,
@@ -45,6 +49,7 @@ from cyclo2.ell import (
     map_S,
     map_tau,
     map_u,
+    model_matrix,
     per_mon_mul,
     per_monomials,
     phi_el,
@@ -61,8 +66,9 @@ from cyclo2.f2linalg import (
     complement_basis,
     echelonize_in,
     null_space,
+    rank_of,
 )
-from cyclo2.gralg import AlgebraPresentation, AugmentationError
+from cyclo2.gralg import AlgebraPresentation, AugmentationError, grevlex_key
 from cyclo2.hochschild import ChainError, UChain, boundary_b, connes_B
 
 # Fixed examples and no deadline: every run draws the same cases in bounded
@@ -124,8 +130,8 @@ def small_presentations(draw):
                                name=f"{weights}/{[sorted(r) for r in rels]}")
 
 
-# ----- augmentation, u-chain, Omega[u] and report helpers that only the
-# tests use -----
+# ----- augmentation, u-chain, Omega[u], report, model-map, Cartier and
+# exactness helpers that only the tests use -----
 
 def augment(A, p):
     """The augmentation homomorphism of A on a reduced element."""
@@ -190,6 +196,40 @@ def omega_u_reduce(A, el):
         mask = sp.coords(frozenset(forms))
         if mask:
             out[j] = (sp, mask)
+    return out
+
+
+def mul_u_matrix(A, flavor, n, d):
+    """Multiplication by u from (n, d) to (n - 2, d + 2), on ell or ell+."""
+    return model_matrix(A, ((flavor, 0), (flavor, -2), map_u), n, d)
+
+
+def tau_matrix(A, nform, D):
+    """tau from Omega^nform at internal D to ell (nform + 1, D - nform - 1)."""
+    return model_matrix(A, MODELS["minus"]["tau"], nform, D - nform)
+
+
+def cartier_bijective(A, n, d):
+    """Whether the Cartier map Omega^n_d -> H_DR^n at internal 2d is a
+    bijection."""
+    src = omega_basis(A, n, d)
+    target = de_rham_cohomology(A, n, 2 * d)
+    cols = [cartier(A, frozenset({g}), n, d) for g in src.basis()]
+    return rank_of(cols) == src.dim == target.dim
+
+
+def exactness_defects(les):
+    """rank f + rank g - dim(middle), plus 1 if g f is not zero, at each
+    joint f, g of a LESData: M_n, N_n and L_{n-1} (all 0 iff exact)."""
+    _, m, nn, l1, _ = SEQUENCES[les.which].spaces
+    i, p, bd, i_next = SEQUENCES[les.which].maps
+    out = {}
+    for fname, mid, gname in ((i, m, p), (p, nn, bd), (bd, l1, i_next)):
+        f = les.maps[fname]
+        g = les.maps[gname]
+        out[f"at_{mid}"] = abs(rank_of(f.columns) + rank_of(g.columns)
+                               - les.spaces[mid].dim) + \
+            (0 if g.compose(f).is_zero() else 1)
     return out
 
 
@@ -312,6 +352,77 @@ def oracle_homology_bases(out_cols, in_cols):
     cycles = oracle_echelonize_in(eliminate_tracked(out_cols)[1], dim)
     boundaries = oracle_echelonize_in([v for v in in_cols if v], dim)
     return cycles, boundaries, complement_basis(cycles, boundaries)
+
+
+# ----- the chain groups word by word, kept as a slow oracle -----
+
+def oracle_bar_words(A, nbars, d):
+    """Every normalized bar word with nbars bars and internal degree d,
+    enumerated directly."""
+    if nbars < 0 or not (A.graded or d == 0):
+        return []
+    if not A.graded:
+        pool = [m for m in A.basis_all() if m != A.one]
+        return [(h, bars) for h in A.basis_all()
+                for bars in itertools.product(pool, repeat=nbars)]
+    out = []
+
+    def parts(slots, rem):
+        if slots == 0:
+            yield ()
+            return
+        for e in range(1, rem - slots + 2):
+            for m in A.degree_basis(e):
+                for rest in parts(slots - 1, rem - e):
+                    yield (m,) + rest
+
+    for bars in parts(nbars, d):
+        used = sum(A.mono_degree(b) for b in bars)
+        for h in A.degree_basis(d - used):
+            out.append((h, bars))
+    return out
+
+
+def _word_key(w):
+    """grevlex_key of the head, then of each bar."""
+    return grevlex_key(w[0]), tuple(map(grevlex_key, w[1]))
+
+
+def oracle_hochschild_basis(A, k, d):
+    """(words, blocks) of C_{k,d} by enumerating every word and sorting:
+    grouped by _block_key for a monomial ideal (blocks in key order, each
+    sorted by _word_key), else one block keyed None."""
+    groups = {}
+    for w in oracle_bar_words(A, k, d):
+        key = _block_key(w) if A.monomial_ideal else None
+        groups.setdefault(key, []).append(w)
+    words = []
+    blocks = {}
+    for key in sorted(groups):
+        start = len(words)
+        words.extend(sorted(groups[key], key=_word_key))
+        blocks[key] = (start, len(words))
+    return tuple(words), blocks
+
+
+def oracle_mixed_columns(A, op, k, d):
+    """mixed_columns from one boundary_b or connes_B call per word of the
+    oracle basis, each image looked up in a dict of the target words and
+    checked to stay in the source word's block."""
+    f, k_tgt = (boundary_b, k - 1) if op == "b" else (connes_B, k + 1)
+    words, blocks = oracle_hochschild_basis(A, k, d)
+    tgt_words, tgt_blocks = oracle_hochschild_basis(A, k_tgt, d)
+    index = {w: j for j, w in enumerate(tgt_words)}
+    out = []
+    for key, (start, stop) in blocks.items():
+        lo, hi = tgt_blocks.get(key, (0, 0))
+        for w in words[start:stop]:
+            v = 0
+            for w2 in f(A, frozenset({w})):
+                assert lo <= index[w2] < hi, (op, w, w2)
+                v |= 1 << (index[w2] - lo)
+            out.append(v)
+    return tuple(out)
 
 
 # ----- the per-word differential path, kept as a slow oracle -----

@@ -7,7 +7,8 @@ asserts make the suite fail loudly either way.
 
 import random
 
-from conftest import acceptance_line, non_iso_entries
+from conftest import acceptance_line, mul_u_matrix, non_iso_entries, \
+    tau_matrix
 from cyclo2.approx import verify_approximation
 from cyclo2.cyclic import e2_page, homology, les_maps, unvectorize, vectorize
 from cyclo2.derham import d_matrix_columns, de_rham_cohomology, omega_basis
@@ -16,10 +17,8 @@ from cyclo2.ell import (
     ell_degree_basis,
     el_mul,
     f_bar,
-    mul_u_matrix,
     omega_u_gens,
     star_product,
-    tau_matrix,
 )
 from cyclo2.f2linalg import rank_kernel_image, rank_of
 from cyclo2.gralg import dual_numbers, field_f4, polynomial_algebra, \

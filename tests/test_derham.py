@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from conftest import cartier_bijective
 from cyclo2.cyclic import homology, vectorize
 from cyclo2.derham import (
     DeRhamError,
     antisymmetrize,
     cartier,
-    cartier_bijective,
     cartier_form,
     de_rham_cohomology,
     de_rham_d,

@@ -5,8 +5,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from conftest import ORACLE_INSTANCES, omega_u_reduce, \
-    oracle_relation_rows, small_presentations, ungraded_x
+from conftest import ORACLE_INSTANCES, mul_u_matrix, omega_u_reduce, \
+    oracle_relation_rows, small_presentations, tau_matrix, ungraded_x
 
 from cyclo2.derham import de_rham_d, form, omega_basis
 from cyclo2.f2linalg import F2Matrix, echelonize_in, rank_kernel_image, \
@@ -32,7 +32,6 @@ from cyclo2.ell import (
     map_r,
     map_tau,
     model_matrix,
-    mul_u_matrix,
     omega_u_gens,
     per_monomials,
     phi_el,
@@ -40,7 +39,6 @@ from cyclo2.ell import (
     q_el,
     s_bar,
     star_product,
-    tau_matrix,
     v_mon,
 )
 
