@@ -261,7 +261,9 @@ def verify_approximation(A: AlgebraPresentation, theory: str,
         sp = ell_degree_basis(A, THEORY_FLAVOR[t], n, D - n)
         H = homology(A, t, n, D, S)
         trunc = truncation(A, H)
-        if sp.dim == 0 and H.dim == 0 and trunc.flag == "stable":
+        # H's classes, not its dim: psi, the product checks and the squares
+        # read most bases of the window, so a rank pass first is wasted
+        if sp.dim == 0 and not H.complement and trunc.flag == "stable":
             report.entries.append(BidegreeVerdict(
                 n, D, D - n, 0, 0, 0, "iso", "stable", "both sides zero"))
             continue

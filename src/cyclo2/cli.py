@@ -244,9 +244,10 @@ def cmd_spectral(A: AlgebraPresentation, cfg: RunConfig) -> dict:
     for s in range(s_lo, s_hi + 1):
         for t in range(0, cfg.max_homological + 1):
             for D in (range(0, cfg.max_internal + 1) if A.graded else (0,)):
+                # E2 reads E1's bases, which record the ranks e1.dim reads
+                dim2, _ = e2_page(A, alpha, beta, s, t, D)
                 e1 = e1_page(A, alpha, beta, s, t, D)
                 dim1 = e1.dim if e1 is not None else 0
-                dim2, _ = e2_page(A, alpha, beta, s, t, D)
                 if dim1 or dim2:
                     entries.append({"s": s, "t": t, "internal": D,
                                     "e1": dim1, "e2": dim2})

@@ -27,16 +27,18 @@ differential is block diagonal; a slice's blocks are the segments of
 its columns with one multidegree, in column order.  Other presentations
 have one block per slice, placed as the slice itself.  Each block of a
 slice differential d_n is built straight from the per-degree matrices, in
-block-local coordinates.  Ranks come first, bases on demand: the homology
-of a slice is a Homology split into these blocks, and its dimension, a
-sum over blocks, reads one memoised rank of each block of d_n and d_{n+1}
-(differential_ranks), which keeps no basis and stops where the ranks of
-its neighbours, once memoised, bound it.  Its cycles, boundaries and
-class representatives on slice vectors are built only when something
-reads them, from one shared elimination of each block per depth
-(differential_bases): its kernel is the cycles of that block of T_n and
-its image the boundaries of that block of T_{n-1}.  That elimination
-records its ranks too, so bases read first leave no rank pass to run.
+block-local coordinates; it depends only on the shape of d_n, which the
+periodic towers repeat (_shape_key).  Ranks come first, bases on demand:
+the homology of a slice is a Homology split into these blocks, and its
+dimension, a sum over blocks, reads one memoised rank of each block of
+the shapes of d_n and d_{n+1} (differential_ranks), which keeps no basis
+and stops where the ranks of its neighbours, once memoised, bound it.
+Its cycles, boundaries and class representatives on slice vectors are
+built only when something reads them, from one shared elimination of
+each block per shape (differential_bases): its kernel is the cycles of
+that block of T_n and its image the boundaries of that block of T_{n-1}.
+That elimination records its ranks too, so bases read first leave no
+rank pass to run.
 
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
@@ -347,25 +349,26 @@ def _block_dim(segments) -> int:
     return local + stop - start
 
 
+def _p_range(A: AlgebraPresentation, t: str, n: int, d: int,
+             S: int) -> tuple[int, int, bool]:
+    """(p_min, p_max, truncated): the columns of the slice of theory key t
+    at (n, d) and depth S, none if p_min > p_max."""
+    alpha, beta = THEORY_BOUNDS[t]
+    if not A.graded and d != 0:
+        return 0, -1, False
+    p_max = n // 2 if beta is None else min(n // 2, beta)  # n - 2p >= 0 bars
+    if alpha is not None or A.graded:  # ceil((n - d) / 2): at most d bars
+        return -((d - n) // 2) if alpha is None else alpha, p_max, False
+    if S < 1:
+        raise TowerError("S >= 1 required for an infinite left bound")
+    return -S, p_max, True
+
+
 def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
                 S: int = 1) -> TowerSlice:
     """Assemble the degree-n slice of T^{alpha,beta} at internal degree d."""
     t = theory_key(theory)
-    alpha, beta = THEORY_BOUNDS[t]
-    if not A.graded and d != 0:
-        return TowerSlice(t, n, d, S, 0, -1, False, (), (0,))
-    p_max = n // 2  # bar length n - 2p must be >= 0
-    p_max = min(p_max, beta) if beta is not None else p_max
-    truncated = False
-    if alpha is not None:
-        p_min = alpha
-    elif A.graded:
-        p_min = -((d - n) // 2)  # ceil((n - d) / 2): bar length <= d
-    else:
-        if S < 1:
-            raise TowerError("S >= 1 required for an infinite left bound")
-        p_min = -S
-        truncated = True
+    p_min, p_max, truncated = _p_range(A, t, n, d, S)
     key = (t, n, d, S if truncated else 0)
     cache = A.memo("tower")
     if key in cache:
@@ -375,10 +378,9 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
     offsets = [0]
     for hb in parts:
         offsets.append(offsets[-1] + hb.dim)
-    sl = TowerSlice(t, n, d, S if truncated else 0, p_min, p_max, truncated,
-                    parts, tuple(offsets))
-    cache[key] = sl
-    return sl
+    cache[key] = TowerSlice(*key, p_min, p_max, truncated, parts,
+                            tuple(offsets))
+    return cache[key]
 
 
 def vectorize(A: AlgebraPresentation, sl: TowerSlice, x: UChain) -> int:
@@ -458,32 +460,41 @@ def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
     return cols
 
 
-def _depth_key(A: AlgebraPresentation, t: str, n: int, d: int,
+def _shape_key(A: AlgebraPresentation, t: str, n: int, d: int,
                S: int) -> tuple:
-    # S matters only where the tower is truncated at -S: ungraded minus/per
-    return (t, n, d, S if THEORY_BOUNDS[t][0] is None and not A.graded
-            else 0)
+    """The shape of d_n: T_n -> T_{n-1}: (d, columns of T_n, columns of
+    T_{n-1}), columns being the k of C_{k,d} at the left and right ends of
+    a slice, () if it is empty.  _block_columns reads only these (b sends
+    C_k to the column of C_{k-1}, B to that of C_{k+1}), so d_n of one
+    shape have equal blocks and block columns, whatever the theory, n or
+    depth.  The towers are periodic (Loday, Cyclic Homology, 5.1): graded,
+    the minus slice at n <= 1 and the periodic one hold every C_{k,d} with
+    k <= d and k = n mod 2; ungraded, the periodic slice at depth S + 1 is
+    the one at n + 2 and depth S."""
+    def columns(m: int) -> tuple:
+        p_min, p_max, _ = _p_range(A, t, m, d, S)
+        return (m - 2 * p_min, m - 2 * p_max) if p_min <= p_max else ()
+    return d, columns(n), columns(n - 1)
 
 
 def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
                        S: int = 3) -> dict:
-    """Block key -> rank of that block of d_n: T_n -> T_{n-1}; memoised.
-    Unless differential_bases has recorded them, each block's columns are
-    reduced by rank_of, last first (as null_space; other orders were far
-    slower), and nothing else is kept.  As d_{n-1} d_n = 0 = d_n d_{n+1},
-    a block's rank is at most rows - its rank in d_{n-1} and cols - its
-    rank in d_{n+1}, and rank_of stops at the bound that the neighbours
-    already memoised give."""
+    """Block key -> rank of that block of d_n: T_n -> T_{n-1}, ranked once
+    per shape of d_n.  Unless differential_bases has recorded them, each
+    block's columns are reduced by rank_of, last first (as null_space;
+    other orders were far slower), and nothing else is kept.  As
+    d_{n-1} d_n = 0 = d_n d_{n+1}, a block's rank is at most rows - its
+    rank in d_{n-1} and cols - its rank in d_{n+1}, and rank_of stops at
+    the bound that the neighbours' shapes, once memoised, give."""
     t = theory_key(theory)
     table = A.memo("differential_rank")
-    depth = _depth_key(A, t, n, d, S)
-    ranks = table.get(depth)
+    shape = _shape_key(A, t, n, d, S)
+    ranks = table.get(shape)
     if ranks is None:
-        src = build_tower(A, t, n, d, S)
-        tgt = build_tower(A, t, n - 1, d, S)
-        below = table.get(_depth_key(A, t, n - 1, d, S), {})
-        above = table.get(_depth_key(A, t, n + 1, d, S), {})
-        ranks = table[depth] = {
+        src, tgt = (build_tower(A, t, m, d, S) for m in (n, n - 1))
+        below = table.get(_shape_key(A, t, n - 1, d, S), {})
+        above = table.get(_shape_key(A, t, n + 1, d, S), {})
+        ranks = table[shape] = {
             key: rank_of(_block_columns(A, src, tgt, key)[::-1], min(
                 _block_dim(tgt.blocks.get(key)) - below.get(key, 0),
                 _block_dim(segments) - above.get(key, 0)))
@@ -496,23 +507,22 @@ def differential_bases(A: AlgebraPresentation, theory: str, n: int, d: int,
     """Block key -> kernel and image of that block of d_n: T_n -> T_{n-1},
     that is the cycles of the block of T_n and the boundaries of the same
     block of T_{n-1}, in block-local coordinates, from one tracked
-    elimination per block; memoised, so the homology on either side of
-    d_n shares it, and its ranks are recorded for differential_ranks."""
+    elimination per block and shape; memoised, so every homology beside a
+    d_n of that shape shares it, and its ranks go to differential_ranks."""
     t = theory_key(theory)
     table = A.memo("differential")
-    depth = _depth_key(A, t, n, d, S)
-    pairs = table.get(depth)
+    shape = _shape_key(A, t, n, d, S)
+    pairs = table.get(shape)
     if pairs is None:
-        src = build_tower(A, t, n, d, S)
-        tgt = build_tower(A, t, n - 1, d, S)
-        pairs = table[depth] = {}
+        src, tgt = (build_tower(A, t, m, d, S) for m in (n, n - 1))
+        pairs = table[shape] = {}
         for key in src.blocks:
             rows = _block_dim(tgt.blocks.get(key))
             _, kernel, image = rank_kernel_image(
                 F2Matrix(rows, tuple(_block_columns(A, src, tgt, key))))
             pairs[key] = (kernel, image)
         A.memo("differential_rank").setdefault(
-            depth, {key: image.dim for key, (_, image) in pairs.items()})
+            shape, {key: image.dim for key, (_, image) in pairs.items()})
     return pairs
 
 
@@ -569,11 +579,11 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     when first read.
     """
     t = theory_key(theory)
+    sl = build_tower(A, t, n, d, S)
     cache = A.memo("homology")
-    depth = _depth_key(A, t, n, d, S)
+    depth = (t, n, d, sl.S)  # S only where the tower is truncated at -S
     pres = cache.get(depth)
     if pres is None:
-        sl = build_tower(A, t, n, d, S)
         pres = cache[depth] = HomologyPresentation(
             sl.dim, sl.runs(), None, theory=t, n=n, d=d, S=S, slice=sl,
             algebra=weakref.ref(A))
@@ -628,10 +638,11 @@ def class_map(A: AlgebraPresentation, src: HomologyPresentation,
     """Matrix of a chain-level map on homology classes.
 
     chain_map takes a slice vector of src and returns a slice vector of tgt;
-    it must send cycles to cycles and boundaries to boundaries.
+    it must send cycles to cycles and boundaries to boundaries.  The rows
+    come from tgt's bases, never a rank pass apart, even if src has none.
     """
     cols = [tgt.coords(chain_map(z)) for z in src.complement]
-    return F2Matrix(tgt.dim, tuple(cols))
+    return F2Matrix(len(tgt.complement), tuple(cols))
 
 
 def slice_shift_map(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,

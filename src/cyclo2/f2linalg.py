@@ -140,9 +140,6 @@ class SubspaceBasis:
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(v) for v in other.vectors)
-
 
 @dataclass(frozen=True)
 class QuotientBasis:

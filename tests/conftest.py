@@ -1,10 +1,10 @@
 """Shared test plumbing: echo acceptance pass/fail lines past capture, the
 default hypothesis profile and its random small presentations, the
-augmentation, u-chain, Omega[u], report, model-map, Cartier, exactness and
-class-coordinate helpers that only the tests use, a counter of the
-eliminations the towers run, and the slow chain-group, elimination,
-differential, truncation-check, connecting-map, relation-instance,
-relation-row and commuting-square oracles."""
+augmentation, u-chain, Omega[u], report, model-map, Cartier, exactness,
+subspace-containment and class-coordinate helpers that only the tests use,
+a counter of the eliminations the towers run, and the slow chain-group,
+elimination, differential, truncation-check, connecting-map,
+relation-instance, relation-row and commuting-square oracles."""
 
 import itertools
 
@@ -233,11 +233,16 @@ def exactness_defects(les):
     return out
 
 
+def contains_subspace(big, small):
+    """Whether the span of the SubspaceBasis small lies in that of big."""
+    return all(big.contains(v) for v in small.vectors)
+
+
 def quotient_coordinates(cycles, boundaries, v):
     """Coordinates (a bitmask) of the class [v] in the Homology of cycles
     modulo boundaries; raises if boundaries are not inside cycles or v is
     not a cycle."""
-    if not cycles.contains_subspace(boundaries):
+    if not contains_subspace(cycles, boundaries):
         raise F2LinalgError("boundary space not contained in cycle space")
     return Homology.of(cycles, boundaries).coords(v)
 

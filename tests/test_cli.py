@@ -348,6 +348,36 @@ def test_verify_approx_checks_each_truncation_once(monkeypatch):
                          else [(t, n, 0, 4) for n in range(-2, 3)]), theory
 
 
+@pytest.mark.parametrize("command,theory", [("verify-approx", "hcminus"),
+                                            ("spectral", "hc")])
+def test_no_block_ranked_then_eliminated(monkeypatch, command, theory):
+    # verify-approx reads the bases of nearly every homology it reaches
+    # (psi, the product checks, the squares), so where the ell side or a
+    # class map's source is zero it reads classes too, not a dimension;
+    # spectral reads E2, and so the bases of E1, before the E1 dimensions.
+    # So no block of a differential is ranked and then eliminated.
+    counted = CountedReductions(monkeypatch)
+    loaded = []
+
+    def load(path):
+        loaded.append(load_presentation(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_presentation", load)
+    status, _ = run(RunConfig(fixture("poly_xy.alg"), command, theory, 4, 4))
+    assert status == 0
+    (A,) = loaded
+
+    def shaped(tags):
+        # a tag is (source slice, target slice, block key), or None for a
+        # reduction of no tower columns (the E2 pages)
+        return {(cyclic._shape_key(A, *src), key)
+                for src, _, key in filter(None, tags)}
+
+    assert shaped(counted.eliminated)
+    assert not shaped(counted.ranked) & shaped(counted.eliminated)
+
+
 def test_spectral_bounds_and_theories():
     cfg = RunConfig(fixture("poly_x.alg"), "spectral", "hc",
                     max_internal=1, max_homological=1)

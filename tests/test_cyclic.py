@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     CountedReductions,
+    contains_subspace,
     exactness_defects,
     oracle_bar_words,
     oracle_connecting_map,
@@ -30,7 +31,7 @@ from cyclo2.cyclic import (
     TowerError,
     _block_columns,
     _block_key,
-    _depth_key,
+    _shape_key,
     bidegree_window,
     build_tower,
     connecting_map,
@@ -303,6 +304,59 @@ def test_each_differential_eliminated_once(monkeypatch):
     assert counted.ranked == [] and counted.spans == []
 
 
+def _differential_view(A, t, n, d, S):
+    """The blocks of d_n's source and target slices, each column named by
+    its C_{k,d} rather than by p, and the block columns of d_n."""
+    src, tgt = build_tower(A, t, n, d, S), build_tower(A, t, n - 1, d, S)
+    by_k = [{key: [(sl.n - 2 * p, start, stop, local)
+                   for p, start, stop, local in segments]
+             for key, segments in sl.blocks.items()} for sl in (src, tgt)]
+    return by_k, {key: _block_columns(A, src, tgt, key)
+                  for key in src.blocks}
+
+
+def test_equal_shapes_give_equal_columns():
+    # _block_columns reads only d and the C_{k,d} of the columns of the
+    # source and target slices, so differentials of one shape have equal
+    # blocks and block columns whatever their theory, degree and depth;
+    # their ranks and eliminations are memoised once (F4 is f4.alg)
+    algebras = [load_presentation(os.path.join(FIXTURES, name))
+                for name in ("dual_numbers.alg", "f2.alg", "f4.alg",
+                             "poly_x.alg", "poly_xy.alg", "poly_xyz.alg")]
+    for A in algebras + [cusp(), truncated_cube()]:
+        views, shared = {}, 0
+        for t in THEORY_BOUNDS:
+            for S in (1, 2, 3):
+                for n, d in bidegree_window(A, 5, 4):
+                    shape = _shape_key(A, t, n, d, S)
+                    view = _differential_view(A, t, n, d, S)
+                    shared += shape in views
+                    assert views.setdefault(shape, view) == view, \
+                        (A.name, t, n, d, S)
+        assert shared, A.name
+
+
+def test_each_shape_ranked_once(monkeypatch):
+    # the minus slices of a graded algebra at n <= 1 repeat by parity, so
+    # the dimensions of a window build and rank each block of each shape
+    # once: fewer blocks than the differentials they read hold
+    counted = CountedReductions(monkeypatch)
+    A = polynomial_algebra(["x", "y", "z"])
+    window = bidegree_window(A, 4, 4)
+    for n, d in window:
+        homology(A, "minus", n, d).dim
+
+    def shaped(tags):  # a tag is (source slice, target slice, block key)
+        return [(_shape_key(A, *src), key) for src, _, key in tags]
+
+    built = shaped(counted.built)
+    assert built and len(built) == len(set(built))
+    assert Counter(shaped(counted.ranked)) == Counter(built)
+    read = {(m, d, key) for n, d in window for m in (n, n + 1)
+            for key in build_tower(A, "minus", m, d).blocks}
+    assert len(built) < len(read)
+
+
 def test_one_block_is_read_as_it_is():
     # a presentation that is not a monomial ideal has one block per slice,
     # placed as the slice itself, so its homology reads the memoised
@@ -346,12 +400,15 @@ def test_shared_eliminations_in_either_order():
 
 def test_stabilization_pass_keeps_no_eliminations():
     # the S + 1 pass keeps no basis: only its ranks, which are ints, are
-    # memoised at depth S + 1
+    # memoised, some under shapes that no depth-S differential has
     A = truncated_cube()
     for n in range(-3, 4):
         truncation(A, homology(A, "per", n, 0, 3))
-    assert {key[3] for key in A.memo("differential")} == {3}
-    assert {key[3] for key in A.memo("differential_rank")} == {3, 4}
+    read = {S: {_shape_key(A, "per", n, 0, S) for n in range(-3, 5)}
+            for S in (3, 4)}
+    assert set(A.memo("differential")) == read[3]
+    assert set(A.memo("differential_rank")) == read[3] | read[4]
+    assert read[4] - read[3]
     assert {key[3] for key in A.memo("homology")} == {3}
 
 
@@ -795,7 +852,7 @@ def test_mixed_columns_keep_blocks_and_form_a_mixed_complex(A):
 
 
 def _assert_homology(H, where):
-    assert H.cycles.contains_subspace(H.boundaries), where
+    assert contains_subspace(H.cycles, H.boundaries), where
     assert H.dim == H.cycles.dim - H.boundaries.dim, where
     for k in range(H.dim):
         assert H.coords(H.rep(k)) == 1 << k, (where, k)
@@ -807,7 +864,8 @@ def _assert_rank_path(A, windows):
     the basis path: the sum over blocks of cycles.dim - boundaries.dim and
     the unkept homology's dim.  Returns the (theory, n, D, S) read, with
     S = 0 where the tower is not truncated, once each."""
-    ranked = {_depth_key(A, t, n, D, S): homology(A, t, n, D, S).dim
+    ranked = {(t, n, D, build_tower(A, t, n, D, S).S):
+              homology(A, t, n, D, S).dim
               for S, window in windows.items()
               for t in THEORY_BOUNDS for n, D in window}
     assert A.memo("differential") == {}, A.name
