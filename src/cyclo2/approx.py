@@ -45,7 +45,6 @@ from .ell import (
     ell_mon_mul,
     model_matrix,
     model_space,
-    per_mon_mul,
     plus_mon_mul,
 )
 from .f2linalg import F2Matrix, rank_of
@@ -54,6 +53,8 @@ from .hochschild import UChain, mu_chain, uchain_boundary
 
 # the approximation functor of each tower, keyed by cyclic.theory_key
 THEORY_FLAVOR = {"minus": "ell", "plus": "ell_plus", "per": "ell_per"}
+# the candidate count up to which psi is certified on every relation row
+CERTIFY_LIMIT = 40
 
 
 class ApproxError(Exception):
@@ -94,10 +95,6 @@ def psi_generator_image(A: AlgebraPresentation, gen: tuple) -> UChain:
     return x
 
 
-def _as_per(x: UChain) -> UChain:
-    return UChain.make("per", dict(x.entries))
-
-
 def chain_of_monomial(A: AlgebraPresentation, mon: tuple) -> UChain:
     """Evaluate psi on one reduced monomial by folding chain products."""
     cache = A.memo("psi_chain")
@@ -106,7 +103,10 @@ def chain_of_monomial(A: AlgebraPresentation, mon: tuple) -> UChain:
     kind = mon[0]
     if kind == "e":
         _, j, phi, q, dl = mon
-        if phi:
+        if j < 0:  # only ell_per has u^{-1}: the u^0 chain, moved down
+            x = chain_of_monomial(A, ("e", 0, phi, q, dl))
+            x = UChain.make("per", {i + j: c for i, c in x.entries})
+        elif phi:
             sub = ("e", j, phi[:-1], q, dl)
             x = mu_chain(A, chain_of_monomial(A, sub),
                          psi_generator_image(A, ("phi", phi[-1])))
@@ -120,19 +120,14 @@ def chain_of_monomial(A: AlgebraPresentation, mon: tuple) -> UChain:
                          psi_generator_image(A, ("delta", dl[-1])))
         else:
             x = UChain.make("minus", {j: _word(A, A.one)})
-    elif kind == "p":
-        _, j, phi, q = mon
-        x = _as_per(chain_of_monomial(A, ("e", max(j, 0), phi, q, ())))
-        if j < 0:
-            x = UChain.make("per", {i + j: c for i, c in x.entries})
     elif kind == "g":
         _, phi, q, dl, m = mon
         coeff = chain_of_monomial(A, ("e", 0, phi, q, dl))
         x = mu_chain(A, coeff, psi_generator_image(A, ("gamma", m)))
     elif kind == "v":
-        _, j, i, phi, q = mon
-        coeff = chain_of_monomial(A, ("e", j, phi, q, ()))
-        x = mu_chain(A, coeff, psi_generator_image(A, ("v", i)))
+        _, j, phi, q, dl = mon  # u^j v^0 for j > 0, else v^{-j}
+        coeff = chain_of_monomial(A, ("e", max(j, 0), phi, q, dl))
+        x = mu_chain(A, coeff, psi_generator_image(A, ("v", max(-j, 0))))
     else:
         raise ApproxError(f"unknown monomial kind {kind!r}")
     cache[mon] = x
@@ -248,7 +243,6 @@ def _verdict(sp_dim: int, H: HomologyPresentation, trunc: Truncation,
 def verify_approximation(A: AlgebraPresentation, theory: str,
                          max_homological: int, max_internal: int,
                          S: int = 3, seed: int = 0,
-                         certify_limit: int = 40,
                          product_samples: int = 25) -> ApproxReport:
     """Per-bidegree isomorphism verdicts plus multiplicativity samples."""
     if theory not in ("hcminus", "hc", "hcper"):
@@ -267,7 +261,7 @@ def verify_approximation(A: AlgebraPresentation, theory: str,
             report.entries.append(BidegreeVerdict(
                 n, D, D - n, 0, 0, 0, "iso", "stable", "both sides zero"))
             continue
-        certify = len(sp.cands) <= certify_limit
+        certify = len(sp.cands) <= CERTIFY_LIMIT
         mat, sp, _ = psi_matrix(A, t, n, D, S, certify=certify)
         if certify:
             report.certified.append((n, D))
@@ -294,7 +288,7 @@ def _sample_product_checks(A, t, bidegrees, S, rng, samples):
     for n, D in bidegrees:
         pool_l.extend(ell_degree_basis(A, left_flavor, n, D - n).basis())
         pool_r.extend(ell_degree_basis(A, flavor, n, D - n).basis())
-    mul = {"minus": ell_mon_mul, "per": per_mon_mul, "plus": plus_mon_mul}[t]
+    mul = plus_mon_mul if t == "plus" else ell_mon_mul
     checks = failures = attempts = 0
     while checks < samples and attempts < samples * 30 and pool_l and pool_r:
         attempts += 1

@@ -3,9 +3,10 @@
 Monomials are tuples over reduced basis monomials of the input algebra:
 
   ell       ("e", j, phi, q, dl)   u^j . prod phi(m) . prod q(m) . prod dl(m)
-  per       ("p", j, phi, q)       j may be negative (u u^{-1} = 1 rewritten)
+  per       ("e", j, phi, q, ())   the delta-free ell monomials, j of either sign
   plus      ("g", phi, q, dl, m)   an ell part times gamma(m)
-            ("v", j, i, phi, q)    an ell part times v^i (j.i = 0 after rewrite)
+            ("v", j, phi, q, ())   a per monomial relabelled: u^j v^0 for j > 0
+                                   and v^{-j} for j <= 0 (u v^i = v^{i-1})
 
 All three part tuples are kept squarefree: delta(a)^2 = 0 and q(a)^2 = 0 are
 relations, and a repeated phi factor is rewritten on the spot through
@@ -83,7 +84,7 @@ def _phi_fold(A: AlgebraPresentation, phi: tuple, args) -> frozenset:
 
 def ell_mon_mul(A: AlgebraPresentation, a: EllMonomial,
                 b: EllMonomial) -> EllElement:
-    """Product of two ell monomials, reduced to canonical monomials."""
+    """Product of two ell or two ell_per monomials, in canonical form."""
     _, ja, pa, qa, da = a
     _, jb, pb, qb, db = b
     if set(qa) & set(qb) or set(da) & set(db):
@@ -94,16 +95,6 @@ def ell_mon_mul(A: AlgebraPresentation, a: EllMonomial,
     if j > 0 and dl:
         return ZERO_ELL  # u delta(a) = 0
     return frozenset(("e", j, t, q, dl) for t in _phi_fold(A, pa, pb))
-
-
-def per_mon_mul(A: AlgebraPresentation, a: EllMonomial,
-                b: EllMonomial) -> EllElement:
-    _, ja, pa, qa = a
-    _, jb, pb, qb = b
-    if set(qa) & set(qb):
-        return ZERO_ELL
-    q = _sorted(A, qa + qb)
-    return frozenset(("p", ja + jb, t, q) for t in _phi_fold(A, pa, pb))
 
 
 def plus_mon_mul(A: AlgebraPresentation, e: EllMonomial,
@@ -120,16 +111,14 @@ def plus_mon_mul(A: AlgebraPresentation, e: EllMonomial,
         dm = _sorted(A, dl + dx)
         return frozenset(("g", t, qm, dm, m) for t in _phi_fold(A, px, phi))
     if x[0] == "v":
-        _, jx, i, px, qx = x
+        _, jx, px, qx, _ = x
         if dl:
             return ZERO_ELL  # delta(a) v^i = 0
         if set(q) & set(qx):
             return ZERO_ELL
         qm = _sorted(A, q + qx)
-        jt = j + jx
-        k = min(jt, i)
-        jt, it = jt - k, i - k  # u v^i = v^{i-1}
-        return frozenset(("v", jt, it, t, qm) for t in _phi_fold(A, px, phi))
+        return frozenset(("v", j + jx, t, qm, ())  # u v^i = v^{i-1}
+                         for t in _phi_fold(A, px, phi))
     raise EllError(f"unknown plus monomial {x!r}")
 
 
@@ -183,7 +172,7 @@ def gamma_el(A: AlgebraPresentation, p: Poly) -> EllElement:
 
 
 def v_mon(i: int) -> EllMonomial:
-    return ("v", 0, i, (), ())
+    return ("v", -i, (), (), ())
 
 
 # ----- gradings -----
@@ -191,18 +180,12 @@ def v_mon(i: int) -> EllMonomial:
 def ell_bidegree(A: AlgebraPresentation, mon: EllMonomial) -> tuple[int, int]:
     """(homological, upper) bidegree of a monomial of any flavor."""
     kind = mon[0]
-    if kind == "e":
+    if kind in ("e", "v"):
         _, j, phi, q, dl = mon
         hom = -2 * j + len(q) + len(dl)
         up = 2 * j + sum(2 * A.mono_degree(m) for m in phi) \
             + sum(2 * A.mono_degree(m) - 1 for m in q) \
             + sum(A.mono_degree(m) - 1 for m in dl)
-        return hom, up
-    if kind == "p":
-        _, j, phi, q = mon
-        hom = -2 * j + len(q)
-        up = 2 * j + sum(2 * A.mono_degree(m) for m in phi) \
-            + sum(2 * A.mono_degree(m) - 1 for m in q)
         return hom, up
     if kind == "g":
         _, phi, q, dl, m = mon
@@ -210,12 +193,6 @@ def ell_bidegree(A: AlgebraPresentation, mon: EllMonomial) -> tuple[int, int]:
         up = A.mono_degree(m) + sum(2 * A.mono_degree(x) for x in phi) \
             + sum(2 * A.mono_degree(x) - 1 for x in q) \
             + sum(A.mono_degree(x) - 1 for x in dl)
-        return hom, up
-    if kind == "v":
-        _, j, i, phi, q = mon
-        hom = -2 * j + 2 * i + len(q)
-        up = 2 * j - 2 * i + sum(2 * A.mono_degree(x) for x in phi) \
-            + sum(2 * A.mono_degree(x) - 1 for x in q)
         return hom, up
     raise EllError(f"unknown monomial kind {kind!r}")
 
@@ -305,14 +282,14 @@ def _u_parts(A: AlgebraPresentation, n: int, d: int, per: bool):
             yield j, part
 
 
-def _candidates(A: AlgebraPresentation, kind: str, n: int, d: int,
+def _candidates(A: AlgebraPresentation, flavor: str, n: int, d: int,
                 build) -> list[EllMonomial]:
     """The candidates build() of one flavor in bidegree (n, d), memoised
     and canonically sorted."""
     if not A.graded and d != -n:
         return []
     cache = A.memo("ell_mono")
-    key = (kind, n, d)
+    key = (flavor, n, d)
     out = cache.get(key)
     if out is None:
         out = cache[key] = sorted(build(),
@@ -322,26 +299,25 @@ def _candidates(A: AlgebraPresentation, kind: str, n: int, d: int,
 
 def ell_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
     """Candidate ell monomials of bidegree (n, d), canonically sorted."""
-    return _candidates(A, "e", n, d, lambda: [
-        ("e", j, phi, q, dl) for j, (phi, q, dl) in _u_parts(A, n, d, False)])
+    return _candidates(A, "ell", n, d, lambda: [
+        ("e", j) + part for j, part in _u_parts(A, n, d, False)])
 
 
 def per_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
-    """Candidate ell_per monomials: u^j, j of either sign, times the
-    delta-free parts."""
-    return _candidates(A, "p", n, d, lambda: [
-        ("p", j, phi, q) for j, (phi, q, _) in _u_parts(A, n, d, True)])
+    """Candidate ell_per monomials, memoised apart from the ell ones: u^j,
+    j of either sign, times the delta-free parts."""
+    return _candidates(A, "ell_per", n, d, lambda: [
+        ("e", j) + part for j, part in _u_parts(A, n, d, True)])
 
 
 def plus_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
     """gamma(m) times the u-free ell parts at (n, d - |m|), and the per
     candidates with u^{-i} read as v^i."""
-    return _candidates(A, "g", n, d, lambda: [
+    return _candidates(A, "ell_plus", n, d, lambda: [
         ("g", phi, q, dl, m)
         for m, g in [(A.one, 0)] + _arg_pool(A, d if A.graded else 0)
         for phi, q, dl in _part_choices(A, n, d - g)] + [
-        ("v", max(j, 0), max(-j, 0), phi, q)
-        for _, j, phi, q in per_monomials(A, n, d)])
+        ("v",) + m[1:] for m in per_monomials(A, n, d)])
 
 
 def _mon_sort_key(A: AlgebraPresentation, mon: EllMonomial):
@@ -351,15 +327,13 @@ def _mon_sort_key(A: AlgebraPresentation, mon: EllMonomial):
         _, j, phi, q, dl = mon
         return (0, j, tuple(map(key, phi)), tuple(map(key, q)),
                 tuple(map(key, dl)), 0, ())
-    if kind == "p":
-        _, j, phi, q = mon
-        return (0, j, tuple(map(key, phi)), tuple(map(key, q)), (), 0, ())
     if kind == "g":
         _, phi, q, dl, m = mon
         return (1, 0, tuple(map(key, phi)), tuple(map(key, q)),
                 tuple(map(key, dl)), 0, key(m))
-    _, j, i, phi, q = mon
-    return (2, j, tuple(map(key, phi)), tuple(map(key, q)), (), i, ())
+    _, j, phi, q, _ = mon
+    return (2, max(j, 0), tuple(map(key, phi)), tuple(map(key, q)), (),
+            max(-j, 0), ())
 
 
 # ----- relation instances -----
@@ -456,7 +430,7 @@ def _arguments(A: AlgebraPresentation, groups, t: int):
 
 def _iota(el: EllElement) -> EllElement:
     """iota: ell -> ell_per, deleting the monomials with a delta part."""
-    return frozenset(("p", j, phi, q) for _, j, phi, q, dl in el if not dl)
+    return frozenset(m for m in el if not m[4])
 
 
 def _instances(A: AlgebraPresentation, family: str,
@@ -519,7 +493,7 @@ def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
     """
     instances, total, multipliers, product = {
         "ell": ("ell", False, ell_monomials, ell_mon_mul),
-        "per": ("per", True, per_monomials, per_mon_mul),
+        "per": ("per", True, per_monomials, ell_mon_mul),
         "plus": ("plus", False, ell_monomials, plus_mon_mul),
         "coefficient": ("ell", True, plus_monomials, _coefficient_mul),
     }[family]
@@ -658,11 +632,9 @@ def map_iota(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
 
 
 def map_S(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
-    """S: ell_per -> ell_plus, u^{-i} -> v^{i-1}; u^j = u^{j+1} u^{-1}
-    lands on u^{j+1} v^0."""
-    _, j, phi, q = mon
-    return frozenset({("v", 0, -j - 1, phi, q) if j < 0
-                      else ("v", j + 1, 0, phi, q)})
+    """S: ell_per -> ell_plus, u^{-i} -> v^{i-1} and u^j = u^{j+1} u^{-1}
+    -> u^{j+1} v^0: the exponent goes up by one."""
+    return frozenset({("v", mon[1] + 1) + mon[2:]})
 
 
 def map_bd(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
@@ -783,14 +755,11 @@ def omega_u_gens(A: AlgebraPresentation, n: int, d: int):
 
 def f_bar(A: AlgebraPresentation, mon: EllMonomial) -> OmegaUElement:
     """f: phi(x) -> x, q(x) -> dx, u -> u, landing in (Omega[u], *)."""
-    if mon[0] == "e":
-        _, j, phi, q, dl = mon
-        if dl:
-            raise EllError("f_bar is defined on the delta-free quotient")
-    elif mon[0] == "p":
-        _, j, phi, q = mon
-    else:
+    if mon[0] != "e":
         raise EllError("f_bar expects an ell_tilde or per monomial")
+    _, j, phi, q, dl = mon
+    if dl:
+        raise EllError("f_bar is defined on the delta-free quotient")
     out: OmegaUElement = frozenset({(j, A.one, ())})
     for m in phi:
         out = star_product(A, out, frozenset({(0, m, ())}))

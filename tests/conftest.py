@@ -30,11 +30,13 @@ from cyclo2.cyclic import (
 from cyclo2.derham import cartier, de_rham_cohomology, omega_basis
 from cyclo2.ell import (
     MODELS,
+    ZERO_ELL,
     EllError,
     _arg_pool,
     _coefficient_mul,
     _element_bidegree,
     _instances,
+    _phi_fold,
     del_el,
     el_mul,
     ell_degree_basis,
@@ -50,7 +52,6 @@ from cyclo2.ell import (
     map_tau,
     map_u,
     model_matrix,
-    per_mon_mul,
     per_monomials,
     phi_el,
     plus_mon_mul,
@@ -586,11 +587,37 @@ def oracle_ell_instances(A, lo, hi):
     return out
 
 
+# ----- the ell_per product and the two-exponent v rule, kept as oracles -----
+
+def oracle_per_mon_mul(A, a, b):
+    """The ell_per product written for delta-free monomials alone: q(a)^2 =
+    0, the phi parts fold, and the u-exponents of either sign add."""
+    _, ja, pa, qa, _ = a
+    _, jb, pb, qb, _ = b
+    if set(qa) & set(qb):
+        return ZERO_ELL
+    q = tuple(sorted(qa + qb, key=A.mono_key))
+    return frozenset(("e", ja + jb, t, q, ()) for t in _phi_fold(A, pa, pb))
+
+
+def oracle_plus_v_mul(A, e, x):
+    """An ell monomial e on u^j v^i held as ("v", j, i, phi, q), j.i = 0:
+    u v^i = v^{i-1}, so u^j cancels against v^i as far as it reaches."""
+    _, j, phi, q, dl = e
+    _, jx, i, px, qx = x
+    if dl or set(q) & set(qx):
+        return ZERO_ELL
+    qm = tuple(sorted(q + qx, key=A.mono_key))
+    jt = j + jx
+    k = min(jt, i)
+    return frozenset(("v", jt - k, i - k, t, qm) for t in _phi_fold(A, px, phi))
+
+
 def _per_phi(A, p):
     out = set()
     for m in p:
         out.symmetric_difference_update(
-            {("p", 0, () if m == A.one else (m,), ())})
+            {("e", 0, () if m == A.one else (m,), (), ())})
     return frozenset(out)
 
 
@@ -599,7 +626,7 @@ def _per_q(A, p):
     out = set()
     for m in p:
         if m != A.one:
-            out.symmetric_difference_update({("p", 0, (), (m,))})
+            out.symmetric_difference_update({("e", 0, (), (m,), ())})
     return frozenset(out)
 
 
@@ -608,19 +635,19 @@ def oracle_per_instances(A, lo, hi):
     new = _window(A, lo, hi)
     out = []
     push = _pusher(A, out)
-    u1 = frozenset({("p", 1, (), ())})
+    u1 = frozenset({("e", 1, (), (), ())})
     for (a, ga), (b, gb) in itertools.combinations_with_replacement(pool1, 2):
         if not new(2 * (ga + gb)):
             continue
         pa, pb = _per_phi(A, frozenset({a})), _per_phi(A, frozenset({b}))
         qa, qb = _per_q(A, frozenset({a})), _per_q(A, frozenset({b}))
         push(_per_phi(A, A.mul(a, b))
-             ^ el_mul(A, pa, pb, mul=per_mon_mul)
-             ^ el_mul(A, u1, el_mul(A, qa, qb, mul=per_mon_mul),
-                      mul=per_mon_mul))
+             ^ el_mul(A, pa, pb, mul=oracle_per_mon_mul)
+             ^ el_mul(A, u1, el_mul(A, qa, qb, mul=oracle_per_mon_mul),
+                      mul=oracle_per_mon_mul))
         push(_per_q(A, A.mul(a, b))
-             ^ el_mul(A, qa, pb, mul=per_mon_mul)
-             ^ el_mul(A, pa, qb, mul=per_mon_mul))
+             ^ el_mul(A, qa, pb, mul=oracle_per_mon_mul)
+             ^ el_mul(A, pa, qb, mul=oracle_per_mon_mul))
     return out
 
 
@@ -680,7 +707,7 @@ def oracle_relation_rows(A, family, cands, n, d):
     no multiplier reaches; each instance looks up its own multipliers."""
     instances, total, multipliers, product = {
         "ell": ("ell", False, ell_monomials, ell_mon_mul),
-        "per": ("per", True, per_monomials, per_mon_mul),
+        "per": ("per", True, per_monomials, oracle_per_mon_mul),
         "plus": ("plus", False, ell_monomials, plus_mon_mul),
         "coefficient": ("ell", True, plus_monomials, _coefficient_mul),
     }[family]

@@ -109,7 +109,7 @@ def test_psi_respects_bidegrees():
 
 def test_psi_plus_v0_is_unit_of_hc0():
     H = homology(PX, "plus", 0, 0)
-    coords = psi_class(PX, frozenset({("v", 0, 0, (), ())}), H)
+    coords = psi_class(PX, frozenset({("v", 0, (), (), ())}), H)
     unit = UChain.make("plus", {0: w(ONE)})
     assert coords == H.coords(vectorize(PX, H.slice, unit)) == 0b1
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import ORACLE_INSTANCES, mul_u_matrix, omega_u_reduce, \
-    oracle_relation_rows, small_presentations, tau_matrix, ungraded_x
+    oracle_per_mon_mul, oracle_plus_v_mul, oracle_relation_rows, \
+    small_presentations, tau_matrix, ungraded_x
 
 from cyclo2.derham import de_rham_d, form, omega_basis
 from cyclo2.f2linalg import F2Matrix, echelonize_in, rank_kernel_image, \
@@ -26,15 +27,18 @@ from cyclo2.ell import (
     ell_bidegree,
     ell_chain_maps,
     ell_degree_basis,
+    ell_mon_mul,
     ell_monomials,
     f_bar,
     gr_ell,
     map_r,
+    map_S,
     map_tau,
     model_matrix,
     omega_u_gens,
     per_monomials,
     phi_el,
+    plus_mon_mul,
     plus_monomials,
     q_el,
     s_bar,
@@ -442,7 +446,7 @@ def test_v0_module_injects_for_smooth():
             for mon in src.basis():
                 _, j, phi, q, dl = mon
                 assert j == 0 and not dl
-                vs.append(tgt.coords(frozenset({("v", 0, 0, phi, q)})))
+                vs.append(tgt.coords(frozenset({("v", 0, phi, q, ())})))
             assert rank_of(vs) == src.dim, (n, d)
 
 
@@ -455,12 +459,11 @@ def test_plus_filtration_subquotients():
             for s in range(0, 4):
                 vs = []
                 for mon in tgt.cands:
-                    if mon[0] == "g" or (mon[0] == "v" and mon[2] <= s
-                                         and mon[1] == 0):
+                    if mon[0] == "g" or (mon[0] == "v" and -s <= mon[1] <= 0):
                         vs.append(tgt.coords(frozenset({mon})))
                 # u^j v^0 monomials sit in F_0 as well (they are u^j gamma(1))
                 for mon in tgt.cands:
-                    if mon[0] == "v" and mon[1] > 0 and mon[2] == 0:
+                    if mon[0] == "v" and mon[1] > 0:
                         vs.append(tgt.coords(frozenset({mon})))
                 ranks.append(rank_of(vs))
             for s in range(1, 4):
@@ -489,7 +492,7 @@ def test_I_sends_form_to_gamma_delta():
 def test_S_sends_u_inverse_to_v0():
     # S(u^{-1}) = v^0, and v^0 = gamma(1) by the last plus relation
     mS, src, tgt = model_matrix(PX, MODELS["per"]["S"], 2, -2)
-    k = src.basis().index(("p", -1, (), ()))
+    k = src.basis().index(("e", -1, (), (), ()))
     img_mask = mS.columns[k]
     v0 = tgt.coords(frozenset({v_mon(0)}))
     gamma1 = tgt.coords(frozenset({("g", (), (), (), PX.one)}))
@@ -594,7 +597,7 @@ def _oracle_per(A, n, d):
             continue
         for phi, q, _ in _oracle_part_choices(A, pool, nq, up,
                                               _oracle_costs(A, False)):
-            out.append(("p", j, phi, q))
+            out.append(("e", j, phi, q, ()))
     return _oracle_sorted(A, out)
 
 
@@ -625,7 +628,7 @@ def _oracle_plus(A, n, d):
             continue
         for phi, q, _ in _oracle_part_choices(A, pool, nq, up,
                                               _oracle_costs(A, False)):
-            out.append(("v", j, i, phi, q))
+            out.append(("v", j - i, phi, q, ()))
     return _oracle_sorted(A, out)
 
 
@@ -659,6 +662,48 @@ def test_candidates_match_oracle(name, window):
                              (per_monomials, _oracle_per),
                              (plus_monomials, _oracle_plus)):
                 assert new(A, n, d) == old(A, n, d), (new.__name__, n, d)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(
+    os.path.join(os.path.dirname(__file__), "..", "fixtures"))))
+def test_per_and_v_candidates_share_the_ell_layout(name):
+    """An ell_per candidate is a delta-free ell monomial, the v candidates
+    of ell_plus are the per ones relabelled, and S raises the u-exponent by
+    one.  The v candidates keep the order of the two-exponent layout, by
+    (max(j, 0), phi, q, max(-j, 0)), so the ell_plus bases do not change."""
+    A = _fixture(name)
+    for n in range(-4, 5):
+        for d in range(-4, 5) if A.graded else (-n,):
+            per = per_monomials(A, n, d)
+            assert all(m[0] == "e" and len(m) == 5 and m[4] == ()
+                       for m in per), (name, n, d)
+            vs = [m for m in plus_monomials(A, n, d) if m[0] == "v"]
+            assert len(vs) == len(set(vs)) \
+                and set(vs) == {("v",) + m[1:] for m in per}, (name, n, d)
+            for m in per:
+                assert map_S(A, m) == frozenset({("v", m[1] + 1) + m[2:]})
+
+
+@settings(max_examples=30)
+@given(small_presentations())
+def test_shared_products_match_the_oracle_rules(A):
+    """ell_mon_mul on ell_per candidates is the ell_per product, and
+    plus_mon_mul on v monomials is the two-exponent rule read through
+    j - i."""
+    bidegrees = [(n, d) for n in range(-3, 3)
+                 for d in (range(-2, 4) if A.graded else (-n,))]
+    per = [m for n, d in bidegrees for m in per_monomials(A, n, d)][:40]
+    for a in per:
+        for b in per:
+            assert ell_mon_mul(A, a, b) == oracle_per_mon_mul(A, a, b), \
+                (A.name, a, b)
+    ells = [m for n, d in bidegrees for m in ell_monomials(A, n, d)][:20]
+    for e in ells:
+        for _, j, phi, q, _ in per:  # v^i is j = -i here, (0, i) there
+            new = plus_mon_mul(A, e, ("v", j, phi, q, ()))
+            old = oracle_plus_v_mul(A, e, ("v", max(j, 0), max(-j, 0), phi, q))
+            assert new == frozenset(("v", m[1] - m[2]) + m[3:] + ((),)
+                                    for m in old), (A.name, e, j, phi, q)
 
 
 # ----- the relation table against the per-family generators -----
