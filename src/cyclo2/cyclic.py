@@ -481,8 +481,9 @@ def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
                        S: int = 3) -> dict:
     """Block key -> rank of that block of d_n: T_n -> T_{n-1}, ranked once
     per shape of d_n.  Unless differential_bases has recorded them, each
-    block's columns are reduced by rank_of, last first (as null_space;
-    other orders were far slower), and nothing else is kept.  As
+    block's columns are reduced by rank_of in slice order, first to last,
+    on the highest bit (a rank keeps no basis; bases pivot on the lowest
+    bit, last first), and nothing else is kept.  As
     d_{n-1} d_n = 0 = d_n d_{n+1}, a block's rank is at most rows - its
     rank in d_{n-1} and cols - its rank in d_{n+1}, and rank_of stops at
     the bound that the neighbours' shapes, once memoised, give."""
@@ -495,7 +496,7 @@ def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
         below = table.get(_shape_key(A, t, n - 1, d, S), {})
         above = table.get(_shape_key(A, t, n + 1, d, S), {})
         ranks = table[shape] = {
-            key: rank_of(_block_columns(A, src, tgt, key)[::-1], min(
+            key: rank_of(_block_columns(A, src, tgt, key), min(
                 _block_dim(tgt.blocks.get(key)) - below.get(key, 0),
                 _block_dim(segments) - above.get(key, 0)))
             for key, segments in src.blocks.items()}

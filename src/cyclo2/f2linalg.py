@@ -2,18 +2,17 @@
 
 Vectors are Python ints used as bitmasks: bit j is coordinate j.  Addition
 is XOR and all arithmetic is exact; there are no tolerances anywhere.
-Elimination always picks the lowest available pivot column, so every basis
-produced here is reproducible bit for bit.
+Bases pivot on the lowest available column, so each is reproducible bit
+for bit; a rank keeps no basis, so rank_of pivots on the highest bit.
 
 A matrix is stored as its columns, the form every producer of a matrix
-builds and every elimination reads.  There are two elimination loops: the
-span loop (_span_pivots) behind echelonize_in, rank_of and
-complement_basis, and the tracked loop null_space.  Spans and kernels are
-eliminated from the last vector (or column) to the first.  A reduced
-row-echelon basis under the lowest-bit pivot rule is unique, so the order
-changes the work, not the bases; last-first leaves a kernel already in
-reduced echelon form (see null_space), and every span goes through the
-one back-substitution, _reduced_echelon.
+builds and every elimination reads.  Bases come from two loops: the span
+loop (_span_pivots) behind echelonize_in and complement_basis, and the
+tracked loop null_space, which eliminate from the last vector (or column)
+to the first.  A reduced row-echelon basis under the lowest-bit pivot
+rule is unique, so the order changes the work, not the bases; last-first
+leaves a kernel already in reduced echelon form (see null_space), and
+every span goes through the one back-substitution, _reduced_echelon.
 
 Every quotient the package takes is one of two records built on these:
 PresentedSpace, generators modulo relations (the ell functors and the
@@ -230,22 +229,16 @@ class PresentedSpace:
                          if (coords >> k) & 1)
 
 
-def _span_pivots(vectors: Iterable[int],
-                 limit: Optional[int] = None) -> dict[int, int]:
+def _span_pivots(vectors: Iterable[int]) -> dict[int, int]:
     """Echelon rows of the span of the vectors as pivot -> row (each row's
-    lowest bit is its pivot), reducing the vectors in the order given and
-    stopping once there are limit rows."""
+    lowest bit is its pivot), reducing the vectors in the order given."""
     pivots: dict[int, int] = {}
-    if limit == 0:
-        return pivots
     for v in vectors:
         while v:
             p = (v & -v).bit_length() - 1
             w = pivots.get(p)
             if w is None:
                 pivots[p] = v
-                if len(pivots) == limit:
-                    return pivots
                 break
             v ^= w
     return pivots
@@ -282,10 +275,25 @@ def echelonize_in(vectors: Iterable[int], ambient_dim: int) -> SubspaceBasis:
 
 
 def rank_of(vectors: Sequence[int], bound: Optional[int] = None) -> int:
-    """The rank of the span of the vectors, reduced in the order given.
-    bound must be a proven upper bound on it: the reduction stops there,
-    as every vector left is then dependent (a smaller bound is returned)."""
-    return len(_span_pivots(vectors, bound))
+    """The rank of the span of the vectors, reduced in the order given on
+    the highest bit (a rank keeps no basis): each v ^= w clears the top
+    bit of v, so v gets shorter.  bound must be a proven upper bound on
+    the rank: the reduction stops there, as every vector left is then
+    dependent (a smaller bound is returned)."""
+    if bound == 0:
+        return 0
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            p = v.bit_length()
+            w = pivots.get(p)
+            if w is None:
+                pivots[p] = v
+                if len(pivots) == bound:
+                    return bound
+                break
+            v ^= w
+    return len(pivots)
 
 
 def null_space(cols: Sequence[int]

@@ -491,8 +491,9 @@ def test_truncation_matches_oracle_on_draws(A, S):
 
 def test_bounded_ranks_match_plain_ranks(monkeypatch):
     # each block rank of a differential stops at the bound its memoised
-    # neighbours give, and equals the plain rank of the same columns
-    # whichever way n runs; some ranks do reach their bound
+    # neighbours give, and equals the rank of the same columns under the
+    # tracked lowest-bit loop whichever way n runs; some ranks do reach
+    # their bound
     import cyclo2.cyclic as cyclic
     bounded = []
     monkeypatch.setattr(cyclic, "rank_of", lambda cols, bound: bounded.append(
@@ -507,9 +508,33 @@ def test_bounded_ranks_match_plain_ranks(monkeypatch):
                     src = build_tower(A, t, n, D, 2)
                     tgt = build_tower(A, t, n - 1, D, 2)
                     assert differential_ranks(A, t, n, D, 2) == {
-                        key: rank_of(_block_columns(A, src, tgt, key))
+                        key: _tracked_rank(A, src, tgt, key)
                         for key in src.blocks}, (name, t, n, D, descending)
     assert any(0 < r == bound for r, bound in bounded)
+
+
+def _tracked_rank(A, src, tgt, key):
+    """The rank of a block of d_n from the tracked lowest-bit loop."""
+    rows = sum(stop - start for _, start, stop, _ in tgt.blocks.get(key, ()))
+    return rank_kernel_image(
+        F2Matrix(rows, tuple(_block_columns(A, src, tgt, key))))[0]
+
+
+def test_f8_deepest_block_rank_matches_tracked_rank():
+    # the block of d_3 at depth 4 on ungraded F8 = F2[x]/(x^3 + x + 1),
+    # 4,092 x 8,184, the largest the S + 1 check of compute hcminus at
+    # S = 3 ranks: with d_2 and d_4 ranked first, its highest-bit rank
+    # stops at its bound and equals the tracked lowest-bit rank
+    A = AlgebraPresentation(("x",), (0,), (frozenset({(3,), (1,), (0,)}),),
+                            graded=False, name="F8")
+    for n in (2, 4):
+        differential_ranks(A, "minus", n, 0, 4)
+    src = build_tower(A, "minus", 3, 0, 4)
+    tgt = build_tower(A, "minus", 2, 0, 4)
+    assert (src.dim, tgt.dim) == (8184, 4092)
+    rank = _tracked_rank(A, src, tgt, None)
+    assert differential_ranks(A, "minus", 3, 0, 4) == {None: rank}
+    assert rank == tgt.dim - differential_ranks(A, "minus", 2, 0, 4)[None]
 
 
 def test_f4_hh_is_trivial_in_positive_degrees():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     oracle_echelonize_in,
@@ -251,15 +251,20 @@ class _Reads(list):
             yield v
 
 
-@given(column_lists())
-def test_bounded_rank_equals_rank(case):
-    # a rank that stops at any upper bound on it is still the rank, and
-    # with bound 0 no vector is read
+@given(column_lists(), st.randoms(use_true_random=False))
+@example((3, [0b100, 0b101, 0b010]), random.Random(0))  # 0b101 must reduce
+def test_bounded_rank_equals_rank(case, rnd):
+    # rank_of pivots on the highest bit, the tracked loop on the lowest:
+    # a rank that stops at any upper bound on it is still the tracked
+    # rank, with the vectors in the given, reversed or a shuffled order,
+    # and with bound 0 no vector is read
     rows, cols = case
     rank = rank_kernel_image(F2Matrix(rows, tuple(cols)))[0]
-    assert rank_of(cols) == rank
-    for bound in range(rank, len(cols) + 2):
-        assert rank_of(cols, bound) == rank, bound
+    shuffled = list(cols)
+    rnd.shuffle(shuffled)
+    for order in (cols, cols[::-1], shuffled):
+        for bound in (None, *range(rank, len(cols) + 2)):
+            assert rank_of(order, bound) == rank, (order, bound)
     vectors = _Reads(cols)
     vectors.read = []
     assert rank_of(vectors, 0) == 0 and vectors.read == []
