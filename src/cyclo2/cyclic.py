@@ -33,12 +33,13 @@ the homology of a slice is a Homology split into these blocks, and its
 dimension, a sum over blocks, reads one memoised rank of each block of
 the shapes of d_n and d_{n+1} (differential_ranks), which keeps no basis
 and stops where the ranks of its neighbours, once memoised, bound it.
-Its cycles, boundaries and class representatives on slice vectors are
-built only when something reads them, from one shared elimination of
-each block per shape (differential_bases): its kernel is the cycles of
-that block of T_n and its image the boundaries of that block of T_{n-1}.
-That elimination records its ranks too, so bases read first leave no
-rank pass to run.
+Its block bases are built only when something reads classes, from one
+shared elimination of each block per shape (differential_bases): its
+kernel is the cycles of that block of T_n and its image the boundaries
+of that block of T_{n-1}.  Class coordinates are read block by block,
+and only the class representatives are placed on slice vectors.  That
+elimination records its ranks too, so bases read first leave no rank
+pass to run.
 
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
@@ -55,6 +56,7 @@ from .f2linalg import (
     F2Matrix,
     Homology,
     SubspaceBasis,
+    _placed,
     echelonize_in,
     null_space,
     rank_kernel_image,
@@ -609,10 +611,11 @@ def truncation(A: AlgebraPresentation,
     A tower that is not truncated is exact.  Otherwise H's bases are read
     first, so its dim comes from their eliminations; the dim at S + 1 comes
     from the ranks of d_n and d_{n+1} there, and the cycles of d_n there,
-    eliminated and not kept, are projected to depth S.  The projection is
-    a chain map, so it sends boundaries to boundaries, and their classes
-    span the image of the homology at S + 1.  The flag is stable only if
-    the dimensions agree and the projection is an isomorphism."""
+    eliminated block by block and not kept, are placed in the slice and
+    projected to depth S.  The projection is a chain map, so it sends
+    boundaries to boundaries, and their classes span the image of the
+    homology at S + 1.  The flag is stable only if the dimensions agree
+    and the projection is an isomorphism."""
     if not H.slice.truncated:
         return Truncation("stable", None)
     t, n, d, S = H.theory, H.n, H.d, H.S + 1
@@ -620,13 +623,12 @@ def truncation(A: AlgebraPresentation,
     image = SubspaceBasis(0)
     if H.complement:
         down = build_tower(A, t, n - 1, d, S)
-        cycles = Homology(big.dim, big.runs(), tuple(
-            (null_space(_block_columns(A, big, down, key))[0],
-             SubspaceBasis(_block_dim(segments)))
-            for key, segments in big.blocks.items())).cycles
         project = slice_shift_map(A, big, H.slice, 0)
-        image = echelonize_in([H.coords(project(z)) for z in cycles.vectors],
-                              H.dim)
+        image = echelonize_in([
+            H.coords(project(_placed(z, runs)))
+            for key, runs in zip(big.blocks, big.runs())
+            for z in null_space(_block_columns(A, big, down, key))[0].vectors
+        ], H.dim)
     stable = H.dim == _dim_from_ranks(big, *(
         differential_ranks(A, t, n + k, d, S) for k in (0, 1))) == image.dim
     return Truncation("stable" if stable else "truncation-limited", image)

@@ -19,10 +19,11 @@ PresentedSpace, generators modulo relations (the ell functors and the
 Kahler forms), and Homology, cycles modulo boundaries (the towers, de Rham
 cohomology and the E^2 page).  A Homology may be split into blocks on
 disjoint coordinates, one cycles and boundaries pair each (a tower slice
-of a monomial ideal); its bases on the whole degree are assembled from the
-blocks only when read.  A Homology made without bases takes its dimension
-from ranks (rank_of keeps no basis, and stops at a proven bound) and
-eliminates its blocks only when a basis is first read.
+of a monomial ideal); it keeps only those pairs, reads class coordinates
+block by block and places only its class representatives on the whole
+degree.  A Homology made without bases takes its dimension from ranks
+(rank_of keeps no basis, and stops at a proven bound) and eliminates its
+blocks only when a basis is first read.
 """
 
 from __future__ import annotations
@@ -350,21 +351,6 @@ def complement_basis(cycles: SubspaceBasis, boundaries: SubspaceBasis) -> tuple[
     return tuple(pivots[p] for p in sorted(pivots))
 
 
-def class_coordinates(comp: tuple[int, ...], boundaries: SubspaceBasis,
-                      v: int) -> int:
-    """Coordinates of the class [v] in the complement basis comp: bit k is
-    the coefficient of comp[k]."""
-    r = boundaries.reduce(v)
-    coords = 0
-    for k, w in enumerate(comp):
-        if (r >> _lowest_bit(w)) & 1:
-            r ^= w
-            coords |= 1 << k
-    if r != 0:
-        raise F2LinalgError("vector is not a cycle")
-    return coords
-
-
 def _placed(v: int, runs: tuple[tuple[int, int, int], ...]) -> int:
     """A block vector moved to ambient coordinates along its runs."""
     w = 0
@@ -389,15 +375,13 @@ class Homology:
     by _eliminate(), which a subclass made without them defines, with
     _ranked_dim(): dim from ranks alone, so reading it builds no basis.
 
-    dim is a sum over the blocks.  cycles, boundaries and complement are
-    in ambient coordinates, assembled on first read.  The RREF of a sum of
-    subspaces on disjoint coordinates is the union of their RREFs, and a
-    monotone placement keeps a basis reduced, so each is bit for bit what
-    the unsplit degree gives; a single block placed as itself is read as it
-    is.
-
-    Class k is represented by complement[k], a cycle of complement_basis,
-    and coords(v) has bit k where the class of v uses complement[k].
+    dim is a sum over the blocks.  complement is each block's
+    complement_basis placed in ambient coordinates and merged by lowest
+    bit: blocks sit on disjoint coordinates and the placement is
+    monotone, so it is bit for bit the complement of the unsplit degree.
+    Class k is represented by complement[k], and coords(v) has bit k
+    where the class of v uses complement[k]; it reads v block by block,
+    in each block's own coordinates.
     """
 
     ambient_dim: int
@@ -432,35 +416,47 @@ class Homology:
             return self._ranked_dim()
         return sum(c.dim - b.dim for c, b in self.bases)
 
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], tuple]:
+        """(complement, blocks): a block is (runs, ambient mask, boundaries,
+        classes), its classes (local pivot, local vector, bit of the merged
+        index) in pivot order."""
+        blocks, placed = [], []
+        for runs, (cycles, boundaries) in zip(self.runs, self.pairs):
+            classes: list = []
+            blocks.append((runs, _placed((1 << cycles.ambient_dim) - 1, runs),
+                           boundaries, classes))
+            placed.extend((_placed(w, runs), w, classes)
+                          for w in complement_basis(cycles, boundaries))
+        placed.sort(key=lambda entry: _lowest_bit(entry[0]))
+        for k, (_, w, classes) in enumerate(placed):
+            classes.append((_lowest_bit(w), w, 1 << k))
+        return tuple(entry[0] for entry in placed), tuple(blocks)
+
     @property
-    def _unsplit(self) -> bool:
-        return len(self.pairs) == 1 and all(
-            ambient == local for ambient, local, _ in self.runs[0])
-
-    def _assembled(self, side: int) -> SubspaceBasis:
-        if self._unsplit:
-            return self.pairs[0][side]
-        vectors = [_placed(v, runs) for runs, pair in zip(self.runs, self.pairs)
-                   for v in pair[side].vectors]
-        vectors.sort(key=_lowest_bit)
-        return SubspaceBasis(self.ambient_dim, tuple(vectors))
-
-    @cached_property
-    def cycles(self) -> SubspaceBasis:
-        return self._assembled(0)
-
-    @cached_property
-    def boundaries(self) -> SubspaceBasis:
-        return self._assembled(1)
-
-    @cached_property
     def complement(self) -> tuple[int, ...]:
-        return complement_basis(self.cycles, self.boundaries)
+        return self._classes[0]
 
     def coords(self, v: int) -> int:
         """Class coordinates (a bitmask) of a cycle."""
-        return class_coordinates(self.complement, self.boundaries, v)
+        out = 0
+        for runs, mask, boundaries, classes in self._classes[1]:
+            if not v & mask:
+                continue
+            r = 0
+            for ambient, local, length in runs:
+                r |= ((v >> ambient) & ((1 << length) - 1)) << local
+            r = boundaries.reduce(r)
+            for pivot, w, bit in classes:
+                if (r >> pivot) & 1:
+                    r ^= w
+                    out |= bit
+            if r:
+                raise F2LinalgError("vector is not a cycle")
+            v &= ~mask
+        if v:  # bits outside every block
+            raise F2LinalgError("vector is not a cycle")
+        return out
 
     def rep(self, k: int) -> int:
         return self.complement[k]
-

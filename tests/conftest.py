@@ -248,6 +248,38 @@ def quotient_coordinates(cycles, boundaries, v):
     return Homology.of(cycles, boundaries).coords(v)
 
 
+def assembled_bases(h):
+    """The cycles and boundaries of the Homology h on its whole ambient
+    space: both sides of every block pair placed bit by bit along the
+    block's runs and sorted by lowest bit (the RREF of a sum of subspaces
+    on disjoint coordinates is the union of their RREFs)."""
+    places = [[ambient + j for ambient, _, length in runs
+               for j in range(length)] for runs in h.runs]
+
+    def placed(v, where):
+        return sum(1 << where[j] for j in range(v.bit_length()) if v >> j & 1)
+
+    return tuple(
+        SubspaceBasis(h.ambient_dim, tuple(sorted(
+            (placed(v, where) for where, pair in zip(places, h.pairs)
+             for v in pair[side].vectors), key=lambda v: v & -v)))
+        for side in (0, 1))
+
+
+def oracle_class_coordinates(comp, boundaries, v):
+    """Coordinates of the class [v] in the complement basis comp: bit k is
+    the coefficient of comp[k]."""
+    r = boundaries.reduce(v)
+    coords = 0
+    for k, w in enumerate(comp):
+        if (r >> ((w & -w).bit_length() - 1)) & 1:
+            r ^= w
+            coords |= 1 << k
+    if r != 0:
+        raise F2LinalgError("vector is not a cycle")
+    return coords
+
+
 # ----- the eliminations of the towers, counted -----
 
 class CountedReductions:

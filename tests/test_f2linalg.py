@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import (
+    assembled_bases,
+    oracle_class_coordinates,
     oracle_echelonize_in,
     oracle_homology_bases,
     oracle_kernel_image,
@@ -14,6 +16,7 @@ from cyclo2.f2linalg import (
     F2Matrix,
     Homology,
     SubspaceBasis,
+    complement_basis,
     echelonize_in,
     null_space,
     rank_kernel_image,
@@ -121,6 +124,8 @@ def test_quotient_rejects_non_cycle():
     boundaries = SubspaceBasis(3, ())
     with pytest.raises(F2LinalgError):
         quotient_coordinates(cycles, boundaries, 0b100)
+    with pytest.raises(F2LinalgError):  # a cycle and a bit past the space
+        quotient_coordinates(cycles, boundaries, 0b100011)
 
 
 def test_quotient_containment_violation():
@@ -223,10 +228,10 @@ def test_column_store_matches_dense_oracle(case, data):
         assert mat.is_zero() == (not any(map(any, dense_of(mat))))
 
 
-@given(column_lists(), st.data())
-def test_homology_bases_match_oracle(case, data):
-    # a complex C_2 -> C_1 -> C_0 with C_1 = F2^len(out): the incoming
-    # columns are kernel vectors of the outgoing map, summed at random
+def draw_complex(case, data):
+    """(out, inc): a complex C_2 -> C_1 -> C_0 with C_1 = F2^len(out),
+    out the columns of the case; the incoming columns inc are kernel
+    vectors of the outgoing map, summed at random."""
     _, out = case
     kernel = null_space(out)[0].vectors
     combos = st.lists(st.sampled_from(kernel), max_size=4) if kernel \
@@ -236,9 +241,60 @@ def test_homology_bases_match_oracle(case, data):
         inc.append(0)
         for v in picks:
             inc[-1] ^= v
+    return out, inc
+
+
+@given(column_lists(), st.data())
+def test_homology_bases_match_oracle(case, data):
+    out, inc = draw_complex(case, data)
     h = Homology.from_columns(out, inc)
-    assert (h.cycles, h.boundaries, h.complement) == \
+    assert (*assembled_bases(h), h.complement) == \
         oracle_homology_bases(out, inc)
+
+
+@given(st.lists(column_lists(), min_size=1, max_size=4), st.data())
+def test_block_class_coordinates_match_the_assembled_ones(cases, data):
+    # 1-4 blocks interleaved as random monotone runs that partition the
+    # ambient space: the merged complement and the coordinates read block
+    # by block are those of the assembled bases
+    pairs = []
+    for case in cases:
+        out, inc = draw_complex(case, data)
+        pairs.append((null_space(out)[0], echelonize_in(inc, len(out))))
+    owner = data.draw(st.permutations(
+        [b for b, (c, _) in enumerate(pairs) for _ in range(c.ambient_dim)]))
+    places = [[j for j, o in enumerate(owner) if o == b]
+              for b in range(len(pairs))]
+    runs = [[] for _ in pairs]
+    for b, where in enumerate(places):
+        for local, ambient in enumerate(where):
+            if local and where[local - 1] == ambient - 1:
+                start, first, length = runs[b][-1]
+                runs[b][-1] = (start, first, length + 1)
+            else:
+                runs[b].append((ambient, local, 1))
+    h = Homology(len(owner), tuple(map(tuple, runs)), tuple(pairs))
+    cycles, boundaries = assembled_bases(h)
+    assert h.complement == complement_basis(cycles, boundaries)
+    assert h.dim == len(h.complement)
+    for k in range(h.dim):
+        assert h.coords(h.rep(k)) == 1 << k, k
+    for picks in data.draw(st.lists(
+            st.integers(0, (1 << cycles.dim) - 1), min_size=1, max_size=4)):
+        v = 0
+        for k, w in enumerate(cycles.vectors):
+            if picks >> k & 1:
+                v ^= w
+        assert h.coords(v) == \
+            oracle_class_coordinates(h.complement, boundaries, v)
+        for (c, _), where in zip(pairs, places):
+            off = [j for j in range(c.ambient_dim) if not c.contains(1 << j)]
+            if off:  # a non-cycle in this block
+                with pytest.raises(F2LinalgError):
+                    h.coords(v ^ 1 << where[off[0]])
+        past = h.ambient_dim + data.draw(st.integers(0, 3))
+        with pytest.raises(F2LinalgError):
+            h.coords(v ^ 1 << past)
 
 
 class _Reads(list):
