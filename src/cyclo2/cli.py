@@ -34,6 +34,7 @@ from .cyclic import (
     THEORY_BOUNDS,
     TowerError,
     bidegree_window,
+    chain_model,
     e1_page,
     e2_page,
     homology,
@@ -186,8 +187,9 @@ def cmd_compute(A: AlgebraPresentation, cfg: RunConfig) -> dict:
     theory = cfg.theory
     entries = []
     if theory in ("hh", "hc", "hcminus", "hcper"):
+        model = chain_model(A)  # compute reads dims and flags, no bar chains
         for n, D in bidegree_window(A, cfg.max_homological, cfg.max_internal):
-            h = homology(A, theory, n, D, cfg.columns)
+            h = homology(A, theory, n, D, cfg.columns, model)
             # first: where the check reads bases, their elimination gives dim
             flag = truncation(A, h).flag
             entries.append({"n": n, "internal": D, "dim": h.dim,

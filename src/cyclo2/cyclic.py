@@ -41,6 +41,20 @@ and only the class representatives are placed on slice vectors.  That
 elimination records its ranks too, so bases read first leave no rank
 pass to run.
 
+The chain groups come from one of two mixed complexes, the model of a
+slice; the towers, ranks, homology records and the truncation check run
+the same code on both, and each model keeps its own memo tables.  "bar"
+is the normalized bar complex above.  "small", for an ungraded
+presentation on one generator, A = F2[x]/(f), is the 2-periodic mixed
+complex M_k = A of its resolution (Buenos Aires Cyclic Homology Group,
+"Cyclic homology of algebras with one generator", K-Theory 5, 1991),
+deg f basis vectors per degree where C_k has deg f (deg f - 1)^k words.
+Quasi-isomorphic mixed complexes give the same truncated-tower homology
+(Loday, Cyclic Homology, 5.1), and the tests hold the small model's dims
+and flags to the bar model's; compute reads it (chain_model).  Class
+coordinates of bar chains (verify-approx, spectral, tables) read the bar
+model.
+
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
 
@@ -285,6 +299,84 @@ def _B_run(A: AlgebraPresentation, h, tuples: tuple,
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class SmallGroup:
+    """M_k of the small mixed complex of F2[x]/(f): A itself, on the basis
+    words = A.degree_basis(0), one block keyed None.  Its vectors are not
+    bar chains, so vectorize, unvectorize and the maps of the exact
+    sequences read bar slices only."""
+
+    dim: int
+    blocks: dict
+    words: tuple
+
+
+def chain_model(A: AlgebraPresentation) -> str:
+    """The model whose chain groups compute reads: "small" for an ungraded
+    presentation on one generator, else "bar"."""
+    return "small" if not A.graded and A.ngens == 1 else "bar"
+
+
+def small_group(A: AlgebraPresentation, k: int) -> SmallGroup:
+    """M_k of the small mixed complex, memoised per k so that the slices
+    holding it share it."""
+    table = A.memo("small_group")
+    group = table.get(k)
+    if group is None:
+        words = A.degree_basis(0)
+        group = table[k] = SmallGroup(len(words), {None: (0, len(words))},
+                                      words)
+    return group
+
+
+def small_columns(A: AlgebraPresentation, op: str, k: int) -> tuple[int, ...]:
+    """b: M_k -> M_{k-1} (op "b") or B: M_k -> M_{k+1} (op "B") of the small
+    mixed complex of A = F2[x]/(f), f the one element of A.groebner, one
+    column per monomial g of small_group(A, k), bit i for the i-th monomial
+    of the target; memoised.  Both are zero on odd k, and b on k = 0.  On
+    even k, b is g -> f'g mod f and B is g -> g', the formal derivative of
+    the reduced g; this B leaves out the homotopy-transfer term
+    i ((g f') div f) on M_{2i} (from the Tate-de Rham model F2[x]<y>,
+    dy = f), which changes no dimension and no truncation flag."""
+    table = A.memo("small_columns")
+    cols = table.get((op, k))
+    if cols is None:
+        words = small_group(A, k).words
+        bit = {m: 1 << i for i, m in enumerate(words)}
+        if k % 2 or (op, k) == ("b", 0):
+            cols = (0,) * len(words)
+        elif op == "b":
+            (f,) = A.groebner
+            df = [(e - 1,) for (e,) in f if e % 2]
+            cols = tuple(sum(bit[m] for m in A.mul_elements(df, (g,)))
+                         for g in words)
+        else:
+            cols = tuple(bit[(e - 1,)] if e % 2 else 0 for (e,) in words)
+        table[(op, k)] = cols
+    return cols
+
+
+def _chain_group(A: AlgebraPresentation, model: str, k: int, d: int):
+    """The basis of the degree-k chain group of the model at internal
+    degree d: a HochschildBasis or a SmallGroup."""
+    return small_group(A, k) if model == "small" else hochschild_basis(A, k, d)
+
+
+def _chain_columns(A: AlgebraPresentation, model: str, op: str, k: int,
+                   d: int) -> tuple[int, ...]:
+    """The b or B columns of the degree-k chain group of the model, on the
+    target's block of each source word (mixed_columns, small_columns)."""
+    if model == "small":
+        return small_columns(A, op, k)
+    return mixed_columns(A, op, k, d)
+
+
+def _memo(A: AlgebraPresentation, model: str, name: str) -> dict:
+    """The memo table called name of the model: bar and small records never
+    share one."""
+    return A.memo(name if model == "bar" else f"{model} {name}")
+
+
 def mixed_matrix(A: AlgebraPresentation, op: str, k: int, d: int) -> F2Matrix:
     """mixed_columns(A, op, k, d) as a matrix on the whole bases."""
     src = hochschild_basis(A, k, d)
@@ -301,7 +393,8 @@ def mixed_matrix(A: AlgebraPresentation, op: str, k: int, d: int) -> F2Matrix:
 class TowerSlice:
     """One total degree of a truncated tower, with a fixed ordered basis:
     column p = p_min + c is the shared basis parts[c] of C_{n-2p,d},
-    starting at position offsets[c]; offsets ends with the dimension."""
+    starting at position offsets[c]; offsets ends with the dimension.  model
+    names the mixed complex of the chain groups, "bar" or "small"."""
 
     theory: str
     n: int
@@ -310,8 +403,9 @@ class TowerSlice:
     p_min: int
     p_max: int
     truncated: bool
-    parts: tuple[HochschildBasis, ...]
+    parts: tuple[HochschildBasis | SmallGroup, ...]
     offsets: tuple[int, ...]
+    model: str
 
     @property
     def dim(self) -> int:
@@ -367,21 +461,22 @@ def _p_range(A: AlgebraPresentation, t: str, n: int, d: int,
 
 
 def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
-                S: int = 1) -> TowerSlice:
-    """Assemble the degree-n slice of T^{alpha,beta} at internal degree d."""
+                S: int = 1, model: str = "bar") -> TowerSlice:
+    """Assemble the degree-n slice of T^{alpha,beta} at internal degree d
+    on the chain groups of the model."""
     t = theory_key(theory)
     p_min, p_max, truncated = _p_range(A, t, n, d, S)
     key = (t, n, d, S if truncated else 0)
-    cache = A.memo("tower")
+    cache = _memo(A, model, "tower")
     if key in cache:
         return cache[key]
-    parts = tuple(hochschild_basis(A, n - 2 * p, d)
+    parts = tuple(_chain_group(A, model, n - 2 * p, d)
                   for p in range(p_min, p_max + 1))
     offsets = [0]
     for hb in parts:
         offsets.append(offsets[-1] + hb.dim)
     cache[key] = TowerSlice(*key, p_min, p_max, truncated, parts,
-                            tuple(offsets))
+                            tuple(offsets), model)
     return cache[key]
 
 
@@ -452,11 +547,11 @@ def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
         if off is None:
             part = [0] * (stop - start)
         else:
-            part = [v << off
-                    for v in mixed_columns(A, "b", k, src.d)[start:stop]]
+            part = [v << off for v in
+                    _chain_columns(A, src.model, "b", k, src.d)[start:stop]]
         off = place.get(p - 1)
         if off is not None:
-            B = mixed_columns(A, "B", k, src.d)[start:stop]
+            B = _chain_columns(A, src.model, "B", k, src.d)[start:stop]
             part = [vb ^ (vB << off) for vb, vB in zip(part, B)]
         cols.extend(part)
     return cols
@@ -480,7 +575,7 @@ def _shape_key(A: AlgebraPresentation, t: str, n: int, d: int,
 
 
 def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
-                       S: int = 3) -> dict:
+                       S: int = 3, model: str = "bar") -> dict:
     """Block key -> rank of that block of d_n: T_n -> T_{n-1}, ranked once
     per shape of d_n.  Unless differential_bases has recorded them, each
     block's columns are reduced by rank_of in slice order, first to last,
@@ -490,11 +585,11 @@ def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
     rank in d_{n-1} and cols - its rank in d_{n+1}, and rank_of stops at
     the bound that the neighbours' shapes, once memoised, give."""
     t = theory_key(theory)
-    table = A.memo("differential_rank")
+    table = _memo(A, model, "differential_rank")
     shape = _shape_key(A, t, n, d, S)
     ranks = table.get(shape)
     if ranks is None:
-        src, tgt = (build_tower(A, t, m, d, S) for m in (n, n - 1))
+        src, tgt = (build_tower(A, t, m, d, S, model) for m in (n, n - 1))
         below = table.get(_shape_key(A, t, n - 1, d, S), {})
         above = table.get(_shape_key(A, t, n + 1, d, S), {})
         ranks = table[shape] = {
@@ -506,25 +601,25 @@ def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
 
 
 def differential_bases(A: AlgebraPresentation, theory: str, n: int, d: int,
-                       S: int = 3) -> dict:
+                       S: int = 3, model: str = "bar") -> dict:
     """Block key -> kernel and image of that block of d_n: T_n -> T_{n-1},
     that is the cycles of the block of T_n and the boundaries of the same
     block of T_{n-1}, in block-local coordinates, from one tracked
     elimination per block and shape; memoised, so every homology beside a
     d_n of that shape shares it, and its ranks go to differential_ranks."""
     t = theory_key(theory)
-    table = A.memo("differential")
+    table = _memo(A, model, "differential")
     shape = _shape_key(A, t, n, d, S)
     pairs = table.get(shape)
     if pairs is None:
-        src, tgt = (build_tower(A, t, m, d, S) for m in (n, n - 1))
+        src, tgt = (build_tower(A, t, m, d, S, model) for m in (n, n - 1))
         pairs = table[shape] = {}
         for key in src.blocks:
             rows = _block_dim(tgt.blocks.get(key))
             _, kernel, image = rank_kernel_image(
                 F2Matrix(rows, tuple(_block_columns(A, src, tgt, key))))
             pairs[key] = (kernel, image)
-        A.memo("differential_rank").setdefault(
+        _memo(A, model, "differential_rank").setdefault(
             shape, {key: image.dim for key, (_, image) in pairs.items()})
     return pairs
 
@@ -546,12 +641,12 @@ class HomologyPresentation(Homology):
                                            compare=False)
 
     def _sides(self, of) -> tuple[dict, dict]:
-        """of(A, theory, m, d, S) for d_m = d_n and d_{n+1}."""
+        """of(A, theory, m, d, S, model) for d_m = d_n and d_{n+1}."""
         A = self.algebra()
         if A is None:
             raise TowerError("the algebra of this homology is gone")
-        return tuple(of(A, self.theory, self.n + k, self.d, self.S)
-                     for k in (0, 1))
+        return tuple(of(A, self.theory, self.n + k, self.d, self.S,
+                        self.slice.model) for k in (0, 1))
 
     def _ranked_dim(self) -> int:
         return _dim_from_ranks(self.slice, *self._sides(differential_ranks))
@@ -573,17 +668,18 @@ def _dim_from_ranks(sl: TowerSlice, out: dict, into: dict) -> int:
 
 
 def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
-             S: int = 3) -> HomologyPresentation:
+             S: int = 3, model: str = "bar") -> HomologyPresentation:
     """Homology of the chosen tower in bidegree (n, d), truncated at depth
-    S where the tower is infinite (see truncation); memoised.
+    S where the tower is infinite (see truncation), on the chain groups of
+    the model; memoised.
 
     Nothing is eliminated here: the record's dim comes from the ranks of
     d_n and d_{n+1}, and its bases from their shared eliminations, each
     when first read.
     """
     t = theory_key(theory)
-    sl = build_tower(A, t, n, d, S)
-    cache = A.memo("homology")
+    sl = build_tower(A, t, n, d, S, model)
+    cache = _memo(A, model, "homology")
     depth = (t, n, d, sl.S)  # S only where the tower is truncated at -S
     pres = cache.get(depth)
     if pres is None:
@@ -618,19 +714,19 @@ def truncation(A: AlgebraPresentation,
     and the projection is an isomorphism."""
     if not H.slice.truncated:
         return Truncation("stable", None)
-    t, n, d, S = H.theory, H.n, H.d, H.S + 1
-    big = build_tower(A, t, n, d, S)
+    t, n, d, S, model = H.theory, H.n, H.d, H.S + 1, H.slice.model
+    big = build_tower(A, t, n, d, S, model)
     image = SubspaceBasis(0)
     if H.complement:
-        down = build_tower(A, t, n - 1, d, S)
+        down = build_tower(A, t, n - 1, d, S, model)
         project = slice_shift_map(A, big, H.slice, 0)
         image = echelonize_in([
             H.coords(project(_placed(z, runs)))
             for key, runs in zip(big.blocks, big.runs())
             for z in null_space(_block_columns(A, big, down, key))[0].vectors
         ], H.dim)
-    stable = H.dim == _dim_from_ranks(big, *(
-        differential_ranks(A, t, n + k, d, S) for k in (0, 1))) == image.dim
+    ranks = (differential_ranks(A, t, n + k, d, S, model) for k in (0, 1))
+    stable = H.dim == _dim_from_ranks(big, *ranks) == image.dim
     return Truncation("stable" if stable else "truncation-limited", image)
 
 

@@ -295,36 +295,60 @@ def test_graded_compute_builds_no_bases(monkeypatch):
 
 
 def test_truncated_compute_ranks_nothing_apart(monkeypatch):
-    # compute runs the truncation check, which reads the bases, before it
-    # reads dim: on the truncated towers of the dual numbers every depth-S
-    # dimension comes from the eliminations, with no rank pass of its own.
-    # The depth S + 1 dimensions come from ranks, one per block of each
+    # the truncation check reads the bases before dim is read: on the bar
+    # towers of the dual numbers, driven as compute drives a window
+    # (homology, then truncation, per bidegree), every depth-S dimension
+    # comes from the eliminations, with no rank pass of its own.  The
+    # depth S + 1 dimensions come from ranks, one per block of each
     # differential; the check at n eliminates the cycles of d_n there and
     # never runs an elimination on d_{n+1} there.
     counted = CountedReductions(monkeypatch)
-    check = cli.truncation
     deeper = []  # (n of the check, source slice of each elimination)
-
-    def checking(A, H):
-        start = len(counted.eliminated), len(counted.spans)
-        out = check(A, H)
-        tags = counted.eliminated[start[0]:] + counted.spans[start[1]:]
-        deeper.extend((H.n, src) for src, _, _ in filter(None, tags)
-                      if src[3] == S + 1)
-        return out
-
-    monkeypatch.setattr(cli, "truncation", checking)
     S = 3
     for theory in ("hcminus", "hcper"):
-        status, report = run(RunConfig(fixture("dual_numbers.alg"),
-                                       "compute", theory, 0, 6, S))
-        assert status == 0, theory
-        assert "truncation-limited" in {e["flag"] for e in report["entries"]}
+        A = load_presentation(fixture("dual_numbers.alg"))
+        entries = []
+        for n, D in cyclic.bidegree_window(A, 6, 0):
+            H = cyclic.homology(A, theory, n, D, S)
+            start = len(counted.eliminated), len(counted.spans)
+            flag = cyclic.truncation(A, H).flag
+            entries.append((H.dim, flag))
+            tags = counted.eliminated[start[0]:] + counted.spans[start[1]:]
+            deeper.extend((n, src) for src, _, _ in filter(None, tags)
+                          if src[3] == S + 1)
+        assert "truncation-limited" in {flag for _, flag in entries}, theory
     # source slices are (theory, n, d, S)
     assert counted.ranked and None not in counted.ranked
     assert {src[3] for src, _, _ in counted.ranked} == {S + 1}
     assert max(Counter(counted.ranked).values()) == 1
     assert deeper and all(src[1] == n for n, src in deeper)
+
+
+def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
+                                                           tmp_path):
+    # compute on ungraded F2[x]/(f) builds no bar chain group or column;
+    # a graded input and an ungraded one on two generators keep the bar
+    # complex, and build no small one
+    loaded = []
+
+    def load(path):
+        loaded.append(load_presentation(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_presentation", load)
+    two = tmp_path / "two.alg"
+    two.write_text("[options]\ngraded = false\n[generators]\nx 0\ny 0\n"
+                   "[relations]\nx^2\ny^2\n")
+    for path, small in ((fixture("dual_numbers.alg"), True),
+                        (fixture("f4.alg"), True),
+                        (fixture("poly_x.alg"), False), (str(two), False)):
+        for theory in ("hh", "hc", "hcminus", "hcper"):
+            run(RunConfig(path, "compute", theory, 2, 1, 1))
+            A = loaded[-1]
+            bar = A.memo("hochschild_basis"), A.memo("mixed_columns")
+            assert A.memo("homology" if not small else "small homology")
+            assert not any(bar) if small else all(bar), (path, theory)
+            assert bool(A.memo("small_columns")) is small, (path, theory)
 
 
 def test_verify_approx_checks_each_truncation_once(monkeypatch):

@@ -23,6 +23,7 @@ from conftest import (
     oracle_unkept_homology,
     slice_basis,
     small_presentations,
+    ungraded_x,
 )
 from cyclo2.approx import verify_squares
 from cyclo2.cli import load_presentation
@@ -488,6 +489,43 @@ def test_truncation_matches_oracle_on_draws(A, S):
     window = [(t, n) for t in ("minus", "per") for n in range(-2, 3)]
     _assert_truncation_matches_oracle(lambda: dataclasses.replace(A), S,
                                       window)
+
+
+def _assert_small_model_matches_bar(A, S, top):
+    """Every theory at depth S, n from -2 up to where the bar check reads
+    C_top: the truncation check at n ranks d_{n+1} at depth S + 1, whose
+    left column is C_{n+2S+3}.  The small model gives the bar path's dim
+    and flag, and builds no bar chain group."""
+    for t in THEORY_BOUNDS:
+        for n in range(-2, top - 2 * S - 2):
+            bar_groups = len(A.memo("hochschild_basis"))
+            H = homology(A, t, n, 0, S, "small")
+            small = H.dim, truncation(A, H).flag
+            assert len(A.memo("hochschild_basis")) == bar_groups
+            H = homology(A, t, n, 0, S)
+            assert small == (H.dim, truncation(A, H).flag), (A.name, t, n, S)
+
+
+def test_small_model_matches_bar_on_every_low_degree_f():
+    # every f of degree 1 to 3 (degree 1: A = F2, where C_k = 0 for k >= 1
+    # and M_k = F2), and four of degree 4, separable and not
+    for m in (1, 2, 3):
+        for low in range(2 ** m):
+            exps = [e for e in range(m) if low >> e & 1]
+            A = ungraded_x(m, *exps, name=f"x^{m} + {exps}")
+            for S in (1, 2, 3, 4):
+                _assert_small_model_matches_bar(A, S, 12 if m < 3 else 10)
+    for exps in ((), (0,), (1, 0), (3, 2, 0)):
+        A = ungraded_x(4, *exps, name=f"x^4 + {list(exps)}")
+        for S in (1, 2):
+            _assert_small_model_matches_bar(A, S, 7)
+
+
+@settings(max_examples=10)
+@given(small_presentations().filter(lambda A: not A.graded),
+       st.integers(1, 4))
+def test_small_model_matches_bar_on_draws(A, S):
+    _assert_small_model_matches_bar(A, S, 10)
 
 
 def test_bounded_ranks_match_plain_ranks(monkeypatch):
