@@ -337,7 +337,8 @@ def small_columns(A: AlgebraPresentation, op: str, k: int) -> tuple[int, ...]:
     even k, b is g -> f'g mod f and B is g -> g', the formal derivative of
     the reduced g; this B leaves out the homotopy-transfer term
     i ((g f') div f) on M_{2i} (from the Tate-de Rham model F2[x]<y>,
-    dy = f), which changes no dimension and no truncation flag."""
+    dy = f), which changes no dimension and no truncation flag on any f of
+    degree <= 6 at |n| <= 8, S <= 6, under the four theories."""
     table = A.memo("small_columns")
     cols = table.get((op, k))
     if cols is None:
