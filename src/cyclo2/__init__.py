@@ -64,6 +64,5 @@ from .hochschild import (
     shuffle_product,
     shuffles,
 )
-from .cli import load_presentation
 
 __version__ = "0.1.0"

@@ -233,7 +233,7 @@ def _verdict(sp_dim: int, H: HomologyPresentation, trunc: Truncation,
             return "iso", ""
         return "not_iso", "stable dimensions differ or rank deficient"
     # truncation-limited: only persistent evidence is trusted
-    p = trunc.persistent_image.dim
+    p = trunc.persistent
     if sp_dim < p:
         return "not_iso", ("source dimension below persistent class rank "
                            f"({sp_dim} < {p})")

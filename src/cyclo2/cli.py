@@ -247,7 +247,7 @@ def cmd_spectral(A: AlgebraPresentation, cfg: RunConfig) -> dict:
         for t in range(0, cfg.max_homological + 1):
             for D in (range(0, cfg.max_internal + 1) if A.graded else (0,)):
                 # E2 reads E1's bases, which record the ranks e1.dim reads
-                dim2, _ = e2_page(A, alpha, beta, s, t, D)
+                dim2 = e2_page(A, alpha, beta, s, t, D)
                 e1 = e1_page(A, alpha, beta, s, t, D)
                 dim1 = e1.dim if e1 is not None else 0
                 if dim1 or dim2:
@@ -350,7 +350,8 @@ def main(argv=None) -> int:
         print(f"cyclo2: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant failures
-        print(f"cyclo2: internal error: {exc}", file=sys.stderr)
+        print(f"cyclo2: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
     if config.format == "json":
         print(json.dumps(report, indent=2, sort_keys=False))

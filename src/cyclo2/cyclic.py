@@ -43,17 +43,18 @@ pass to run.
 
 The chain groups come from one of two mixed complexes, the model of a
 slice; the towers, ranks, homology records and the truncation check run
-the same code on both, and each model keeps its own memo tables.  "bar"
-is the normalized bar complex above.  "small", for an ungraded
-presentation on one generator, A = F2[x]/(f), is the 2-periodic mixed
-complex M_k = A of its resolution (Buenos Aires Cyclic Homology Group,
-"Cyclic homology of algebras with one generator", K-Theory 5, 1991),
-deg f basis vectors per degree where C_k has deg f (deg f - 1)^k words.
+the same code on both, and the model is part of every memo key of a
+slice, a shape and a record.  "bar" is the normalized bar complex above.
+"small", for an ungraded presentation on one generator, A = F2[x]/(f), is
+the 2-periodic mixed complex M_k = A of its resolution (Buenos Aires
+Cyclic Homology Group, "Cyclic homology of algebras with one generator",
+K-Theory 5, 1991), deg f basis vectors per degree where C_k has
+deg f (deg f - 1)^k words.
 Quasi-isomorphic mixed complexes give the same truncated-tower homology
 (Loday, Cyclic Homology, 5.1), and the tests hold the small model's dims
-and flags to the bar model's; compute reads it (chain_model).  Class
-coordinates of bar chains (verify-approx, spectral, tables) read the bar
-model.
+and flags to the bar model's; compute reads it (chain_model).
+verify-approx and spectral read class coordinates of bar chains, so they
+read the bar model.
 
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
@@ -357,27 +358,6 @@ def small_columns(A: AlgebraPresentation, op: str, k: int) -> tuple[int, ...]:
     return cols
 
 
-def _chain_group(A: AlgebraPresentation, model: str, k: int, d: int):
-    """The basis of the degree-k chain group of the model at internal
-    degree d: a HochschildBasis or a SmallGroup."""
-    return small_group(A, k) if model == "small" else hochschild_basis(A, k, d)
-
-
-def _chain_columns(A: AlgebraPresentation, model: str, op: str, k: int,
-                   d: int) -> tuple[int, ...]:
-    """The b or B columns of the degree-k chain group of the model, on the
-    target's block of each source word (mixed_columns, small_columns)."""
-    if model == "small":
-        return small_columns(A, op, k)
-    return mixed_columns(A, op, k, d)
-
-
-def _memo(A: AlgebraPresentation, model: str, name: str) -> dict:
-    """The memo table called name of the model: bar and small records never
-    share one."""
-    return A.memo(name if model == "bar" else f"{model} {name}")
-
-
 def mixed_matrix(A: AlgebraPresentation, op: str, k: int, d: int) -> F2Matrix:
     """mixed_columns(A, op, k, d) as a matrix on the whole bases."""
     src = hochschild_basis(A, k, d)
@@ -401,12 +381,12 @@ class TowerSlice:
     n: int
     d: int
     S: int
+    model: str
     p_min: int
     p_max: int
     truncated: bool
     parts: tuple[HochschildBasis | SmallGroup, ...]
     offsets: tuple[int, ...]
-    model: str
 
     @property
     def dim(self) -> int:
@@ -467,17 +447,18 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
     on the chain groups of the model."""
     t = theory_key(theory)
     p_min, p_max, truncated = _p_range(A, t, n, d, S)
-    key = (t, n, d, S if truncated else 0)
-    cache = _memo(A, model, "tower")
+    key = (t, n, d, S if truncated else 0, model)
+    cache = A.memo("tower")
     if key in cache:
         return cache[key]
-    parts = tuple(_chain_group(A, model, n - 2 * p, d)
+    parts = tuple(small_group(A, n - 2 * p) if model == "small"
+                  else hochschild_basis(A, n - 2 * p, d)
                   for p in range(p_min, p_max + 1))
     offsets = [0]
     for hb in parts:
         offsets.append(offsets[-1] + hb.dim)
     cache[key] = TowerSlice(*key, p_min, p_max, truncated, parts,
-                            tuple(offsets), model)
+                            tuple(offsets))
     return cache[key]
 
 
@@ -544,35 +525,33 @@ def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
     cols: list[int] = []
     for p, start, stop, _ in src.blocks[key]:
         k = src.n - 2 * p
-        off = place.get(p)
-        if off is None:
-            part = [0] * (stop - start)
-        else:
-            part = [v << off for v in
-                    _chain_columns(A, src.model, "b", k, src.d)[start:stop]]
-        off = place.get(p - 1)
-        if off is not None:
-            B = _chain_columns(A, src.model, "B", k, src.d)[start:stop]
-            part = [vb ^ (vB << off) for vb, vB in zip(part, B)]
+        part = [0] * (stop - start)
+        for op, off in (("b", place.get(p)), ("B", place.get(p - 1))):
+            if off is not None:
+                image = (small_columns(A, op, k) if src.model == "small"
+                         else mixed_columns(A, op, k, src.d))
+                part = [v ^ (w << off)
+                        for v, w in zip(part, image[start:stop])]
         cols.extend(part)
     return cols
 
 
-def _shape_key(A: AlgebraPresentation, t: str, n: int, d: int,
-               S: int) -> tuple:
-    """The shape of d_n: T_n -> T_{n-1}: (d, columns of T_n, columns of
-    T_{n-1}), columns being the k of C_{k,d} at the left and right ends of
-    a slice, () if it is empty.  _block_columns reads only these (b sends
-    C_k to the column of C_{k-1}, B to that of C_{k+1}), so d_n of one
-    shape have equal blocks and block columns, whatever the theory, n or
-    depth.  The towers are periodic (Loday, Cyclic Homology, 5.1): graded,
-    the minus slice at n <= 1 and the periodic one hold every C_{k,d} with
-    k <= d and k = n mod 2; ungraded, the periodic slice at depth S + 1 is
-    the one at n + 2 and depth S."""
+def _shape_key(A: AlgebraPresentation, t: str, n: int, d: int, S: int,
+               model: str = "bar") -> tuple:
+    """The shape of d_n: T_n -> T_{n-1} on the chain groups of the model:
+    (d, columns of T_n, columns of T_{n-1}, model), columns being the k of
+    C_{k,d} at the left and right ends of a slice, () if it is empty.
+    _block_columns reads only these (b sends C_k to the column of C_{k-1},
+    B to that of C_{k+1}), so d_n of one shape have equal blocks and block
+    columns, whatever the theory, n or depth.  The towers are periodic
+    (Loday, Cyclic Homology, 5.1): graded, the minus slice at n <= 1 and
+    the periodic one hold every C_{k,d} with k <= d and k = n mod 2;
+    ungraded, the periodic slice at depth S + 1 is the one at n + 2 and
+    depth S."""
     def columns(m: int) -> tuple:
         p_min, p_max, _ = _p_range(A, t, m, d, S)
         return (m - 2 * p_min, m - 2 * p_max) if p_min <= p_max else ()
-    return d, columns(n), columns(n - 1)
+    return d, columns(n), columns(n - 1), model
 
 
 def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
@@ -586,13 +565,13 @@ def differential_ranks(A: AlgebraPresentation, theory: str, n: int, d: int,
     rank in d_{n-1} and cols - its rank in d_{n+1}, and rank_of stops at
     the bound that the neighbours' shapes, once memoised, give."""
     t = theory_key(theory)
-    table = _memo(A, model, "differential_rank")
-    shape = _shape_key(A, t, n, d, S)
+    table = A.memo("differential_rank")
+    shape = _shape_key(A, t, n, d, S, model)
     ranks = table.get(shape)
     if ranks is None:
         src, tgt = (build_tower(A, t, m, d, S, model) for m in (n, n - 1))
-        below = table.get(_shape_key(A, t, n - 1, d, S), {})
-        above = table.get(_shape_key(A, t, n + 1, d, S), {})
+        below = table.get(_shape_key(A, t, n - 1, d, S, model), {})
+        above = table.get(_shape_key(A, t, n + 1, d, S, model), {})
         ranks = table[shape] = {
             key: rank_of(_block_columns(A, src, tgt, key), min(
                 _block_dim(tgt.blocks.get(key)) - below.get(key, 0),
@@ -609,8 +588,8 @@ def differential_bases(A: AlgebraPresentation, theory: str, n: int, d: int,
     elimination per block and shape; memoised, so every homology beside a
     d_n of that shape shares it, and its ranks go to differential_ranks."""
     t = theory_key(theory)
-    table = _memo(A, model, "differential")
-    shape = _shape_key(A, t, n, d, S)
+    table = A.memo("differential")
+    shape = _shape_key(A, t, n, d, S, model)
     pairs = table.get(shape)
     if pairs is None:
         src, tgt = (build_tower(A, t, m, d, S, model) for m in (n, n - 1))
@@ -620,7 +599,7 @@ def differential_bases(A: AlgebraPresentation, theory: str, n: int, d: int,
             _, kernel, image = rank_kernel_image(
                 F2Matrix(rows, tuple(_block_columns(A, src, tgt, key))))
             pairs[key] = (kernel, image)
-        _memo(A, model, "differential_rank").setdefault(
+        A.memo("differential_rank").setdefault(
             shape, {key: image.dim for key, (_, image) in pairs.items()})
     return pairs
 
@@ -680,8 +659,8 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
     """
     t = theory_key(theory)
     sl = build_tower(A, t, n, d, S, model)
-    cache = _memo(A, model, "homology")
-    depth = (t, n, d, sl.S)  # S only where the tower is truncated at -S
+    cache = A.memo("homology")
+    depth = (t, n, d, sl.S, model)  # S only where truncated at -S
     pres = cache.get(depth)
     if pres is None:
         pres = cache[depth] = HomologyPresentation(
@@ -693,12 +672,12 @@ def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
 class Truncation(NamedTuple):
     """The check of a homology truncated at depth S against depth S + 1.
 
-    flag is "stable" or "truncation-limited"; persistent_image is the span,
-    in the class coordinates of the depth-S homology, of the classes that
-    lift one column deeper (None where the tower is not truncated)."""
+    flag is "stable" or "truncation-limited"; persistent is the rank of
+    the classes of the depth-S homology that lift one column deeper (None
+    where the tower is not truncated)."""
 
     flag: str
-    persistent_image: Optional[SubspaceBasis]
+    persistent: Optional[int]
 
 
 def truncation(A: AlgebraPresentation,
@@ -711,30 +690,31 @@ def truncation(A: AlgebraPresentation,
     eliminated block by block and not kept, are placed in the slice and
     projected to depth S.  The projection is a chain map, so it sends
     boundaries to boundaries, and their classes span the image of the
-    homology at S + 1.  The flag is stable only if the dimensions agree
-    and the projection is an isomorphism."""
+    homology at S + 1, whose rank is the persistent rank.  The flag is
+    stable only if the dimensions agree and the projection is an
+    isomorphism."""
     if not H.slice.truncated:
         return Truncation("stable", None)
     t, n, d, S, model = H.theory, H.n, H.d, H.S + 1, H.slice.model
     big = build_tower(A, t, n, d, S, model)
-    image = SubspaceBasis(0)
+    persistent = 0
     if H.complement:
         down = build_tower(A, t, n - 1, d, S, model)
-        project = slice_shift_map(A, big, H.slice, 0)
-        image = echelonize_in([
+        project = slice_shift_map(big, H.slice, 0)
+        persistent = echelonize_in([
             H.coords(project(_placed(z, runs)))
             for key, runs in zip(big.blocks, big.runs())
             for z in null_space(_block_columns(A, big, down, key))[0].vectors
-        ], H.dim)
+        ], H.dim).dim
     ranks = (differential_ranks(A, t, n + k, d, S, model) for k in (0, 1))
-    stable = H.dim == _dim_from_ranks(big, *ranks) == image.dim
-    return Truncation("stable" if stable else "truncation-limited", image)
+    stable = H.dim == _dim_from_ranks(big, *ranks) == persistent
+    return Truncation("stable" if stable else "truncation-limited", persistent)
 
 
 # ----- maps of the three long exact sequences -----
 
-def class_map(A: AlgebraPresentation, src: HomologyPresentation,
-              tgt: HomologyPresentation, chain_map) -> F2Matrix:
+def class_map(src: HomologyPresentation, tgt: HomologyPresentation,
+              chain_map) -> F2Matrix:
     """Matrix of a chain-level map on homology classes.
 
     chain_map takes a slice vector of src and returns a slice vector of tgt;
@@ -745,8 +725,7 @@ def class_map(A: AlgebraPresentation, src: HomologyPresentation,
     return F2Matrix(len(tgt.complement), tuple(cols))
 
 
-def slice_shift_map(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
-                    shift: int):
+def slice_shift_map(src: TowerSlice, tgt: TowerSlice, shift: int):
     """Vector map moving column p to p + shift, dropping cut components.
 
     Column p of src and column p + shift of tgt must hold the same C_{k,d},
@@ -780,10 +759,10 @@ def connecting_map(A: AlgebraPresentation,
     and the boundary dx comes back to L_{n-1} by the shift -i_shift.  Both
     steps are checked exactly: p(x) = z and i(w) = dx.
     """
-    lift = slice_shift_map(A, HN.slice, M_n, -p_shift)
-    p_map = slice_shift_map(A, M_n, HN.slice, p_shift)
-    back = slice_shift_map(A, M_n1, HL.slice, -i_shift)
-    i_map = slice_shift_map(A, HL.slice, M_n1, i_shift)
+    lift = slice_shift_map(HN.slice, M_n, -p_shift)
+    p_map = slice_shift_map(M_n, HN.slice, p_shift)
+    back = slice_shift_map(M_n1, HL.slice, -i_shift)
+    i_map = slice_shift_map(HL.slice, M_n1, i_shift)
     cols = []
     for z in HN.complement:
         x = lift(z)
@@ -865,14 +844,14 @@ def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
     L_n1 = homology(A, tl, n - 1 + ol, d, S_L)
     M_n1 = homology(A, tm, n - 1 + om, d, S)
 
-    i_map = slice_shift_map(A, L_n.slice, M_n.slice, i_shift)
-    p_map = slice_shift_map(A, M_n.slice, N_n.slice, p_shift)
-    i_next_map = slice_shift_map(A, L_n1.slice, M_n1.slice, i_shift)
-    mats = (class_map(A, L_n, M_n, i_map),
-            class_map(A, M_n, N_n, p_map),
+    i_map = slice_shift_map(L_n.slice, M_n.slice, i_shift)
+    p_map = slice_shift_map(M_n.slice, N_n.slice, p_shift)
+    i_next_map = slice_shift_map(L_n1.slice, M_n1.slice, i_shift)
+    mats = (class_map(L_n, M_n, i_map),
+            class_map(M_n, N_n, p_map),
             connecting_map(A, N_n, L_n1, M_n.slice, M_n1.slice, p_shift,
                            i_shift),
-            class_map(A, L_n1, M_n1, i_next_map))
+            class_map(L_n1, M_n1, i_next_map))
     return LESData(which, n, d,
                    spaces=dict(zip(ses.spaces, (L_n, M_n, N_n, L_n1, M_n1))),
                    maps=dict(zip(ses.maps, mats)))
@@ -896,19 +875,16 @@ def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int,
     if src is None or tgt is None:
         return None
     # both E^1 slices are one column, C_{t-s,d} and C_{t-s+1,d}, at offset 0
-    return class_map(A, src, tgt, mixed_matrix(A, "B", t - s, d).apply)
+    return class_map(src, tgt, mixed_matrix(A, "B", t - s, d).apply)
 
 
 def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int,
-            d: int) -> tuple[int, list[int]]:
-    """Dimension and basis (E^1 class coordinates, as bitmasks) of
-    E^2_{s,t}."""
+            d: int) -> int:
+    """Dimension of E^2_{s,t}: dim E^1 - rank d^1 out - rank d^1 in, as
+    d^1 d^1 = 0.  Both d^1 are built before e1.dim is read: they read the
+    bases of E^1, whose eliminations record the ranks that e1.dim reads."""
     e1 = e1_page(A, alpha, beta, s, t, d)
     if e1 is None:
-        return 0, []
-    out_mat = d1_matrix(A, alpha, beta, s, t, d)
-    in_mat = d1_matrix(A, alpha, beta, s + 1, t, d)
-    out_cols = out_mat.columns if out_mat is not None else [0] * e1.dim
-    in_cols = in_mat.columns if in_mat is not None else []
-    comp = Homology.from_columns(out_cols, in_cols).complement
-    return len(comp), list(comp)
+        return 0
+    d1 = [d1_matrix(A, alpha, beta, s + k, t, d) for k in (0, 1)]
+    return e1.dim - sum(rank_of(m.columns) for m in d1 if m is not None)

@@ -236,34 +236,24 @@ def mu_chain(A: AlgebraPresentation, x: UChain, y: UChain) -> UChain:
     theory = _combine_theories(x.theory, y.theory)
     acc: dict[int, set] = {}
     one = A.one
-
-    def add_word(exp: int, w: BarWord):
-        acc.setdefault(exp, set()).symmetric_difference_update({w})
-
     for i, ci in x.entries:
         for j, cj in y.entries:
+            # shuffle part at u^{i+j}
+            if not (theory == "plus" and i + j > 0):
+                acc.setdefault(i + j, set()).symmetric_difference_update(
+                    shuffle_product(A, ci, cj))
+            # cyclic-shuffle part at u^{i+j+1}; dies if a head is 1
+            if theory == "plus" and i + j + 1 > 0:
+                continue
+            cyclic = acc.setdefault(i + j + 1, set())
             for (h1, b1) in ci:
                 for (h2, b2) in cj:
-                    p, q = len(b1), len(b2)
-                    # shuffle part at u^{i+j}
-                    e0 = i + j
-                    if not (theory == "plus" and e0 > 0):
-                        heads = A.mul(h1, h2)
-                        content = b1 + b2
-                        for tau in shuffles(p, q):
-                            bars = act(tau, content)
-                            for h in heads:
-                                add_word(e0, (h, bars))
-                    # cyclic-shuffle part at u^{i+j+1}; dies if a head is 1
                     if h1 == one or h2 == one:
                         continue
-                    e1 = i + j + 1
-                    if theory == "plus" and e1 > 0:
-                        continue
                     content = (h1,) + b1 + (h2,) + b2
-                    for sigma in cyclic_shuffles(p + 1, q + 1):
-                        bars = act_inverse(sigma, content)
-                        add_word(e1, (one, bars))
+                    for sigma in cyclic_shuffles(len(b1) + 1, len(b2) + 1):
+                        cyclic.symmetric_difference_update(
+                            {(one, act_inverse(sigma, content))})
     return UChain.make(theory, {i: frozenset(s) for i, s in acc.items()})
 
 

@@ -512,11 +512,12 @@ def oracle_truncation(A, H):
     if not H.slice.truncated:
         return Truncation("stable", None)
     big = oracle_unkept_homology(A, H.theory, H.n, H.d, H.S + 1)
-    project = slice_shift_map(A, big.slice, H.slice, 0)
+    project = slice_shift_map(big.slice, H.slice, 0)
     image = echelonize_in([H.coords(project(v)) for v in big.complement],
                           H.dim)
     stable = H.dim == big.dim == image.dim
-    return Truncation("stable" if stable else "truncation-limited", image)
+    return Truncation("stable" if stable else "truncation-limited",
+                      image.dim)
 
 
 # ----- the connecting map by solving, kept as a slow oracle -----
@@ -793,8 +794,8 @@ def oracle_verify_squares(A, max_homological, max_internal, S=3):
             mu = _oracle_matrix(A, sp2, ell("ell", n, d), map_u)
             psi_n, _, H_n = psi_matrix(A, "hcminus", n, D, S)
             psi_n2, _, H_n2 = psi_matrix(A, "hcminus", n + 2, D, S)
-            u_star = class_map(A, H_n2, H_n,
-                               slice_shift_map(A, H_n2.slice, H_n.slice, -1))
+            u_star = class_map(H_n2, H_n,
+                               slice_shift_map(H_n2.slice, H_n.slice, -1))
             residual("psi.u=u.psi", n, D, psi_n.compose(mu),
                      u_star.compose(psi_n2))
         # h . psi = eps . r  (ell (n,d) -> HH_n)
@@ -802,8 +803,8 @@ def oracle_verify_squares(A, max_homological, max_internal, S=3):
         if sp.dim:
             psi_n, _, H_n = psi_matrix(A, "hcminus", n, D, S)
             Hh = homology(A, "hh", n, D, S)
-            h_star = class_map(A, H_n, Hh,
-                               slice_shift_map(A, H_n.slice, Hh.slice, 0))
+            h_star = class_map(H_n, Hh,
+                               slice_shift_map(H_n.slice, Hh.slice, 0))
             mr = _oracle_matrix(A, sp, omega_basis(A, n, D), map_r)
             eps = _eps_matrix(A, n, D, Hh)
             residual("h.psi=eps.r", n, D, h_star.compose(psi_n),
@@ -825,8 +826,8 @@ def oracle_verify_squares(A, max_homological, max_internal, S=3):
             mI = _oracle_matrix(A, som, ell("ell_plus", n, d), map_I)
             psip, _, Hc = psi_matrix(A, "hc", n, D, S)
             Hh = homology(A, "hh", n, D, S)
-            I_star = class_map(A, Hh, Hc,
-                               slice_shift_map(A, Hh.slice, Hc.slice, 0))
+            I_star = class_map(Hh, Hc,
+                               slice_shift_map(Hh.slice, Hc.slice, 0))
             eps = _eps_matrix(A, n, D, Hh)
             residual("psi+.I=I.eps", n, D, psip.compose(mI),
                      I_star.compose(eps))
@@ -845,8 +846,8 @@ def oracle_verify_squares(A, max_homological, max_internal, S=3):
             mi = _oracle_matrix(A, sp, ell("ell_per", n, d), map_iota)
             psim, _, Hm = psi_matrix(A, "hcminus", n, D, S)
             psiper, _, Hp = psi_matrix(A, "hcper", n, D, S)
-            iota_star = class_map(A, Hm, Hp,
-                                  slice_shift_map(A, Hm.slice, Hp.slice, 0))
+            iota_star = class_map(Hm, Hp,
+                                  slice_shift_map(Hm.slice, Hp.slice, 0))
             residual("psiper.iota=iota.psi", n, D, psiper.compose(mi),
                      iota_star.compose(psim))
         # per diagram: psi+ . S = S* . psi_per  (ell_per (n,d) -> HC_{n-2})

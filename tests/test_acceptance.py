@@ -258,7 +258,7 @@ def test_criterion_07_spectral_sequence():
     for t in range(0, 9):
         for s in range(-3, 1):
             for D in range(0, 9):
-                dim, _ = e2_page(PX, None, 0, s, t, D)
+                dim = e2_page(PX, None, 0, s, t, D)
                 if s == 0:
                     # Ker(d : Omega^t -> Omega^{t+1}) at internal D
                     sp = omega_basis(PX, t, D)

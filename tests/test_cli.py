@@ -196,6 +196,17 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     assert "cyclo2" in capsys.readouterr().err
 
 
+def test_internal_error_names_the_exception(monkeypatch, capsys):
+    # str(MemoryError()) is empty, so the line must carry the type name
+    def out_of_memory(A, cfg):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_compute", out_of_memory)
+    argv = ["--input", fixture("f2.alg"), "--command", "compute"]
+    assert main(argv) == 1
+    assert "cyclo2: internal error: MemoryError" in capsys.readouterr().err
+
+
 def test_console_script_runs():
     # the child imports cyclo2 from where this process found it
     src = os.path.dirname(os.path.dirname(cyclo2.__file__))
@@ -207,6 +218,8 @@ def test_console_script_runs():
          "--max-homological", "4", "--format", "json"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+    # the package does not import cyclo2.cli, so runpy loads it only once
+    assert "RuntimeWarning" not in proc.stderr
     data = json.loads(proc.stdout)
     assert data["schema"] == 1
 
@@ -346,7 +359,10 @@ def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
             run(RunConfig(path, "compute", theory, 2, 1, 1))
             A = loaded[-1]
             bar = A.memo("hochschild_basis"), A.memo("mixed_columns")
-            assert A.memo("homology" if not small else "small homology")
+            model = "small" if small else "bar"
+            assert A.memo("homology")
+            assert all(h.slice.model == model
+                       for h in A.memo("homology").values()), (path, theory)
             assert not any(bar) if small else all(bar), (path, theory)
             assert bool(A.memo("small_columns")) is small, (path, theory)
 
