@@ -42,10 +42,9 @@ from .ell import (
     EllElement,
     ell_bidegree,
     ell_degree_basis,
-    ell_mon_mul,
     model_matrix,
     model_space,
-    plus_mon_mul,
+    mon_mul,
 )
 from .f2linalg import F2Matrix, rank_of
 from .gralg import AlgebraPresentation
@@ -100,33 +99,27 @@ def chain_of_monomial(A: AlgebraPresentation, mon: tuple) -> UChain:
     cache = A.memo("psi_chain")
     if mon in cache:
         return cache[mon]
-    kind = mon[0]
-    if kind == "e":
-        _, j, phi, q, dl = mon
-        if j < 0:  # only ell_per has u^{-1}: the u^0 chain, moved down
-            x = chain_of_monomial(A, ("e", 0, phi, q, dl))
-            x = UChain.make("per", {i + j: c for i, c in x.entries})
-        elif phi:
-            sub = ("e", j, phi[:-1], q, dl)
-            x = mu_chain(A, chain_of_monomial(A, sub),
-                         psi_generator_image(A, ("phi", phi[-1])))
-        elif q:
-            sub = ("e", j, phi, q[:-1], dl)
-            x = mu_chain(A, chain_of_monomial(A, sub),
-                         psi_generator_image(A, ("q", q[-1])))
-        elif dl:
-            sub = ("e", j, phi, q, dl[:-1])
-            x = mu_chain(A, chain_of_monomial(A, sub),
-                         psi_generator_image(A, ("delta", dl[-1])))
+    kind, j = mon[:2]
+    if kind == "e" and j < 0:
+        # only ell_per has u^{-1}: the u^0 chain, moved down
+        x = chain_of_monomial(A, ("e", 0) + mon[2:])
+        x = UChain.make("per", {i + j: c for i, c in x.entries})
+    elif kind == "e":
+        # peel the last factor off: phi first, then q, then delta
+        for k, gen in ((2, "phi"), (3, "q"), (4, "delta")):
+            if mon[k]:
+                sub = mon[:k] + (mon[k][:-1],) + mon[k + 1:]
+                x = mu_chain(A, chain_of_monomial(A, sub),
+                             psi_generator_image(A, (gen, mon[k][-1])))
+                break
         else:
             x = UChain.make("minus", {j: _word(A, A.one)})
     elif kind == "g":
-        _, phi, q, dl, m = mon
-        coeff = chain_of_monomial(A, ("e", 0, phi, q, dl))
-        x = mu_chain(A, coeff, psi_generator_image(A, ("gamma", m)))
+        coeff = chain_of_monomial(A, ("e",) + mon[1:5])
+        x = mu_chain(A, coeff, psi_generator_image(A, ("gamma", mon[5])))
     elif kind == "v":
-        _, j, phi, q, dl = mon  # u^j v^0 for j > 0, else v^{-j}
-        coeff = chain_of_monomial(A, ("e", max(j, 0), phi, q, dl))
+        # u^j v^0 for j > 0, else v^{-j}
+        coeff = chain_of_monomial(A, ("e", max(j, 0)) + mon[2:])
         x = mu_chain(A, coeff, psi_generator_image(A, ("v", max(-j, 0))))
     else:
         raise ApproxError(f"unknown monomial kind {kind!r}")
@@ -288,7 +281,6 @@ def _sample_product_checks(A, t, bidegrees, S, rng, samples):
     for n, D in bidegrees:
         pool_l.extend(ell_degree_basis(A, left_flavor, n, D - n).basis())
         pool_r.extend(ell_degree_basis(A, flavor, n, D - n).basis())
-    mul = plus_mon_mul if t == "plus" else ell_mon_mul
     checks = failures = attempts = 0
     while checks < samples and attempts < samples * 30 and pool_l and pool_r:
         attempts += 1
@@ -299,7 +291,7 @@ def _sample_product_checks(A, t, bidegrees, S, rng, samples):
         if (n, n + d) not in window:
             continue
         H = homology(A, t, n, n + d, S)
-        prod = mul(A, m1, m2)
+        prod = mon_mul(A, m1, m2)
         lhs = psi_class(A, prod, H)
         chain = mu_chain(A, chain_of_monomial(A, m1), chain_of_monomial(A, m2))
         rhs = H.coords(vectorize(A, H.slice, chain))

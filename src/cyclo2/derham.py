@@ -73,16 +73,9 @@ def omega_basis(A: AlgebraPresentation, n: int, d: int) -> PresentedSpace:
     if key in cache:
         return cache[key]
     free: list[FormGen] = []
-    if n >= 0 and (A.graded or d == 0):
-        for T in itertools.combinations(range(A.ngens), n):
-            wdeg = sum(A.degrees[i] for i in T)
-            if A.graded:
-                if wdeg > d:
-                    continue
-                monos = A.degree_basis(d - wdeg)
-            else:
-                monos = A.basis_all()
-            free.extend((m, T) for m in monos)
+    for T in itertools.combinations(range(A.ngens), n) if n >= 0 else ():
+        wdeg = sum(A.degrees[i] for i in T)
+        free.extend((m, T) for m in A.degree_basis(d - wdeg))
     free.sort(key=lambda g: (g[1], grevlex_key(g[0])))
     index = {g: k for k, g in enumerate(free)}
     rows = []
@@ -90,17 +83,10 @@ def omega_basis(A: AlgebraPresentation, n: int, d: int) -> PresentedSpace:
         dg: list[tuple[Monomial, int]] = []
         for mu in g:
             dg.extend(d_monomial(A, mu))
-        gdeg = A.degree(g) if A.graded else 0
+        gdeg = A.degree(g)
         for T in itertools.combinations(range(A.ngens), n - 1):
             wdeg = sum(A.degrees[i] for i in T)
-            if A.graded:
-                rem = d - gdeg - wdeg
-                if rem < 0:
-                    continue
-                mults = A.degree_basis(rem)
-            else:
-                mults = A.basis_all()
-            for mp in mults:
+            for mp in A.degree_basis(d - gdeg - wdeg):
                 v = 0
                 for c, i in dg:
                     if i in T:

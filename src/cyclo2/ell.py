@@ -2,11 +2,15 @@
 
 Monomials are tuples over reduced basis monomials of the input algebra:
 
-  ell       ("e", j, phi, q, dl)   u^j . prod phi(m) . prod q(m) . prod dl(m)
-  per       ("e", j, phi, q, ())   the delta-free ell monomials, j of either sign
-  plus      ("g", phi, q, dl, m)   an ell part times gamma(m)
-            ("v", j, phi, q, ())   a per monomial relabelled: u^j v^0 for j > 0
-                                   and v^{-j} for j <= 0 (u v^i = v^{i-1})
+  ell   ("e", j, phi, q, dl)     u^j . prod phi(m) . prod q(m) . prod dl(m)
+  per   ("e", j, phi, q, ())     the delta-free ell monomials, j of either sign
+  plus  ("g", 0, phi, q, dl, m)  an ell part times gamma(m)
+        ("v", j, phi, q, ())     a per monomial relabelled: u^j v^0 for j > 0
+                                 and v^{-j} for j <= 0 (u v^i = v^{i-1})
+
+so mon[1:5] is always the ell part, and mon[5:] the gamma argument.  One
+product, mon_mul, multiplies within ell and ell_per and lets ell act on
+ell_plus from either side.
 
 All three part tuples are kept squarefree: delta(a)^2 = 0 and q(a)^2 = 0 are
 relations, and a repeated phi factor is rewritten on the spot through
@@ -82,52 +86,40 @@ def _phi_fold(A: AlgebraPresentation, phi: tuple, args) -> frozenset:
     return phis
 
 
-def ell_mon_mul(A: AlgebraPresentation, a: EllMonomial,
-                b: EllMonomial) -> EllElement:
-    """Product of two ell or two ell_per monomials, in canonical form."""
-    _, ja, pa, qa, da = a
-    _, jb, pb, qb, db = b
-    if set(qa) & set(qb) or set(da) & set(db):
-        return ZERO_ELL
+def _merge(A: AlgebraPresentation, x: tuple, y: tuple) -> tuple:
+    """Two parts, each in mono_key order, as one."""
+    return _sorted(A, x + y) if x and y else x or y
+
+
+def mon_mul(A: AlgebraPresentation, a: EllMonomial,
+            b: EllMonomial) -> EllElement:
+    """Product of two ell or two ell_per monomials, or of an ell monomial
+    and an ell_plus one in either order, in canonical form.  The product
+    takes the kind and the gamma argument of the factor that is not "e".
+
+    b's phi parts fold into a's; the rewriting phi(m)^2 -> phi(m^2) has
+    only square leading terms, so it is confluent and the side does not
+    matter."""
+    kind, ja, pa, qa, da = a[:5]
+    kb, jb, pb, qb, db = b[:5]
+    tail = a[5:]
+    if kind == "e":
+        kind, tail = kb, b[5:]
     j = ja + jb
-    q = _sorted(A, qa + qb)
-    dl = _sorted(A, da + db)
-    if j > 0 and dl:
-        return ZERO_ELL  # u delta(a) = 0
-    return frozenset(("e", j, t, q, dl) for t in _phi_fold(A, pa, pb))
+    if (da or db) and (j > 0 or kind == "v") or j > 0 and kind == "g":
+        return ZERO_ELL  # u delta(a) = 0 = delta(a) v^i, u gamma(a) = 0
+    if qa and qb and set(qa) & set(qb) or da and db and set(da) & set(db):
+        return ZERO_ELL
+    q, dl = _merge(A, qa, qb), _merge(A, da, db)
+    return frozenset((kind, j, t, q, dl) + tail for t in _phi_fold(A, pa, pb))
 
 
-def plus_mon_mul(A: AlgebraPresentation, e: EllMonomial,
-                 x: EllMonomial) -> EllElement:
-    """Action of an ell monomial on an ell_plus module monomial."""
-    _, j, phi, q, dl = e
-    if x[0] == "g":
-        _, px, qx, dx, m = x
-        if j > 0:
-            return ZERO_ELL  # u gamma(a) = 0, and u kills the whole orbit
-        if set(q) & set(qx) or set(dl) & set(dx):
-            return ZERO_ELL
-        qm = _sorted(A, q + qx)
-        dm = _sorted(A, dl + dx)
-        return frozenset(("g", t, qm, dm, m) for t in _phi_fold(A, px, phi))
-    if x[0] == "v":
-        _, jx, px, qx, _ = x
-        if dl:
-            return ZERO_ELL  # delta(a) v^i = 0
-        if set(q) & set(qx):
-            return ZERO_ELL
-        qm = _sorted(A, q + qx)
-        return frozenset(("v", j + jx, t, qm, ())  # u v^i = v^{i-1}
-                         for t in _phi_fold(A, px, phi))
-    raise EllError(f"unknown plus monomial {x!r}")
-
-
-def el_mul(A: AlgebraPresentation, e1: EllElement, e2: EllElement,
-           mul=ell_mon_mul) -> EllElement:
+def el_mul(A: AlgebraPresentation, e1: EllElement,
+           e2: EllElement) -> EllElement:
     out: set = set()
     for a in e1:
         for b in e2:
-            out.symmetric_difference_update(mul(A, a, b))
+            out.symmetric_difference_update(mon_mul(A, a, b))
     return frozenset(out)
 
 
@@ -167,7 +159,7 @@ def q_el(A: AlgebraPresentation, p: Poly) -> EllElement:
 def gamma_el(A: AlgebraPresentation, p: Poly) -> EllElement:
     out: set = set()
     for m in p:
-        out.symmetric_difference_update({("g", (), (), (), m)})
+        out.symmetric_difference_update({("g", 0, (), (), (), m)})
     return frozenset(out)
 
 
@@ -179,22 +171,12 @@ def v_mon(i: int) -> EllMonomial:
 
 def ell_bidegree(A: AlgebraPresentation, mon: EllMonomial) -> tuple[int, int]:
     """(homological, upper) bidegree of a monomial of any flavor."""
-    kind = mon[0]
-    if kind in ("e", "v"):
-        _, j, phi, q, dl = mon
-        hom = -2 * j + len(q) + len(dl)
-        up = 2 * j + sum(2 * A.mono_degree(m) for m in phi) \
-            + sum(2 * A.mono_degree(m) - 1 for m in q) \
-            + sum(A.mono_degree(m) - 1 for m in dl)
-        return hom, up
-    if kind == "g":
-        _, phi, q, dl, m = mon
-        hom = len(q) + len(dl)
-        up = A.mono_degree(m) + sum(2 * A.mono_degree(x) for x in phi) \
-            + sum(2 * A.mono_degree(x) - 1 for x in q) \
-            + sum(A.mono_degree(x) - 1 for x in dl)
-        return hom, up
-    raise EllError(f"unknown monomial kind {kind!r}")
+    _, j, phi, q, dl = mon[:5]
+    deg = A.mono_degree
+    return (-2 * j + len(q) + len(dl),
+            2 * j + sum(2 * deg(m) for m in phi)
+            + sum(2 * deg(m) - 1 for m in q) + sum(deg(m) - 1 for m in dl)
+            + sum(deg(m) for m in mon[5:]))
 
 
 # ----- candidate enumeration -----
@@ -314,7 +296,7 @@ def plus_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
     """gamma(m) times the u-free ell parts at (n, d - |m|), and the per
     candidates with u^{-i} read as v^i."""
     return _candidates(A, "ell_plus", n, d, lambda: [
-        ("g", phi, q, dl, m)
+        ("g", 0, phi, q, dl, m)
         for m, g in [(A.one, 0)] + _arg_pool(A, d if A.graded else 0)
         for phi, q, dl in _part_choices(A, n, d - g)] + [
         ("v",) + m[1:] for m in per_monomials(A, n, d)])
@@ -322,18 +304,13 @@ def plus_monomials(A: AlgebraPresentation, n: int, d: int) -> list[EllMonomial]:
 
 def _mon_sort_key(A: AlgebraPresentation, mon: EllMonomial):
     key = A.mono_key
-    kind = mon[0]
-    if kind == "e":
-        _, j, phi, q, dl = mon
-        return (0, j, tuple(map(key, phi)), tuple(map(key, q)),
-                tuple(map(key, dl)), 0, ())
-    if kind == "g":
-        _, phi, q, dl, m = mon
-        return (1, 0, tuple(map(key, phi)), tuple(map(key, q)),
-                tuple(map(key, dl)), 0, key(m))
-    _, j, phi, q, _ = mon
-    return (2, max(j, 0), tuple(map(key, phi)), tuple(map(key, q)), (),
-            max(-j, 0), ())
+    kind, j, phi, q, dl = mon[:5]
+    if kind == "v":
+        return (2, max(j, 0), tuple(map(key, phi)), tuple(map(key, q)), (),
+                max(-j, 0), ())
+    return (1 if kind == "g" else 0, j, tuple(map(key, phi)),
+            tuple(map(key, q)), tuple(map(key, dl)), 0,
+            key(mon[5]) if kind == "g" else ())
 
 
 # ----- relation instances -----
@@ -343,10 +320,6 @@ def _mon_sort_key(A: AlgebraPresentation, mon: EllMonomial):
 # basis-monomial arguments (the unit included), so a symmetric relation is
 # built once per multiset.  The key degree, weight * |arg| summed over the
 # arguments plus the constant, is the instance's upper degree d0.
-
-def _act(A: AlgebraPresentation, e: EllElement, x: EllElement) -> EllElement:
-    return el_mul(A, e, x, mul=plus_mon_mul)
-
 
 _RELATIONS = {
     "ell": (
@@ -376,21 +349,21 @@ _RELATIONS = {
     "plus": (
         # phi(a)gamma(b) + gamma(a^2 b)
         (((1, 2), (1, 1)), 0, lambda A, a, b:
-         _act(A, phi_el(A, (a,)), gamma_el(A, (b,)))
+         el_mul(A, phi_el(A, (a,)), gamma_el(A, (b,)))
          ^ gamma_el(A, A.mul_elements(A.mul(a, a), (b,)))),
         # q(a)gamma(b) + delta(a)gamma(ab)
         (((1, 2), (1, 1)), -1, lambda A, a, b:
-         _act(A, q_el(A, (a,)), gamma_el(A, (b,)))
-         ^ _act(A, del_el(A, (a,)), gamma_el(A, A.mul(a, b)))),
+         el_mul(A, q_el(A, (a,)), gamma_el(A, (b,)))
+         ^ el_mul(A, del_el(A, (a,)), gamma_el(A, A.mul(a, b)))),
         # delta(a)gamma(b) + gamma(a)delta(b)
         (((2, 1),), -1, lambda A, a, b:
-         _act(A, del_el(A, (a,)), gamma_el(A, (b,)))
-         ^ _act(A, del_el(A, (b,)), gamma_el(A, (a,)))),
+         el_mul(A, del_el(A, (a,)), gamma_el(A, (b,)))
+         ^ el_mul(A, del_el(A, (b,)), gamma_el(A, (a,)))),
         # gamma(a)delta(bc) + gamma(ab)delta(c) + gamma(ac)delta(b)
         (((1, 1), (2, 1)), -1, lambda A, a, b, c:
-         _act(A, del_el(A, A.mul(b, c)), gamma_el(A, (a,)))
-         ^ _act(A, del_el(A, (c,)), gamma_el(A, A.mul(a, b)))
-         ^ _act(A, del_el(A, (b,)), gamma_el(A, A.mul(a, c)))),
+         el_mul(A, del_el(A, A.mul(b, c)), gamma_el(A, (a,)))
+         ^ el_mul(A, del_el(A, (c,)), gamma_el(A, A.mul(a, b)))
+         ^ el_mul(A, del_el(A, (b,)), gamma_el(A, A.mul(a, c)))),
         # gamma(1) + v^0
         ((), 0, lambda A: gamma_el(A, (A.one,)) ^ frozenset({v_mon(0)})),
     ),
@@ -464,12 +437,6 @@ def _element_bidegree(A: AlgebraPresentation, el: EllElement) -> tuple[int, int]
 
 # ----- spaces -----
 
-def _coefficient_mul(A: AlgebraPresentation, x: EllMonomial,
-                     e: EllMonomial) -> EllElement:
-    """An ell relation monomial e acting on an ell_plus monomial x."""
-    return plus_mon_mul(A, e, x)
-
-
 def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
                    d: int) -> list[int]:
     """Spanning rows: every instance times every complementary multiplier.
@@ -491,11 +458,11 @@ def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
 
     Returns the distinct nonzero rows as candidate bitmasks.
     """
-    instances, total, multipliers, product = {
-        "ell": ("ell", False, ell_monomials, ell_mon_mul),
-        "per": ("per", True, per_monomials, ell_mon_mul),
-        "plus": ("plus", False, ell_monomials, plus_mon_mul),
-        "coefficient": ("ell", True, plus_monomials, _coefficient_mul),
+    instances, total, multipliers = {
+        "ell": ("ell", False, ell_monomials),
+        "per": ("per", True, per_monomials),
+        "plus": ("plus", False, ell_monomials),
+        "coefficient": ("ell", True, plus_monomials),
     }[family]
     bound = (n + d if total else min(d, n + d)) if A.graded else 0
     index = {m: k for k, m in enumerate(cands)}
@@ -511,7 +478,7 @@ def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
                 ms = mults[(n0, d0)] = multipliers(A, n - n0, d - d0)
             for mult in ms:
                 v = 0
-                for m in el_mul(A, frozenset({mult}), el, mul=product):
+                for m in el_mul(A, frozenset({mult}), el):
                     k = index.get(m)
                     if k is None:
                         raise EllError(f"{family} relation row leaves "
@@ -604,7 +571,7 @@ _U: EllMonomial = ("e", 1, (), (), ())
 
 def map_u(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
     """Multiplication by u, on ell and on the ell_plus module."""
-    return (ell_mon_mul if mon[0] == "e" else plus_mon_mul)(A, _U, mon)
+    return mon_mul(A, _U, mon)
 
 
 def map_I(A: AlgebraPresentation, g) -> EllElement:
@@ -612,8 +579,7 @@ def map_I(A: AlgebraPresentation, g) -> EllElement:
     m, dgs = g
     el = gamma_el(A, frozenset({m}))
     for i in dgs:
-        el = el_mul(A, del_el(A, frozenset({A.gen_monomial(i)})), el,
-                    mul=plus_mon_mul)
+        el = el_mul(A, del_el(A, frozenset({A.gen_monomial(i)})), el)
     return el
 
 
@@ -621,9 +587,8 @@ def map_D(A: AlgebraPresentation, mon: EllMonomial) -> OmegaElement:
     """D: gamma(a) -> da and v^i -> 0, extended ell-linearly."""
     if mon[0] == "v":
         return frozenset()
-    _, phi, q, dl, m = mon
-    dm = frozenset((c, (i,)) for c, i in d_monomial(A, m))
-    return form_mul(A, map_r(A, ("e", 0, phi, q, dl)), dm)
+    dm = frozenset((c, (i,)) for c, i in d_monomial(A, mon[5]))
+    return form_mul(A, map_r(A, ("e",) + mon[1:5]), dm)
 
 
 def map_iota(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
@@ -642,9 +607,8 @@ def map_bd(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
     v^i -> 0, extended ell-linearly."""
     if mon[0] == "v":
         return ZERO_ELL
-    _, phi, q, dl, m = mon
-    return el_mul(A, frozenset({("e", 0, phi, q, dl)}),
-                  del_el(A, frozenset({m})))
+    return el_mul(A, frozenset({("e",) + mon[1:5]}),
+                  del_el(A, frozenset({mon[5]})))
 
 
 # The modelled exact sequences, one row for each of the minus, Connes and
@@ -705,7 +669,7 @@ def gr_ell(A: AlgebraPresentation, n: int, d: int, imax: int) -> list[int]:
     for i in range(0, imax + 2):
         src = ell_degree_basis(A, "ell", n + 2 * i, d - 2 * i)
         ui = ("e", i, (), (), ())
-        vs = [tgt.coords(ell_mon_mul(A, ui, m)) for m in src.basis()]
+        vs = [tgt.coords(mon_mul(A, ui, m)) for m in src.basis()]
         ranks.append(rank_of(vs))
     return [ranks[i] - ranks[i + 1] for i in range(imax + 1)]
 

@@ -84,9 +84,10 @@ class AlgebraPresentation:
         if len(self.degrees) != k:
             raise PresentationError("generator/degree count mismatch")
         if self.graded:
-            if any(d <= 0 for d in self.degrees):
-                raise PresentationError(
-                    "degree-0 generator unsupported in graded mode")
+            for g, d in zip(self.generators, self.degrees):
+                if d <= 0:
+                    raise PresentationError(f"generator {g} has degree {d}: "
+                                            "graded mode needs degree >= 1")
             for rel in self.relations:
                 degs = {self.mono_degree(m) for m in rel}
                 if len(degs) > 1:

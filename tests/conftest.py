@@ -4,7 +4,8 @@ augmentation, u-chain, Omega[u], report, model-map, Cartier, exactness,
 subspace-containment and class-coordinate helpers that only the tests use,
 a counter of the eliminations the towers run, and the slow chain-group,
 elimination, differential, truncation-check, connecting-map,
-relation-instance, relation-row and commuting-square oracles."""
+monomial-product, relation-instance, relation-row and commuting-square
+oracles."""
 
 import itertools
 
@@ -33,14 +34,12 @@ from cyclo2.ell import (
     ZERO_ELL,
     EllError,
     _arg_pool,
-    _coefficient_mul,
     _element_bidegree,
     _instances,
     _phi_fold,
     del_el,
     el_mul,
     ell_degree_basis,
-    ell_mon_mul,
     ell_monomials,
     gamma_el,
     map_bd,
@@ -54,7 +53,6 @@ from cyclo2.ell import (
     model_matrix,
     per_monomials,
     phi_el,
-    plus_mon_mul,
     plus_monomials,
     q_el,
     v_mon,
@@ -620,7 +618,51 @@ def oracle_ell_instances(A, lo, hi):
     return out
 
 
-# ----- the ell_per product and the two-exponent v rule, kept as oracles -----
+# ----- the products of each kind pair and the two-exponent v rule, kept as
+# oracles of ell.mon_mul -----
+
+def oracle_el_mul(A, e1, e2, mul):
+    """The product of two elements under the monomial product mul."""
+    out = set()
+    for a in e1:
+        for b in e2:
+            out.symmetric_difference_update(mul(A, a, b))
+    return frozenset(out)
+
+
+def oracle_ell_mon_mul(A, a, b):
+    """The product of two ell (or two ell_per) monomials: q(a)^2 = 0 =
+    delta(a)^2, u delta(a) = 0, and b's phi parts fold into a's."""
+    _, ja, pa, qa, da = a
+    _, jb, pb, qb, db = b
+    if set(qa) & set(qb) or set(da) & set(db):
+        return ZERO_ELL
+    j = ja + jb
+    q = tuple(sorted(qa + qb, key=A.mono_key))
+    dl = tuple(sorted(da + db, key=A.mono_key))
+    if j > 0 and dl:
+        return ZERO_ELL  # u delta(a) = 0
+    return frozenset(("e", j, t, q, dl) for t in _phi_fold(A, pa, pb))
+
+
+def oracle_plus_mon_mul(A, e, x):
+    """An ell monomial e acting on an ell_plus monomial x, with e's phi
+    parts folded into x's: u gamma(a) = 0 and delta(a) v^i = 0."""
+    _, j, phi, q, dl = e
+    if x[0] == "g":
+        _, _, px, qx, dx, m = x
+        if j > 0 or set(q) & set(qx) or set(dl) & set(dx):
+            return ZERO_ELL
+        qm = tuple(sorted(q + qx, key=A.mono_key))
+        dm = tuple(sorted(dl + dx, key=A.mono_key))
+        return frozenset(("g", 0, t, qm, dm, m)
+                         for t in _phi_fold(A, px, phi))
+    _, jx, px, qx, _ = x
+    if dl or set(q) & set(qx):
+        return ZERO_ELL
+    qm = tuple(sorted(q + qx, key=A.mono_key))
+    return frozenset(("v", j + jx, t, qm, ()) for t in _phi_fold(A, px, phi))
+
 
 def oracle_per_mon_mul(A, a, b):
     """The ell_per product written for delta-free monomials alone: q(a)^2 =
@@ -675,12 +717,13 @@ def oracle_per_instances(A, lo, hi):
         pa, pb = _per_phi(A, frozenset({a})), _per_phi(A, frozenset({b}))
         qa, qb = _per_q(A, frozenset({a})), _per_q(A, frozenset({b}))
         push(_per_phi(A, A.mul(a, b))
-             ^ el_mul(A, pa, pb, mul=oracle_per_mon_mul)
-             ^ el_mul(A, u1, el_mul(A, qa, qb, mul=oracle_per_mon_mul),
-                      mul=oracle_per_mon_mul))
+             ^ oracle_el_mul(A, pa, pb, oracle_per_mon_mul)
+             ^ oracle_el_mul(A, u1,
+                             oracle_el_mul(A, qa, qb, oracle_per_mon_mul),
+                             oracle_per_mon_mul))
         push(_per_q(A, A.mul(a, b))
-             ^ el_mul(A, qa, pb, mul=oracle_per_mon_mul)
-             ^ el_mul(A, pa, qb, mul=oracle_per_mon_mul))
+             ^ oracle_el_mul(A, qa, pb, oracle_per_mon_mul)
+             ^ oracle_el_mul(A, pa, qb, oracle_per_mon_mul))
     return out
 
 
@@ -694,7 +737,7 @@ def oracle_plus_instances(A, lo, hi):
         return del_el(A, frozenset({m}))
 
     def act(e, x):
-        return el_mul(A, e, x, mul=plus_mon_mul)
+        return oracle_el_mul(A, e, x, oracle_plus_mon_mul)
 
     for a, ga in pool1:
         for b, gb in pool1:
@@ -739,10 +782,11 @@ def oracle_relation_rows(A, family, cands, n, d):
     bounded by d alone, so a window with negative n reads instances that
     no multiplier reaches; each instance looks up its own multipliers."""
     instances, total, multipliers, product = {
-        "ell": ("ell", False, ell_monomials, ell_mon_mul),
+        "ell": ("ell", False, ell_monomials, oracle_ell_mon_mul),
         "per": ("per", True, per_monomials, oracle_per_mon_mul),
-        "plus": ("plus", False, ell_monomials, plus_mon_mul),
-        "coefficient": ("ell", True, plus_monomials, _coefficient_mul),
+        "plus": ("plus", False, ell_monomials, oracle_plus_mon_mul),
+        "coefficient": ("ell", True, plus_monomials,
+                        lambda A, x, e: oracle_plus_mon_mul(A, e, x)),
     }[family]
     bound = (n + d if total else d) if A.graded else 0
     index = {m: k for k, m in enumerate(cands)}
@@ -754,7 +798,7 @@ def oracle_relation_rows(A, family, cands, n, d):
                 continue
             for mult in multipliers(A, n - n0, d - d0):
                 v = 0
-                for m in el_mul(A, frozenset({mult}), el, mul=product):
+                for m in oracle_el_mul(A, frozenset({mult}), el, product):
                     k = index.get(m)
                     if k is None:
                         raise EllError(f"{family} relation row leaves "

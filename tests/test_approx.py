@@ -81,10 +81,10 @@ def test_r11_witness():
     lift = UChain.make("minus", {0: w(X)})
     assert uchain_boundary(PX, lift).entries == ((1, w(ONE, X)),)
     # and u delta(x) is zero already at the monomial level (normal form)
-    from cyclo2.ell import ell_mon_mul
+    from cyclo2.ell import mon_mul
     u = ("e", 1, (), (), ())
     dx = ("e", 0, (), (), (X,))
-    assert ell_mon_mul(PX, u, dx) == frozenset()
+    assert mon_mul(PX, u, dx) == frozenset()
 
 
 def test_psi_of_phi_one_is_unit_class():
@@ -117,7 +117,7 @@ def test_psi_plus_v0_is_unit_of_hc0():
 def test_psi_plus_gamma_is_element_class():
     # gamma(a) -> a[] in HC_0
     H = homology(PX, "plus", 0, 2)
-    coords = psi_class(PX, frozenset({("g", (), (), (), (2,))}), H)
+    coords = psi_class(PX, frozenset({("g", 0, (), (), (), (2,))}), H)
     target = UChain.make("plus", {0: w((2,))})
     assert coords == H.coords(vectorize(PX, H.slice, target))
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import ORACLE_INSTANCES, mul_u_matrix, omega_u_reduce, \
-    oracle_per_mon_mul, oracle_plus_v_mul, oracle_relation_rows, \
-    small_presentations, tau_matrix, ungraded_x
+    oracle_ell_mon_mul, oracle_per_mon_mul, oracle_plus_mon_mul, \
+    oracle_plus_v_mul, oracle_relation_rows, small_presentations, \
+    tau_matrix, ungraded_x
 
 from cyclo2.derham import de_rham_d, form, omega_basis
 from cyclo2.f2linalg import F2Matrix, echelonize_in, rank_kernel_image, \
@@ -27,7 +28,6 @@ from cyclo2.ell import (
     ell_bidegree,
     ell_chain_maps,
     ell_degree_basis,
-    ell_mon_mul,
     ell_monomials,
     f_bar,
     gr_ell,
@@ -35,10 +35,10 @@ from cyclo2.ell import (
     map_S,
     map_tau,
     model_matrix,
+    mon_mul,
     omega_u_gens,
     per_monomials,
     phi_el,
-    plus_mon_mul,
     plus_monomials,
     q_el,
     s_bar,
@@ -485,7 +485,7 @@ def test_I_sends_form_to_gamma_delta():
     k = src.basis().index(g)
     img_mask = mI.columns[k]
     expected = tgt.coords(
-        frozenset({("g", (), (), ((0, 1),), (1, 0))}))
+        frozenset({("g", 0, (), (), ((0, 1),), (1, 0))}))
     assert img_mask == expected
 
 
@@ -495,7 +495,7 @@ def test_S_sends_u_inverse_to_v0():
     k = src.basis().index(("e", -1, (), (), ()))
     img_mask = mS.columns[k]
     v0 = tgt.coords(frozenset({v_mon(0)}))
-    gamma1 = tgt.coords(frozenset({("g", (), (), (), PX.one)}))
+    gamma1 = tgt.coords(frozenset({("g", 0, (), (), (), PX.one)}))
     assert img_mask == v0 == gamma1 != 0
 
 
@@ -616,7 +616,7 @@ def _oracle_plus(A, n, d):
         pool = _oracle_pool(A, up + 2 if A.graded else 0)
         for phi, q, dl in _oracle_part_choices(A, pool, n, up,
                                                _oracle_costs(A)):
-            out.append(("g", phi, q, dl, m))
+            out.append(("g", 0, phi, q, dl, m))
     pool = _oracle_pool(A, d + abs(n) + 2 if A.graded else 0)
     for nq in range(0, len(pool) + 1):
         if (n - nq) % 2:
@@ -687,23 +687,43 @@ def test_per_and_v_candidates_share_the_ell_layout(name):
 @settings(max_examples=30)
 @given(small_presentations())
 def test_shared_products_match_the_oracle_rules(A):
-    """ell_mon_mul on ell_per candidates is the ell_per product, and
-    plus_mon_mul on v monomials is the two-exponent rule read through
-    j - i."""
+    """mon_mul is the product of each pair of kinds: the ell and the
+    ell_per products, and the action of ell on ell_plus in both argument
+    orders, whose v part is the two-exponent rule read through j - i.  It
+    is commutative on ell x ell and associative: a (b x) = (a b) x for ell
+    monomials a, b and x of ell or ell_plus, and for three ell_per ones."""
     bidegrees = [(n, d) for n in range(-3, 3)
                  for d in (range(-2, 4) if A.graded else (-n,))]
     per = [m for n, d in bidegrees for m in per_monomials(A, n, d)][:40]
     for a in per:
         for b in per:
-            assert ell_mon_mul(A, a, b) == oracle_per_mon_mul(A, a, b), \
+            assert mon_mul(A, a, b) == oracle_per_mon_mul(A, a, b), \
                 (A.name, a, b)
-    ells = [m for n, d in bidegrees for m in ell_monomials(A, n, d)][:20]
-    for e in ells:
+    # a few monomials of every bidegree, so products reach the high ones
+    ells = [m for n, d in bidegrees for m in ell_monomials(A, n, d)[:2]][:20]
+    plus = [m for n, d in bidegrees for m in plus_monomials(A, n, d)[:2]][:20]
+    for a in ells:
+        for b in ells:
+            assert mon_mul(A, a, b) == mon_mul(A, b, a) \
+                == oracle_ell_mon_mul(A, a, b), (A.name, a, b)
+        for x in plus:
+            assert mon_mul(A, a, x) == mon_mul(A, x, a) \
+                == oracle_plus_mon_mul(A, a, x), (A.name, a, x)
         for _, j, phi, q, _ in per:  # v^i is j = -i here, (0, i) there
-            new = plus_mon_mul(A, e, ("v", j, phi, q, ()))
-            old = oracle_plus_v_mul(A, e, ("v", max(j, 0), max(-j, 0), phi, q))
+            new = mon_mul(A, a, ("v", j, phi, q, ()))
+            old = oracle_plus_v_mul(A, a, ("v", max(j, 0), max(-j, 0), phi, q))
             assert new == frozenset(("v", m[1] - m[2]) + m[3:] + ((),)
-                                    for m in old), (A.name, e, j, phi, q)
+                                    for m in old), (A.name, a, j, phi, q)
+    vs = [("v",) + m[1:] for m in per[:8]]
+    for left, right in ((ells[:8], ells[:8] + plus[:8] + vs),
+                        (per[:8], per[:8])):
+        for a in left:
+            for b in left:
+                ab = mon_mul(A, a, b)
+                for x in right:
+                    assert el_mul(A, ab, frozenset({x})) \
+                        == el_mul(A, frozenset({a}), mon_mul(A, b, x)), \
+                        (A.name, a, b, x)
 
 
 # ----- the relation table against the per-family generators -----

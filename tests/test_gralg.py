@@ -154,6 +154,9 @@ def test_graded_rejects_inhomogeneous():
 def test_graded_rejects_degree_zero_generator():
     with pytest.raises(PresentationError):
         AlgebraPresentation(("x",), (0,), (), graded=True)
+    # a negative degree is named as such, with its generator
+    with pytest.raises(PresentationError, match="generator y has degree -1"):
+        AlgebraPresentation(("x", "y"), (1, -1), (), graded=True)
 
 
 def test_trivial_algebra():
