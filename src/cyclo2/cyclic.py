@@ -45,28 +45,33 @@ The chain groups come from one of two mixed complexes, the model of a
 slice; the towers, ranks, homology records and the truncation check run
 the same code on both, and the model is part of every memo key of a
 slice, a shape and a record.  "bar" is the normalized bar complex above.
-"small", for an ungraded presentation on one generator, A = F2[x]/(f), is
-the 2-periodic mixed complex M_k = A of its resolution (Buenos Aires
-Cyclic Homology Group, "Cyclic homology of algebras with one generator",
-K-Theory 5, 1991), deg f basis vectors per degree where C_k has
-deg f (deg f - 1)^k words.
+"koszul" is K = A (x) Lambda(dx_1..dx_g) (x) Gamma(t_1..t_r), one t_j per
+Groebner element f_j, with b the Koszul map t_j^[i] -> df_j t_j^[i-1] and
+B the de Rham d (koszul_group, koszul_columns): polynomially many basis
+vectors per (k, d) where C_{k,d} has exponentially many.  chain_model
+selects it only where this B is established: on a polynomial ring, any
+weights, where K is (Omega, 0, d) and the HKR map derham.antisymmetrize is
+a quasi-isomorphism of mixed complexes (Loday, Cyclic Homology, 3.4), and
+on an ungraded F2[x]/(f), where K is the 2-periodic small mixed complex of
+its resolution (Buenos Aires Cyclic Homology Group, K-Theory 5, 1991).
 Quasi-isomorphic mixed complexes give the same truncated-tower homology
-(Loday, Cyclic Homology, 5.1), and the tests hold the small model's dims
-and flags to the bar model's; compute reads it (chain_model).
-verify-approx and spectral read class coordinates of bar chains, so they
-read the bar model.
+(Loday, Cyclic Homology, 5.1), and the tests hold K's dims and flags to
+the bar model's; compute reads it.  verify-approx and spectral read class
+coordinates of bar chains, so they read the bar model.
 
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import add, itemgetter
+from functools import cached_property, partial
+from operator import add, itemgetter, mul
 from typing import NamedTuple, Optional
 
+from .derham import de_rham_d, form_mul, free_forms
 from .f2linalg import (
     F2Matrix,
     Homology,
@@ -301,61 +306,107 @@ def _B_run(A: AlgebraPresentation, h, tuples: tuple,
 
 
 @dataclass(frozen=True, eq=False)
-class SmallGroup:
-    """M_k of the small mixed complex of F2[x]/(f): A itself, on the basis
-    words = A.degree_basis(0), one block keyed None.  Its vectors are not
-    bar chains, so vectorize, unvectorize and the maps of the exact
-    sequences read bar slices only."""
+class KoszulGroup:
+    """K_{k,d}: its dimension, its one block (keyed None) and its pieces,
+    J -> (q, e, forms, offset): the words m dx_T t^[J] for the forms m dx_T
+    of free_forms(A, q, e), q = k - 2|J|, e = d - sum J_j deg f_j, at
+    offset, offset + 1, ...  Its vectors are not bar chains, so vectorize,
+    unvectorize and the exact-sequence maps read bar slices only."""
 
     dim: int
     blocks: dict
-    words: tuple
+    pieces: dict
+
+    @cached_property
+    def words(self) -> tuple:
+        """Every word (m, T, J), in basis order; built on first read."""
+        return tuple((m, T, J) for J, (_, _, forms, _) in self.pieces.items()
+                     for m, T in forms)
 
 
 def chain_model(A: AlgebraPresentation) -> str:
-    """The model whose chain groups compute reads: "small" for an ungraded
-    presentation on one generator, else "bar"."""
-    return "small" if not A.graded and A.ngens == 1 else "bar"
+    """The model whose chain groups compute reads: "koszul" where its B is
+    established, on a polynomial ring (any weights) and on an ungraded
+    presentation on one generator; else "bar"."""
+    return ("koszul" if not A.groebner or not A.graded and A.ngens == 1
+            else "bar")
 
 
-def small_group(A: AlgebraPresentation, k: int) -> SmallGroup:
-    """M_k of the small mixed complex, memoised per k so that the slices
-    holding it share it."""
-    table = A.memo("small_group")
-    group = table.get(k)
+def koszul_group(A: AlgebraPresentation, k: int, d: int) -> KoszulGroup:
+    """K_{k,d} of K = A (x) Lambda(dx_1..dx_g) (x) Gamma(t_1..t_r), t_j for
+    the j-th element f_j of A.groebner, in homological degree 2 and
+    internal degree deg f_j: the words m dx_T t^[J] with k = |T| + 2|J|,
+    |T| <= g, one piece per J, in one block; memoised.  One block ranks
+    faster than multidegree blocks on polynomial rings, whose K is small."""
+    table = A.memo("koszul_group")
+    group = table.get((k, d))
     if group is None:
-        words = A.degree_basis(0)
-        group = table[k] = SmallGroup(len(words), {None: (0, len(words))},
-                                      words)
+        r = len(A.groebner)
+        weights = [A.mono_degree(lt) for lt in A.lead_terms]
+        pieces, dim = {}, 0
+        for s in range(max(0, k - A.ngens + 1) // 2, k // 2 + 1):
+            for c in itertools.combinations_with_replacement(range(r), s):
+                J = tuple(map(c.count, range(r)))
+                e = d - sum(map(mul, J, weights))
+                forms = free_forms(A, k - 2 * s, e)
+                pieces[J] = (k - 2 * s, e, forms, dim)
+                dim += len(forms)
+        group = table[(k, d)] = KoszulGroup(dim, {None: (0, dim)}, pieces)
     return group
 
 
-def small_columns(A: AlgebraPresentation, op: str, k: int) -> tuple[int, ...]:
-    """b: M_k -> M_{k-1} (op "b") or B: M_k -> M_{k+1} (op "B") of the small
-    mixed complex of A = F2[x]/(f), f the one element of A.groebner, one
-    column per monomial g of small_group(A, k), bit i for the i-th monomial
-    of the target; memoised.  Both are zero on odd k, and b on k = 0.  On
-    even k, b is g -> f'g mod f and B is g -> g', the formal derivative of
-    the reduced g; this B leaves out the homotopy-transfer term
-    i ((g f') div f) on M_{2i} (from the Tate-de Rham model F2[x]<y>,
-    dy = f), which changes no dimension and no truncation flag on any f of
-    degree <= 6 at |n| <= 8, S <= 6, under the four theories."""
-    table = A.memo("small_columns")
-    cols = table.get((op, k))
+def koszul_columns(A: AlgebraPresentation, op: str, k: int,
+                   d: int) -> tuple[int, ...]:
+    """b: K_{k,d} -> K_{k-1,d} (op "b") or B: K_{k,d} -> K_{k+1,d} (op
+    "B"), one column per word of koszul_group(A, k, d), bit i for the i-th
+    word of the target; memoised.  b is the Koszul map, m dx_T t^[J] -> the
+    sum over j of m df_j dx_T t^[J - j], and B is the de Rham d of m dx_T,
+    at the same t^[J], piece by piece (_koszul_piece); the target lacks a
+    piece only where the term is zero (J_j = 0, or |T| = g).
+
+    On an ungraded F2[x]/(f) this is the small mixed complex, A t^[i] in
+    degree 2i and A dx t^[i] in 2i + 1 (Buenos Aires Cyclic Homology Group,
+    K-Theory 5, 1991): b is g -> f'g and B is g -> g' on even k.  This B
+    leaves out the homotopy-transfer term i ((g f') div f) on degree 2i
+    (from the Tate-de Rham model F2[x]<y>, dy = f), which changes no
+    dimension and no truncation flag on any f of degree <= 6 at |n| <= 8,
+    S <= 6, under the four theories."""
+    table = A.memo("koszul_columns")
+    cols = table.get((op, k, d))
     if cols is None:
-        words = small_group(A, k).words
-        bit = {m: 1 << i for i, m in enumerate(words)}
-        if k % 2 or (op, k) == ("b", 0):
-            cols = (0,) * len(words)
-        elif op == "b":
-            (f,) = A.groebner
-            df = [(e - 1,) for (e,) in f if e % 2]
-            cols = tuple(sum(bit[m] for m in A.mul_elements(df, (g,)))
-                         for g in words)
-        else:
-            cols = tuple(bit[(e - 1,)] if e % 2 else 0 for (e,) in words)
-        table[(op, k)] = cols
+        tgt = koszul_group(A, k - 1 if op == "b" else k + 1, d).pieces
+        cols = []
+        for J, (q, e, forms, _) in koszul_group(A, k, d).pieces.items():
+            part = [0] * len(forms)
+            for j in (None,) if op == "B" else range(len(J)):
+                J1 = J if j is None else J[:j] + (J[j] - 1,) + J[j + 1:]
+                if J1 in tgt:
+                    off = tgt[J1][3]
+                    part = [v ^ (w << off) for v, w in
+                            zip(part, _koszul_piece(A, j, q, e))]
+            cols.extend(part)
+        cols = table[(op, k, d)] = tuple(cols)
     return cols
+
+
+def _koszul_piece(A: AlgebraPresentation, j: Optional[int], q: int,
+                  e: int) -> tuple:
+    """d (j None) or the multiplication by df_j, f_j = A.groebner[j], on
+    free_forms(A, q, e), as bitmasks over the free forms of the target
+    piece; memoised, so every t^[J] beside these forms shares it."""
+    table = A.memo("koszul_piece")
+    if (j, q, e) not in table:
+        if j is None:
+            tgt, image = free_forms(A, q + 1, e), partial(de_rham_d, A)
+        else:
+            f = A.groebner[j]
+            tgt = free_forms(A, q + 1, e + A.degree(f))
+            image = partial(form_mul, A, de_rham_d(
+                A, frozenset((mu, ()) for mu in f)))
+        table[(j, q, e)] = tuple(
+            sum(1 << tgt[g] for g in image(frozenset({form})))
+            for form in free_forms(A, q, e))
+    return table[(j, q, e)]
 
 
 def mixed_matrix(A: AlgebraPresentation, op: str, k: int, d: int) -> F2Matrix:
@@ -375,7 +426,7 @@ class TowerSlice:
     """One total degree of a truncated tower, with a fixed ordered basis:
     column p = p_min + c is the shared basis parts[c] of C_{n-2p,d},
     starting at position offsets[c]; offsets ends with the dimension.  model
-    names the mixed complex of the chain groups, "bar" or "small"."""
+    names the mixed complex of the chain groups, "bar" or "koszul"."""
 
     theory: str
     n: int
@@ -385,7 +436,7 @@ class TowerSlice:
     p_min: int
     p_max: int
     truncated: bool
-    parts: tuple[HochschildBasis | SmallGroup, ...]
+    parts: tuple[HochschildBasis | KoszulGroup, ...]
     offsets: tuple[int, ...]
 
     @property
@@ -451,9 +502,8 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
     cache = A.memo("tower")
     if key in cache:
         return cache[key]
-    parts = tuple(small_group(A, n - 2 * p) if model == "small"
-                  else hochschild_basis(A, n - 2 * p, d)
-                  for p in range(p_min, p_max + 1))
+    group = koszul_group if model == "koszul" else hochschild_basis
+    parts = tuple(group(A, n - 2 * p, d) for p in range(p_min, p_max + 1))
     offsets = [0]
     for hb in parts:
         offsets.append(offsets[-1] + hb.dim)
@@ -528,8 +578,8 @@ def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
         part = [0] * (stop - start)
         for op, off in (("b", place.get(p)), ("B", place.get(p - 1))):
             if off is not None:
-                image = (small_columns(A, op, k) if src.model == "small"
-                         else mixed_columns(A, op, k, src.d))
+                image = (koszul_columns if src.model == "koszul"
+                         else mixed_columns)(A, op, k, src.d)
                 part = [v ^ (w << off)
                         for v, w in zip(part, image[start:stop])]
         cols.extend(part)

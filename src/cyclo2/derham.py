@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .f2linalg import Homology, PresentedSpace, QuotientBasis
-from .gralg import AlgebraPresentation, Monomial, grevlex_key
+from .gralg import AlgebraPresentation, Monomial
 
 FormGen = tuple  # (monomial, tuple of generator indices)
 OmegaElement = frozenset  # frozenset[FormGen]
@@ -65,6 +65,19 @@ def form_mul(A: AlgebraPresentation, e1: OmegaElement,
     return frozenset(out)
 
 
+def free_forms(A: AlgebraPresentation, n: int, d: int) -> dict:
+    """The pairs (m, T) with |T| = n in internal degree d, sorted by T,
+    then by the grevlex_key of m, each -> its position: the free basis that
+    Omega^n_d is a quotient of; memoised."""
+    table = A.memo("free_forms")
+    if (n, d) not in table:
+        gens = [(m, T) for T in (itertools.combinations(range(A.ngens), n)
+                                 if n >= 0 else ())
+                for m in A.degree_basis(d - sum(A.degrees[i] for i in T))]
+        table[(n, d)] = dict(zip(gens, range(len(gens))))
+    return table[(n, d)]
+
+
 def omega_basis(A: AlgebraPresentation, n: int, d: int) -> PresentedSpace:
     """Omega^n in internal degree d: free on (monomial, dg-subset) pairs
     modulo multiples of the relation differentials."""
@@ -72,33 +85,18 @@ def omega_basis(A: AlgebraPresentation, n: int, d: int) -> PresentedSpace:
     key = (n, d)
     if key in cache:
         return cache[key]
-    free: list[FormGen] = []
-    for T in itertools.combinations(range(A.ngens), n) if n >= 0 else ():
-        wdeg = sum(A.degrees[i] for i in T)
-        free.extend((m, T) for m in A.degree_basis(d - wdeg))
-    free.sort(key=lambda g: (g[1], grevlex_key(g[0])))
-    index = {g: k for k, g in enumerate(free)}
+    index = free_forms(A, n, d)
     rows = []
     for g in A.groebner if n >= 1 else ():
-        dg: list[tuple[Monomial, int]] = []
-        for mu in g:
-            dg.extend(d_monomial(A, mu))
-        gdeg = A.degree(g)
-        for T in itertools.combinations(range(A.ngens), n - 1):
-            wdeg = sum(A.degrees[i] for i in T)
-            for mp in A.degree_basis(d - gdeg - wdeg):
-                v = 0
-                for c, i in dg:
-                    if i in T:
-                        continue
-                    Tn = tuple(sorted(T + (i,)))
-                    for m in A.mul(mp, c):
-                        gen = (m, Tn)
-                        v ^= 1 << index[gen]
-                if v:
-                    rows.append(v)
-    space = PresentedSpace("omega", n, d, tuple(free),
-                           QuotientBasis.from_relations(len(free), rows))
+        dg = de_rham_d(A, frozenset((mu, ()) for mu in g))
+        for gen in free_forms(A, n - 1, d - A.degree(g)):
+            v = 0
+            for row_gen in form_mul(A, frozenset({gen}), dg):
+                v ^= 1 << index[row_gen]
+            if v:
+                rows.append(v)
+    space = PresentedSpace("omega", n, d, tuple(index),
+                           QuotientBasis.from_relations(len(index), rows))
     cache[key] = space
     return space
 

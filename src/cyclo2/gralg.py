@@ -83,19 +83,16 @@ class AlgebraPresentation:
         k = len(self.generators)
         if len(self.degrees) != k:
             raise PresentationError("generator/degree count mismatch")
-        if self.graded:
-            for g, d in zip(self.generators, self.degrees):
-                if d <= 0:
-                    raise PresentationError(f"generator {g} has degree {d}: "
-                                            "graded mode needs degree >= 1")
-            for rel in self.relations:
-                degs = {self.mono_degree(m) for m in rel}
-                if len(degs) > 1:
-                    raise PresentationError(
-                        f"inhomogeneous relation in graded mode: degrees {sorted(degs)}")
-        else:
-            if any(d != 0 for d in self.degrees):
-                raise PresentationError("ungraded mode requires degree-0 generators")
+        for g, d in zip(self.generators, self.degrees):
+            if d <= 0 if self.graded else d != 0:
+                need = ("graded mode needs degree >= 1" if self.graded
+                        else "ungraded mode needs degree 0")
+                raise PresentationError(f"generator {g} has degree {d}: {need}")
+        for rel in self.relations if self.graded else ():
+            degs = {self.mono_degree(m) for m in rel}
+            if len(degs) > 1:
+                raise PresentationError(
+                    f"inhomogeneous relation in graded mode: degrees {sorted(degs)}")
         self.groebner = self._buchberger()
         self.lead_terms = tuple(leading_monomial(g) for g in self.groebner)
         if self.one in self.lead_terms:

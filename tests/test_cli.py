@@ -86,6 +86,15 @@ def test_zero_algebra_rejected(tmp_path, capsys, graded, degree):
         assert "unit ideal" in capsys.readouterr().err
 
 
+def test_ungraded_generator_of_nonzero_degree_rejected(tmp_path, capsys):
+    p = tmp_path / "bad.alg"
+    p.write_text("[options]\ngraded = false\n[generators]\nx 0\ny 2\n"
+                 "[relations]\nx^2\ny^2\n")
+    assert main(["--input", str(p), "--command", "compute"]) == 2
+    assert "generator y has degree 2: ungraded mode needs degree 0" in \
+        capsys.readouterr().err
+
+
 THEORIES_OF = {"compute": cli.THEORIES,
                "verify-approx": ("hcminus", "hc", "hcper"),
                "spectral": ("hh", "hc", "hcminus", "hcper"),
@@ -339,9 +348,10 @@ def test_truncated_compute_ranks_nothing_apart(monkeypatch):
 
 def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
                                                            tmp_path):
-    # compute on ungraded F2[x]/(f) builds no bar chain group or column;
-    # a graded input and an ungraded one on two generators keep the bar
-    # complex, and build no small one
+    # compute on ungraded F2[x]/(f) and on polynomial rings reads the Koszul
+    # model and builds no bar chain group or column; the cusp, ungraded
+    # F2[x,y]/(x^2, y^2) and F2[x,y,z]/(x^2, xy) keep the bar complex, and
+    # build no Koszul column
     loaded = []
 
     def load(path):
@@ -349,22 +359,29 @@ def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
         return loaded[-1]
 
     monkeypatch.setattr(cli, "load_presentation", load)
-    two = tmp_path / "two.alg"
-    two.write_text("[options]\ngraded = false\n[generators]\nx 0\ny 0\n"
-                   "[relations]\nx^2\ny^2\n")
-    for path, small in ((fixture("dual_numbers.alg"), True),
-                        (fixture("f4.alg"), True),
-                        (fixture("poly_x.alg"), False), (str(two), False)):
+    inputs = {
+        "two": "[options]\ngraded = false\n[generators]\nx 0\ny 0\n"
+               "[relations]\nx^2\ny^2\n",
+        "cusp": "[generators]\nx 1\ny 1\n[relations]\nx^2*y + y^3\n",
+        "xyz": "[generators]\nx 1\ny 1\nz 1\n[relations]\nx^2\nx*y\n"}
+    for name, text in inputs.items():
+        (tmp_path / f"{name}.alg").write_text(text)
+    for path, koszul in ((fixture("dual_numbers.alg"), True),
+                         (fixture("f4.alg"), True),
+                         (fixture("poly_x.alg"), True),
+                         (fixture("poly_xyz.alg"), True),
+                         *((str(tmp_path / f"{name}.alg"), False)
+                           for name in inputs)):
         for theory in ("hh", "hc", "hcminus", "hcper"):
-            run(RunConfig(path, "compute", theory, 2, 1, 1))
+            run(RunConfig(path, "compute", theory, 2, 2, 1))
             A = loaded[-1]
             bar = A.memo("hochschild_basis"), A.memo("mixed_columns")
-            model = "small" if small else "bar"
+            model = "koszul" if koszul else "bar"
             assert A.memo("homology")
             assert all(h.slice.model == model
                        for h in A.memo("homology").values()), (path, theory)
-            assert not any(bar) if small else all(bar), (path, theory)
-            assert bool(A.memo("small_columns")) is small, (path, theory)
+            assert not any(bar) if koszul else all(bar), (path, theory)
+            assert bool(A.memo("koszul_columns")) is koszul, (path, theory)
 
 
 def test_verify_approx_checks_each_truncation_once(monkeypatch):

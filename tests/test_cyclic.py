@@ -491,19 +491,27 @@ def test_truncation_matches_oracle_on_draws(A, S):
                                       window)
 
 
-def _assert_small_model_matches_bar(A, S, top):
-    """Every theory at depth S, n from -2 up to where the bar check reads
-    C_top: the truncation check at n ranks d_{n+1} at depth S + 1, whose
-    left column is C_{n+2S+3}.  The small model gives the bar path's dim
-    and flag, and builds no bar chain group."""
+def _assert_koszul_matches_bar(A, S, window):
+    """Every theory at depth S on each (n, d) of window: the Koszul model
+    gives the bar path's dim and flag, and builds no bar chain group."""
     for t in THEORY_BOUNDS:
-        for n in range(-2, top - 2 * S - 2):
+        for n, d in window:
             bar_groups = len(A.memo("hochschild_basis"))
-            H = homology(A, t, n, 0, S, "small")
-            small = H.dim, truncation(A, H).flag
+            H = homology(A, t, n, d, S, "koszul")
+            koszul = H.dim, truncation(A, H).flag
             assert len(A.memo("hochschild_basis")) == bar_groups
-            H = homology(A, t, n, 0, S)
-            assert small == (H.dim, truncation(A, H).flag), (A.name, t, n, S)
+            H = homology(A, t, n, d, S)
+            assert koszul == (H.dim, truncation(A, H).flag), \
+                (A.name, t, n, d, S)
+
+
+def _assert_small_model_matches_bar(A, S, top):
+    """The Koszul model of an ungraded F2[x]/(f), its small mixed complex,
+    against the bar path, n from -2 up to where the bar check reads C_top:
+    the truncation check at n ranks d_{n+1} at depth S + 1, whose left
+    column is C_{n+2S+3}."""
+    _assert_koszul_matches_bar(
+        A, S, [(n, 0) for n in range(-2, top - 2 * S - 2)])
 
 
 def test_small_model_matches_bar_on_every_low_degree_f():
@@ -526,6 +534,24 @@ def test_small_model_matches_bar_on_every_low_degree_f():
        st.integers(1, 4))
 def test_small_model_matches_bar_on_draws(A, S):
     _assert_small_model_matches_bar(A, S, 10)
+
+
+@pytest.mark.parametrize("generators", ["x", "xy", "xyz"])
+def test_koszul_model_matches_bar_on_polynomial_rings(generators):
+    # K = (Omega, 0, d); polynomial_algebra gives a fresh algebra
+    A = polynomial_algebra(generators)
+    _assert_koszul_matches_bar(A, 1, bidegree_window(A, 6, 6))
+
+
+def test_koszul_model_matches_bar_on_weights():
+    A = polynomial_algebra("xyz", (1, 2, 3))
+    _assert_koszul_matches_bar(A, 1, bidegree_window(A, 7, 7))
+
+
+@settings(max_examples=10)
+@given(small_presentations().filter(lambda A: not A.relations))
+def test_koszul_model_matches_bar_on_draws(A):
+    _assert_koszul_matches_bar(A, 1, bidegree_window(A, 6, 6))
 
 
 def test_bounded_ranks_match_plain_ranks(monkeypatch):
