@@ -57,8 +57,6 @@ from .gralg import (
 )
 from .hochschild import (
     UChain,
-    boundary_b,
-    connes_B,
     cyclic_shuffles,
     mu_chain,
     shuffle_product,

@@ -30,8 +30,10 @@ from .cyclic import (
     HomologyPresentation,
     Truncation,
     bidegree_window,
+    build_tower,
     homology,
     les_maps,
+    slice_differential,
     theory_key,
     truncation,
     vectorize,
@@ -48,7 +50,7 @@ from .ell import (
 )
 from .f2linalg import F2Matrix, rank_of
 from .gralg import AlgebraPresentation
-from .hochschild import UChain, mu_chain, uchain_boundary
+from .hochschild import UChain, mu_chain
 
 # the approximation functor of each tower, keyed by cyclic.theory_key
 THEORY_FLAVOR = {"minus": "ell", "plus": "ell_plus", "per": "ell_per"}
@@ -64,8 +66,25 @@ def _word(A, head, bars=()) -> frozenset:
     return frozenset({(head, tuple(bars))})
 
 
+def _is_cycle(A: AlgebraPresentation, x: UChain) -> bool:
+    """Whether the nonzero homogeneous u-chain x is a cycle, read in the
+    slice of its theory at its own (n, d), at depth (largest u-exponent)
+    + 1, and at least 1: one column deeper than x reaches, so B of its
+    deepest column is not cut."""
+    i, c = x.entries[-1]
+    head, bars = next(iter(c))
+    n, d = len(bars) - 2 * i, sum(map(A.mono_degree, (head,) + bars))
+    src, tgt = (build_tower(A, x.theory, m, d, max(i + 1, 1))
+                for m in (n, n - 1))
+    return not slice_differential(A, src, tgt, vectorize(A, src, x))
+
+
 def psi_generator_image(A: AlgebraPresentation, gen: tuple) -> UChain:
-    """The chain representing a single generator; asserted to be a cycle."""
+    """The chain representing a single generator, checked to be a cycle;
+    memoised."""
+    table = A.memo("psi_generator")
+    if gen in table:
+        return table[gen]
     kind = gen[0]
     one = A.one
     if kind == "delta":
@@ -89,8 +108,9 @@ def psi_generator_image(A: AlgebraPresentation, gen: tuple) -> UChain:
         x = UChain.make("per", {-1: _word(A, one)})
     else:
         raise ApproxError(f"unknown generator {gen!r}")
-    if not uchain_boundary(A, x).is_zero():
+    if not _is_cycle(A, x):
         raise ApproxError(f"generator image of {gen!r} is not a cycle")
+    table[gen] = x
     return x
 
 

@@ -83,7 +83,7 @@ from .f2linalg import (
     rank_of,
 )
 from .gralg import AlgebraPresentation, grevlex_key
-from .hochschild import BarWord, UChain, uchain_boundary
+from .hochschild import BarWord, UChain
 
 THEORY_BOUNDS = {
     "hh": (0, 0),
@@ -226,9 +226,9 @@ def mixed_columns(A: AlgebraPresentation, op: str, k: int,
     position start + i of the target basis, where the block starts;
     memoised.  An image word outside that block raises TowerError.  Bits
     are set at the target's positions (runs and bar ranks), and XOR is the
-    sum in F2, as in hochschild.boundary_b and connes_B: b of h[a1|...|ak]
-    is h a1[a2|...|ak] + ak h[a1|...|a(k-1)] + h b''[a1|...|ak], and B of
-    h[bars], h not 1, the sum of the rotations of h, bars as bars of 1."""
+    sum in F2: b of h[a1|...|ak] is h a1[a2|...|ak] + ak h[a1|...|a(k-1)]
+    + h b''[a1|...|ak], and B of h[bars], h not 1, the sum of the rotations
+    of h, bars as bars of 1; mixed_apply places them on whole bases."""
     table = A.memo("mixed_columns")
     cols = table.get((op, k, d))
     if cols is None:
@@ -311,7 +311,7 @@ class KoszulGroup:
     J -> (q, e, forms, offset): the words m dx_T t^[J] for the forms m dx_T
     of free_forms(A, q, e), q = k - 2|J|, e = d - sum J_j deg f_j, at
     offset, offset + 1, ...  Its vectors are not bar chains, so vectorize,
-    unvectorize and the exact-sequence maps read bar slices only."""
+    slice_differential and the exact-sequence maps read bar slices only."""
 
     dim: int
     blocks: dict
@@ -409,16 +409,22 @@ def _koszul_piece(A: AlgebraPresentation, j: Optional[int], q: int,
     return table[(j, q, e)]
 
 
-def mixed_matrix(A: AlgebraPresentation, op: str, k: int, d: int) -> F2Matrix:
-    """mixed_columns(A, op, k, d) as a matrix on the whole bases."""
+def mixed_apply(A: AlgebraPresentation, op: str, k: int, d: int,
+                v: int) -> int:
+    """b (op "b") or B (op "B") of a vector v of C_{k,d}, on the whole
+    bases: the mixed_columns of each set bit, moved to the start of its
+    block in the target."""
     src = hochschild_basis(A, k, d)
     tgt = hochschild_basis(A, k - 1 if op == "b" else k + 1, d)
     cols = mixed_columns(A, op, k, d)
-    out: list[int] = []
+    out = 0
     for key, (start, stop) in src.blocks.items():
         lo = tgt.blocks.get(key, (0, 0))[0]
-        out.extend(v << lo for v in cols[start:stop])
-    return F2Matrix(tgt.dim, tuple(out))
+        chunk = (v >> start) & ((1 << (stop - start)) - 1)
+        while chunk:
+            out ^= cols[start + (chunk & -chunk).bit_length() - 1] << lo
+            chunk &= chunk - 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -550,17 +556,19 @@ def _chunks(sl: TowerSlice, v: int):
                 yield p, hb, off, chunk
 
 
-def unvectorize(sl: TowerSlice, v: int) -> UChain:
-    entries: dict[int, frozenset] = {}
-    for p, hb, _, chunk in _chunks(sl, v):
-        words = []
-        while chunk:
-            j = (chunk & -chunk).bit_length() - 1
-            chunk &= chunk - 1
-            words.append(hb.words[j])
-        entries[-p] = frozenset(words)
-    theory = sl.theory if sl.theory != "hh" else "minus"
-    return UChain.make(theory, entries)
+def slice_differential(A: AlgebraPresentation, src: TowerSlice,
+                       tgt: TowerSlice, v: int) -> int:
+    """B + b of a vector v of the bar slice src (degree n), as a vector of
+    tgt (degree n - 1): b of column p goes to column p of tgt and B to
+    column p - 1.  A component with no place in tgt is cut, as
+    _block_columns cuts it."""
+    out = 0
+    for p, _, _, chunk in _chunks(src, v):
+        for op, col in (("b", p - tgt.p_min), ("B", p - 1 - tgt.p_min)):
+            if 0 <= col < len(tgt.parts):
+                out ^= mixed_apply(A, op, src.n - 2 * p, src.d,
+                                   chunk) << tgt.offsets[col]
+    return out
 
 
 def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
@@ -806,8 +814,8 @@ def connecting_map(A: AlgebraPresentation,
 
     p: M -> N moves column p to p + p_shift and i: L -> M moves column p to
     p + i_shift, so a cycle z of N_n lifts to x in M_n by the shift -p_shift
-    and the boundary dx comes back to L_{n-1} by the shift -i_shift.  Both
-    steps are checked exactly: p(x) = z and i(w) = dx.
+    and its slice differential dx comes back to L_{n-1} by the shift
+    -i_shift.  Both steps are checked exactly: p(x) = z and i(w) = dx.
     """
     lift = slice_shift_map(HN.slice, M_n, -p_shift)
     p_map = slice_shift_map(M_n, HN.slice, p_shift)
@@ -818,7 +826,7 @@ def connecting_map(A: AlgebraPresentation,
         x = lift(z)
         if p_map(x) != z:
             raise TowerError("connecting map: lift failed")
-        dx = vectorize(A, M_n1, uchain_boundary(A, unvectorize(M_n, x)))
+        dx = slice_differential(A, M_n, M_n1, x)
         w = back(dx)
         if i_map(w) != dx:
             raise TowerError("connecting map: boundary not in subcomplex")
@@ -925,7 +933,7 @@ def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int,
     if src is None or tgt is None:
         return None
     # both E^1 slices are one column, C_{t-s,d} and C_{t-s+1,d}, at offset 0
-    return class_map(src, tgt, mixed_matrix(A, "B", t - s, d).apply)
+    return class_map(src, tgt, partial(mixed_apply, A, "B", t - s, d))
 
 
 def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int,

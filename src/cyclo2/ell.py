@@ -39,7 +39,13 @@ from __future__ import annotations
 
 import itertools
 
-from .derham import OmegaElement, d_monomial, form_mul, omega_basis
+from .derham import (
+    OmegaElement,
+    d_monomial,
+    de_rham_d,
+    form_mul,
+    omega_basis,
+)
 from .f2linalg import F2Matrix, PresentedSpace, QuotientBasis, rank_of
 from .gralg import AlgebraPresentation, Monomial, Poly
 
@@ -547,13 +553,10 @@ def map_r(A: AlgebraPresentation, mon: EllMonomial) -> OmegaElement:
     for m in phi:
         sq = A.normal_form([tuple(2 * e for e in m)])
         out = form_mul(A, out, frozenset((c, ()) for c in sq))
+    for m in q + dl:  # the da of q(a) and of delta(a)
+        out = form_mul(A, out, de_rham_d(A, frozenset({(m, ())})))
     for m in q:
-        dm = frozenset((c, (i,)) for c, i in d_monomial(A, m))
-        mdm = form_mul(A, frozenset({(m, ())}), dm)
-        out = form_mul(A, out, mdm)
-    for m in dl:
-        dm = frozenset((c, (i,)) for c, i in d_monomial(A, m))
-        out = form_mul(A, out, dm)
+        out = form_mul(A, out, frozenset({(m, ())}))
     return out
 
 
@@ -587,8 +590,8 @@ def map_D(A: AlgebraPresentation, mon: EllMonomial) -> OmegaElement:
     """D: gamma(a) -> da and v^i -> 0, extended ell-linearly."""
     if mon[0] == "v":
         return frozenset()
-    dm = frozenset((c, (i,)) for c, i in d_monomial(A, mon[5]))
-    return form_mul(A, map_r(A, ("e",) + mon[1:5]), dm)
+    return form_mul(A, map_r(A, ("e",) + mon[1:5]),
+                    de_rham_d(A, frozenset({(mon[5], ())})))
 
 
 def map_iota(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gralg import AlgebraPresentation, Monomial
+from .gralg import AlgebraPresentation
 
 BarWord = tuple  # (head: Monomial, bars: tuple[Monomial, ...])
 ChainElement = frozenset  # frozenset[BarWord]
@@ -28,10 +28,6 @@ ZERO_CHAIN: ChainElement = frozenset()
 
 class ChainError(Exception):
     pass
-
-
-def word(head: Monomial, bars: tuple[Monomial, ...]) -> BarWord:
-    return (head, bars)
 
 
 def chain(words) -> ChainElement:
@@ -56,45 +52,6 @@ def single(A: AlgebraPresentation, head, bars=()) -> ChainElement:
     for h in headp:
         for combo in itertools.product(*barsp):
             out.symmetric_difference_update({(h, tuple(combo))})
-    return frozenset(out)
-
-
-def boundary_b(A: AlgebraPresentation, c: ChainElement) -> ChainElement:
-    """Hochschild boundary; signs vanish in characteristic 2."""
-    out: set = set()
-    one = A.one
-    for head, bars in c:
-        n = len(bars)
-        if n == 0:
-            continue
-        # merge into the head at both ends
-        for m in A.mul(head, bars[0]):
-            out.symmetric_difference_update({(m, bars[1:])})
-        for m in A.mul(bars[-1], head):
-            out.symmetric_difference_update({(m, bars[:-1])})
-        # merge adjacent bar entries; scalar products drop (normalization)
-        for i in range(n - 1):
-            rest = bars[:i] + bars[i + 2:]
-            for m in A.mul(bars[i], bars[i + 1]):
-                if m != one:
-                    out.symmetric_difference_update(
-                        {(head, bars[:i] + (m,) + rest[i:])})
-    return frozenset(out)
-
-
-def connes_B(A: AlgebraPresentation, c: ChainElement) -> ChainElement:
-    """Connes' boundary: the sum of cyclic rotations with head 1."""
-    out: set = set()
-    one = A.one
-    for head, bars in c:
-        if head == one:
-            continue  # every term puts the head in a bar slot
-        cycle = (head,) + bars
-        n1 = len(cycle)
-        for i in range(n1):
-            # rotation starting at slot i of (a0, a1, ..., an)
-            rot = cycle[i:] + cycle[:i]
-            out.symmetric_difference_update({(one, rot)})
     return frozenset(out)
 
 
@@ -256,15 +213,3 @@ def mu_chain(A: AlgebraPresentation, x: UChain, y: UChain) -> UChain:
                             {(one, act_inverse(sigma, content))})
     return UChain.make(theory, {i: frozenset(s) for i, s in acc.items()})
 
-
-def uchain_boundary(A: AlgebraPresentation, x: UChain) -> UChain:
-    """The total differential b + u.B on a u-chain."""
-    acc: dict[int, set] = {}
-    for i, c in x.entries:
-        bc = boundary_b(A, c)
-        if bc:
-            acc.setdefault(i, set()).symmetric_difference_update(bc)
-        Bc = connes_B(A, c)
-        if Bc and not (x.theory == "plus" and i + 1 > 0):
-            acc.setdefault(i + 1, set()).symmetric_difference_update(Bc)
-    return UChain.make(x.theory, {i: frozenset(s) for i, s in acc.items()})

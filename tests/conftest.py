@@ -2,8 +2,8 @@
 default hypothesis profile and its random small presentations, the
 augmentation, u-chain, Omega[u], report, model-map, Cartier, exactness,
 subspace-containment and class-coordinate helpers that only the tests use,
-a counter of the eliminations the towers run, and the slow chain-group,
-elimination, differential, truncation-check, connecting-map,
+a counter of the eliminations the towers run, and the slow word-set b, B,
+chain-group, elimination, differential, truncation-check, connecting-map,
 monomial-product, relation-instance, relation-row and commuting-square
 oracles."""
 
@@ -21,12 +21,14 @@ from cyclo2.cyclic import (
     _block_columns,
     _block_dim,
     _block_key,
+    _chunks,
     bidegree_window,
     build_tower,
     class_map,
     homology,
     les_maps,
     slice_shift_map,
+    vectorize,
 )
 from cyclo2.derham import cartier, de_rham_cohomology, omega_basis
 from cyclo2.ell import (
@@ -68,7 +70,7 @@ from cyclo2.f2linalg import (
     rank_of,
 )
 from cyclo2.gralg import AlgebraPresentation, AugmentationError, grevlex_key
-from cyclo2.hochschild import ChainError, UChain, boundary_b, connes_B
+from cyclo2.hochschild import ChainError, UChain
 
 # Fixed examples and no deadline: every run draws the same cases in bounded
 # time.  Another profile can still be chosen with --hypothesis-profile.
@@ -390,6 +392,74 @@ def oracle_homology_bases(out_cols, in_cols):
     return cycles, boundaries, complement_basis(cycles, boundaries)
 
 
+# ----- the word-set b and B on chains of bar words, kept as the oracle of
+# the slice differential -----
+
+def boundary_b(A, c):
+    """Hochschild boundary; signs vanish in characteristic 2."""
+    out = set()
+    one = A.one
+    for head, bars in c:
+        n = len(bars)
+        if n == 0:
+            continue
+        # merge into the head at both ends
+        for m in A.mul(head, bars[0]):
+            out.symmetric_difference_update({(m, bars[1:])})
+        for m in A.mul(bars[-1], head):
+            out.symmetric_difference_update({(m, bars[:-1])})
+        # merge adjacent bar entries; scalar products drop (normalization)
+        for i in range(n - 1):
+            rest = bars[:i] + bars[i + 2:]
+            for m in A.mul(bars[i], bars[i + 1]):
+                if m != one:
+                    out.symmetric_difference_update(
+                        {(head, bars[:i] + (m,) + rest[i:])})
+    return frozenset(out)
+
+
+def connes_B(A, c):
+    """Connes' boundary: the sum of cyclic rotations with head 1."""
+    out = set()
+    one = A.one
+    for head, bars in c:
+        if head == one:
+            continue  # every term puts the head in a bar slot
+        cycle = (head,) + bars
+        for i in range(len(cycle)):
+            # rotation starting at slot i of (a0, a1, ..., an)
+            out.symmetric_difference_update({(one, cycle[i:] + cycle[:i])})
+    return frozenset(out)
+
+
+def uchain_boundary(A, x):
+    """The total differential b + u.B on a u-chain."""
+    acc = {}
+    for i, c in x.entries:
+        bc = boundary_b(A, c)
+        if bc:
+            acc.setdefault(i, set()).symmetric_difference_update(bc)
+        Bc = connes_B(A, c)
+        if Bc and not (x.theory == "plus" and i + 1 > 0):
+            acc.setdefault(i + 1, set()).symmetric_difference_update(Bc)
+    return UChain.make(x.theory, {i: frozenset(s) for i, s in acc.items()})
+
+
+def unvectorize(sl, v):
+    """The u-chain of the slice vector v: column p at u-exponent -p, its
+    words read from the basis of the column (an hh slice reads as minus)."""
+    entries = {}
+    for p, hb, _, chunk in _chunks(sl, v):
+        words = []
+        while chunk:
+            j = (chunk & -chunk).bit_length() - 1
+            chunk &= chunk - 1
+            words.append(hb.words[j])
+        entries[-p] = frozenset(words)
+    theory = sl.theory if sl.theory != "hh" else "minus"
+    return UChain.make(theory, entries)
+
+
 # ----- the chain groups word by word, kept as a slow oracle -----
 
 def oracle_bar_words(A, nbars, d):
@@ -537,17 +607,18 @@ def oracle_solve(cols, target):
 def oracle_connecting_map(A, HN, HL, M_n, M_n1, p_map, i_map):
     """The connecting map N_n -> L_{n-1} by explicit lifting: a lift x of
     each class representative z solved for against the whole matrix of p,
-    and a preimage of dx against the whole matrix of i, with d from the
-    per-word differential columns; p_map and i_map are slice vector maps."""
+    and a preimage of dx against the whole matrix of i, with dx the
+    word-set b + u.B of the u-chain of x, read back into M_{n-1} (its
+    components below a truncation dropped); p_map and i_map are slice
+    vector maps."""
     p_cols = [p_map(1 << j) for j in range(M_n.dim)]
     i_cols = [i_map(1 << j) for j in range(HL.slice.dim)]
-    d_mat = F2Matrix(M_n1.dim,
-                     tuple(oracle_differential_columns(A, M_n, M_n1)))
     cols = []
     for k in range(HN.dim):
         x = oracle_solve(p_cols, HN.rep(k))
         assert x is not None, "connecting map: lift failed"
-        w = oracle_solve(i_cols, d_mat.apply(x))
+        dx = vectorize(A, M_n1, uchain_boundary(A, unvectorize(M_n, x)))
+        w = oracle_solve(i_cols, dx)
         assert w is not None, "connecting map: boundary not in subcomplex"
         cols.append(HL.coords(w))
     return F2Matrix(HL.dim, tuple(cols))

@@ -5,11 +5,13 @@ import weakref
 
 import pytest
 
-from conftest import non_iso_entries, oracle_verify_squares, total_degrees
+from conftest import non_iso_entries, oracle_verify_squares, total_degrees, \
+    uchain_boundary
 from cyclo2.approx import (
     MODEL_OF,
     SQUARES,
     ApproxError,
+    _is_cycle,
     chain_of_monomial,
     psi_class,
     psi_generator_image,
@@ -18,11 +20,12 @@ from cyclo2.approx import (
     verify_squares,
 )
 from cyclo2.cli import load_presentation
-from cyclo2.cyclic import SEQUENCES, homology, vectorize
+from cyclo2.cyclic import SEQUENCES, build_tower, homology, \
+    slice_differential, vectorize
 from cyclo2.ell import MODELS, ell_degree_basis
 from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
     polynomial_algebra, trivial_algebra
-from cyclo2.hochschild import UChain, chain, mu_chain, uchain_boundary
+from cyclo2.hochschild import UChain, chain, mu_chain
 
 F2 = trivial_algebra()
 PX = polynomial_algebra(["x"])
@@ -74,6 +77,17 @@ def test_generator_images_are_cycles():
         psi_generator_image(PX, gen)
     with pytest.raises(ApproxError):
         psi_generator_image(PX, ("bogus",))
+
+
+def test_generator_check_reads_b_of_the_deepest_column():
+    # u (x) a[] has b = 0, and its one boundary term is B of its deepest
+    # column, u^2 (x) 1[a]: at depth 1 that term is cut, so the check reads
+    # one column deeper
+    for A in (F4, DUAL):
+        x = UChain.make("minus", {1: w(A.gen_monomial(0))})
+        src, tgt = (build_tower(A, "minus", m, 0, 1) for m in (-2, -3))
+        assert slice_differential(A, src, tgt, vectorize(A, src, x)) == 0
+        assert not _is_cycle(A, x), A.name
 
 
 def test_r11_witness():

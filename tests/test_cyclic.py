@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     CountedReductions,
     assembled_bases,
+    boundary_b,
     contains_subspace,
     exactness_defects,
     oracle_bar_words,
@@ -24,6 +25,7 @@ from conftest import (
     slice_basis,
     small_presentations,
     ungraded_x,
+    unvectorize,
 )
 from cyclo2.approx import verify_squares
 from cyclo2.cli import load_presentation
@@ -44,11 +46,11 @@ from cyclo2.cyclic import (
     hochschild_basis,
     homology,
     les_maps,
+    mixed_apply,
     mixed_columns,
-    mixed_matrix,
+    slice_differential,
     slice_shift_map,
     truncation,
-    unvectorize,
     vectorize,
 )
 from cyclo2.derham import d_matrix_columns, de_rham_cohomology, omega_basis
@@ -101,7 +103,6 @@ def oracle_rank(vectors):
 
 def oracle_hh_dims(A, nmax, d):
     """Brute-force HH dims from the normalized bar complex."""
-    from cyclo2.hochschild import boundary_b
     words = {m: oracle_bar_words(A, m, d) for m in range(nmax + 2)}
     dims = []
     for n in range(nmax + 1):
@@ -166,27 +167,44 @@ def _placed_block_columns(A, src, tgt):
     return cols
 
 
+def _assert_differential_matches_oracle(A, theory, n, d, S, rng):
+    # the block columns, placed in the slices, and slice_differential on
+    # random slice vectors are the whole-slice differential
+    src = build_tower(A, theory, n, d, S)
+    tgt = build_tower(A, theory, n - 1, d, S)
+    cols = oracle_differential_columns(A, src, tgt)
+    assert _placed_block_columns(A, src, tgt) == cols, (A.name, theory, n, S)
+    for v in [rng.getrandbits(src.dim) for _ in range(4)] + [
+            (1 << src.dim) - 1]:
+        image = 0
+        for j in range(src.dim):
+            if v >> j & 1:
+                image ^= cols[j]
+        assert slice_differential(A, src, tgt, v) == image, \
+            (A.name, theory, n, d, S, v)
+
+
 def test_differential_columns_match_per_word_oracle():
-    # the block columns, placed in the slices, are the whole-slice
-    # differential; graded towers are finite, ungraded ones are cut at -S,
-    # so the B column of their deepest p is dropped
+    # graded towers are finite, ungraded ones are cut at -S, so the B
+    # column of their deepest p is dropped
+    rng = random.Random(11)
     for A in (PXY, CUSP):
-        for theory in ("hh", "plus", "minus", "per"):
+        for theory in THEORY_BOUNDS:
             for n, d in bidegree_window(A, 4, 4):
-                src = build_tower(A, theory, n, d)
-                tgt = build_tower(A, theory, n - 1, d)
-                assert _placed_block_columns(A, src, tgt) == \
-                    oracle_differential_columns(A, src, tgt), \
-                    (A.name, theory, n, d)
+                _assert_differential_matches_oracle(A, theory, n, d, 3, rng)
     for A in (F4, DUAL, X3):
-        for S in (2, 3, 4):
-            for theory in ("hh", "plus", "minus", "per"):
+        for S in (1, 2, 3, 4):
+            for theory in THEORY_BOUNDS:
                 for n in range(-2, 4):
-                    src = build_tower(A, theory, n, 0, S)
-                    tgt = build_tower(A, theory, n - 1, 0, S)
-                    assert _placed_block_columns(A, src, tgt) == \
-                        oracle_differential_columns(A, src, tgt), \
-                        (A.name, theory, n, S)
+                    _assert_differential_matches_oracle(A, theory, n, 0, S,
+                                                        rng)
+
+
+def _mixed_matrix(A, op, k, d):
+    """mixed_apply on every basis vector of C_{k,d}."""
+    rows = hochschild_basis(A, k - 1 if op == "b" else k + 1, d).dim
+    return F2Matrix(rows, tuple(mixed_apply(A, op, k, d, 1 << j) for j in
+                                range(hochschild_basis(A, k, d).dim)))
 
 
 def test_mixed_columns_form_a_mixed_complex():
@@ -194,8 +212,8 @@ def test_mixed_columns_form_a_mixed_complex():
     for A, degrees in ((PXY, range(5)), (CUSP, range(5)), (F4, (0,)),
                        (DUAL, (0,)), (X3, (0,))):
         for d in degrees:
-            b = lambda j: mixed_matrix(A, "b", j, d)
-            B = lambda j: mixed_matrix(A, "B", j, d)
+            b = lambda j: _mixed_matrix(A, "b", j, d)
+            B = lambda j: _mixed_matrix(A, "B", j, d)
             for k in range(1, 6):
                 assert b(k - 1).compose(b(k)).is_zero(), (A.name, k, d)
                 assert B(k + 1).compose(B(k)).is_zero(), (A.name, k, d)
@@ -922,14 +940,14 @@ def test_mixed_columns_keep_blocks_and_form_a_mixed_complex(A):
     its source word's _block_key; on every draw b b = B B = b B + B b = 0
     on the per-degree matrices."""
     for d in range(5) if A.graded else (0,):
-        b = lambda j: mixed_matrix(A, "b", j, d)
-        B = lambda j: mixed_matrix(A, "B", j, d)
+        b = lambda j: _mixed_matrix(A, "b", j, d)
+        B = lambda j: _mixed_matrix(A, "B", j, d)
         for k in range(5):
             if A.monomial_ideal:
                 src = hochschild_basis(A, k, d)
                 for op, k_tgt in (("b", k - 1), ("B", k + 1)):
                     tgt = hochschild_basis(A, k_tgt, d).words
-                    for w, col in zip(src.words, mixed_matrix(A, op, k, d)
+                    for w, col in zip(src.words, _mixed_matrix(A, op, k, d)
                                       .columns):
                         keys = {_block_key(tgt[i])
                                 for i in range(col.bit_length())

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import cartier_bijective
+from conftest import boundary_b, cartier_bijective, connes_B
 from cyclo2.cyclic import homology, vectorize
 from cyclo2.derham import (
     DeRhamError,
@@ -16,7 +16,7 @@ from cyclo2.derham import (
     omega_basis,
 )
 from cyclo2.gralg import dual_numbers, polynomial_algebra, trivial_algebra
-from cyclo2.hochschild import UChain, boundary_b
+from cyclo2.hochschild import UChain
 
 PX = polynomial_algebra(["x"])
 PXY = polynomial_algebra(["x", "y"])
@@ -149,7 +149,6 @@ def test_antisymmetrize_lands_in_cycles():
 
 
 def test_B_epsilon_commutes_with_epsilon_d_in_homology():
-    from cyclo2.hochschild import connes_B
     for A in (PX, PXY):
         for n in range(0, A.ngens):
             for d in range(n, 5):

@@ -2,22 +2,20 @@ import random
 
 import pytest
 
-from conftest import scale_u, unit_uchain
+from conftest import boundary_b, connes_B, scale_u, uchain_boundary, \
+    unit_uchain
 from cyclo2.gralg import dual_numbers, field_f4, polynomial_algebra
 from cyclo2.hochschild import (
     ChainError,
     UChain,
     act,
     act_inverse,
-    boundary_b,
     chain,
-    connes_B,
     cyclic_shuffles,
     mu_chain,
     shuffle_product,
     shuffles,
     single,
-    uchain_boundary,
 )
 
 A3 = polynomial_algebra(["x", "y", "z"])
