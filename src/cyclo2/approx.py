@@ -267,10 +267,12 @@ def verify_approximation(A: AlgebraPresentation, theory: str,
     for n, D in bidegrees:
         sp = ell_degree_basis(A, THEORY_FLAVOR[t], n, D - n)
         H = homology(A, t, n, D, S)
+        # H's classes before the check reads its dim and d_{n+1}: psi, the
+        # product checks and the squares read most bases of the window, so
+        # a rank pass first is wasted; the eliminations record those ranks
+        classes = H.complement
         trunc = truncation(A, H)
-        # H's classes, not its dim: psi, the product checks and the squares
-        # read most bases of the window, so a rank pass first is wasted
-        if sp.dim == 0 and not H.complement and trunc.flag == "stable":
+        if sp.dim == 0 and not classes and trunc.flag == "stable":
             report.entries.append(BidegreeVerdict(
                 n, D, D - n, 0, 0, 0, "iso", "stable", "both sides zero"))
             continue

@@ -190,10 +190,8 @@ def cmd_compute(A: AlgebraPresentation, cfg: RunConfig) -> dict:
         model = chain_model(A)  # compute reads dims and flags, no bar chains
         for n, D in bidegree_window(A, cfg.max_homological, cfg.max_internal):
             h = homology(A, theory, n, D, cfg.columns, model)
-            # first: where the check reads bases, their elimination gives dim
-            flag = truncation(A, h).flag
             entries.append({"n": n, "internal": D, "dim": h.dim,
-                            "flag": flag})
+                            "flag": truncation(A, h).flag})
     elif theory in ("ell", "ellplus", "ellper"):
         flavor = {"ell": "ell", "ellplus": "ell_plus",
                   "ellper": "ell_per"}[theory]

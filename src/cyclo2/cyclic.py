@@ -7,8 +7,8 @@ column p is n - 2p, so the right bound is always finite; for graded
 algebras the left bound is finite too because every bar entry has positive
 degree.  Only ungraded minus/per towers need the truncation column -S.
 homology() is the homology at that depth, memoised once per bidegree and
-depth; truncation() checks it against depth S + 1, from ranks and unkept
-cycles, and flags it stable or truncation-limited.
+depth; truncation() checks it against depth S + 1 from memoised ranks
+alone, and flags it stable or truncation-limited.
 
 Column p of T_n is the Hochschild chain group C_{n-2p,d}.  Its ordered
 basis and its b and B matrices are computed once per algebra and shared by
@@ -76,9 +76,6 @@ from .f2linalg import (
     F2Matrix,
     Homology,
     SubspaceBasis,
-    _placed,
-    echelonize_in,
-    null_space,
     rank_kernel_image,
     rank_of,
 )
@@ -740,32 +737,31 @@ class Truncation(NamedTuple):
 
 def truncation(A: AlgebraPresentation,
                H: HomologyPresentation) -> Truncation:
-    """The check of H, a homology at depth S, against depth S + 1.
+    """The check of H, a homology at depth S, against depth S + 1, from
+    memoised block ranks alone: nothing is eliminated.
 
-    A tower that is not truncated is exact.  Otherwise H's bases are read
-    first, so its dim comes from their eliminations; the dim at S + 1 comes
-    from the ranks of d_n and d_{n+1} there, and the cycles of d_n there,
-    eliminated block by block and not kept, are placed in the slice and
-    projected to depth S.  The projection is a chain map, so it sends
-    boundaries to boundaries, and their classes span the image of the
-    homology at S + 1, whose rank is the persistent rank.  The flag is
-    stable only if the dimensions agree and the projection is an
-    isomorphism."""
+    A tower that is not truncated is exact.  Otherwise the projection pi
+    of T^{S+1} onto T^S drops column -(S+1); it is a chain map, so every
+    depth-S boundary lifts, and the image of the homology at S + 1 is
+    pi(Z^{S+1}_n) / B^S_n.  pi kills on Z^{S+1}_n the b-cycles of the new
+    column C_{n+2S+2} (its B leaves the tower), so the persistent rank is
+    dim T^S_n - rank d_n^{S+1} + rank(b on C_{n+2S+2}) - rank d_{n+1}^S,
+    that b being d of the hh slice at n + 2S + 2; the dim at S + 1 comes
+    from the ranks of d_n and d_{n+1} there.  The flag is stable only if
+    the dimensions agree and the projection is an isomorphism."""
     if not H.slice.truncated:
         return Truncation("stable", None)
-    t, n, d, S, model = H.theory, H.n, H.d, H.S + 1, H.slice.model
-    big = build_tower(A, t, n, d, S, model)
-    persistent = 0
-    if H.complement:
-        down = build_tower(A, t, n - 1, d, S, model)
-        project = slice_shift_map(big, H.slice, 0)
-        persistent = echelonize_in([
-            H.coords(project(_placed(z, runs)))
-            for key, runs in zip(big.blocks, big.runs())
-            for z in null_space(_block_columns(A, big, down, key))[0].vectors
-        ], H.dim).dim
-    ranks = (differential_ranks(A, t, n + k, d, S, model) for k in (0, 1))
-    stable = H.dim == _dim_from_ranks(big, *ranks) == persistent
+    t, n, d, S, model = H.theory, H.n, H.d, H.S, H.slice.model
+
+    def rank(theory: str, m: int, depth: int) -> int:
+        return sum(differential_ranks(A, theory, m, d, depth, model).values())
+
+    deep = rank(t, n, S + 1)
+    persistent = (H.slice.dim - deep + rank("hh", n + 2 * S + 2, S + 1)
+                  - rank(t, n + 1, S))
+    deeper = (build_tower(A, t, n, d, S + 1, model).dim - deep
+              - rank(t, n + 1, S + 1))
+    stable = H.dim == deeper == persistent
     return Truncation("stable" if stable else "truncation-limited", persistent)
 
 

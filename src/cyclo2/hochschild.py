@@ -30,31 +30,6 @@ class ChainError(Exception):
     pass
 
 
-def chain(words) -> ChainElement:
-    out: set = set()
-    for w in words:
-        out.symmetric_difference_update({w})
-    return frozenset(out)
-
-
-def single(A: AlgebraPresentation, head, bars=()) -> ChainElement:
-    """Build the chain for one word, normalizing all slots.
-
-    head and every bar may be given as monomials or polynomial frozensets;
-    multilinear expansion applies and scalar bar entries drop out.
-    """
-    headp = head if isinstance(head, frozenset) else A.normal_form([head])
-    out: set = set()
-    barsp = []
-    for b in bars:
-        bp = b if isinstance(b, frozenset) else A.normal_form([b])
-        barsp.append([m for m in bp if m != A.one])
-    for h in headp:
-        for combo in itertools.product(*barsp):
-            out.symmetric_difference_update({(h, tuple(combo))})
-    return frozenset(out)
-
-
 # ----- shuffle combinatorics -----
 
 @lru_cache(maxsize=None)

@@ -312,11 +312,11 @@ class CountedReductions:
         monkeypatch.setattr(cyclic, "_block_columns", counting_columns)
         monkeypatch.setattr(cyclic, "rank_of",
                             reduction(cyclic.rank_of, self.ranked))
-        for module in (cyclic, f2linalg):
-            monkeypatch.setattr(module, "null_space",
-                                reduction(module.null_space, self.eliminated))
-            monkeypatch.setattr(module, "echelonize_in",
-                                reduction(module.echelonize_in, self.spans))
+        # cyclic eliminates and spans only through f2linalg
+        monkeypatch.setattr(f2linalg, "null_space",
+                            reduction(f2linalg.null_space, self.eliminated))
+        monkeypatch.setattr(f2linalg, "echelonize_in",
+                            reduction(f2linalg.echelonize_in, self.spans))
 
     def clear(self):
         for calls in (self.built, self.ranked, self.eliminated, self.spans):

@@ -26,7 +26,6 @@ from cyclo2.gralg import dual_numbers, field_f4, polynomial_algebra, \
     trivial_algebra
 from cyclo2.hochschild import (
     UChain,
-    chain,
     cyclic_shuffles,
     mu_chain,
     shuffle_product,
@@ -88,10 +87,10 @@ def test_criterion_02_cyclic_shuffles():
 
 def _gen_chains(A, m):
     one = A.one
-    delta = UChain.make("minus", {0: chain([(one, (m,))])})
-    q = UChain.make("minus", {0: chain([(m, (m,))])})
+    delta = UChain.make("minus", {0: frozenset([(one, (m,))])})
+    q = UChain.make("minus", {0: frozenset([(m, (m,))])})
     sq = frozenset((h, ()) for h in A.mul(m, m))
-    phi = UChain.make("minus", {0: sq, 1: chain([(one, (m, m))])})
+    phi = UChain.make("minus", {0: sq, 1: frozenset([(one, (m, m))])})
     return delta, q, phi
 
 
@@ -105,7 +104,7 @@ def test_criterion_03_boundary_witnesses():
     dy, qy, phy = _gen_chains(A, y)
     dz, _, _ = _gen_chains(A, z)
     dxy, qxy, phxy = _gen_chains(A, xy)
-    u = UChain.make("minus", {1: chain([(one, ())])})
+    u = UChain.make("minus", {1: frozenset([(one, ())])})
     failures = []
 
     def check(name, witness, defect):
@@ -114,39 +113,42 @@ def test_criterion_03_boundary_witnesses():
 
     # q-additivity: the boundary of 1 (x) 1[a|b] is delta(ab) plus the
     # cross terms of q(a+b)
-    w3 = UChain.make("minus", {0: chain([(one, (x, y))])})
-    d3 = UChain.make("minus", {0: chain([(one, (xy,)), (x, (y,)), (y, (x,))])})
+    w3 = UChain.make("minus", {0: frozenset([(one, (x, y))])})
+    d3 = UChain.make("minus", {0: frozenset([(one, (xy,)), (x, (y,)),
+                                             (y, (x,))])})
     check("q-additivity", w3, d3)
     # the three-term delta relation
-    w4 = UChain.make("minus", {0: chain([(one, (x, y, z)), (one, (y, z, x)),
-                                         (one, (z, x, y))])})
+    w4 = UChain.make("minus", {0: frozenset([(one, (x, y, z)),
+                                             (one, (y, z, x)),
+                                             (one, (z, x, y))])})
     d4 = mu_chain(A, dxy, dz) + mu_chain(A, UChain.make(
-        "minus", {0: chain([(one, (yz,))])}), dx) + mu_chain(
-        A, UChain.make("minus", {0: chain([(one, (xz,))])}), dy)
+        "minus", {0: frozenset([(one, (yz,))])}), dx) + mu_chain(
+        A, UChain.make("minus", {0: frozenset([(one, (xz,))])}), dy)
     check("delta-three-term", w4, d4)
     # phi multiplicativity
-    w5 = UChain.make("minus", {1: chain([(one, (x, y, xy)), (one, (x, x, ysq)),
-                                         (x, (y, x, y)), (x, (x, y, y))])})
+    w5 = UChain.make("minus", {1: frozenset([(one, (x, y, xy)),
+                                             (one, (x, x, ysq)),
+                                             (x, (y, x, y)), (x, (x, y, y))])})
     d5 = phxy + mu_chain(A, phx, phy) + mu_chain(A, u, mu_chain(A, qx, qy))
     check("phi-mult", w5, d5)
     # q Leibniz rule
-    w6 = UChain.make("minus", {0: chain([(xy, (x, y))]),
-                               1: chain([(one, (x, y, y, x)),
-                                         (one, (y, x, x, y)),
-                                         (one, (y, x, y, x))])})
+    w6 = UChain.make("minus", {0: frozenset([(xy, (x, y))]),
+                               1: frozenset([(one, (x, y, y, x)),
+                                             (one, (y, x, x, y)),
+                                             (one, (y, x, y, x))])})
     d6 = qxy + mu_chain(A, qx, phy) + mu_chain(A, phx, qy)
     check("q-leibniz", w6, d6)
     # delta(a)phi(b) = delta(a b^2)
-    w9 = UChain.make("minus", {0: chain([(one, (x, ysq)), (x, (y, y))])})
-    dxy2 = UChain.make("minus", {0: chain([(one, ((1, 2, 0),))])})
+    w9 = UChain.make("minus", {0: frozenset([(one, (x, ysq)), (x, (y, y))])})
+    dxy2 = UChain.make("minus", {0: frozenset([(one, ((1, 2, 0),))])})
     d9 = mu_chain(A, dx, phy) + dxy2
     check("delta-phi", w9, d9)
     # delta(a)q(b) = delta(ab)delta(b)
-    w10 = UChain.make("minus", {0: chain([(one, (y, x, y))])})
+    w10 = UChain.make("minus", {0: frozenset([(one, (y, x, y))])})
     d10 = mu_chain(A, dx, qy) + mu_chain(A, dxy, dy)
     check("delta-q", w10, d10)
     # u delta(a) = 0
-    w11 = UChain.make("minus", {0: chain([(x, ())])})
+    w11 = UChain.make("minus", {0: frozenset([(x, ())])})
     d11 = mu_chain(A, u, dx)
     check("u-delta", w11, d11)
     report(3, not failures,

@@ -25,7 +25,7 @@ from cyclo2.cyclic import SEQUENCES, build_tower, homology, \
 from cyclo2.ell import MODELS, ell_degree_basis
 from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
     polynomial_algebra, trivial_algebra
-from cyclo2.hochschild import UChain, chain, mu_chain
+from cyclo2.hochschild import UChain, mu_chain
 
 F2 = trivial_algebra()
 PX = polynomial_algebra(["x"])
@@ -36,7 +36,7 @@ ONE = (0,)
 
 
 def w(head, *bars):
-    return chain([(head, tuple(bars))])
+    return frozenset({(head, tuple(bars))})
 
 
 def _cube():

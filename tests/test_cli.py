@@ -304,8 +304,7 @@ def test_graded_compute_builds_no_bases(monkeypatch):
         return lambda cols: eliminated.append(len(cols)) or f(cols)
 
     monkeypatch.setattr(cli, "load_presentation", load)
-    for module in (cyclic, f2linalg):
-        monkeypatch.setattr(module, "null_space", counted(module.null_space))
+    monkeypatch.setattr(f2linalg, "null_space", counted(f2linalg.null_space))
     for theory in ("hcminus", "hh", "hc", "hcper"):
         status, report = run(RunConfig(fixture("poly_xyz.alg"), "compute",
                                        theory, 3, 4))
@@ -316,34 +315,57 @@ def test_graded_compute_builds_no_bases(monkeypatch):
     assert eliminated == []
 
 
-def test_truncated_compute_ranks_nothing_apart(monkeypatch):
-    # the truncation check reads the bases before dim is read: on the bar
+def test_truncated_compute_eliminates_nothing(monkeypatch):
+    # the truncation check reads memoised block ranks only: on the bar
     # towers of the dual numbers, driven as compute drives a window
-    # (homology, then truncation, per bidegree), every depth-S dimension
-    # comes from the eliminations, with no rank pass of its own.  The
-    # depth S + 1 dimensions come from ranks, one per block of each
-    # differential; the check at n eliminates the cycles of d_n there and
-    # never runs an elimination on d_{n+1} there.
+    # (homology and its dim, then truncation, per bidegree), nothing is
+    # eliminated or spanned and no basis is memoised; the blocks of each
+    # shape, at depth S, at S + 1 and of the hh slice whose b the check
+    # reads, are built and ranked once per algebra
     counted = CountedReductions(monkeypatch)
-    deeper = []  # (n of the check, source slice of each elimination)
     S = 3
-    for theory in ("hcminus", "hcper"):
+    for theory, t in (("hcminus", "minus"), ("hcper", "per")):
         A = load_presentation(fixture("dual_numbers.alg"))
-        entries = []
+        counted.clear()
+        flags = set()
         for n, D in cyclic.bidegree_window(A, 6, 0):
             H = cyclic.homology(A, theory, n, D, S)
-            start = len(counted.eliminated), len(counted.spans)
-            flag = cyclic.truncation(A, H).flag
-            entries.append((H.dim, flag))
-            tags = counted.eliminated[start[0]:] + counted.spans[start[1]:]
-            deeper.extend((n, src) for src, _, _ in filter(None, tags)
-                          if src[3] == S + 1)
-        assert "truncation-limited" in {flag for _, flag in entries}, theory
-    # source slices are (theory, n, d, S)
-    assert counted.ranked and None not in counted.ranked
-    assert {src[3] for src, _, _ in counted.ranked} == {S + 1}
-    assert max(Counter(counted.ranked).values()) == 1
-    assert deeper and all(src[1] == n for n, src in deeper)
+            H.dim
+            flags.add(cyclic.truncation(A, H).flag)
+        assert "truncation-limited" in flags, theory
+        assert counted.eliminated == [] and counted.spans == [], theory
+        assert A.memo("differential") == {}, theory
+        # source slices are (theory, n, d, S), S = 0 where not truncated
+        assert counted.ranked and None not in counted.ranked
+        assert Counter(counted.ranked) == Counter(counted.built)
+        assert {(src[0], src[3]) for src, _, _ in counted.ranked} == {
+            (t, S), (t, S + 1), ("hh", 0)}, theory
+        shaped = Counter((cyclic._shape_key(A, *src), key)
+                         for src, _, key in counted.ranked)
+        assert max(shaped.values()) == 1, theory
+
+
+def test_verify_approx_reads_classes_before_the_check(monkeypatch):
+    # verify-approx reads H's classes before the truncation check, so the
+    # depth-S ranks the check and H.dim read come from those eliminations,
+    # with no rank pass of their own
+    check = cyclic.truncation
+    checked = []
+
+    def after_bases(A, H):
+        shapes = {cyclic._shape_key(A, H.theory, m, H.d, H.S)
+                  for m in (H.n, H.n + 1)}
+        assert shapes <= set(A.memo("differential")), (A.name, H.n)
+        checked.append(H.slice.truncated)
+        return check(A, H)
+
+    monkeypatch.setattr(approx, "truncation", after_bases)
+    for name in ("dual_numbers.alg", "f4.alg"):
+        for theory in ("hcminus", "hcper"):
+            status, _ = run(RunConfig(fixture(name), "verify-approx", theory,
+                                      0, 2))
+            assert status == 0, (name, theory)
+    assert checked and all(checked)
 
 
 def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
@@ -351,7 +373,8 @@ def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
     # compute on ungraded F2[x]/(f) and on polynomial rings reads the Koszul
     # model and builds no bar chain group or column; the cusp, ungraded
     # F2[x,y]/(x^2, y^2) and F2[x,y,z]/(x^2, xy) keep the bar complex, and
-    # build no Koszul column
+    # build no Koszul column; on either model, truncated or not, compute
+    # reads dims and flags from ranks and eliminates nothing
     loaded = []
 
     def load(path):
@@ -382,6 +405,7 @@ def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
                        for h in A.memo("homology").values()), (path, theory)
             assert not any(bar) if koszul else all(bar), (path, theory)
             assert bool(A.memo("koszul_columns")) is koszul, (path, theory)
+            assert A.memo("differential") == {}, (path, theory)
 
 
 def test_verify_approx_checks_each_truncation_once(monkeypatch):

@@ -63,7 +63,7 @@ from cyclo2.gralg import (
     polynomial_algebra,
     trivial_algebra,
 )
-from cyclo2.hochschild import UChain, chain
+from cyclo2.hochschild import UChain
 
 F2 = trivial_algebra()
 PX = polynomial_algebra(["x"])
@@ -418,17 +418,25 @@ def test_shared_eliminations_in_either_order():
                         oracle[t, n, d], (A.name, t, n, d, S)
 
 
-def test_stabilization_pass_keeps_no_eliminations():
-    # the S + 1 pass keeps no basis: only its ranks, which are ints, are
-    # memoised, some under shapes that no depth-S differential has
+def test_stabilization_pass_keeps_no_eliminations(monkeypatch):
+    # the check eliminates nothing and keeps no basis: only ranks, which
+    # are ints, are memoised, each block of each shape ranked once, under
+    # the shapes of d_n and d_{n+1} at S and S + 1 (some of which no
+    # depth-S differential has) and of the hh slice at n + 2S + 2
+    counted = CountedReductions(monkeypatch)
     A = truncated_cube()
     for n in range(-3, 4):
         truncation(A, homology(A, "per", n, 0, 3))
     read = {S: {_shape_key(A, "per", n, 0, S) for n in range(-3, 5)}
             for S in (3, 4)}
-    assert set(A.memo("differential")) == read[3]
-    assert set(A.memo("differential_rank")) == read[3] | read[4]
-    assert read[4] - read[3]
+    hh = {_shape_key(A, "hh", n + 8, 0, 4) for n in range(-3, 4)}
+    assert A.memo("differential") == {}
+    assert counted.eliminated == [] and counted.spans == []
+    assert set(A.memo("differential_rank")) == read[3] | read[4] | hh
+    assert read[4] - read[3] and hh - read[3] - read[4]
+    shaped = Counter((_shape_key(A, *src), key)
+                     for src, _, key in counted.ranked)
+    assert shaped and max(shaped.values()) == 1
     assert {key[3] for key in A.memo("homology")} == {3}
 
 
@@ -722,7 +730,8 @@ def test_connecting_map_formula():
     assert bd.columns[0] & 1 == 1
     # the target class is represented by 1 (x) 1[x]
     x = (1,)
-    v = vectorize(PX, hm1.slice, UChain.make("minus", {0: chain([((0,), (x,))])}))
+    v = vectorize(PX, hm1.slice,
+                  UChain.make("minus", {0: frozenset({((0,), (x,))})}))
     assert hm1.coords(v) == 0b1
 
 
