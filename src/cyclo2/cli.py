@@ -143,6 +143,9 @@ def load_presentation(path: str) -> AlgebraPresentation:
             if len(parts) not in (2, 3):
                 raise CLIError(f"line {lineno}: expected 'name degree "
                                "[augmentation]'")
+            if parts[0] == "1" or any(c in parts[0] for c in "*^+"):
+                raise CLIError(f"line {lineno}: generator {parts[0]!r} "
+                               "cannot be spelled in a relation")
             gen_names.append(parts[0])
             try:
                 gen_degs.append(int(parts[1]))
@@ -239,15 +242,14 @@ def cmd_spectral(A: AlgebraPresentation, cfg: RunConfig) -> dict:
         raise CLIError("spectral needs theory hh, hc, hcminus or hcper") \
             from None
     entries = []
+    model = chain_model(A)  # spectral reads dims only, no bar chains
     s_lo = -cfg.max_homological if alpha is None else alpha
     s_hi = cfg.max_homological if beta is None else beta
     for s in range(s_lo, s_hi + 1):
         for t in range(0, cfg.max_homological + 1):
             for D in (range(0, cfg.max_internal + 1) if A.graded else (0,)):
-                # E2 reads E1's bases, which record the ranks e1.dim reads
-                dim2 = e2_page(A, alpha, beta, s, t, D)
-                e1 = e1_page(A, alpha, beta, s, t, D)
-                dim1 = e1.dim if e1 is not None else 0
+                dim1 = e1_page(A, alpha, beta, s, t, D, model).dim
+                dim2 = e2_page(A, alpha, beta, s, t, D, model)
                 if dim1 or dim2:
                     entries.append({"s": s, "t": t, "internal": D,
                                     "e1": dim1, "e2": dim2})

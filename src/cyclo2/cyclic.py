@@ -55,9 +55,9 @@ a quasi-isomorphism of mixed complexes (Loday, Cyclic Homology, 3.4), and
 on an ungraded F2[x]/(f), where K is the 2-periodic small mixed complex of
 its resolution (Buenos Aires Cyclic Homology Group, K-Theory 5, 1991).
 Quasi-isomorphic mixed complexes give the same truncated-tower homology
-(Loday, Cyclic Homology, 5.1), and the tests hold K's dims and flags to
-the bar model's; compute reads it.  verify-approx and spectral read class
-coordinates of bar chains, so they read the bar model.
+(Loday, Cyclic Homology, 5.1), and the tests hold K's dims, flags and E^2
+pages to the bar model's; compute and spectral read it.  verify-approx
+reads class coordinates of bar chains, so it reads the bar model.
 
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
@@ -87,12 +87,11 @@ THEORY_BOUNDS = {
     "plus": (0, None),
     "minus": (None, 0),
     "per": (None, None),
+    "pair": (-1, 0),  # two columns, whose d ranks B on HH (e2_page)
 }
 
-THEORY_ALIASES = {
-    "hh": "hh", "hc": "plus", "plus": "plus", "hcminus": "minus",
-    "minus": "minus", "hcper": "per", "per": "per",
-}
+THEORY_ALIASES = {t: t for t in THEORY_BOUNDS} | {
+    "hc": "plus", "hcminus": "minus", "hcper": "per"}
 
 
 class TowerError(Exception):
@@ -367,7 +366,8 @@ def koszul_columns(A: AlgebraPresentation, op: str, k: int,
     leaves out the homotopy-transfer term i ((g f') div f) on degree 2i
     (from the Tate-de Rham model F2[x]<y>, dy = f), which changes no
     dimension and no truncation flag on any f of degree <= 6 at |n| <= 8,
-    S <= 6, under the four theories."""
+    S <= 6, under the four theories, nor an E^2 page of theirs on any f of
+    degree <= 3 at |s|, t <= 6 or of degree 4 at |s|, t <= 3."""
     table = A.memo("koszul_columns")
     cols = table.get((op, k, d))
     if cols is None:
@@ -914,31 +914,28 @@ def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
 # ----- the column-filtration spectral sequence -----
 
 def e1_page(A: AlgebraPresentation, alpha: Optional[int], beta: Optional[int],
-            s: int, t: int, d: int):
+            s: int, t: int, d: int, model: str = "bar"):
     """E^1_{s,t} = HH_{t-s} at internal degree d, zero outside [alpha, beta]."""
     if (alpha is not None and s < alpha) or (beta is not None and s > beta):
         return None
-    return homology(A, "hh", t - s, d)
+    return homology(A, "hh", t - s, d, model=model)
 
 
-def d1_matrix(A: AlgebraPresentation, alpha, beta, s: int, t: int,
-              d: int) -> Optional[F2Matrix]:
-    """d^1 = B_*, from (s, t) to (s - 1, t)."""
-    src = e1_page(A, alpha, beta, s, t, d)
-    tgt = e1_page(A, alpha, beta, s - 1, t, d)
-    if src is None or tgt is None:
-        return None
-    # both E^1 slices are one column, C_{t-s,d} and C_{t-s+1,d}, at offset 0
-    return class_map(src, tgt, partial(mixed_apply, A, "B", t - s, d))
-
-
-def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int,
-            d: int) -> int:
-    """Dimension of E^2_{s,t}: dim E^1 - rank d^1 out - rank d^1 in, as
-    d^1 d^1 = 0.  Both d^1 are built before e1.dim is read: they read the
-    bases of E^1, whose eliminations record the ranks that e1.dim reads."""
-    e1 = e1_page(A, alpha, beta, s, t, d)
+def e2_page(A: AlgebraPresentation, alpha, beta, s: int, t: int, d: int,
+            model: str = "bar") -> int:
+    """Dimension of E^2_{s,t}: dim E^1 - rank d^1 out - rank d^1 in, d^1 =
+    B_*: HH_k -> HH_{k+1} from (s, t), k = t - s, to (s - 1, t).  The pair
+    slice W_k = C_k + C_{k+2} has d(x, y) = (bx, Bx + by), with kernel
+    {(z, y): bz = 0, Bz = by}, so it ranks B_* + b_k + b_{k+2}."""
+    e1 = e1_page(A, alpha, beta, s, t, d, model)
     if e1 is None:
         return 0
-    d1 = [d1_matrix(A, alpha, beta, s + k, t, d) for k in (0, 1)]
-    return e1.dim - sum(rank_of(m.columns) for m in d1 if m is not None)
+
+    def rank(theory: str, m: int) -> int:
+        return sum(differential_ranks(A, theory, m, d, model=model).values())
+
+    def d1(k: int) -> int:  # the rank of B_*: HH_k -> HH_{k+1}
+        return rank("pair", k) - rank("hh", k) - rank("hh", k + 2)
+
+    return (e1.dim - (d1(t - s) if alpha is None or s > alpha else 0)
+            - (d1(t - s - 1) if beta is None or s < beta else 0))

@@ -3,11 +3,12 @@ default hypothesis profile and its random small presentations, the
 augmentation, u-chain, Omega[u], report, model-map, Cartier, exactness,
 subspace-containment and class-coordinate helpers that only the tests use,
 a counter of the eliminations the towers run, and the slow word-set b, B,
-chain-group, elimination, differential, truncation-check, connecting-map,
-monomial-product, relation-instance, relation-row and commuting-square
-oracles."""
+chain-group, elimination, differential, truncation-check, E2-page,
+connecting-map, monomial-product, relation-instance, relation-row and
+commuting-square oracles."""
 
 import itertools
+from functools import partial
 
 from hypothesis import settings, strategies as st
 
@@ -25,8 +26,10 @@ from cyclo2.cyclic import (
     bidegree_window,
     build_tower,
     class_map,
+    e1_page,
     homology,
     les_maps,
+    mixed_apply,
     slice_shift_map,
     vectorize,
 )
@@ -586,6 +589,26 @@ def oracle_truncation(A, H):
     stable = H.dim == big.dim == image.dim
     return Truncation("stable" if stable else "truncation-limited",
                       image.dim)
+
+
+# ----- the E2 page by class maps, kept as a slow oracle -----
+
+def oracle_e2_page(A, alpha, beta, s, t, d):
+    """dim E^2_{s,t} of the bar model: dim E^1 less the ranks of d^1 = B_*
+    out of (s, t) and into it, each built as a class map, B applied to the
+    class representatives of HH (both E^1 slices are one column, at
+    offset 0)."""
+    e1 = e1_page(A, alpha, beta, s, t, d)
+    if e1 is None:
+        return 0
+    dim = e1.dim
+    for s1 in (s, s + 1):
+        src = e1_page(A, alpha, beta, s1, t, d)
+        tgt = e1_page(A, alpha, beta, s1 - 1, t, d)
+        if src is not None and tgt is not None:
+            d1 = class_map(src, tgt, partial(mixed_apply, A, "B", t - s1, d))
+            dim -= rank_of(d1.columns)
+    return dim
 
 
 # ----- the connecting map by solving, kept as a slow oracle -----

@@ -53,6 +53,18 @@ def test_undeclared_generator_rejected(tmp_path):
     assert "line 4" in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["1", "x*y", "x^2", "x+y"])
+def test_unspellable_generator_rejected(tmp_path, name):
+    # a relation spells 1 as the empty monomial and splits on *, ^ and +,
+    # so such a generator would be misread: with generators 1 and y, the
+    # relation 1*y would read as y
+    p = tmp_path / "bad.alg"
+    p.write_text(f"[generators]\n{name} 1\ny 1\n[relations]\n1*y\n")
+    with pytest.raises(CLIError) as err:
+        load_presentation(str(p))
+    assert "line 2" in str(err.value) and repr(name) in str(err.value)
+
+
 def test_augmentation_inconsistency_rejected(tmp_path):
     p = tmp_path / "bad.alg"
     p.write_text("[options]\ngraded = false\n[generators]\nx 0 0\n"
@@ -429,13 +441,11 @@ def test_verify_approx_checks_each_truncation_once(monkeypatch):
                          else [(t, n, 0, 4) for n in range(-2, 3)]), theory
 
 
-@pytest.mark.parametrize("command,theory", [("verify-approx", "hcminus"),
-                                            ("spectral", "hc")])
+@pytest.mark.parametrize("command,theory", [("verify-approx", "hcminus")])
 def test_no_block_ranked_then_eliminated(monkeypatch, command, theory):
     # verify-approx reads the bases of nearly every homology it reaches
     # (psi, the product checks, the squares), so where the ell side or a
-    # class map's source is zero it reads classes too, not a dimension;
-    # spectral reads E2, and so the bases of E1, before the E1 dimensions.
+    # class map's source is zero it reads classes too, not a dimension.
     # So no block of a differential is ranked and then eliminated.
     counted = CountedReductions(monkeypatch)
     loaded = []
@@ -451,12 +461,38 @@ def test_no_block_ranked_then_eliminated(monkeypatch, command, theory):
 
     def shaped(tags):
         # a tag is (source slice, target slice, block key), or None for a
-        # reduction of no tower columns (the E2 pages)
+        # reduction of no tower columns
         return {(cyclic._shape_key(A, *src), key)
                 for src, _, key in filter(None, tags)}
 
     assert shaped(counted.eliminated)
     assert not shaped(counted.ranked) & shaped(counted.eliminated)
+
+
+@pytest.mark.parametrize("theory", ["hh", "hc", "hcminus", "hcper"])
+def test_spectral_eliminates_nothing(monkeypatch, tmp_path, theory):
+    # spectral reads E1 and E2 from block ranks on compute's chain model:
+    # F2[x,y] builds no bar chain group and the cusp no Koszul group, and
+    # neither eliminates a kernel
+    counted = CountedReductions(monkeypatch)
+    loaded = []
+
+    def load(path):
+        loaded.append(load_presentation(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_presentation", load)
+    cusp = tmp_path / "cusp.alg"
+    cusp.write_text("[generators]\nx 1\ny 1\n[relations]\nx^2*y + y^3\n")
+    for path, koszul in ((fixture("poly_xy.alg"), True), (str(cusp), False)):
+        counted.clear()
+        status, _ = run(RunConfig(path, "spectral", theory, 4, 4))
+        assert status == 0
+        A = loaded[-1]
+        assert counted.ranked and not counted.eliminated, (path, theory)
+        assert A.memo("differential") == {}, (path, theory)
+        assert bool(A.memo("hochschild_basis")) is not koszul, (path, theory)
+        assert bool(A.memo("koszul_group")) is koszul, (path, theory)
 
 
 def test_spectral_bounds_and_theories():

@@ -16,6 +16,7 @@ from conftest import (
     oracle_bar_words,
     oracle_connecting_map,
     oracle_differential_columns,
+    oracle_e2_page,
     oracle_echelonize_in,
     oracle_hochschild_basis,
     oracle_homology_bases,
@@ -38,6 +39,7 @@ from cyclo2.cyclic import (
     _shape_key,
     bidegree_window,
     build_tower,
+    chain_model,
     connecting_map,
     differential_bases,
     differential_ranks,
@@ -817,6 +819,41 @@ def test_e2_page_px_matches_forms():
         assert dim == (1 if D % 2 == 0 else 0), D
         dim = e2_page(PX, None, 0, -1, 0, D)  # t - s = 1
         assert dim == (1 if D % 2 == 0 and D >= 2 else 0), D
+
+
+def _assert_e2_matches_oracle(A, top):
+    """E^2 of the four theories at |s|, t, d <= top (d = 0 ungraded), on
+    the bar model and on chain_model(A), against the class-map oracle."""
+    for alpha, beta in (THEORY_BOUNDS[t] for t in ("hh", "plus", "minus",
+                                                   "per")):
+        for s in range(-top, top + 1):
+            for t in range(top + 1):
+                for d in range(top + 1) if A.graded else (0,):
+                    expected = oracle_e2_page(A, alpha, beta, s, t, d)
+                    for model in {"bar", chain_model(A)}:
+                        assert e2_page(A, alpha, beta, s, t, d, model) == \
+                            expected, (A.name, alpha, beta, s, t, d, model)
+
+
+def test_e2_page_matches_class_maps():
+    algebras = [load_presentation(os.path.join(FIXTURES, name))
+                for name in ("dual_numbers.alg", "f2.alg", "f4.alg",
+                             "poly_x.alg", "poly_xy.alg", "poly_xyz.alg")]
+    xyz = AlgebraPresentation(("x", "y", "z"), (1, 1, 1),
+                              (frozenset({(2, 0, 0)}), frozenset({(1, 1, 0)})),
+                              name="F2[x,y,z]/(x^2, xy)")
+    for A in algebras + [cusp(), polynomial_algebra("xyz", (1, 2, 3)), xyz]:
+        _assert_e2_matches_oracle(A, 5)
+
+
+@pytest.mark.parametrize("m,low", [(m, low) for m in (1, 2, 3)
+                                   for low in range(2 ** m)])
+def test_e2_page_matches_class_maps_on_every_low_degree_f(m, low):
+    # f = x^m + the x^e with bit e of low set; the Koszul model is the
+    # small mixed complex
+    exps = [e for e in range(m) if low >> e & 1]
+    _assert_e2_matches_oracle(ungraded_x(m, *exps, name=f"x^{m} + {exps}"),
+                              5)
 
 
 def test_ungraded_nonzero_internal_degree_is_empty():
