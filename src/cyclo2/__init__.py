@@ -22,7 +22,7 @@ from .cyclic import (
     e1_page,
     e2_page,
     homology,
-    les_maps,
+    les_map,
     truncation,
 )
 from .derham import (
@@ -33,7 +33,6 @@ from .derham import (
     omega_basis,
 )
 from .ell import (
-    ell_chain_maps,
     ell_degree_basis,
     f_bar,
     gr_ell,

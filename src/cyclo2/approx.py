@@ -13,10 +13,10 @@ not stabilize are still reported: a bidegree is called non-iso when the
 classes that persist one truncation window deeper already outrun the image
 of psi, and inconclusive otherwise.
 
-The commuting squares come from one table, SQUARES: each row pairs a map of
-the model sequences (ell.MODELS) with the map in the same position of the
-matching long exact sequence (cyclic.les_maps), and the vertical maps at
-both corners are read at the depth of the LES space there.
+The commuting squares come from one table, SQUARES: each row names its map
+of a long exact sequence (cyclic.les_map) and its model map (an entry of
+ell.MODELS), and the vertical maps at both corners are read at the depth of
+the LES space there.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ import time
 from dataclasses import dataclass, field
 
 from .cyclic import (
-    SEQUENCES,
     HomologyPresentation,
     Truncation,
     bidegree_window,
     build_tower,
     homology,
-    les_maps,
+    les_map,
     slice_differential,
     theory_key,
     truncation,
@@ -337,19 +336,18 @@ def _eps_matrix(A: AlgebraPresentation, nf: int, D: int,
 
 
 # The squares of the three approximation diagrams, in report order: (name,
-# sequence, LES degree offset, LES map).  Around (n, D) a row compares that
-# map of les_maps(A, sequence, n + offset, D, S) with the model map in the
-# same position of MODELS[MODEL_OF[sequence]], around (n + offset, D).
-MODEL_OF = {"minus_les": "minus", "connes": "plus", "per_les": "per"}
+# sequence, LES map, degree offset, model map).  Around (n, D) a row
+# compares les_map(A, sequence, LES map, n + offset, D, S) with the model
+# map around (n + offset, D - n - offset).
 SQUARES = (
-    ("psi.u=u.psi", "minus_les", 0, "u"),
-    ("h.psi=eps.r", "minus_les", 0, "h"),
-    ("psi.tau=bd.eps", "minus_les", 0, "bd"),
-    ("psi+.I=I.eps", "connes", 0, "I"),
-    ("eps.D=bd.psi+", "connes", 2, "bd"),
-    ("psiper.iota=iota.psi", "per_les", 0, "iota"),
-    ("psi+.S=S.psiper", "per_les", 0, "S"),
-    ("psi.bd=bd.psi+", "per_les", 2, "bd"),
+    ("psi.u=u.psi", "minus_les", "i", 0, MODELS["minus"]["u"]),
+    ("h.psi=eps.r", "minus_les", "p", 0, MODELS["minus"]["r"]),
+    ("psi.tau=bd.eps", "minus_les", "bd", 0, MODELS["minus"]["tau"]),
+    ("psi+.I=I.eps", "connes", "i", 0, MODELS["plus"]["I"]),
+    ("eps.D=bd.psi+", "connes", "bd", 2, MODELS["plus"]["D"]),
+    ("psiper.iota=iota.psi", "per_les", "i", 0, MODELS["per"]["iota"]),
+    ("psi+.S=S.psiper", "per_les", "p", 0, MODELS["per"]["S"]),
+    ("psi.bd=bd.psi+", "per_les", "bd", 2, MODELS["per"]["bd"]),
 )
 
 
@@ -369,19 +367,14 @@ def verify_squares(A: AlgebraPresentation, max_homological: int,
     commutes)."""
     out = []
     for n, D in bidegree_window(A, max_homological, max_internal):
-        les = None  # rows on one sequence and degree are adjacent: one call
-        for name, which, offset, les_map in SQUARES:
-            k = SEQUENCES[which].maps.index(les_map)
-            entry = tuple(MODELS[MODEL_OF[which]].values())[k]
+        for name, which, les_name, offset, entry in SQUARES:
             m, d = n + offset, D - n - offset
             if not model_space(A, entry[0], m, d).dim:
                 continue
             model = model_matrix(A, entry, m, d)[0]
-            if les is None or (les.which, les.n) != (which, m):
-                les = les_maps(A, which, m, D, S)
-            src, tgt = tuple(les.spaces.values())[k:k + 2]
+            les, src, tgt = les_map(A, which, les_name, m, D, S)
             diff = _vertical(A, tgt).compose(model).add(
-                les.maps[les_map].compose(_vertical(A, src)))
+                les.compose(_vertical(A, src)))
             out.append({"square": name, "n": n, "internal": D,
                         "residual": sum(bin(c).count("1")
                                         for c in diff.columns)})

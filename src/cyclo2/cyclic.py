@@ -67,19 +67,21 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from operator import add, itemgetter, mul
 from typing import NamedTuple, Optional
 
-from .derham import de_rham_d, form_mul, free_forms
+from .derham import form_piece, free_forms
 from .f2linalg import (
     F2Matrix,
     Homology,
     SubspaceBasis,
+    _local,
+    _placed,
     rank_kernel_image,
     rank_of,
 )
-from .gralg import AlgebraPresentation, grevlex_key
+from .gralg import AlgebraPresentation
 from .hochschild import BarWord, UChain
 
 THEORY_BOUNDS = {
@@ -122,7 +124,7 @@ def _block_key(w: BarWord):
 
 def _bar_tuples(A: AlgebraPresentation, k: int, e: int) -> dict:
     """group -> the tuples of k bars (reduced monomials other than 1) of
-    internal degree e, sorted by the grevlex_key of each bar in turn: each
+    internal degree e, sorted by the A.mono_key of each bar in turn: each
     first bar, then the sorted shorter tuples after it; group is the
     multidegree of the tuple for a monomial ideal, else None.  Memoised; the
     rank of each tuple in its group goes to A.memo("bar_rank"), so the
@@ -134,9 +136,10 @@ def _bar_tuples(A: AlgebraPresentation, k: int, e: int) -> dict:
         if k == 0 and e == 0:
             groups[A.one if A.monomial_ideal else None] = [()]
         elif k > 0:
-            # 1 sorts first; bars have degree 1 to e - k + 1 (graded) or 0
-            pool = sorted((m for e1 in range(e - k + 2 if A.graded else 1)
-                           for m in A.degree_basis(e1)), key=grevlex_key)
+            # in mono_key order, 1 first; bars have degree 1 to e - k + 1
+            # (graded) or 0
+            pool = [m for e1 in range(e - k + 2 if A.graded else 1)
+                    for m in A.degree_basis(e1)]
             for a in pool[1:]:
                 rest = _bar_tuples(A, k - 1, e - A.mono_degree(a))
                 for group, tails in rest.items():
@@ -185,13 +188,13 @@ def hochschild_basis(A: AlgebraPresentation, k: int,
     order of the word alone, so every slice that holds C_{k,d} shares this
     basis; memoised.  For a monomial ideal the words are grouped by
     _block_key, blocks in key order; otherwise they are one block, keyed
-    None.  In a block the heads run in grevlex_key order, each followed by
-    its bar tuples (_bar_tuples): words sorted by the grevlex_key of the
-    head, then of each bar."""
+    None.  In a block the heads run in A.mono_key order, each followed by
+    its bar tuples (_bar_tuples): words sorted by the mono_key of the head,
+    then of each bar."""
     table = A.memo("hochschild_basis")
     hb = table.get((k, d))
     if hb is None:
-        parts: dict = {}  # block key -> [(grevlex_key(h), h, bar tuples)]
+        parts: dict = {}  # block key -> [(mono_key(h), h, bar tuples)]
         for e in range(d + 1) if k >= 0 and (A.graded or d == 0) else ():
             heads = A.degree_basis(d - e)  # e is the degree of the bars
             for group, tuples in _bar_tuples(A, k, e).items() \
@@ -199,7 +202,7 @@ def hochschild_basis(A: AlgebraPresentation, k: int,
                 for h in heads:
                     key = None if group is None else tuple(map(add, h, group))
                     parts.setdefault(key, []).append(
-                        (grevlex_key(h), h, tuples))
+                        (A.mono_key(h), h, tuples))
         dim, blocks, runs, heads = 0, {}, {}, []
         for key in sorted(parts):
             start = dim
@@ -224,7 +227,7 @@ def mixed_columns(A: AlgebraPresentation, op: str, k: int,
     are set at the target's positions (runs and bar ranks), and XOR is the
     sum in F2: b of h[a1|...|ak] is h a1[a2|...|ak] + ak h[a1|...|a(k-1)]
     + h b''[a1|...|ak], and B of h[bars], h not 1, the sum of the rotations
-    of h, bars as bars of 1; mixed_apply places them on whole bases."""
+    of h, bars as bars of 1."""
     table = A.memo("mixed_columns")
     cols = table.get((op, k, d))
     if cols is None:
@@ -306,8 +309,8 @@ class KoszulGroup:
     """K_{k,d}: its dimension, its one block (keyed None) and its pieces,
     J -> (q, e, forms, offset): the words m dx_T t^[J] for the forms m dx_T
     of free_forms(A, q, e), q = k - 2|J|, e = d - sum J_j deg f_j, at
-    offset, offset + 1, ...  Its vectors are not bar chains, so vectorize,
-    slice_differential and the exact-sequence maps read bar slices only."""
+    offset, offset + 1, ...  Its vectors are not bar chains, so vectorize
+    and the maps of the exact sequences read bar slices only."""
 
     dim: int
     blocks: dict
@@ -357,7 +360,7 @@ def koszul_columns(A: AlgebraPresentation, op: str, k: int,
     "B"), one column per word of koszul_group(A, k, d), bit i for the i-th
     word of the target; memoised.  b is the Koszul map, m dx_T t^[J] -> the
     sum over j of m df_j dx_T t^[J - j], and B is the de Rham d of m dx_T,
-    at the same t^[J], piece by piece (_koszul_piece); the target lacks a
+    at the same t^[J], piece by piece (derham.form_piece); the target lacks a
     piece only where the term is zero (J_j = 0, or |T| = g).
 
     On an ungraded F2[x]/(f) this is the small mixed complex, A t^[i] in
@@ -380,48 +383,10 @@ def koszul_columns(A: AlgebraPresentation, op: str, k: int,
                 if J1 in tgt:
                     off = tgt[J1][3]
                     part = [v ^ (w << off) for v, w in
-                            zip(part, _koszul_piece(A, j, q, e))]
+                            zip(part, form_piece(A, j, q, e))]
             cols.extend(part)
         cols = table[(op, k, d)] = tuple(cols)
     return cols
-
-
-def _koszul_piece(A: AlgebraPresentation, j: Optional[int], q: int,
-                  e: int) -> tuple:
-    """d (j None) or the multiplication by df_j, f_j = A.groebner[j], on
-    free_forms(A, q, e), as bitmasks over the free forms of the target
-    piece; memoised, so every t^[J] beside these forms shares it."""
-    table = A.memo("koszul_piece")
-    if (j, q, e) not in table:
-        if j is None:
-            tgt, image = free_forms(A, q + 1, e), partial(de_rham_d, A)
-        else:
-            f = A.groebner[j]
-            tgt = free_forms(A, q + 1, e + A.degree(f))
-            image = partial(form_mul, A, de_rham_d(
-                A, frozenset((mu, ()) for mu in f)))
-        table[(j, q, e)] = tuple(
-            sum(1 << tgt[g] for g in image(frozenset({form})))
-            for form in free_forms(A, q, e))
-    return table[(j, q, e)]
-
-
-def mixed_apply(A: AlgebraPresentation, op: str, k: int, d: int,
-                v: int) -> int:
-    """b (op "b") or B (op "B") of a vector v of C_{k,d}, on the whole
-    bases: the mixed_columns of each set bit, moved to the start of its
-    block in the target."""
-    src = hochschild_basis(A, k, d)
-    tgt = hochschild_basis(A, k - 1 if op == "b" else k + 1, d)
-    cols = mixed_columns(A, op, k, d)
-    out = 0
-    for key, (start, stop) in src.blocks.items():
-        lo = tgt.blocks.get(key, (0, 0))[0]
-        chunk = (v >> start) & ((1 << (stop - start)) - 1)
-        while chunk:
-            out ^= cols[start + (chunk & -chunk).bit_length() - 1] << lo
-            chunk &= chunk - 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -553,21 +518,6 @@ def _chunks(sl: TowerSlice, v: int):
                 yield p, hb, off, chunk
 
 
-def slice_differential(A: AlgebraPresentation, src: TowerSlice,
-                       tgt: TowerSlice, v: int) -> int:
-    """B + b of a vector v of the bar slice src (degree n), as a vector of
-    tgt (degree n - 1): b of column p goes to column p of tgt and B to
-    column p - 1.  A component with no place in tgt is cut, as
-    _block_columns cuts it."""
-    out = 0
-    for p, _, _, chunk in _chunks(src, v):
-        for op, col in (("b", p - tgt.p_min), ("B", p - 1 - tgt.p_min)):
-            if 0 <= col < len(tgt.parts):
-                out ^= mixed_apply(A, op, src.n - 2 * p, src.d,
-                                   chunk) << tgt.offsets[col]
-    return out
-
-
 def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
                    key) -> list[int]:
     """Columns of B + b from src (degree n) to tgt (degree n - 1) on the
@@ -589,6 +539,22 @@ def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
                         for v, w in zip(part, image[start:stop])]
         cols.extend(part)
     return cols
+
+
+def slice_differential(A: AlgebraPresentation, src: TowerSlice,
+                       tgt: TowerSlice, v: int) -> int:
+    """B + b of a vector v of the slice src (degree n), as a vector of tgt
+    (degree n - 1): on each block of src that v meets, the _block_columns
+    that v selects, placed along the runs of that block of tgt."""
+    into = dict(zip(tgt.blocks, tgt.runs()))
+    out = 0
+    for key, runs in zip(src.blocks, src.runs()):
+        local = _local(v, runs)
+        if local:
+            block = F2Matrix(_block_dim(tgt.blocks.get(key)),
+                             tuple(_block_columns(A, src, tgt, key)))
+            out ^= _placed(block.apply(local), into.get(key, ()))
+    return out
 
 
 def _shape_key(A: AlgebraPresentation, t: str, n: int, d: int, S: int,
@@ -801,33 +767,34 @@ def slice_shift_map(src: TowerSlice, tgt: TowerSlice, shift: int):
     return f
 
 
-def connecting_map(A: AlgebraPresentation,
-                   HN: HomologyPresentation, HL: HomologyPresentation,
-                   M_n: TowerSlice, M_n1: TowerSlice,
-                   p_shift: int, i_shift: int) -> F2Matrix:
+def connecting_map(A: AlgebraPresentation, N: TowerSlice, L1: TowerSlice,
+                   M: TowerSlice, M1: TowerSlice, p_shift: int, i_shift: int):
     """Snake-lemma connecting homomorphism N_n -> L_{n-1} of a short exact
-    sequence of towers that splits column by column.
+    sequence of towers that splits column by column, as the chain map on
+    slice vectors that class_map reads; M and M1 are the slices M_n and
+    M_{n-1}.
 
     p: M -> N moves column p to p + p_shift and i: L -> M moves column p to
     p + i_shift, so a cycle z of N_n lifts to x in M_n by the shift -p_shift
     and its slice differential dx comes back to L_{n-1} by the shift
     -i_shift.  Both steps are checked exactly: p(x) = z and i(w) = dx.
     """
-    lift = slice_shift_map(HN.slice, M_n, -p_shift)
-    p_map = slice_shift_map(M_n, HN.slice, p_shift)
-    back = slice_shift_map(M_n1, HL.slice, -i_shift)
-    i_map = slice_shift_map(HL.slice, M_n1, i_shift)
-    cols = []
-    for z in HN.complement:
+    lift, p_map = (slice_shift_map(N, M, -p_shift),
+                   slice_shift_map(M, N, p_shift))
+    back, i_map = (slice_shift_map(M1, L1, -i_shift),
+                   slice_shift_map(L1, M1, i_shift))
+
+    def f(z: int) -> int:
         x = lift(z)
         if p_map(x) != z:
             raise TowerError("connecting map: lift failed")
-        dx = slice_differential(A, M_n, M_n1, x)
+        dx = slice_differential(A, M, M1, x)
         w = back(dx)
         if i_map(w) != dx:
             raise TowerError("connecting map: boundary not in subcomplex")
-        cols.append(HL.coords(w))
-    return F2Matrix(HL.dim, tuple(cols))
+        return w
+
+    return f
 
 
 class SES(NamedTuple):
@@ -835,80 +802,53 @@ class SES(NamedTuple):
 
     towers: (theory, degree offset) of L, M and N, so that L_n is the
     degree n + offset slice of its theory; shifts: the column shifts of
-    the inclusion i: L -> M and of the projection p: M -> N; spaces: names
-    of L_n, M_n, N_n, L_{n-1}, M_{n-1}; maps: names of i, p, the
-    connecting map bd: N_n -> L_{n-1} and i_next: L_{n-1} -> M_{n-1}.
+    the inclusion i: L -> M and of the projection p: M -> N.
     """
 
     towers: tuple[tuple[str, int], tuple[str, int], tuple[str, int]]
     shifts: tuple[int, int]
-    spaces: tuple[str, str, str, str, str]
-    maps: tuple[str, str, str, str]
 
 
 # The minus sequence (L = columns <= -1 of T^minus, N = column 0), Connes'
 # SBI sequence and the periodic sequence (L = columns <= 0 of T^per);
 # Loday, Cyclic Homology, 1992, section 5.1.
 SEQUENCES = {
-    "minus_les": SES((("minus", 2), ("minus", 0), ("hh", 0)), (-1, 0),
-                     ("Hminus_n2", "Hminus_n", "HH_n", "Hminus_n1",
-                      "Hminus_nm1"),
-                     ("u", "h", "bd", "u_next")),
-    "connes": SES((("hh", 0), ("plus", 0), ("plus", -2)), (0, -1),
-                  ("HH_n", "HC_n", "HC_n2", "HH_nm1", "HC_nm1"),
-                  ("I", "u", "bd", "I_next")),
-    "per_les": SES((("minus", 0), ("per", 0), ("plus", -2)), (0, -1),
-                   ("HCminus_n", "HCper_n", "HC_n2", "HCminus_nm1",
-                    "HCper_nm1"),
-                   ("iota", "S", "bd", "iota_next")),
+    "minus_les": SES((("minus", 2), ("minus", 0), ("hh", 0)), (-1, 0)),
+    "connes": SES((("hh", 0), ("plus", 0), ("plus", -2)), (0, -1)),
+    "per_les": SES((("minus", 0), ("per", 0), ("plus", -2)), (0, -1)),
 }
 
 
-@dataclass
-class LESData:
-    """Maps and spaces of one window of a long exact sequence."""
-
-    which: str
-    n: int
-    d: int
-    spaces: dict
-    maps: dict
-
-
-def les_maps(A: AlgebraPresentation, which: str, n: int, d: int,
-             S: int = 3) -> LESData:
-    """Class-level maps of one of the three long exact sequences at degree n,
-    L_n -> M_n -> N_n -> L_{n-1} -> M_{n-1}, from its row of SEQUENCES.
+def les_map(A: AlgebraPresentation, which: str, name: str, n: int, d: int,
+            S: int = 3) -> tuple[F2Matrix, HomologyPresentation,
+                                 HomologyPresentation]:
+    """(matrix, source, target) of one class map of a long exact sequence
+    of SEQUENCES at degree n: "i": L_n -> M_n, "p": M_n -> N_n or the
+    connecting map "bd": N_n -> L_{n-1}.
 
     L sits in M moved by the column shift of i, so for ungraded algebras
     its towers are truncated at S + shift: the columns of M at depth S.
-    The five spaces are the homology at that depth, without the check of
-    truncation().
+    Source and target are the homology records at that depth, without the
+    check of truncation().
     """
-    try:
-        ses = SEQUENCES[which]
-    except KeyError:
-        raise TowerError(f"unknown sequence {which!r}") from None
-    (tl, ol), (tm, om), (tn, on) = ses.towers
-    i_shift, p_shift = ses.shifts
-    S_L = S if A.graded else S + i_shift
-    L_n = homology(A, tl, n + ol, d, S_L)
-    M_n = homology(A, tm, n + om, d, S)
-    N_n = homology(A, tn, n + on, d, S)
-    L_n1 = homology(A, tl, n - 1 + ol, d, S_L)
-    M_n1 = homology(A, tm, n - 1 + om, d, S)
+    if which not in SEQUENCES or name not in ("i", "p", "bd"):
+        raise TowerError(f"unknown map {name!r} of sequence {which!r}")
+    towers, (i_shift, p_shift) = SEQUENCES[which]
 
-    i_map = slice_shift_map(L_n.slice, M_n.slice, i_shift)
-    p_map = slice_shift_map(M_n.slice, N_n.slice, p_shift)
-    i_next_map = slice_shift_map(L_n1.slice, M_n1.slice, i_shift)
-    mats = (class_map(L_n, M_n, i_map),
-            class_map(M_n, N_n, p_map),
-            connecting_map(A, N_n, L_n1, M_n.slice, M_n1.slice, p_shift,
-                           i_shift),
-            class_map(L_n1, M_n1, i_next_map))
-    return LESData(which, n, d,
-                   spaces=dict(zip(ses.spaces, (L_n, M_n, N_n, L_n1, M_n1))),
-                   maps=dict(zip(ses.maps, mats)))
+    def space(corner: int, m: int) -> HomologyPresentation:  # L, M, N
+        theory, offset = towers[corner]
+        depth = S + i_shift if corner == 0 and not A.graded else S
+        return homology(A, theory, m + offset, d, depth)
+
+    if name == "bd":
+        src, tgt = space(2, n), space(0, n - 1)
+        f = connecting_map(A, src.slice, tgt.slice, space(1, n).slice,
+                           space(1, n - 1).slice, p_shift, i_shift)
+    else:
+        k = name == "p"
+        src, tgt = space(k, n), space(k + 1, n)
+        f = slice_shift_map(src.slice, tgt.slice, (i_shift, p_shift)[k])
+    return class_map(src, tgt, f), src, tgt
 
 
 # ----- the column-filtration spectral sequence -----

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from typing import Optional
 
 from .f2linalg import Homology, PresentedSpace, QuotientBasis
 from .gralg import AlgebraPresentation, Monomial
@@ -67,7 +69,7 @@ def form_mul(A: AlgebraPresentation, e1: OmegaElement,
 
 def free_forms(A: AlgebraPresentation, n: int, d: int) -> dict:
     """The pairs (m, T) with |T| = n in internal degree d, sorted by T,
-    then by the grevlex_key of m, each -> its position: the free basis that
+    then by the A.mono_key of m, each -> its position: the free basis that
     Omega^n_d is a quotient of; memoised."""
     table = A.memo("free_forms")
     if (n, d) not in table:
@@ -78,38 +80,49 @@ def free_forms(A: AlgebraPresentation, n: int, d: int) -> dict:
     return table[(n, d)]
 
 
+def form_piece(A: AlgebraPresentation, j: Optional[int], n: int,
+               d: int) -> tuple:
+    """d (j None) or the multiplication by df_j, f_j = A.groebner[j], on
+    free_forms(A, n, d), one bitmask over the free forms of the target per
+    form; memoised.  The Koszul model's b and B, the relation rows of Omega
+    and the de Rham d all read these pieces."""
+    table = A.memo("form_piece")
+    if (j, n, d) not in table:
+        if j is None:
+            tgt, image = free_forms(A, n + 1, d), partial(de_rham_d, A)
+        else:
+            f = A.groebner[j]
+            tgt = free_forms(A, n + 1, d + A.degree(f))
+            image = partial(form_mul, A, de_rham_d(
+                A, frozenset((mu, ()) for mu in f)))
+        table[(j, n, d)] = tuple(
+            sum(1 << tgt[g] for g in image(frozenset({form})))
+            for form in free_forms(A, n, d))
+    return table[(j, n, d)]
+
+
 def omega_basis(A: AlgebraPresentation, n: int, d: int) -> PresentedSpace:
     """Omega^n in internal degree d: free on (monomial, dg-subset) pairs
-    modulo multiples of the relation differentials."""
+    modulo the multiples m dx_T df_j of the Groebner elements f_j, the df_j
+    pieces at (n - 1, d - deg f_j)."""
     cache = A.memo("omega")
-    key = (n, d)
-    if key in cache:
-        return cache[key]
-    index = free_forms(A, n, d)
-    rows = []
-    for g in A.groebner if n >= 1 else ():
-        dg = de_rham_d(A, frozenset((mu, ()) for mu in g))
-        for gen in free_forms(A, n - 1, d - A.degree(g)):
-            v = 0
-            for row_gen in form_mul(A, frozenset({gen}), dg):
-                v ^= 1 << index[row_gen]
-            if v:
-                rows.append(v)
-    space = PresentedSpace("omega", n, d, tuple(index),
-                           QuotientBasis.from_relations(len(index), rows))
-    cache[key] = space
-    return space
+    if (n, d) not in cache:
+        rows = [v for j, f in enumerate(A.groebner) if n >= 1
+                for v in form_piece(A, j, n - 1, d - A.degree(f))]
+        index = free_forms(A, n, d)
+        cache[(n, d)] = PresentedSpace(
+            "omega", n, d, tuple(index),
+            QuotientBasis.from_relations(len(index), rows))
+    return cache[(n, d)]
 
 
 def d_matrix_columns(A: AlgebraPresentation, n: int, d: int) -> list[int]:
-    """Columns of d: Omega^n_d -> Omega^{n+1}_d in quotient coordinates."""
-    src = omega_basis(A, n, d)
-    tgt = omega_basis(A, n + 1, d)
-    cols = []
-    for g in src.basis():
-        img = de_rham_d(A, frozenset({g}))
-        cols.append(tgt.coords(img))
-    return cols
+    """Columns of d: Omega^n_d -> Omega^{n+1}_d in quotient coordinates:
+    the d piece at the quotient positions of Omega^n_d."""
+    piece = form_piece(A, None, n, d)
+    tgt = omega_basis(A, n + 1, d).quotient
+    return [tgt.coords(piece[k])
+            for k in omega_basis(A, n, d).quotient.positions]
 
 
 @dataclass(frozen=True)

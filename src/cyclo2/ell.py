@@ -25,10 +25,10 @@ instance's upper degree); the ell_per instances are the iota images of the
 ell ones.  The flavors that keep only some ell candidates project the ell
 relation span onto them.
 
-The structural maps of the three modelled exact sequences (u, r, tau; I, D;
-iota, S, bd) form one table, MODELS, aligned with cyclic.SEQUENCES; a map is
-its source and target space plus an element-level map, and model_matrix
-turns it into a matrix.
+The structural maps of the three modelled exact sequences (u, r, tau; I, u,
+D; iota, S, bd) form one table, MODELS; a map is its source and target space
+plus an element-level map, and model_matrix turns it into a matrix.  Each
+commuting square of approx.SQUARES names its model map here.
 
 Bidegrees here are (homological, upper): |delta(a)| = |a|-1, |phi(a)| = 2|a|,
 |q(a)| = 2|a|-1, |u| = 2, |gamma(a)| = |a|, |v^i| = -2i, and homological
@@ -615,26 +615,24 @@ def map_bd(A: AlgebraPresentation, mon: EllMonomial) -> EllElement:
 
 
 # The modelled exact sequences, one row for each of the minus, Connes and
-# periodic sequences of cyclic.SEQUENCES, its four maps in their order there:
+# periodic sequences, its three maps in their order there:
 #   minus: ... -> ell -(.u)-> ell -(r)-> Omega -(tau)-> ell -> ...
 #   plus:  ... -> Omega -(I)-> ell+ -(.u)-> ell+ -(D)-> Omega -> ...
 #   per:   ... -> ell -(iota)-> ell_per -(S)-> ell+ -(bd)-> ell -> ...
 # Each map is (source, target, element map); a space (flavor, k) around
 # bidegree (n, d) sits in homological degree n + k at internal degree n + d,
-# where the flavor "omega" is Omega^{n+k}.
+# where the flavor "omega" is Omega^{n+k}.  The first map again around
+# (n - 1, d + 1) follows the third.
 MODELS = {
     "minus": {"u": (("ell", 2), ("ell", 0), map_u),
               "r": (("ell", 0), ("omega", 0), map_r),
-              "tau": (("omega", 0), ("ell", 1), map_tau),
-              "u_next": (("ell", 1), ("ell", -1), map_u)},
+              "tau": (("omega", 0), ("ell", 1), map_tau)},
     "plus": {"I": (("omega", 0), ("ell_plus", 0), map_I),
              "u": (("ell_plus", 0), ("ell_plus", -2), map_u),
-             "D": (("ell_plus", -2), ("omega", -1), map_D),
-             "I_next": (("omega", -1), ("ell_plus", -1), map_I)},
+             "D": (("ell_plus", -2), ("omega", -1), map_D)},
     "per": {"iota": (("ell", 0), ("ell_per", 0), map_iota),
             "S": (("ell_per", 0), ("ell_plus", -2), map_S),
-            "bd": (("ell_plus", -2), ("ell", -1), map_bd),
-            "iota_next": (("ell", -1), ("ell_per", -1), map_iota)},
+            "bd": (("ell_plus", -2), ("ell", -1), map_bd)},
 }
 
 
@@ -654,15 +652,6 @@ def model_matrix(A: AlgebraPresentation, entry: tuple, n: int, d: int):
     tgt = model_space(A, tgt_space, n, d)
     cols = [tgt.coords(f(A, g)) for g in src.basis()]
     return F2Matrix(tgt.dim, tuple(cols)), src, tgt
-
-
-def ell_chain_maps(A: AlgebraPresentation, theory: str, n: int,
-                   d: int) -> dict:
-    """The matrices of the four maps of MODELS[theory] around (n, d)."""
-    if theory not in MODELS:
-        raise EllError(f"unknown chain theory {theory!r}")
-    return {name: model_matrix(A, entry, n, d)[0]
-            for name, entry in MODELS[theory].items()}
 
 
 def gr_ell(A: AlgebraPresentation, n: int, d: int, imax: int) -> list[int]:

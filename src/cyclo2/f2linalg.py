@@ -359,6 +359,15 @@ def _placed(v: int, runs: tuple[tuple[int, int, int], ...]) -> int:
     return w
 
 
+def _local(v: int, runs: tuple[tuple[int, int, int], ...]) -> int:
+    """The bits of an ambient vector on a block, in the block's own
+    coordinates along its runs (_placed undone)."""
+    r = 0
+    for ambient, local, length in runs:
+        r |= ((v >> ambient) & ((1 << length) - 1)) << local
+    return r
+
+
 @dataclass(frozen=True)
 class Homology:
     """Cycles modulo boundaries in one degree of a complex, as the direct
@@ -443,10 +452,7 @@ class Homology:
         for runs, mask, boundaries, classes in self._classes[1]:
             if not v & mask:
                 continue
-            r = 0
-            for ambient, local, length in runs:
-                r |= ((v >> ambient) & ((1 << length) - 1)) << local
-            r = boundaries.reduce(r)
+            r = boundaries.reduce(_local(v, runs))
             for pivot, w, bit in classes:
                 if (r >> pivot) & 1:
                     r ^= w

@@ -47,7 +47,8 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 def grevlex_key(m: Monomial):
-    # degree-reverse-lexicographic: sort key ascending = monomial order
+    # degree-reverse-lexicographic: Buchberger's term order, and the
+    # tie-break of AlgebraPresentation.mono_key, the canonical order
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
@@ -135,8 +136,9 @@ class AlgebraPresentation:
 
     def mono_key(self, m: Monomial):
         """Sort key of the canonical monomial order: internal degree, then
-        grevlex, memoised per monomial.  Argument pools list
-        degree_basis(1), degree_basis(2), ... in this order, so products
+        grevlex, memoised per monomial.  degree_basis sorts by it, so
+        argument pools and bar pools, which list degree_basis(0),
+        degree_basis(1), ... in turn, are in this order, and products
         sorted with it are spelled the way the candidate enumeration spells
         them."""
         keys = self.memo("mono_key")
@@ -258,7 +260,7 @@ class AlgebraPresentation:
                    if self.is_reduced_monomial(m)]
         else:
             out = self._all_reduced() if d == 0 else []
-        result = tuple(sorted(out, key=grevlex_key))
+        result = tuple(sorted(out, key=self.mono_key))
         bases[d] = result
         return result
 

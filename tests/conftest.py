@@ -16,7 +16,6 @@ from cyclo2.approx import _eps_matrix, psi_matrix
 import cyclo2.cyclic as cyclic
 import cyclo2.f2linalg as f2linalg
 from cyclo2.cyclic import (
-    SEQUENCES,
     HomologyPresentation,
     Truncation,
     _block_columns,
@@ -27,9 +26,10 @@ from cyclo2.cyclic import (
     build_tower,
     class_map,
     e1_page,
+    hochschild_basis,
     homology,
-    les_maps,
-    mixed_apply,
+    les_map,
+    mixed_columns,
     slice_shift_map,
     vectorize,
 )
@@ -72,7 +72,7 @@ from cyclo2.f2linalg import (
     null_space,
     rank_of,
 )
-from cyclo2.gralg import AlgebraPresentation, AugmentationError, grevlex_key
+from cyclo2.gralg import AlgebraPresentation, AugmentationError
 from cyclo2.hochschild import ChainError, UChain
 
 # Fixed examples and no deadline: every run draws the same cases in bounded
@@ -208,6 +208,14 @@ def mul_u_matrix(A, flavor, n, d):
     return model_matrix(A, ((flavor, 0), (flavor, -2), map_u), n, d)
 
 
+def model_sequence(A, theory, n, d):
+    """Four consecutive maps of the modelled sequence MODELS[theory]: its
+    three maps around (n, d), then the first again around (n - 1, d + 1)."""
+    entries = list(MODELS[theory].values())
+    return [model_matrix(A, e, n, d)[0] for e in entries] + [
+        model_matrix(A, entries[0], n - 1, d + 1)[0]]
+
+
 def tau_matrix(A, nform, D):
     """tau from Omega^nform at internal D to ell (nform + 1, D - nform - 1)."""
     return model_matrix(A, MODELS["minus"]["tau"], nform, D - nform)
@@ -222,17 +230,19 @@ def cartier_bijective(A, n, d):
     return rank_of(cols) == src.dim == target.dim
 
 
-def exactness_defects(les):
+def exactness_defects(A, which, n, d, S=3):
     """rank f + rank g - dim(middle), plus 1 if g f is not zero, at each
-    joint f, g of a LESData: M_n, N_n and L_{n-1} (all 0 iff exact)."""
-    _, m, nn, l1, _ = SEQUENCES[les.which].spaces
-    i, p, bd, i_next = SEQUENCES[les.which].maps
+    joint f, g of the long exact sequence which at degree n: M_n, N_n and
+    L_{n-1} (all 0 iff exact), its maps les_map i, p and bd at n and i at
+    n - 1, each joint checked to be one homology record."""
+    maps = [les_map(A, which, name, n, d, S) for name in ("i", "p", "bd")]
+    maps.append(les_map(A, which, "i", n - 1, d, S))
     out = {}
-    for fname, mid, gname in ((i, m, p), (p, nn, bd), (bd, l1, i_next)):
-        f = les.maps[fname]
-        g = les.maps[gname]
-        out[f"at_{mid}"] = abs(rank_of(f.columns) + rank_of(g.columns)
-                               - les.spaces[mid].dim) + \
+    for joint, (f, _, mid), (g, src, _) in zip(("M_n", "N_n", "L_n1"),
+                                               maps, maps[1:]):
+        assert src is mid, (A.name, which, n, joint)
+        out[f"at_{joint}"] = abs(rank_of(f.columns) + rank_of(g.columns)
+                                 - mid.dim) + \
             (0 if g.compose(f).is_zero() else 1)
     return out
 
@@ -492,9 +502,9 @@ def oracle_bar_words(A, nbars, d):
     return out
 
 
-def _word_key(w):
-    """grevlex_key of the head, then of each bar."""
-    return grevlex_key(w[0]), tuple(map(grevlex_key, w[1]))
+def _word_key(A, w):
+    """A.mono_key of the head, then of each bar."""
+    return A.mono_key(w[0]), tuple(map(A.mono_key, w[1]))
 
 
 def oracle_hochschild_basis(A, k, d):
@@ -509,7 +519,7 @@ def oracle_hochschild_basis(A, k, d):
     blocks = {}
     for key in sorted(groups):
         start = len(words)
-        words.extend(sorted(groups[key], key=_word_key))
+        words.extend(sorted(groups[key], key=partial(_word_key, A)))
         blocks[key] = (start, len(words))
     return tuple(words), blocks
 
@@ -593,6 +603,19 @@ def oracle_truncation(A, H):
 
 # ----- the E2 page by class maps, kept as a slow oracle -----
 
+def mixed_matrix(A, op, k, d):
+    """b (op "b") or B (op "B") on the whole bases of C_{k,d} and its
+    target: each of the mixed_columns moved to the start of its word's
+    block in the target."""
+    src = hochschild_basis(A, k, d)
+    tgt = hochschild_basis(A, k - 1 if op == "b" else k + 1, d)
+    cols = mixed_columns(A, op, k, d)
+    return F2Matrix(tgt.dim, tuple(
+        cols[j] << tgt.blocks.get(key, (0, 0))[0]
+        for key, (start, stop) in src.blocks.items()
+        for j in range(start, stop)))
+
+
 def oracle_e2_page(A, alpha, beta, s, t, d):
     """dim E^2_{s,t} of the bar model: dim E^1 less the ranks of d^1 = B_*
     out of (s, t) and into it, each built as a class map, B applied to the
@@ -606,7 +629,7 @@ def oracle_e2_page(A, alpha, beta, s, t, d):
         src = e1_page(A, alpha, beta, s1, t, d)
         tgt = e1_page(A, alpha, beta, s1 - 1, t, d)
         if src is not None and tgt is not None:
-            d1 = class_map(src, tgt, partial(mixed_apply, A, "B", t - s1, d))
+            d1 = class_map(src, tgt, mixed_matrix(A, "B", t - s1, d).apply)
             dim -= rank_of(d1.columns)
     return dim
 
@@ -912,8 +935,9 @@ def _oracle_matrix(A, src, tgt, f):
 
 def oracle_verify_squares(A, max_homological, max_internal, S=3):
     """verify_squares written out square by square: every model map from
-    its own spaces, the HC maps u, h, I and iota as class maps of slice
-    shifts, psi at depth S except into the HC^- that bd lands in."""
+    its own spaces, the HC maps u, h, I, iota and S as class maps of slice
+    shifts, the connecting maps from les_map, psi at depth S except into
+    the HC^- that bd lands in."""
     out = []
 
     def residual(name, n, D, mat1, mat2):
@@ -951,14 +975,12 @@ def oracle_verify_squares(A, max_homological, max_internal, S=3):
         som = omega_basis(A, n, D)
         if som.dim:
             mt = _oracle_matrix(A, som, ell("ell", n + 1, d - 1), map_tau)
-            les = les_maps(A, "minus_les", n, D, S)
+            bd, Hh, Hm1 = les_map(A, "minus_les", "bd", n, D, S)
             # bd lands in HC^- truncated one column shallower when ungraded
-            psi_n1, _, _ = psi_matrix(A, "hcminus", n + 1, D,
-                                      les.spaces["Hminus_n1"].S)
-            Hh = les.spaces["HH_n"]
+            psi_n1, _, _ = psi_matrix(A, "hcminus", n + 1, D, Hm1.S)
             eps = _eps_matrix(A, n, D, Hh)
             residual("psi.tau=bd.eps", n, D, psi_n1.compose(mt),
-                     les.maps["bd"].compose(eps))
+                     bd.compose(eps))
         # plus diagram: psi+ . I = I* . eps   (Omega^n_D -> HC_n)
         if som.dim and n >= 0:
             mI = _oracle_matrix(A, som, ell("ell_plus", n, d), map_I)
@@ -976,9 +998,9 @@ def oracle_verify_squares(A, max_homological, max_internal, S=3):
             Hh1 = homology(A, "hh", n + 1, D, S)
             eps1 = _eps_matrix(A, n + 1, D, Hh1)
             psip, _, Hc = psi_matrix(A, "hc", n, D, S)
-            les = les_maps(A, "connes", n + 2, D, S)
+            bd = les_map(A, "connes", "bd", n + 2, D, S)[0]
             residual("eps.D=bd.psi+", n, D, eps1.compose(mD),
-                     les.maps["bd"].compose(psip))
+                     bd.compose(psip))
         # per diagram: psi_per . iota = iota* . psi  (ell (n,d) -> HCper_n)
         if sp.dim:
             mi = _oracle_matrix(A, sp, ell("ell_per", n, d), map_iota)
@@ -993,16 +1015,17 @@ def oracle_verify_squares(A, max_homological, max_internal, S=3):
         if spper.dim:
             mS = _oracle_matrix(A, spper, ell("ell_plus", n - 2, d + 2), map_S)
             psiper, _, Hp = psi_matrix(A, "hcper", n, D, S)
-            psip2, _, _ = psi_matrix(A, "hc", n - 2, D, S)
-            les = les_maps(A, "per_les", n, D, S)
+            psip2, _, Hc2 = psi_matrix(A, "hc", n - 2, D, S)
+            S_star = class_map(Hp, Hc2,
+                               slice_shift_map(Hp.slice, Hc2.slice, -1))
             residual("psi+.S=S.psiper", n, D, psip2.compose(mS),
-                     les.maps["S"].compose(psiper))
+                     S_star.compose(psiper))
         # per diagram: psi . bd_ell = bd . psi+  (ell+ (n,d) -> HC^-_{n+1})
         if spp.dim:
             mbd = _oracle_matrix(A, spp, ell("ell", n + 1, d - 1), map_bd)
             psim1, _, _ = psi_matrix(A, "hcminus", n + 1, D, S)
             psip, _, Hc = psi_matrix(A, "hc", n, D, S)
-            les = les_maps(A, "per_les", n + 2, D, S)
+            bd = les_map(A, "per_les", "bd", n + 2, D, S)[0]
             residual("psi.bd=bd.psi+", n, D, psim1.compose(mbd),
-                     les.maps["bd"].compose(psip))
+                     bd.compose(psip))
     return out

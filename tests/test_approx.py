@@ -8,7 +8,6 @@ import pytest
 from conftest import non_iso_entries, oracle_verify_squares, total_degrees, \
     uchain_boundary
 from cyclo2.approx import (
-    MODEL_OF,
     SQUARES,
     ApproxError,
     _is_cycle,
@@ -20,7 +19,7 @@ from cyclo2.approx import (
     verify_squares,
 )
 from cyclo2.cli import load_presentation
-from cyclo2.cyclic import SEQUENCES, build_tower, homology, \
+from cyclo2.cyclic import build_tower, homology, les_map, \
     slice_differential, vectorize
 from cyclo2.ell import MODELS, ell_degree_basis
 from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
@@ -204,36 +203,37 @@ def test_verify_squares_truncated_cube():
 FLAVOR_THEORY = {"ell": "minus", "ell_plus": "plus", "ell_per": "per",
                  "omega": "hh"}
 VERTICAL = {"minus": "psi", "plus": "psi+", "per": "psiper", "hh": "eps"}
-
-
-def _corners(which):
-    """(theory, degree offset) of L_n, M_n, N_n, L_{n-1}, M_{n-1}."""
-    (tl, ol), (tm, om), (tn, on) = SEQUENCES[which].towers
-    return (tl, ol), (tm, om), (tn, on), (tl, ol - 1), (tm, om - 1)
+# the name of each LES map of each sequence in the square names
+LES_NAMES = {"minus_les": {"i": "u", "p": "h", "bd": "bd"},
+             "connes": {"i": "I", "p": "u", "bd": "bd"},
+             "per_les": {"i": "iota", "p": "S", "bd": "bd"}}
 
 
 def test_models_sit_on_the_les_corners():
-    assert set(MODEL_OF) == set(SEQUENCES)
-    for which, theory in MODEL_OF.items():
-        corners = _corners(which)
-        for k, (src, tgt, _) in enumerate(MODELS[theory].values()):
-            for (flavor, offset), corner in ((src, corners[k]),
-                                             (tgt, corners[k + 1])):
-                assert (FLAVOR_THEORY[flavor], offset) == corner, \
-                    (theory, k)
+    # each row's model map runs between the spaces over its LES map's
+    # source and target: a space (flavor, k) around (m, d) over the record
+    # of its theory in degree m + k, at every degree of the row
+    for name, which, les_name, offset, (src, tgt, _) in SQUARES:
+        for n in range(-2, 3):
+            m = n + offset
+            _, Hs, Ht = les_map(PX, which, les_name, m, 3)
+            for (flavor, k), H in ((src, Hs), (tgt, Ht)):
+                assert (FLAVOR_THEORY[flavor], m + k) == (H.theory, H.n), \
+                    (name, n)
 
 
 def test_square_names_follow_the_tables():
     # a square named a.b=c.d composes the model map with the vertical map
     # into its target, and the LES map with the one into its source
-    assert len({row[1:] for row in SQUARES}) == len(SQUARES) == 8
-    for name, which, _, les_map in SQUARES:
-        k = SEQUENCES[which].maps.index(les_map)
-        model = tuple(MODELS[MODEL_OF[which]])[k]
-        corners = _corners(which)
-        v_src, v_tgt = (VERTICAL[corners[i][0]] for i in (k, k + 1))
-        assert set(name.split("=")) == {f"{v_tgt}.{model}",
-                                        f"{les_map}.{v_src}"}, name
+    assert len({row[1:3] for row in SQUARES}) == len(SQUARES) == 8
+    for name, which, les_name, _, entry in SQUARES:
+        model, = (key for row in MODELS.values()
+                  for key, e in row.items() if e is entry)
+        v_src, v_tgt = (VERTICAL[FLAVOR_THEORY[space[0]]]
+                        for space in entry[:2])
+        assert set(name.split("=")) == {
+            f"{v_tgt}.{model}",
+            f"{LES_NAMES[which][les_name]}.{v_src}"}, name
 
 
 # (algebra, max_homological, max_internal, S)

@@ -13,6 +13,7 @@ from conftest import (
     boundary_b,
     contains_subspace,
     exactness_defects,
+    mixed_matrix,
     oracle_bar_words,
     oracle_connecting_map,
     oracle_differential_columns,
@@ -40,6 +41,7 @@ from cyclo2.cyclic import (
     bidegree_window,
     build_tower,
     chain_model,
+    class_map,
     connecting_map,
     differential_bases,
     differential_ranks,
@@ -47,8 +49,7 @@ from cyclo2.cyclic import (
     e2_page,
     hochschild_basis,
     homology,
-    les_maps,
-    mixed_apply,
+    les_map,
     mixed_columns,
     slice_differential,
     slice_shift_map,
@@ -202,20 +203,13 @@ def test_differential_columns_match_per_word_oracle():
                                                         rng)
 
 
-def _mixed_matrix(A, op, k, d):
-    """mixed_apply on every basis vector of C_{k,d}."""
-    rows = hochschild_basis(A, k - 1 if op == "b" else k + 1, d).dim
-    return F2Matrix(rows, tuple(mixed_apply(A, op, k, d, 1 << j) for j in
-                                range(hochschild_basis(A, k, d).dim)))
-
-
 def test_mixed_columns_form_a_mixed_complex():
     # b b = B B = b B + B b = 0 as products of the per-degree matrices
     for A, degrees in ((PXY, range(5)), (CUSP, range(5)), (F4, (0,)),
                        (DUAL, (0,)), (X3, (0,))):
         for d in degrees:
-            b = lambda j: _mixed_matrix(A, "b", j, d)
-            B = lambda j: _mixed_matrix(A, "B", j, d)
+            b = lambda j: mixed_matrix(A, "b", j, d)
+            B = lambda j: mixed_matrix(A, "B", j, d)
             for k in range(1, 6):
                 assert b(k - 1).compose(b(k)).is_zero(), (A.name, k, d)
                 assert B(k + 1).compose(B(k)).is_zero(), (A.name, k, d)
@@ -651,24 +645,24 @@ def test_f4_hcminus_dims():
 def test_minus_les_exact_for_px():
     for d in range(0, 5):
         for n in range(-2, 4):
-            data = les_maps(PX, "minus_les", n, d)
-            for joint, defect in exactness_defects(data).items():
+            for joint, defect in exactness_defects(PX, "minus_les", n,
+                                                   d).items():
                 assert defect == 0, (n, d, joint)
 
 
 def test_connes_les_exact_for_px():
     for d in range(0, 5):
         for n in range(0, 5):
-            data = les_maps(PX, "connes", n, d)
-            for joint, defect in exactness_defects(data).items():
+            for joint, defect in exactness_defects(PX, "connes", n,
+                                                   d).items():
                 assert defect == 0, (n, d, joint)
 
 
 def test_per_les_exact_for_px():
     for d in range(0, 4):
         for n in range(-2, 4):
-            data = les_maps(PX, "per_les", n, d)
-            for joint, defect in exactness_defects(data).items():
+            for joint, defect in exactness_defects(PX, "per_les", n,
+                                                   d).items():
                 assert defect == 0, (n, d, joint)
 
 
@@ -679,22 +673,28 @@ def test_les_exact_for_ungraded_truncations():
         for S in (2, 3, 4):
             for n in range(-3, 5):
                 for which in ("minus_les", "connes", "per_les"):
-                    data = les_maps(A, which, n, 0, S)
-                    for joint, defect in exactness_defects(data).items():
+                    defects = exactness_defects(A, which, n, 0, S)
+                    for joint, defect in defects.items():
                         assert defect == 0, (A.name, S, n, which, joint)
             # the subcomplex of columns <= -1 is HC^- one column shallower
-            data = les_maps(A, "minus_les", 0, 0, S)
-            assert data.spaces["Hminus_n2"].S == S - 1
-            assert data.spaces["Hminus_n1"].S == S - 1
+            _, Hm2, _ = les_map(A, "minus_les", "i", 0, 0, S)
+            _, _, Hm1 = les_map(A, "minus_les", "bd", 0, 0, S)
+            assert Hm2.S == Hm1.S == S - 1
+
+
+def _les_spaces(A, which, n, d, S):
+    """The sources and targets of the maps i, p and bd at degree n."""
+    return [h for name in ("i", "p", "bd")
+            for h in les_map(A, which, name, n, d, S)[1:]]
 
 
 def test_les_spaces_computed_at_depth_S_only():
-    # the five spaces of a sequence are read at their depth, without the
+    # the spaces of a sequence are read at their depth, without the
     # S + 1 check of truncation(): no tower one column deeper is built
     A = AlgebraPresentation(("x",), (0,), (frozenset({(3,)}),),
                             graded=False, name="F2[x]/(x^3)")
     for n in (0, 1):
-        les_maps(A, "per_les", n, 0, 3)
+        _les_spaces(A, "per_les", n, 0, 3)
     assert {key[3] for key in A.memo("tower")} == {0, 3}
 
 
@@ -702,7 +702,7 @@ def test_les_spaces_are_the_homology_records():
     for A, d, S in ((PX, 2, 3), (DUAL, 0, 3), (F4, 0, 2)):
         for which in SEQUENCES:
             for n in range(-2, 3):
-                for h in les_maps(A, which, n, d, S).spaces.values():
+                for h in _les_spaces(A, which, n, d, S):
                     assert h is homology(A, h.theory, h.n, h.d, h.S), \
                         (A.name, which, n, h.theory, h.n)
 
@@ -713,7 +713,7 @@ def test_truncated_les_spaces_of_the_dual_numbers_are_flagged():
     truncated = 0
     for which in SEQUENCES:
         for n in range(-2, 3):
-            for h in les_maps(DUAL, which, n, 0, 3).spaces.values():
+            for h in _les_spaces(DUAL, which, n, 0, 3):
                 expected = "truncation-limited" if h.slice.truncated \
                     else "stable"
                 assert truncation(DUAL, h).flag == expected, \
@@ -722,12 +722,15 @@ def test_truncated_les_spaces_of_the_dual_numbers_are_flagged():
     assert truncated
 
 
+def test_les_map_rejects_unknown_names():
+    for which, name in (("minus", "i"), ("minus_les", "u")):
+        with pytest.raises(TowerError):
+            les_map(PX, which, name, 0, 1)
+
+
 def test_connecting_map_formula():
     # HH_0 -> HC^-_1 sends the class of x[] to the class of 1 (x) 1[x]
-    data = les_maps(PX, "minus_les", 0, 1)
-    bd = data.maps["bd"]
-    hh0 = data.spaces["HH_n"]
-    hm1 = data.spaces["Hminus_n1"]
+    bd, hh0, hm1 = les_map(PX, "minus_les", "bd", 0, 1)
     assert hh0.dim == 1 and hm1.dim == 1
     assert bd.columns[0] & 1 == 1
     # the target class is represented by 1 (x) 1[x]
@@ -738,17 +741,17 @@ def test_connecting_map_formula():
 
 
 def _assert_bd_matches_oracle(A, which, n, D, S):
-    # the connecting map of les_maps is the one found by solving against
+    # the connecting map of les_map is the one found by solving against
     # the whole p and i matrices
-    les = les_maps(A, which, n, D, S)
-    ses = SEQUENCES[which]
-    _, M_n, N_n, L_n1, M_n1 = (les.spaces[name] for name in ses.spaces)
-    i_shift, p_shift = ses.shifts
+    bd, N_n, L_n1 = les_map(A, which, "bd", n, D, S)
+    _, M_n, _ = les_map(A, which, "p", n, D, S)
+    _, _, M_n1 = les_map(A, which, "i", n - 1, D, S)
+    i_shift, p_shift = SEQUENCES[which].shifts
     oracle = oracle_connecting_map(
         A, N_n, L_n1, M_n.slice, M_n1.slice,
         slice_shift_map(M_n.slice, N_n.slice, p_shift),
         slice_shift_map(L_n1.slice, M_n1.slice, i_shift))
-    assert les.maps["bd"] == oracle, (A.name, which, n, D, S)
+    assert bd == oracle, (A.name, which, n, D, S)
 
 
 def test_connecting_maps_match_solving_oracle():
@@ -765,26 +768,28 @@ def test_connecting_maps_match_solving_oracle():
 def test_connecting_map_rejects_a_wrong_shift():
     # HH_0 -> HC^-_1 of F2[x] at D = 1 is nonzero; lifting along any other
     # column shift, or pulling back along one, fails its exact check
-    sp = les_maps(PX, "minus_les", 0, 1).spaces
-    args = (PX, sp["HH_n"], sp["Hminus_n1"], sp["Hminus_n"].slice,
-            sp["Hminus_nm1"].slice)
-    assert not connecting_map(*args, 0, -1).is_zero()
+    _, hh0, hm1 = les_map(PX, "minus_les", "bd", 0, 1)
+    slices = (hh0.slice, hm1.slice, build_tower(PX, "minus", 0, 1),
+              build_tower(PX, "minus", -1, 1))
+    assert not class_map(hh0, hm1,
+                         connecting_map(PX, *slices, 0, -1)).is_zero()
     for p_shift, i_shift in ((1, -1), (-1, -1), (0, 0), (0, -2)):
         with pytest.raises(TowerError):
-            connecting_map(*args, p_shift, i_shift)
+            class_map(hh0, hm1, connecting_map(PX, *slices, p_shift,
+                                               i_shift))
 
 
 def test_h_after_u_is_zero():
     for d in range(0, 4):
-        data = les_maps(PX, "minus_les", 0, d)
-        assert data.maps["h"].compose(data.maps["u"]).is_zero()
+        u = les_map(PX, "minus_les", "i", 0, d)[0]
+        h = les_map(PX, "minus_les", "p", 0, d)[0]
+        assert h.compose(u).is_zero()
 
 
 def test_connes_I_injective_degree0():
-    data = les_maps(PX, "connes", 0, 0)
-    mat = data.maps["I"]
+    mat, hh0, _ = les_map(PX, "connes", "i", 0, 0)
     rank = rank_kernel_image(mat)[0]
-    assert rank == data.spaces["HH_n"].dim == 1
+    assert rank == hh0.dim == 1
 
 
 # ----- spectral sequence pages -----
@@ -986,14 +991,14 @@ def test_mixed_columns_keep_blocks_and_form_a_mixed_complex(A):
     its source word's _block_key; on every draw b b = B B = b B + B b = 0
     on the per-degree matrices."""
     for d in range(5) if A.graded else (0,):
-        b = lambda j: _mixed_matrix(A, "b", j, d)
-        B = lambda j: _mixed_matrix(A, "B", j, d)
+        b = lambda j: mixed_matrix(A, "b", j, d)
+        B = lambda j: mixed_matrix(A, "B", j, d)
         for k in range(5):
             if A.monomial_ideal:
                 src = hochschild_basis(A, k, d)
                 for op, k_tgt in (("b", k - 1), ("B", k + 1)):
                     tgt = hochschild_basis(A, k_tgt, d).words
-                    for w, col in zip(src.words, _mixed_matrix(A, op, k, d)
+                    for w, col in zip(src.words, mixed_matrix(A, op, k, d)
                                       .columns):
                         keys = {_block_key(tgt[i])
                                 for i in range(col.bit_length())
@@ -1091,7 +1096,7 @@ def test_homology_side_properties(A):
     if A.graded:
         for which in SEQUENCES:
             for n, D in bidegree_window(A, 2, 3):
-                defects = exactness_defects(les_maps(A, which, n, D, S))
+                defects = exactness_defects(A, which, n, D, S)
                 assert not any(defects.values()), (A.name, which, n, D,
                                                    defects)
         residuals = [r for r in verify_squares(A, 2, 3, S) if r["residual"]]

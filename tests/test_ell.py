@@ -5,10 +5,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from conftest import ORACLE_INSTANCES, mul_u_matrix, omega_u_reduce, \
-    oracle_ell_mon_mul, oracle_per_mon_mul, oracle_plus_mon_mul, \
-    oracle_plus_v_mul, oracle_relation_rows, small_presentations, \
-    tau_matrix, ungraded_x
+from conftest import ORACLE_INSTANCES, model_sequence, mul_u_matrix, \
+    omega_u_reduce, oracle_ell_mon_mul, oracle_per_mon_mul, \
+    oracle_plus_mon_mul, oracle_plus_v_mul, oracle_relation_rows, \
+    small_presentations, tau_matrix, ungraded_x
 
 from cyclo2.derham import de_rham_d, form, omega_basis
 from cyclo2.f2linalg import F2Matrix, echelonize_in, rank_kernel_image, \
@@ -26,7 +26,6 @@ from cyclo2.ell import (
     del_el,
     el_mul,
     ell_bidegree,
-    ell_chain_maps,
     ell_degree_basis,
     ell_monomials,
     f_bar,
@@ -198,8 +197,7 @@ def test_minus_model_exact_for_smooth():
         rng = [(n, d) for n in range(-2, 4) for d in range(0, 6)] \
             if A.graded else [(n, -n) for n in range(-2, 4)]
         for n, d in rng:
-            maps = ell_chain_maps(A, "minus", n, d)
-            mu, mr, mt, mu2 = maps["u"], maps["r"], maps["tau"], maps["u_next"]
+            mu, mr, mt, mu2 = model_sequence(A, "minus", n, d)
             assert mr.compose(mu).is_zero()
             assert mt.compose(mr).is_zero()
             assert mu2.compose(mt).is_zero()
@@ -213,8 +211,7 @@ def test_minus_model_exact_for_smooth():
 def test_plus_model_exact_for_smooth():
     for n in range(0, 5):
         for d in range(-4, 5):
-            maps = ell_chain_maps(PX, "plus", n, d)
-            mI, mu, mD, mI2 = maps["I"], maps["u"], maps["D"], maps["I_next"]
+            mI, mu, mD, mI2 = model_sequence(PX, "plus", n, d)
             assert mu.compose(mI).is_zero()
             assert mD.compose(mu).is_zero()
             assert mI2.compose(mD).is_zero()
@@ -256,10 +253,10 @@ def test_D_circ_I_is_d():
 def test_per_model_composites_zero():
     for n in range(-2, 4):
         for d in range(-2, 5):
-            maps = ell_chain_maps(PX, "per", n, d)
-            assert maps["S"].compose(maps["iota"]).is_zero()
-            assert maps["bd"].compose(maps["S"]).is_zero()
-            assert maps["iota_next"].compose(maps["bd"]).is_zero()
+            iota, S, bd, iota_next = model_sequence(PX, "per", n, d)
+            assert S.compose(iota).is_zero()
+            assert bd.compose(S).is_zero()
+            assert iota_next.compose(bd).is_zero()
 
 
 def test_iota_isomorphism_in_negative_degrees():
