@@ -42,22 +42,23 @@ elimination records its ranks too, so bases read first leave no rank
 pass to run.
 
 The chain groups come from one of two mixed complexes, the model of a
-slice; the towers, ranks, homology records and the truncation check run
-the same code on both, and the model is part of every memo key of a
-slice, a shape and a record.  "bar" is the normalized bar complex above.
-"koszul" is K = A (x) Lambda(dx_1..dx_g) (x) Gamma(t_1..t_r), one t_j per
-Groebner element f_j, with b the Koszul map t_j^[i] -> df_j t_j^[i-1] and
-B the de Rham d (koszul_group, koszul_columns): polynomially many basis
-vectors per (k, d) where C_{k,d} has exponentially many.  chain_model
-selects it only where this B is established: on a polynomial ring, any
-weights, where K is (Omega, 0, d) and the HKR map derham.antisymmetrize is
-a quasi-isomorphism of mixed complexes (Loday, Cyclic Homology, 3.4), and
-on an ungraded F2[x]/(f), where K is the 2-periodic small mixed complex of
-its resolution (Buenos Aires Cyclic Homology Group, K-Theory 5, 1991).
-Quasi-isomorphic mixed complexes give the same truncated-tower homology
-(Loday, Cyclic Homology, 5.1), and the tests hold K's dims, flags and E^2
-pages to the bar model's; compute and spectral read it.  verify-approx
-reads class coordinates of bar chains, so it reads the bar model.
+slice, each a row of CHAIN_MODELS read through chain_group and
+chain_columns; the towers, ranks, records and the truncation check run the
+same code on every row, and the model is part of every memo key.  "bar" is
+the normalized bar complex above.  "koszul" is K = A (x) Lambda(dx_1..dx_g)
+(x) Gamma(t_1..t_r), one t_j per Groebner element f_j, with b the Koszul
+map t_j^[i] -> df_j t_j^[i-1] and B the de Rham d (_koszul_group,
+_koszul_columns): polynomially many basis vectors per (k, d) where C_{k,d}
+has exponentially many.  chain_model selects it only where this B is
+established: on a polynomial ring, any weights, where K is (Omega, 0, d)
+and the HKR map derham.antisymmetrize is a quasi-isomorphism of mixed
+complexes (Loday, Cyclic Homology, 3.4), and on an ungraded F2[x]/(f),
+where K is the 2-periodic small mixed complex of its resolution (Buenos
+Aires Cyclic Homology Group, K-Theory 5, 1991).  Quasi-isomorphic mixed
+complexes give the same truncated-tower homology (Loday, Cyclic Homology,
+5.1), and the tests hold K's dims, flags and E^2 pages to the bar model's;
+compute and spectral read it.  verify-approx reads class coordinates of bar
+chains, so it reads the bar model.
 
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
@@ -182,74 +183,61 @@ class HochschildBasis:
         return j if j < self.dim and self.words[j] == w else None
 
 
-def hochschild_basis(A: AlgebraPresentation, k: int,
-                     d: int) -> HochschildBasis:
-    """The normalized bar words with k bars and internal degree d, in an
-    order of the word alone, so every slice that holds C_{k,d} shares this
-    basis; memoised.  For a monomial ideal the words are grouped by
-    _block_key, blocks in key order; otherwise they are one block, keyed
-    None.  In a block the heads run in A.mono_key order, each followed by
-    its bar tuples (_bar_tuples): words sorted by the mono_key of the head,
-    then of each bar."""
-    table = A.memo("hochschild_basis")
-    hb = table.get((k, d))
-    if hb is None:
-        parts: dict = {}  # block key -> [(mono_key(h), h, bar tuples)]
-        for e in range(d + 1) if k >= 0 and (A.graded or d == 0) else ():
-            heads = A.degree_basis(d - e)  # e is the degree of the bars
-            for group, tuples in _bar_tuples(A, k, e).items() \
-                    if heads else ():
-                for h in heads:
-                    key = None if group is None else tuple(map(add, h, group))
-                    parts.setdefault(key, []).append(
-                        (A.mono_key(h), h, tuples))
-        dim, blocks, runs, heads = 0, {}, {}, []
-        for key in sorted(parts):
-            start = dim
-            run = runs[key] = {}
-            for _, h, tuples in sorted(parts[key], key=itemgetter(0)):
-                run[h] = dim - start
-                heads.append((key, h, tuples))
-                dim += len(tuples)
-            blocks[key] = (start, dim)
-        hb = table[(k, d)] = HochschildBasis(dim, blocks, runs,
-                                             A.memo("bar_rank"), tuple(heads))
-    return hb
+def _hochschild_basis(A: AlgebraPresentation, k: int,
+                      d: int) -> HochschildBasis:
+    """The bar row's C_{k,d}: the normalized bar words with k bars and
+    internal degree d, in an order of the word alone, so every slice that
+    holds C_{k,d} shares this basis.  For a monomial ideal the words are
+    grouped by _block_key, blocks in key order; otherwise they are one
+    block, keyed None.  In a block the heads run in A.mono_key order, each
+    followed by its bar tuples (_bar_tuples): words sorted by the mono_key
+    of the head, then of each bar."""
+    parts: dict = {}  # block key -> [(mono_key(h), h, bar tuples)]
+    for e in range(d + 1) if k >= 0 and (A.graded or d == 0) else ():
+        heads = A.degree_basis(d - e)  # e is the degree of the bars
+        for group, tuples in _bar_tuples(A, k, e).items() if heads else ():
+            for h in heads:
+                key = None if group is None else tuple(map(add, h, group))
+                parts.setdefault(key, []).append((A.mono_key(h), h, tuples))
+    dim, blocks, runs, heads = 0, {}, {}, []
+    for key in sorted(parts):
+        start = dim
+        run = runs[key] = {}
+        for _, h, tuples in sorted(parts[key], key=itemgetter(0)):
+            run[h] = dim - start
+            heads.append((key, h, tuples))
+            dim += len(tuples)
+        blocks[key] = (start, dim)
+    return HochschildBasis(dim, blocks, runs, A.memo("bar_rank"), tuple(heads))
 
 
-def mixed_columns(A: AlgebraPresentation, op: str, k: int,
-                  d: int) -> tuple[int, ...]:
-    """b: C_{k,d} -> C_{k-1,d} (op "b") or B: C_{k,d} -> C_{k+1,d} (op
-    "B"), one column per word of hochschild_basis(A, k, d): the image as a
-    bitmask over the target's block of the word, bit i for the word at
-    position start + i of the target basis, where the block starts;
-    memoised.  An image word outside that block raises TowerError.  Bits
-    are set at the target's positions (runs and bar ranks), and XOR is the
-    sum in F2: b of h[a1|...|ak] is h a1[a2|...|ak] + ak h[a1|...|a(k-1)]
-    + h b''[a1|...|ak], and B of h[bars], h not 1, the sum of the rotations
-    of h, bars as bars of 1."""
-    table = A.memo("mixed_columns")
-    cols = table.get((op, k, d))
-    if cols is None:
-        tgt = hochschild_basis(A, k - 1 if op == "b" else k + 1, d)
-        terms: dict = {}  # id of memoised bar tuples -> their _b_terms
-        out: list[int] = []
-        for key, h, tuples in hochschild_basis(A, k, d).heads:
-            run = tgt.runs.get(key, {})
-            try:
-                if k == 0 if op == "b" else h == A.one:
-                    out.extend([0] * len(tuples))
-                elif op == "B":
-                    out.extend(_B_run(A, h, tuples, run))
-                else:
-                    if id(tuples) not in terms:
-                        terms[id(tuples)] = _b_terms(A, k, tuples)
-                    out.extend(_b_run(A, h, tuples, terms[id(tuples)], run))
-            except KeyError:
-                raise TowerError(f"{op} leaves the multidegree block of "
-                                 f"a word with head {h}") from None
-        cols = table[(op, k, d)] = tuple(out)
-    return cols
+def _mixed_columns(A: AlgebraPresentation, op: str, k: int,
+                   src: HochschildBasis,
+                   tgt: HochschildBasis) -> tuple[int, ...]:
+    """The bar row's b: C_{k,d} -> C_{k-1,d} (op "b") or B: C_{k,d} ->
+    C_{k+1,d} (op "B") from src into tgt.  An image word outside the
+    target block of its word raises TowerError.  Bits are set at the
+    target's positions (runs and bar ranks), and XOR is the sum in F2: b of
+    h[a1|...|ak] is h a1[a2|...|ak] + ak h[a1|...|a(k-1)] + h b''[a1|...|ak],
+    and B of h[bars], h not 1, the sum of the rotations of h, bars as bars
+    of 1."""
+    terms: dict = {}  # id of memoised bar tuples -> their _b_terms
+    out: list[int] = []
+    for key, h, tuples in src.heads:
+        run = tgt.runs.get(key, {})
+        try:
+            if k == 0 if op == "b" else h == A.one:
+                out.extend([0] * len(tuples))
+            elif op == "B":
+                out.extend(_B_run(A, h, tuples, run))
+            else:
+                if id(tuples) not in terms:
+                    terms[id(tuples)] = _b_terms(A, k, tuples)
+                out.extend(_b_run(A, h, tuples, terms[id(tuples)], run))
+        except KeyError:
+            raise TowerError(f"{op} leaves the multidegree block of "
+                             f"a word with head {h}") from None
+    return tuple(out)
 
 
 def _b_terms(A: AlgebraPresentation, k: int, tuples: tuple) -> list:
@@ -316,11 +304,55 @@ class KoszulGroup:
     blocks: dict
     pieces: dict
 
-    @cached_property
-    def words(self) -> tuple:
-        """Every word (m, T, J), in basis order; built on first read."""
-        return tuple((m, T, J) for J, (_, _, forms, _) in self.pieces.items()
-                     for m, T in forms)
+
+def _koszul_group(A: AlgebraPresentation, k: int, d: int) -> KoszulGroup:
+    """The Koszul row's K_{k,d} of K = A (x) Lambda(dx_1..dx_g) (x)
+    Gamma(t_1..t_r), t_j for the j-th element f_j of A.groebner, in
+    homological degree 2 and internal degree deg f_j: the words
+    m dx_T t^[J] with k = |T| + 2|J|, |T| <= g, one piece per J, in one
+    block.  One block ranks faster than multidegree blocks on polynomial
+    rings, whose K is small."""
+    r = len(A.groebner)
+    weights = [A.mono_degree(lt) for lt in A.lead_terms]
+    pieces, dim = {}, 0
+    for s in range(max(0, k - A.ngens + 1) // 2, k // 2 + 1):
+        for c in itertools.combinations_with_replacement(range(r), s):
+            J = tuple(map(c.count, range(r)))
+            e = d - sum(map(mul, J, weights))
+            forms = free_forms(A, k - 2 * s, e)
+            pieces[J] = (k - 2 * s, e, forms, dim)
+            dim += len(forms)
+    return KoszulGroup(dim, {None: (0, dim)}, pieces)
+
+
+def _koszul_columns(A: AlgebraPresentation, op: str, k: int,
+                    src: KoszulGroup, tgt: KoszulGroup) -> tuple[int, ...]:
+    """The Koszul row's b: K_{k,d} -> K_{k-1,d} (op "b") or B: K_{k,d} ->
+    K_{k+1,d} (op "B") from src into tgt.  b is the Koszul map,
+    m dx_T t^[J] -> the sum over j of m df_j dx_T t^[J - j], and B is the
+    de Rham d of m dx_T, at the same t^[J], piece by piece
+    (derham.form_piece); the target lacks a piece only where the term is
+    zero (J_j = 0, or |T| = g).
+
+    On an ungraded F2[x]/(f) this is the small mixed complex, A t^[i] in
+    degree 2i and A dx t^[i] in 2i + 1 (Buenos Aires Cyclic Homology Group,
+    K-Theory 5, 1991): b is g -> f'g and B is g -> g' on even k.  This B
+    leaves out the homotopy-transfer term i ((g f') div f) on degree 2i
+    (from the Tate-de Rham model F2[x]<y>, dy = f), which changes no
+    dimension and no truncation flag on any f of degree <= 6 at |n| <= 8,
+    S <= 6, under the four theories, nor an E^2 page of theirs on any f of
+    degree <= 3 at |s|, t <= 6 or of degree 4 at |s|, t <= 3."""
+    cols = []
+    for J, (q, e, forms, _) in src.pieces.items():
+        part = [0] * len(forms)
+        for j in (None,) if op == "B" else range(len(J)):
+            J1 = J if j is None else J[:j] + (J[j] - 1,) + J[j + 1:]
+            if J1 in tgt.pieces:
+                off = tgt.pieces[J1][3]
+                part = [v ^ (w << off) for v, w in
+                        zip(part, form_piece(A, j, q, e))]
+        cols.extend(part)
+    return tuple(cols)
 
 
 def chain_model(A: AlgebraPresentation) -> str:
@@ -331,61 +363,32 @@ def chain_model(A: AlgebraPresentation) -> str:
             else "bar")
 
 
-def koszul_group(A: AlgebraPresentation, k: int, d: int) -> KoszulGroup:
-    """K_{k,d} of K = A (x) Lambda(dx_1..dx_g) (x) Gamma(t_1..t_r), t_j for
-    the j-th element f_j of A.groebner, in homological degree 2 and
-    internal degree deg f_j: the words m dx_T t^[J] with k = |T| + 2|J|,
-    |T| <= g, one piece per J, in one block; memoised.  One block ranks
-    faster than multidegree blocks on polynomial rings, whose K is small."""
-    table = A.memo("koszul_group")
-    group = table.get((k, d))
+# name -> (builder of C_{k,d}, builder of its b or B columns), read only by
+# chain_group and chain_columns; the column of a word of C_{k,d} has bit i
+# for position start + i of C_{k-1,d} or C_{k+1,d}, where its block starts.
+CHAIN_MODELS = {"bar": (_hochschild_basis, _mixed_columns),
+                "koszul": (_koszul_group, _koszul_columns)}
+
+
+def chain_group(A: AlgebraPresentation, model: str, k: int, d: int):
+    """C_{k,d} of the chain model; memoised, so every slice shares it."""
+    table = A.memo("chain_group")
+    group = table.get((model, k, d))
     if group is None:
-        r = len(A.groebner)
-        weights = [A.mono_degree(lt) for lt in A.lead_terms]
-        pieces, dim = {}, 0
-        for s in range(max(0, k - A.ngens + 1) // 2, k // 2 + 1):
-            for c in itertools.combinations_with_replacement(range(r), s):
-                J = tuple(map(c.count, range(r)))
-                e = d - sum(map(mul, J, weights))
-                forms = free_forms(A, k - 2 * s, e)
-                pieces[J] = (k - 2 * s, e, forms, dim)
-                dim += len(forms)
-        group = table[(k, d)] = KoszulGroup(dim, {None: (0, dim)}, pieces)
+        group = table[(model, k, d)] = CHAIN_MODELS[model][0](A, k, d)
     return group
 
 
-def koszul_columns(A: AlgebraPresentation, op: str, k: int,
-                   d: int) -> tuple[int, ...]:
-    """b: K_{k,d} -> K_{k-1,d} (op "b") or B: K_{k,d} -> K_{k+1,d} (op
-    "B"), one column per word of koszul_group(A, k, d), bit i for the i-th
-    word of the target; memoised.  b is the Koszul map, m dx_T t^[J] -> the
-    sum over j of m df_j dx_T t^[J - j], and B is the de Rham d of m dx_T,
-    at the same t^[J], piece by piece (derham.form_piece); the target lacks a
-    piece only where the term is zero (J_j = 0, or |T| = g).
-
-    On an ungraded F2[x]/(f) this is the small mixed complex, A t^[i] in
-    degree 2i and A dx t^[i] in 2i + 1 (Buenos Aires Cyclic Homology Group,
-    K-Theory 5, 1991): b is g -> f'g and B is g -> g' on even k.  This B
-    leaves out the homotopy-transfer term i ((g f') div f) on degree 2i
-    (from the Tate-de Rham model F2[x]<y>, dy = f), which changes no
-    dimension and no truncation flag on any f of degree <= 6 at |n| <= 8,
-    S <= 6, under the four theories, nor an E^2 page of theirs on any f of
-    degree <= 3 at |s|, t <= 6 or of degree 4 at |s|, t <= 3."""
-    table = A.memo("koszul_columns")
-    cols = table.get((op, k, d))
+def chain_columns(A: AlgebraPresentation, model: str, op: str, k: int,
+                  d: int) -> tuple[int, ...]:
+    """b: C_{k,d} -> C_{k-1,d} (op "b") or B: C_{k,d} -> C_{k+1,d} (op
+    "B") of the chain model, placed as in CHAIN_MODELS; memoised."""
+    table = A.memo("chain_columns")
+    cols = table.get((model, op, k, d))
     if cols is None:
-        tgt = koszul_group(A, k - 1 if op == "b" else k + 1, d).pieces
-        cols = []
-        for J, (q, e, forms, _) in koszul_group(A, k, d).pieces.items():
-            part = [0] * len(forms)
-            for j in (None,) if op == "B" else range(len(J)):
-                J1 = J if j is None else J[:j] + (J[j] - 1,) + J[j + 1:]
-                if J1 in tgt:
-                    off = tgt[J1][3]
-                    part = [v ^ (w << off) for v, w in
-                            zip(part, form_piece(A, j, q, e))]
-            cols.extend(part)
-        cols = table[(op, k, d)] = tuple(cols)
+        tgt = chain_group(A, model, k - 1 if op == "b" else k + 1, d)
+        cols = table[(model, op, k, d)] = CHAIN_MODELS[model][1](
+            A, op, k, chain_group(A, model, k, d), tgt)
     return cols
 
 
@@ -394,7 +397,7 @@ class TowerSlice:
     """One total degree of a truncated tower, with a fixed ordered basis:
     column p = p_min + c is the shared basis parts[c] of C_{n-2p,d},
     starting at position offsets[c]; offsets ends with the dimension.  model
-    names the mixed complex of the chain groups, "bar" or "koszul"."""
+    names the mixed complex of the chain groups, a key of CHAIN_MODELS."""
 
     theory: str
     n: int
@@ -465,18 +468,17 @@ def build_tower(A: AlgebraPresentation, theory: str, n: int, d: int,
     """Assemble the degree-n slice of T^{alpha,beta} at internal degree d
     on the chain groups of the model."""
     t = theory_key(theory)
+    if model not in CHAIN_MODELS:
+        raise TowerError(f"unknown chain model {model!r}")
     p_min, p_max, truncated = _p_range(A, t, n, d, S)
     key = (t, n, d, S if truncated else 0, model)
     cache = A.memo("tower")
     if key in cache:
         return cache[key]
-    group = koszul_group if model == "koszul" else hochschild_basis
-    parts = tuple(group(A, n - 2 * p, d) for p in range(p_min, p_max + 1))
-    offsets = [0]
-    for hb in parts:
-        offsets.append(offsets[-1] + hb.dim)
-    cache[key] = TowerSlice(*key, p_min, p_max, truncated, parts,
-                            tuple(offsets))
+    parts = tuple(chain_group(A, model, n - 2 * p, d)
+                  for p in range(p_min, p_max + 1))
+    offsets = tuple(itertools.accumulate((g.dim for g in parts), initial=0))
+    cache[key] = TowerSlice(*key, p_min, p_max, truncated, parts, offsets)
     return cache[key]
 
 
@@ -485,8 +487,10 @@ def vectorize(A: AlgebraPresentation, sl: TowerSlice, x: UChain) -> int:
 
     On a truncated slice, components below the truncation window are
     dropped (the quotient-complex projection); otherwise any missing word is
-    an error.
+    an error.  u-chains hold bar words, so a slice of another model is too.
     """
+    if sl.model != "bar":
+        raise TowerError(f"vectorize reads bar slices, not {sl.model!r}")
     v = 0
     for i, c in x.entries:
         col = -i - sl.p_min
@@ -525,7 +529,7 @@ def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
     tgt (zero if tgt has no such block).  b of C_{n-2p,d} lands in column
     p of tgt and B in column p - 1.  A component with no place in tgt is
     cut: its column is past the truncation or bound of tgt, or tgt lacks
-    the block there, where mixed_columns has checked it is zero."""
+    the block there, where chain_columns has checked it is zero."""
     place = {p: local for p, _, _, local in tgt.blocks.get(key, ())}
     cols: list[int] = []
     for p, start, stop, _ in src.blocks[key]:
@@ -533,8 +537,7 @@ def _block_columns(A: AlgebraPresentation, src: TowerSlice, tgt: TowerSlice,
         part = [0] * (stop - start)
         for op, off in (("b", place.get(p)), ("B", place.get(p - 1))):
             if off is not None:
-                image = (koszul_columns if src.model == "koszul"
-                         else mixed_columns)(A, op, k, src.d)
+                image = chain_columns(A, src.model, op, k, src.d)
                 part = [v ^ (w << off)
                         for v, w in zip(part, image[start:stop])]
         cols.extend(part)
@@ -650,7 +653,10 @@ class HomologyPresentation(Homology):
                         self.slice.model) for k in (0, 1))
 
     def _ranked_dim(self) -> int:
-        return _dim_from_ranks(self.slice, *self._sides(differential_ranks))
+        # a block of T_n that T_{n+1} lacks has no boundaries
+        out, into = self._sides(differential_ranks)
+        return sum(_block_dim(segments) - out[key] - into.get(key, 0)
+                   for key, segments in self.slice.blocks.items())
 
     def _eliminate(self) -> tuple:
         # a block of T_n that T_{n+1} lacks has no boundaries
@@ -659,13 +665,6 @@ class HomologyPresentation(Homology):
             (out[key][0], into[key][1] if key in into
              else SubspaceBasis(_block_dim(segments)))
             for key, segments in self.slice.blocks.items())
-
-
-def _dim_from_ranks(sl: TowerSlice, out: dict, into: dict) -> int:
-    """The homology dimension of the slice T_n from the block ranks of d_n
-    (out) and d_{n+1} (into); a block that T_{n+1} lacks has none."""
-    return sum(_block_dim(segments) - out[key] - into.get(key, 0)
-               for key, segments in sl.blocks.items())
 
 
 def homology(A: AlgebraPresentation, theory: str, n: int, d: int,
@@ -758,9 +757,7 @@ def slice_shift_map(src: TowerSlice, tgt: TowerSlice, shift: int):
             if col < 0:
                 continue
             if col >= len(tgt.parts) or tgt.parts[col] is not hb:
-                w = hb.words[(chunk & -chunk).bit_length() - 1]
-                raise TowerError(
-                    f"shifted component {(p + shift, w)} outside slice")
+                raise TowerError(f"shifted column {p + shift} outside slice")
             out ^= chunk << tgt.offsets[col]
         return out
 

@@ -24,12 +24,12 @@ from cyclo2.cyclic import (
     _chunks,
     bidegree_window,
     build_tower,
+    chain_columns,
+    chain_group,
     class_map,
     e1_page,
-    hochschild_basis,
     homology,
     les_map,
-    mixed_columns,
     slice_shift_map,
     vectorize,
 )
@@ -525,7 +525,7 @@ def oracle_hochschild_basis(A, k, d):
 
 
 def oracle_mixed_columns(A, op, k, d):
-    """mixed_columns from one boundary_b or connes_B call per word of the
+    """The bar model's chain_columns from one boundary_b or connes_B call per word of the
     oracle basis, each image looked up in a dict of the target words and
     checked to stay in the source word's block."""
     f, k_tgt = (boundary_b, k - 1) if op == "b" else (connes_B, k + 1)
@@ -603,13 +603,13 @@ def oracle_truncation(A, H):
 
 # ----- the E2 page by class maps, kept as a slow oracle -----
 
-def mixed_matrix(A, op, k, d):
-    """b (op "b") or B (op "B") on the whole bases of C_{k,d} and its
-    target: each of the mixed_columns moved to the start of its word's
-    block in the target."""
-    src = hochschild_basis(A, k, d)
-    tgt = hochschild_basis(A, k - 1 if op == "b" else k + 1, d)
-    cols = mixed_columns(A, op, k, d)
+def mixed_matrix(A, op, k, d, model="bar"):
+    """b (op "b") or B (op "B") of the chain model on the whole groups
+    C_{k,d} and its target: each of the chain_columns moved to the start
+    of its word's block in the target, read from .blocks alone."""
+    src = chain_group(A, model, k, d)
+    tgt = chain_group(A, model, k - 1 if op == "b" else k + 1, d)
+    cols = chain_columns(A, model, op, k, d)
     return F2Matrix(tgt.dim, tuple(
         cols[j] << tgt.blocks.get(key, (0, 0))[0]
         for key, (start, stop) in src.blocks.items()

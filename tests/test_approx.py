@@ -19,7 +19,7 @@ from cyclo2.approx import (
     verify_squares,
 )
 from cyclo2.cli import load_presentation
-from cyclo2.cyclic import build_tower, homology, les_map, \
+from cyclo2.cyclic import TowerError, build_tower, homology, les_map, \
     slice_differential, vectorize
 from cyclo2.ell import MODELS, ell_degree_basis
 from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
@@ -105,6 +105,16 @@ def test_psi_of_phi_one_is_unit_class():
     coords = psi_class(PX, frozenset({("e", 0, (), (), ())}), H)
     unit = UChain.make("minus", {0: w(ONE)})
     assert coords == H.coords(vectorize(PX, H.slice, unit)) == 0b1
+
+
+def test_psi_class_reads_bar_records_only():
+    # psi's chains are bar chains, so a Koszul record of the same
+    # homology is refused, not read as a bar one
+    (mon,) = ell_degree_basis(PX, "ell", 0, 2).basis()
+    el = frozenset({mon})
+    assert psi_class(PX, el, homology(PX, "minus", 0, 2, 3)) == 0b1
+    with pytest.raises(TowerError, match="bar"):
+        psi_class(PX, el, homology(PX, "minus", 0, 2, 3, "koszul"))
 
 
 def test_psi_respects_bidegrees():

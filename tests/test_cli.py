@@ -14,7 +14,7 @@ import cyclo2
 from conftest import CountedReductions
 from cyclo2 import approx, cli, cyclic
 from cyclo2.cli import CLIError, RunConfig, load_presentation, main, run
-from cyclo2.cyclic import homology
+from cyclo2.cyclic import chain_model, homology
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -294,7 +294,7 @@ def test_one_memo_store(monkeypatch):
     assert len(A.memo("homology")) == computed
     # slice differentials are shifted from the per-degree b and B columns,
     # never cached slice-wide
-    assert A.memo("mixed_columns") and "tower_matrix" not in A._memo
+    assert A.memo("chain_columns") and "tower_matrix" not in A._memo
     # the basis of an ungraded algebra is memoised there too
     B = load_presentation(fixture("f4.alg"))
     basis = B.basis_all()
@@ -380,6 +380,13 @@ def test_verify_approx_reads_classes_before_the_check(monkeypatch):
     assert checked and all(checked)
 
 
+def _assert_chain_tables_of(A, model, where):
+    """Both chain tables of A are filled, and every key leads with model."""
+    for table in ("chain_group", "chain_columns"):
+        assert A.memo(table), (table, where)
+        assert all(key[0] == model for key in A.memo(table)), (table, where)
+
+
 def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
                                                            tmp_path):
     # compute on ungraded F2[x]/(f) and on polynomial rings reads the Koszul
@@ -410,13 +417,12 @@ def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
         for theory in ("hh", "hc", "hcminus", "hcper"):
             run(RunConfig(path, "compute", theory, 2, 2, 1))
             A = loaded[-1]
-            bar = A.memo("hochschild_basis"), A.memo("mixed_columns")
             model = "koszul" if koszul else "bar"
+            assert chain_model(A) == model, (path, theory)
             assert A.memo("homology")
             assert all(h.slice.model == model
                        for h in A.memo("homology").values()), (path, theory)
-            assert not any(bar) if koszul else all(bar), (path, theory)
-            assert bool(A.memo("koszul_columns")) is koszul, (path, theory)
+            _assert_chain_tables_of(A, model, (path, theory))
             assert A.memo("differential") == {}, (path, theory)
 
 
@@ -491,8 +497,9 @@ def test_spectral_eliminates_nothing(monkeypatch, tmp_path, theory):
         A = loaded[-1]
         assert counted.ranked and not counted.eliminated, (path, theory)
         assert A.memo("differential") == {}, (path, theory)
-        assert bool(A.memo("hochschild_basis")) is not koszul, (path, theory)
-        assert bool(A.memo("koszul_group")) is koszul, (path, theory)
+        model = "koszul" if koszul else "bar"
+        assert chain_model(A) == model, path
+        _assert_chain_tables_of(A, model, (path, theory))
 
 
 def test_spectral_bounds_and_theories():

@@ -32,6 +32,7 @@ from conftest import (
 from cyclo2.approx import verify_squares
 from cyclo2.cli import load_presentation
 from cyclo2.cyclic import (
+    CHAIN_MODELS,
     SEQUENCES,
     THEORY_BOUNDS,
     TowerError,
@@ -40,6 +41,8 @@ from cyclo2.cyclic import (
     _shape_key,
     bidegree_window,
     build_tower,
+    chain_columns,
+    chain_group,
     chain_model,
     class_map,
     connecting_map,
@@ -47,10 +50,8 @@ from cyclo2.cyclic import (
     differential_ranks,
     e1_page,
     e2_page,
-    hochschild_basis,
     homology,
     les_map,
-    mixed_columns,
     slice_differential,
     slice_shift_map,
     truncation,
@@ -203,33 +204,45 @@ def test_differential_columns_match_per_word_oracle():
                                                         rng)
 
 
+# the inputs of each row of CHAIN_MODELS: the bar complex on graded and
+# ungraded ones, monomial or not; every other model on inputs that
+# chain_model selects it for
+MIXED_COMPLEX_INPUTS = {
+    "bar": (PXY, CUSP, F4, DUAL, X3),
+    "koszul": (PXY, polynomial_algebra("xyz", (1, 2, 3)), F4, DUAL, X3),
+}
+
+
 def test_mixed_columns_form_a_mixed_complex():
-    # b b = B B = b B + B b = 0 as products of the per-degree matrices
-    for A, degrees in ((PXY, range(5)), (CUSP, range(5)), (F4, (0,)),
-                       (DUAL, (0,)), (X3, (0,))):
-        for d in degrees:
-            b = lambda j: mixed_matrix(A, "b", j, d)
-            B = lambda j: mixed_matrix(A, "B", j, d)
+    # b b = B B = b B + B b = 0 as products of the per-degree matrices of
+    # every chain model, read through chain_columns
+    for model, A in ((m, A) for m in CHAIN_MODELS
+                     for A in MIXED_COMPLEX_INPUTS[m]):
+        assert model == "bar" or chain_model(A) == model, (model, A.name)
+        for d in range(5) if A.graded else (0,):
+            b = lambda j: mixed_matrix(A, "b", j, d, model)
+            B = lambda j: mixed_matrix(A, "B", j, d, model)
             for k in range(1, 6):
-                assert b(k - 1).compose(b(k)).is_zero(), (A.name, k, d)
-                assert B(k + 1).compose(B(k)).is_zero(), (A.name, k, d)
-                assert b(k + 1).compose(B(k)).add(
-                    B(k - 1).compose(b(k))).is_zero(), (A.name, k, d)
+                assert b(k - 1).compose(b(k)).is_zero(), (model, A.name, k, d)
+                assert B(k + 1).compose(B(k)).is_zero(), (model, A.name, k, d)
+                assert b(k + 1).compose(B(k)).add(B(k - 1).compose(
+                    b(k))).is_zero(), (model, A.name, k, d)
 
 
 def _assert_chain_groups_match_oracle(A, ks, ds):
-    """hochschild_basis (words, blocks and the position of every word) and
-    both mixed_columns equal the word-by-word oracles on C_{k,d}."""
+    """The bar model's chain_group (words, blocks and the position of every
+    word) and both chain_columns equal the word-by-word oracles on
+    C_{k,d}."""
     for d in ds if A.graded else (0,):
         for k in ks:
-            hb = hochschild_basis(A, k, d)
+            hb = chain_group(A, "bar", k, d)
             words, blocks = oracle_hochschild_basis(A, k, d)
             assert (hb.words, hb.blocks) == (words, blocks), (A.name, k, d)
             for j, w in enumerate(words):
                 key = _block_key(w) if A.monomial_ideal else None
                 assert hb.position(w, key) == j, (A.name, k, d, w)
             for op in ("b", "B"):
-                assert mixed_columns(A, op, k, d) == \
+                assert chain_columns(A, "bar", op, k, d) == \
                     oracle_mixed_columns(A, op, k, d), (A.name, op, k, d)
 
 
@@ -276,11 +289,11 @@ def test_b_columns_built_once_per_chain_group():
     # group's b columns are built twice across a window of homology, by
     # its ranks or its bases
     A = polynomial_algebra(["x", "y", "z"])
-    table = A._memo["mixed_columns"] = _CountedTable()
+    table = A._memo["chain_columns"] = _CountedTable()
     for n, d in bidegree_window(A, 4, 4):
         h = homology(A, "minus", n, d)
         h.dim, _bases(h)
-    built = [key for key in table.stored if key[0] == "b"]
+    built = [key for key in table.stored if key[1] == "b"]
     assert built and len(built) == len(set(built))
 
 
@@ -513,15 +526,21 @@ def test_truncation_matches_oracle_on_draws(A, S):
                                       window)
 
 
+def _bar_keys(A):
+    """The memo keys of the bar model's chain groups and columns."""
+    return {key for table in ("chain_group", "chain_columns")
+            for key in A.memo(table) if key[0] == "bar"}
+
+
 def _assert_koszul_matches_bar(A, S, window):
     """Every theory at depth S on each (n, d) of window: the Koszul model
     gives the bar path's dim and flag, and builds no bar chain group."""
     for t in THEORY_BOUNDS:
         for n, d in window:
-            bar_groups = len(A.memo("hochschild_basis"))
+            bar_groups = _bar_keys(A)
             H = homology(A, t, n, d, S, "koszul")
             koszul = H.dim, truncation(A, H).flag
-            assert len(A.memo("hochschild_basis")) == bar_groups
+            assert _bar_keys(A) == bar_groups
             H = homology(A, t, n, d, S)
             assert koszul == (H.dim, truncation(A, H).flag), \
                 (A.name, t, n, d, S)
@@ -726,6 +745,17 @@ def test_les_map_rejects_unknown_names():
     for which, name in (("minus", "i"), ("minus_les", "u")):
         with pytest.raises(TowerError):
             les_map(PX, which, name, 0, 1)
+
+
+def test_unknown_chain_model_is_an_error():
+    # on a slice with columns and on an empty one (hh at n = -1), and no
+    # record of it is kept
+    A = polynomial_algebra(["x"])
+    for n in (1, -1):
+        with pytest.raises(TowerError, match="'Koszul'"):
+            homology(A, "hh", n, 1, model="Koszul")
+    assert not any("Koszul" in key for table in ("tower", "homology")
+                   for key in A.memo(table))
 
 
 def test_connecting_map_formula():
@@ -995,9 +1025,9 @@ def test_mixed_columns_keep_blocks_and_form_a_mixed_complex(A):
         B = lambda j: mixed_matrix(A, "B", j, d)
         for k in range(5):
             if A.monomial_ideal:
-                src = hochschild_basis(A, k, d)
+                src = chain_group(A, "bar", k, d)
                 for op, k_tgt in (("b", k - 1), ("B", k + 1)):
-                    tgt = hochschild_basis(A, k_tgt, d).words
+                    tgt = chain_group(A, "bar", k_tgt, d).words
                     for w, col in zip(src.words, mixed_matrix(A, op, k, d)
                                       .columns):
                         keys = {_block_key(tgt[i])
