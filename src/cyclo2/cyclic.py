@@ -41,38 +41,41 @@ and only the class representatives are placed on slice vectors.  That
 elimination records its ranks too, so bases read first leave no rank
 pass to run.
 
-The chain groups come from one of two mixed complexes, the model of a
+The chain groups come from one of three mixed complexes, the model of a
 slice, each a row of CHAIN_MODELS read through chain_group and
 chain_columns; the towers, ranks, records and the truncation check run the
 same code on every row, and the model is part of every memo key.  "bar" is
-the normalized bar complex above.  "koszul" is K = A (x) Lambda(dx_1..dx_g)
-(x) Gamma(t_1..t_r), one t_j per Groebner element f_j, with b the Koszul
-map t_j^[i] -> df_j t_j^[i-1] and B the de Rham d (_koszul_group,
-_koszul_columns): polynomially many basis vectors per (k, d) where C_{k,d}
-has exponentially many.  chain_model selects it only where this B is
-established: on a polynomial ring, any weights, where K is (Omega, 0, d)
-and the HKR map derham.antisymmetrize is a quasi-isomorphism of mixed
-complexes (Loday, Cyclic Homology, 3.4), and on an ungraded F2[x]/(f),
-where K is the 2-periodic small mixed complex of its resolution (Buenos
-Aires Cyclic Homology Group, K-Theory 5, 1991).  Quasi-isomorphic mixed
-complexes give the same truncated-tower homology (Loday, Cyclic Homology,
-5.1), and the tests hold K's dims, flags and E^2 pages to the bar model's;
-compute and spectral read it.  verify-approx reads class coordinates of bar
-chains, so it reads the bar model.
+the normalized bar complex above, and the oracle of the other two.  "tate"
+is Omega_R = P (x) Lambda(y) (x) Lambda(dx) (x) Gamma(dy) of the Tate
+resolution R = P<y>, dy_j = f_j, of a graded A = P/(f_1..f_r), f a regular
+sequence (Tate, Illinois J. Math. 1, 1957), with b = the derivation that
+extends y_j -> f_j and B the de Rham d (_tate_resolution, _form_group,
+_form_columns): polynomially many basis vectors per (k, d) where C_{k,d}
+has exponentially many; on a polynomial ring it is (Omega, 0, d).  That
+(Omega_R, b) computes HH is classical (Wolffhardt, Trans. AMS 171, 1972;
+Guccione and Guccione, J. Pure Appl. Algebra 74, 1991; in characteristic
+zero, with B, Burghelea and Vigue-Poirrier, LNM 1318, 1988); that its
+towers compute HC, HC^- and HC^per over F2 is only checked here, by tests
+that hold its dims, flags and E^2 pages to the bar model's.  "koszul" is
+Omega_R (x)_R A on an ungraded F2[x]/(f), its small mixed complex
+(_koszul_resolution).  compute and spectral read chain_model's row.
+verify-approx reads class coordinates of bar chains, so it reads the bar
+model.
 
 The u-exponent i of the chain notation corresponds to column p = -i.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import add, itemgetter, mul
+from functools import cached_property, partial
+from operator import add, itemgetter
 from typing import NamedTuple, Optional
 
-from .derham import form_piece, free_forms
+from .derham import form_piece, free_forms, relation_forms
 from .f2linalg import (
     F2Matrix,
     Homology,
@@ -82,7 +85,7 @@ from .f2linalg import (
     rank_kernel_image,
     rank_of,
 )
-from .gralg import AlgebraPresentation
+from .gralg import AlgebraPresentation, mono_lcm, polynomial_algebra
 from .hochschild import BarWord, UChain
 
 THEORY_BOUNDS = {
@@ -294,9 +297,9 @@ def _B_run(A: AlgebraPresentation, h, tuples: tuple,
 
 @dataclass(frozen=True, eq=False)
 class KoszulGroup:
-    """K_{k,d}: its dimension, its one block (keyed None) and its pieces,
-    J -> (q, e, forms, offset): the words m dx_T t^[J] for the forms m dx_T
-    of free_forms(A, q, e), q = k - 2|J|, e = d - sum J_j deg f_j, at
+    """K_{k,d} or (Omega_R)_{k,d}: its dimension, its one block (keyed
+    None) and its pieces, (Y, G) -> (q, e, forms, offset): the words
+    m y_Y dx_T dy^[G] for the forms m dx_T of free_forms(ring, q, e), at
     offset, offset + 1, ...  Its vectors are not bar chains, so vectorize
     and the maps of the exact sequences read bar slices only."""
 
@@ -305,69 +308,134 @@ class KoszulGroup:
     pieces: dict
 
 
-def _koszul_group(A: AlgebraPresentation, k: int, d: int) -> KoszulGroup:
-    """The Koszul row's K_{k,d} of K = A (x) Lambda(dx_1..dx_g) (x)
-    Gamma(t_1..t_r), t_j for the j-th element f_j of A.groebner, in
-    homological degree 2 and internal degree deg f_j: the words
-    m dx_T t^[J] with k = |T| + 2|J|, |T| <= g, one piece per J, in one
-    block.  One block ranks faster than multidegree blocks on polynomial
-    rings, whose K is small."""
-    r = len(A.groebner)
-    weights = [A.mono_degree(lt) for lt in A.lead_terms]
-    pieces, dim = {}, 0
-    for s in range(max(0, k - A.ngens + 1) // 2, k // 2 + 1):
-        for c in itertools.combinations_with_replacement(range(r), s):
-            J = tuple(map(c.count, range(r)))
-            e = d - sum(map(mul, J, weights))
-            forms = free_forms(A, k - 2 * s, e)
-            pieces[J] = (k - 2 * s, e, forms, dim)
-            dim += len(forms)
-    return KoszulGroup(dim, {None: (0, dim)}, pieces)
-
-
-def _koszul_columns(A: AlgebraPresentation, op: str, k: int,
-                    src: KoszulGroup, tgt: KoszulGroup) -> tuple[int, ...]:
-    """The Koszul row's b: K_{k,d} -> K_{k-1,d} (op "b") or B: K_{k,d} ->
-    K_{k+1,d} (op "B") from src into tgt.  b is the Koszul map,
-    m dx_T t^[J] -> the sum over j of m df_j dx_T t^[J - j], and B is the
-    de Rham d of m dx_T, at the same t^[J], piece by piece
-    (derham.form_piece); the target lacks a piece only where the term is
-    zero (J_j = 0, or |T| = g).
-
-    On an ungraded F2[x]/(f) this is the small mixed complex, A t^[i] in
-    degree 2i and A dx t^[i] in 2i + 1 (Buenos Aires Cyclic Homology Group,
-    K-Theory 5, 1991): b is g -> f'g and B is g -> g' on even k.  This B
-    leaves out the homotopy-transfer term i ((g f') div f) on degree 2i
-    (from the Tate-de Rham model F2[x]<y>, dy = f), which changes no
+def _koszul_resolution(A: AlgebraPresentation) -> tuple:
+    """The Koszul row's (ring, relations, odd) for _form_group: K = A (x)
+    Lambda(dx) (x) Gamma(t) = Omega_R (x)_R A, t_j = dy_j for the j-th
+    element f_j of A.groebner, no y: b is the Koszul map t_j^[i] ->
+    df_j t_j^[i-1] and B the de Rham d of the form.  chain_model selects it
+    on an ungraded F2[x]/(f) only, where K is the small mixed complex, A t^[i]
+    in degree 2i and A dx t^[i] in 2i + 1 (Buenos Aires Cyclic Homology
+    Group, K-Theory 5, 1991): b is g -> f'g and B is g -> g' on even k.
+    This B leaves out the homotopy-transfer term i ((g f') div f) on degree
+    2i (from the Tate-de Rham model F2[x]<y>, dy = f), which changes no
     dimension and no truncation flag on any f of degree <= 6 at |n| <= 8,
     S <= 6, under the four theories, nor an E^2 page of theirs on any f of
     degree <= 3 at |s|, t <= 6 or of degree 4 at |s|, t <= 3."""
+    return A, tuple((A.degree(f), *relation_forms(A, f))
+                    for f in A.groebner), False
+
+
+def _tate_resolution(A: AlgebraPresentation) -> Optional[tuple]:
+    """The Tate row's (ring, relations, odd) for _form_group, or None:
+    Omega_R of R = P<y_1..y_r>, dy_j = f_j, P = F2[x_1..x_g], for a graded
+    A whose presented relations, less each one that those before it (by
+    degree) generate, are a regular sequence f_1..f_r of degrees >= 2 (so
+    that C_{k,d} = 0 for k > d, as _p_range needs).  They are one exactly
+    when the Hilbert function of A equals the series of prod_j (1 -
+    t^deg f_j) / prod_i (1 - t^w_i) up to the degree of both numerators
+    (Bayer and Stillman, J. Symbolic Comput. 14, 1992); that of A, the
+    numerator of P/LT(I), is at most the degree of lcm(A.lead_terms).
+    Memoised."""
+    table = A.memo("tate_resolution")
+    if () not in table and A.graded:
+        kept: list = []
+        for f in sorted(A.relations, key=A.degree):
+            if AlgebraPresentation(A.generators, A.degrees,
+                                   tuple(kept)).normal_form(f):
+                kept.append(f)
+        degs = [A.degree(f) for f in kept]
+        top = max(sum(degs), A.mono_degree(
+            functools.reduce(mono_lcm, A.lead_terms, A.one)))
+        series = [1] + [0] * top
+        for w in A.degrees:  # 1 / (1 - t^w)
+            for e in range(w, top + 1):
+                series[e] += series[e - w]
+        for w in degs:  # 1 - t^deg f_j
+            for e in range(top, w - 1, -1):
+                series[e] -= series[e - w]
+        P = A if not A.groebner else polynomial_algebra(A.generators,
+                                                        A.degrees)
+        table[()] = (P, tuple((w, *relation_forms(P, f)) for w, f in zip(
+            degs, kept)), True) if min(degs, default=2) >= 2 and series == [
+                len(A.degree_basis(e)) for e in range(top + 1)] else None
+    return table.get(())
+
+
+def _form_group(resolution, A: AlgebraPresentation, k: int,
+                d: int) -> KoszulGroup:
+    """The group at (k, d) of the form row whose (ring, relations, odd)
+    resolution(A) gives, relations holding (deg f_j, f_j, df_j): the words
+    m y_Y dx_T dy^[G], m a monomial of ring, Y empty unless odd, with
+    k = |Y| + |T| + 2|G| and d = deg m + sum_T w_i + sum_Y deg f_j +
+    sum_j G_j deg f_j, one piece per (Y, G), in one block: one block ranks
+    faster than multidegree blocks here, as the groups are small."""
+    ring, rels, odd = resolution(A)
+    r = len(rels)
+    pieces, dim = {}, 0
+    for Y in (Y for y in range(r + 1 if odd else 1)
+              for Y in itertools.combinations(range(r), y)):
+        for s in range(max(0, k - len(Y) - A.ngens + 1) // 2,
+                       (k - len(Y)) // 2 + 1):
+            for c in itertools.combinations_with_replacement(range(r), s):
+                e = d - sum(rels[j][0] for j in Y + c)
+                if e >= 0:
+                    forms = free_forms(ring, k - len(Y) - 2 * s, e)
+                    G = tuple(map(c.count, range(r)))
+                    pieces[Y, G] = (k - len(Y) - 2 * s, e, forms, dim)
+                    dim += len(forms)
+    return KoszulGroup(dim, {None: (0, dim)}, pieces)
+
+
+def _form_columns(resolution, A: AlgebraPresentation, op: str, k: int,
+                  src: KoszulGroup, tgt: KoszulGroup) -> tuple[int, ...]:
+    """b: C_{k,d} -> C_{k-1,d} (op "b") or B: C_{k,d} -> C_{k+1,d} (op "B")
+    of the form row of resolution, from src into tgt, piece by piece
+    (derham.form_piece on its ring); no signs over F2.  b is the derivation
+    y_j -> f_j, dy_j^[a] -> df_j dy_j^[a-1]; B is the de Rham d of m dx_T
+    at the same (Y, G) plus y_j -> dy_j, which takes G_j to G_j + 1 with
+    the coefficient G_j + 1.  On Omega_R both act on polynomials, with no
+    normal form, so b b = B B = b B + B b = 0 exactly.  The target lacks a
+    piece only where the term is zero (|T| = g)."""
+    ring, rels, _ = resolution(A)
     cols = []
-    for J, (q, e, forms, _) in src.pieces.items():
+    for (Y, G), (q, e, forms, _) in src.pieces.items():
+        terms = [((Y, G), form_piece(ring, None, q, e))] if op == "B" else []
+        for j in range(len(rels)):
+            Yj = tuple(i for i in Y if i != j)
+            Gj = G[:j] + (G[j] + (1 if op == "B" else -1),) + G[j + 1:]
+            if op == "b":
+                if j in Y:
+                    terms.append(((Yj, G), form_piece(ring, rels[j][1], q, e)))
+                if G[j]:
+                    terms.append(((Y, Gj), form_piece(ring, rels[j][2], q, e)))
+            elif j in Y and G[j] % 2 == 0:
+                terms.append(((Yj, Gj), [1 << i for i in range(len(forms))]))
         part = [0] * len(forms)
-        for j in (None,) if op == "B" else range(len(J)):
-            J1 = J if j is None else J[:j] + (J[j] - 1,) + J[j + 1:]
-            if J1 in tgt.pieces:
-                off = tgt.pieces[J1][3]
-                part = [v ^ (w << off) for v, w in
-                        zip(part, form_piece(A, j, q, e))]
+        for key, piece in terms:
+            if key in tgt.pieces:
+                off = tgt.pieces[key][3]
+                part = [v ^ (w << off) for v, w in zip(part, piece)]
         cols.extend(part)
     return tuple(cols)
 
 
 def chain_model(A: AlgebraPresentation) -> str:
-    """The model whose chain groups compute reads: "koszul" where its B is
-    established, on a polynomial ring (any weights) and on an ungraded
-    presentation on one generator; else "bar"."""
-    return ("koszul" if not A.groebner or not A.graded and A.ngens == 1
-            else "bar")
+    """The model whose chain groups compute and spectral read: "tate" on
+    every graded input whose presented relations form a regular sequence
+    (_tate_resolution), polynomial rings among them; "koszul" on ungraded
+    input on one generator; else "bar"."""
+    if _tate_resolution(A) is not None:
+        return "tate"
+    return "koszul" if not A.graded and A.ngens == 1 else "bar"
 
 
 # name -> (builder of C_{k,d}, builder of its b or B columns), read only by
 # chain_group and chain_columns; the column of a word of C_{k,d} has bit i
 # for position start + i of C_{k-1,d} or C_{k+1,d}, where its block starts.
-CHAIN_MODELS = {"bar": (_hochschild_basis, _mixed_columns),
-                "koszul": (_koszul_group, _koszul_columns)}
+CHAIN_MODELS = {"bar": (_hochschild_basis, _mixed_columns)} | {
+    name: (partial(_form_group, res), partial(_form_columns, res))
+    for name, res in (("koszul", _koszul_resolution),
+                      ("tate", _tate_resolution))}
 
 
 def chain_group(A: AlgebraPresentation, model: str, k: int, d: int):

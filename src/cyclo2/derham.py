@@ -80,25 +80,33 @@ def free_forms(A: AlgebraPresentation, n: int, d: int) -> dict:
     return table[(n, d)]
 
 
-def form_piece(A: AlgebraPresentation, j: Optional[int], n: int,
+def relation_forms(A: AlgebraPresentation, f) -> tuple:
+    """(f, df): a polynomial f as a 0-form and its de Rham d, the two
+    multipliers of form_piece that a relation f gives."""
+    f0 = frozenset((m, ()) for m in f)
+    return f0, de_rham_d(A, f0)
+
+
+def form_piece(A: AlgebraPresentation, w: Optional[OmegaElement], n: int,
                d: int) -> tuple:
-    """d (j None) or the multiplication by df_j, f_j = A.groebner[j], on
-    free_forms(A, n, d), one bitmask over the free forms of the target per
-    form; memoised.  The Koszul model's b and B, the relation rows of Omega
-    and the de Rham d all read these pieces."""
+    """d (w None) or the multiplication by the homogeneous form w, such as
+    a relation f or its df (relation_forms), on free_forms(A, n, d), one
+    bitmask over the free forms of the target per form; memoised.  The
+    chain models' b and B, the relation rows of Omega and the de Rham d
+    all read these pieces."""
     table = A.memo("form_piece")
-    if (j, n, d) not in table:
-        if j is None:
+    if (w, n, d) not in table:
+        if w is None:
             tgt, image = free_forms(A, n + 1, d), partial(de_rham_d, A)
-        else:
-            f = A.groebner[j]
-            tgt = free_forms(A, n + 1, d + A.degree(f))
-            image = partial(form_mul, A, de_rham_d(
-                A, frozenset((mu, ()) for mu in f)))
-        table[(j, n, d)] = tuple(
+        else:  # a zero w has zero columns, whatever the target
+            m, T = next(iter(w), (A.one, ()))
+            tgt = free_forms(A, n + len(T), d + A.mono_degree(m)
+                             + sum(A.degrees[i] for i in T))
+            image = partial(form_mul, A, w)
+        table[(w, n, d)] = tuple(
             sum(1 << tgt[g] for g in image(frozenset({form})))
             for form in free_forms(A, n, d))
-    return table[(j, n, d)]
+    return table[(w, n, d)]
 
 
 def omega_basis(A: AlgebraPresentation, n: int, d: int) -> PresentedSpace:
@@ -107,8 +115,8 @@ def omega_basis(A: AlgebraPresentation, n: int, d: int) -> PresentedSpace:
     pieces at (n - 1, d - deg f_j)."""
     cache = A.memo("omega")
     if (n, d) not in cache:
-        rows = [v for j, f in enumerate(A.groebner) if n >= 1
-                for v in form_piece(A, j, n - 1, d - A.degree(f))]
+        rows = [v for f in A.groebner if n >= 1 for v in form_piece(
+            A, relation_forms(A, f)[1], n - 1, d - A.degree(f))]
         index = free_forms(A, n, d)
         cache[(n, d)] = PresentedSpace(
             "omega", n, d, tuple(index),

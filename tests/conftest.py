@@ -134,6 +134,25 @@ def small_presentations(draw):
                                name=f"{weights}/{[sorted(r) for r in rels]}")
 
 
+@st.composite
+def generic_forms(draw):
+    """Graded F2[x_1..x_g], g <= 3 of weight 1 or 2, modulo at most g
+    forms of chosen degrees 2 and 3, each a random nonzero sum of the
+    monomials of its degree: mostly regular sequences, some not."""
+    weights = tuple(draw(st.lists(st.integers(1, 2), min_size=1,
+                                  max_size=3)))
+    rels = []
+    for deg in draw(st.lists(st.integers(2, 3), max_size=len(weights))):
+        monos = [m for m in itertools.product(range(deg + 1),
+                                              repeat=len(weights))
+                 if sum(e * w for e, w in zip(m, weights)) == deg]
+        if monos:
+            rels.append(frozenset(draw(st.sets(st.sampled_from(monos),
+                                               min_size=1))))
+    return AlgebraPresentation("xyz"[:len(weights)], weights, tuple(rels),
+                               name=f"{weights}/{[sorted(r) for r in rels]}")
+
+
 # ----- augmentation, u-chain, Omega[u], report, model-map, Cartier and
 # exactness helpers that only the tests use -----
 

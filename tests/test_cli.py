@@ -389,11 +389,12 @@ def _assert_chain_tables_of(A, model, where):
 
 def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
                                                            tmp_path):
-    # compute on ungraded F2[x]/(f) and on polynomial rings reads the Koszul
-    # model and builds no bar chain group or column; the cusp, ungraded
-    # F2[x,y]/(x^2, y^2) and F2[x,y,z]/(x^2, xy) keep the bar complex, and
-    # build no Koszul column; on either model, truncated or not, compute
-    # reads dims and flags from ranks and eliminates nothing
+    # compute on ungraded F2[x]/(f) reads the Koszul model, and on
+    # polynomial rings and the cusp, a complete intersection, the Tate
+    # model; neither builds a bar chain group or column.  Ungraded
+    # F2[x,y]/(x^2, y^2) and F2[x,y,z]/(x^2, xy), not a complete
+    # intersection, keep the bar complex.  On every model, truncated or
+    # not, compute reads dims and flags from ranks and eliminates nothing
     loaded = []
 
     def load(path):
@@ -402,22 +403,23 @@ def test_compute_selects_the_small_model_for_one_generator(monkeypatch,
 
     monkeypatch.setattr(cli, "load_presentation", load)
     inputs = {
-        "two": "[options]\ngraded = false\n[generators]\nx 0\ny 0\n"
-               "[relations]\nx^2\ny^2\n",
-        "cusp": "[generators]\nx 1\ny 1\n[relations]\nx^2*y + y^3\n",
-        "xyz": "[generators]\nx 1\ny 1\nz 1\n[relations]\nx^2\nx*y\n"}
-    for name, text in inputs.items():
+        "two": ("[options]\ngraded = false\n[generators]\nx 0\ny 0\n"
+                "[relations]\nx^2\ny^2\n", "bar"),
+        "cusp": ("[generators]\nx 1\ny 1\n[relations]\nx^2*y + y^3\n",
+                 "tate"),
+        "xyz": ("[generators]\nx 1\ny 1\nz 1\n[relations]\nx^2\nx*y\n",
+                "bar")}
+    for name, (text, _) in inputs.items():
         (tmp_path / f"{name}.alg").write_text(text)
-    for path, koszul in ((fixture("dual_numbers.alg"), True),
-                         (fixture("f4.alg"), True),
-                         (fixture("poly_x.alg"), True),
-                         (fixture("poly_xyz.alg"), True),
-                         *((str(tmp_path / f"{name}.alg"), False)
-                           for name in inputs)):
+    for path, model in ((fixture("dual_numbers.alg"), "koszul"),
+                        (fixture("f4.alg"), "koszul"),
+                        (fixture("poly_x.alg"), "tate"),
+                        (fixture("poly_xyz.alg"), "tate"),
+                        *((str(tmp_path / f"{name}.alg"), model)
+                          for name, (_, model) in inputs.items())):
         for theory in ("hh", "hc", "hcminus", "hcper"):
             run(RunConfig(path, "compute", theory, 2, 2, 1))
             A = loaded[-1]
-            model = "koszul" if koszul else "bar"
             assert chain_model(A) == model, (path, theory)
             assert A.memo("homology")
             assert all(h.slice.model == model
@@ -478,8 +480,9 @@ def test_no_block_ranked_then_eliminated(monkeypatch, command, theory):
 @pytest.mark.parametrize("theory", ["hh", "hc", "hcminus", "hcper"])
 def test_spectral_eliminates_nothing(monkeypatch, tmp_path, theory):
     # spectral reads E1 and E2 from block ranks on compute's chain model:
-    # F2[x,y] builds no bar chain group and the cusp no Koszul group, and
-    # neither eliminates a kernel
+    # F2[x,y] and the cusp on the Tate model, F2[x,y,z]/(x^2, xy) on the
+    # bar complex; none builds a group of another model, and none
+    # eliminates a kernel
     counted = CountedReductions(monkeypatch)
     loaded = []
 
@@ -488,16 +491,17 @@ def test_spectral_eliminates_nothing(monkeypatch, tmp_path, theory):
         return loaded[-1]
 
     monkeypatch.setattr(cli, "load_presentation", load)
-    cusp = tmp_path / "cusp.alg"
+    cusp, xyz = tmp_path / "cusp.alg", tmp_path / "xyz.alg"
     cusp.write_text("[generators]\nx 1\ny 1\n[relations]\nx^2*y + y^3\n")
-    for path, koszul in ((fixture("poly_xy.alg"), True), (str(cusp), False)):
+    xyz.write_text("[generators]\nx 1\ny 1\nz 1\n[relations]\nx^2\nx*y\n")
+    for path, model in ((fixture("poly_xy.alg"), "tate"),
+                        (str(cusp), "tate"), (str(xyz), "bar")):
         counted.clear()
         status, _ = run(RunConfig(path, "spectral", theory, 4, 4))
         assert status == 0
         A = loaded[-1]
         assert counted.ranked and not counted.eliminated, (path, theory)
         assert A.memo("differential") == {}, (path, theory)
-        model = "koszul" if koszul else "bar"
         assert chain_model(A) == model, path
         _assert_chain_tables_of(A, model, (path, theory))
 

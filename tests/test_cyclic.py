@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import random
 from collections import Counter
@@ -13,6 +14,7 @@ from conftest import (
     boundary_b,
     contains_subspace,
     exactness_defects,
+    generic_forms,
     mixed_matrix,
     oracle_bar_words,
     oracle_connecting_map,
@@ -39,6 +41,7 @@ from cyclo2.cyclic import (
     _block_columns,
     _block_key,
     _shape_key,
+    _tate_resolution,
     bidegree_window,
     build_tower,
     chain_columns,
@@ -204,12 +207,31 @@ def test_differential_columns_match_per_word_oracle():
                                                         rng)
 
 
+def graded(gens, weights, *relations, name):
+    """F2[gens] of the weights modulo the relations, each a set of
+    exponent tuples."""
+    return AlgebraPresentation(tuple(gens), weights,
+                               tuple(map(frozenset, relations)), name=name)
+
+
+# complete intersections that the Tate model serves
+XY_Z2 = graded("xyz", (1, 1, 1), {(1, 1, 0), (0, 0, 2)}, name="xy + z^2")
+X2Y2_XY = graded("xy", (1, 1), {(2, 0), (0, 2)}, {(1, 1)},
+                 name="(x^2 + y^2, xy)")
+X3_Y2 = graded("xy", (2, 3), {(3, 0), (0, 2)},
+               name="x^3 + y^2, |x|, |y| = 2, 3")
+# not a complete intersection
+X2_XY = graded("xyz", (1, 1, 1), {(2, 0, 0)}, {(1, 1, 0)}, name="(x^2, xy)")
+
 # the inputs of each row of CHAIN_MODELS: the bar complex on graded and
 # ungraded ones, monomial or not; every other model on inputs that
 # chain_model selects it for
 MIXED_COMPLEX_INPUTS = {
     "bar": (PXY, CUSP, F4, DUAL, X3),
-    "koszul": (PXY, polynomial_algebra("xyz", (1, 2, 3)), F4, DUAL, X3),
+    "koszul": (F4, DUAL, X3),
+    "tate": (PX, PXY, polynomial_algebra("xyz"),
+             polynomial_algebra("xyz", (1, 2, 3)), CUSP, XY_Z2, X2Y2_XY,
+             X3_Y2),
 }
 
 
@@ -532,18 +554,32 @@ def _bar_keys(A):
             for key in A.memo(table) if key[0] == "bar"}
 
 
-def _assert_koszul_matches_bar(A, S, window):
-    """Every theory at depth S on each (n, d) of window: the Koszul model
-    gives the bar path's dim and flag, and builds no bar chain group."""
+def _assert_model_matches_bar(A, model, S, window):
+    """Every theory at depth S on each (n, d) of window: the model gives
+    the bar path's dim and flag, and builds no bar chain group."""
     for t in THEORY_BOUNDS:
         for n, d in window:
             bar_groups = _bar_keys(A)
-            H = homology(A, t, n, d, S, "koszul")
-            koszul = H.dim, truncation(A, H).flag
+            H = homology(A, t, n, d, S, model)
+            dim_flag = H.dim, truncation(A, H).flag
             assert _bar_keys(A) == bar_groups
             H = homology(A, t, n, d, S)
-            assert koszul == (H.dim, truncation(A, H).flag), \
-                (A.name, t, n, d, S)
+            assert dim_flag == (H.dim, truncation(A, H).flag), \
+                (A.name, model, t, n, d, S)
+
+
+def _assert_tate_matches_bar(A, top):
+    """chain_model(A) is "tate", and the Tate model gives the bar path's
+    dims and flags at |n|, d <= top and its E^2 pages of the four theories
+    at |s|, t, d <= top - 1."""
+    assert chain_model(A) == "tate", A.name
+    _assert_model_matches_bar(A, "tate", 1, bidegree_window(A, top, top))
+    for alpha, beta in (THEORY_BOUNDS[t] for t in ("hh", "plus", "minus",
+                                                   "per")):
+        for s, t, d in itertools.product(range(1 - top, top), range(top),
+                                         range(top)):
+            assert e2_page(A, alpha, beta, s, t, d, "tate") == e2_page(
+                A, alpha, beta, s, t, d), (A.name, alpha, beta, s, t, d)
 
 
 def _assert_small_model_matches_bar(A, S, top):
@@ -551,8 +587,8 @@ def _assert_small_model_matches_bar(A, S, top):
     against the bar path, n from -2 up to where the bar check reads C_top:
     the truncation check at n ranks d_{n+1} at depth S + 1, whose left
     column is C_{n+2S+3}."""
-    _assert_koszul_matches_bar(
-        A, S, [(n, 0) for n in range(-2, top - 2 * S - 2)])
+    _assert_model_matches_bar(
+        A, "koszul", S, [(n, 0) for n in range(-2, top - 2 * S - 2)])
 
 
 def test_small_model_matches_bar_on_every_low_degree_f():
@@ -579,20 +615,98 @@ def test_small_model_matches_bar_on_draws(A, S):
 
 @pytest.mark.parametrize("generators", ["x", "xy", "xyz"])
 def test_koszul_model_matches_bar_on_polynomial_rings(generators):
-    # K = (Omega, 0, d); polynomial_algebra gives a fresh algebra
+    # K = (Omega, 0, d) = Omega_R at r = 0: both rows build these words on
+    # the same ring, and each is held to the bar path; chain_model selects
+    # the Tate row.  polynomial_algebra gives a fresh algebra
     A = polynomial_algebra(generators)
-    _assert_koszul_matches_bar(A, 1, bidegree_window(A, 6, 6))
+    _assert_model_matches_bar(A, "koszul", 1, bidegree_window(A, 6, 6))
+    _assert_tate_matches_bar(A, 6)
 
 
 def test_koszul_model_matches_bar_on_weights():
     A = polynomial_algebra("xyz", (1, 2, 3))
-    _assert_koszul_matches_bar(A, 1, bidegree_window(A, 7, 7))
+    _assert_model_matches_bar(A, "koszul", 1, bidegree_window(A, 7, 7))
+    _assert_tate_matches_bar(A, 7)
 
 
 @settings(max_examples=10)
 @given(small_presentations().filter(lambda A: not A.relations))
 def test_koszul_model_matches_bar_on_draws(A):
-    _assert_koszul_matches_bar(A, 1, bidegree_window(A, 6, 6))
+    _assert_model_matches_bar(A, "koszul", 1, bidegree_window(A, 6, 6))
+    _assert_tate_matches_bar(A, 6)
+
+
+@pytest.mark.parametrize("A", [CUSP, XY_Z2, X2Y2_XY, X3_Y2],
+                         ids=lambda A: A.name)
+def test_tate_model_matches_bar_on_complete_intersections(A):
+    # the cusp; xy + z^2; (x^2 + y^2, xy), where Buchberger adds y^3 but
+    # the presented relations are a regular sequence; x^3 + y^2 on weights
+    # (2, 3).  A fresh copy, so no other test's memo is read
+    _assert_tate_matches_bar(dataclasses.replace(A), 6 if A.ngens < 3 else 5)
+
+
+def _assert_tate_or_bar(A, top):
+    """A graded draw: the Tate model matches the bar path where the
+    detector accepts it, and every draw it rejects selects the bar path."""
+    if _tate_resolution(A) is None:
+        assert chain_model(A) == "bar", A.name
+    else:
+        _assert_tate_matches_bar(A, top)
+
+
+@settings(max_examples=20)
+@given(generic_forms())
+def test_tate_model_matches_bar_on_regular_sequences(A):
+    _assert_tate_or_bar(A, 5)
+
+
+@settings(max_examples=12)
+@given(small_presentations().filter(lambda A: A.graded))
+def test_tate_model_matches_bar_on_draws(A):
+    _assert_tate_or_bar(A, 5)
+
+
+def test_detector_reads_the_presented_relations():
+    def accepted(*relations, gens="xy"):
+        return _tate_resolution(graded(gens, (1,) * len(gens), *relations,
+                                       name=str(relations)))
+
+    # x^2, x^3 is read as x^2
+    _, ((deg, f, _),), _ = accepted({(2,)}, {(3,)}, gens="x")
+    assert (deg, f) == (2, frozenset({((2,), ())}))
+    # a relation of degree 1 is a change of variables: bar
+    assert accepted({(1, 0), (0, 1)}) is None
+    assert chain_model(graded("xy", (1, 1), {(1, 0), (0, 1)},
+                              name="x + y")) == "bar"
+    # not a complete intersection: bar
+    assert chain_model(dataclasses.replace(X2_XY)) == "bar"
+    # a regular sequence whose Groebner basis is longer: tate
+    A = dataclasses.replace(X2Y2_XY)
+    assert len(A.groebner) == 3 and chain_model(A) == "tate"
+    assert [deg for deg, _, _ in _tate_resolution(A)[1]] == [2, 2]
+    # (x^2, y^2) and (x^2, xy, y^2) in F2[x,y]: the first only
+    assert accepted({(2, 0)}, {(0, 2)}) is not None
+    assert accepted({(2, 0)}, {(1, 1)}, {(0, 2)}) is None
+
+
+def test_detector_runs_once_per_algebra(monkeypatch, tmp_path):
+    # loading a presentation runs no detector; chain_model runs it once
+    # per algebra, whose redundancy check builds one presentation per
+    # relation, and later calls read its memo
+    import cyclo2.cyclic as cyclic
+    built = []
+    monkeypatch.setattr(cyclic, "AlgebraPresentation",
+                        lambda *args: built.append(args)
+                        or AlgebraPresentation(*args))
+    path = tmp_path / "cusp.alg"
+    path.write_text("[generators]\nx 1\ny 1\n[relations]\nx^2*y + y^3\n")
+    A = load_presentation(str(path))
+    assert not built and not A.memo("tate_resolution")
+    for _ in range(3):
+        assert chain_model(A) == "tate"
+        assert len(built) == 1
+    assert chain_model(load_presentation(str(path))) == "tate"
+    assert len(built) == 2
 
 
 def test_bounded_ranks_match_plain_ranks(monkeypatch):
