@@ -20,8 +20,9 @@ A space in one bidegree is the span of these candidate monomials modulo all
 relation instances with basis-monomial arguments times all complementary
 monomials; the basis is the complement of the relation span under the
 deterministic pivot rule.  The instances come from one table of the
-defining relations of ell and ell_plus, built once per key degree (the
-instance's upper degree); the ell_per instances are the iota images of the
+defining relations of ell and ell_plus; each relation's instances of one
+key degree (their upper degree) are built on the first read of a space
+that they can reach, and the ell_per instances are the iota images of the
 ell ones.  The flavors that keep only some ell candidates project the ell
 relation span onto them.
 
@@ -191,11 +192,13 @@ def _arg_pool(A: AlgebraPresentation,
               max_deg: int) -> list[tuple[Monomial, int]]:
     """Basis monomials usable as generator arguments (unit excluded), each
     with its degree, in mono_key order: a pool is a prefix of every pool
-    with a larger max_deg."""
-    if A.graded:
-        return [(m, g) for g in range(1, max_deg + 1)
-                for m in A.degree_basis(g)]
-    return [(m, 0) for m in A.basis_all() if m != A.one]
+    with a larger max_deg.  Memoised per max_deg."""
+    pools = A.memo("ell_pool")
+    if max_deg not in pools:
+        pools[max_deg] = (
+            [(m, g) for g in range(1, max_deg + 1) for m in A.degree_basis(g)]
+            if A.graded else [(m, 0) for m in A.basis_all() if m != A.one])
+    return pools[max_deg]
 
 
 # The ways one argument joins (phi, q, dl); the first four are delta-free.
@@ -322,58 +325,62 @@ def _mon_sort_key(A: AlgebraPresentation, mon: EllMonomial):
 # ----- relation instances -----
 #
 # Each defining relation once: its argument groups, the constant of its key
-# degree, and a builder.  A group (count, weight) is a multiset of count
-# basis-monomial arguments (the unit included), so a symmetric relation is
-# built once per multiset.  The key degree, weight * |arg| summed over the
-# arguments plus the constant, is the instance's upper degree d0.
+# degree, its homological degree n0, and a builder.  A group (count, weight)
+# is a multiset of count basis-monomial arguments (the unit included), so a
+# symmetric relation is built once per multiset.  The key degree, weight *
+# |arg| summed over the arguments plus the constant, is the instance's upper
+# degree d0.
 
 _RELATIONS = {
     "ell": (
         # phi(ab) + phi(a)phi(b) + u q(a)q(b)
-        (((2, 2),), 0, lambda A, a, b: phi_el(A, A.mul(a, b))
+        (((2, 2),), 0, 0, lambda A, a, b: phi_el(A, A.mul(a, b))
          ^ el_mul(A, phi_el(A, (a,)), phi_el(A, (b,)))
          ^ el_mul(A, frozenset({("e", 1, (), (), ())}),
                   el_mul(A, q_el(A, (a,)), q_el(A, (b,))))),
         # q(ab) + q(a)phi(b) + phi(a)q(b)
-        (((2, 2),), -1, lambda A, a, b: q_el(A, A.mul(a, b))
+        (((2, 2),), -1, 1, lambda A, a, b: q_el(A, A.mul(a, b))
          ^ el_mul(A, q_el(A, (a,)), phi_el(A, (b,)))
          ^ el_mul(A, phi_el(A, (a,)), q_el(A, (b,)))),
         # delta(ab)delta(c) + delta(bc)delta(a) + delta(ca)delta(b)
-        (((3, 1),), -2, lambda A, a, b, c:
+        (((3, 1),), -2, 2, lambda A, a, b, c:
          el_mul(A, del_el(A, A.mul(a, b)), del_el(A, (c,)))
          ^ el_mul(A, del_el(A, A.mul(b, c)), del_el(A, (a,)))
          ^ el_mul(A, del_el(A, A.mul(c, a)), del_el(A, (b,)))),
         # delta(a)phi(b) + delta(a b^2)
-        (((1, 1), (1, 2)), -1, lambda A, a, b:
+        (((1, 1), (1, 2)), -1, 1, lambda A, a, b:
          el_mul(A, del_el(A, (a,)), phi_el(A, (b,)))
          ^ del_el(A, A.mul_elements((a,), A.mul(b, b)))),
         # delta(a)q(b) + delta(ab)delta(b)
-        (((1, 1), (1, 2)), -2, lambda A, a, b:
+        (((1, 1), (1, 2)), -2, 2, lambda A, a, b:
          el_mul(A, del_el(A, (a,)), q_el(A, (b,)))
          ^ el_mul(A, del_el(A, A.mul(a, b)), del_el(A, (b,)))),
     ),
     "plus": (
         # phi(a)gamma(b) + gamma(a^2 b)
-        (((1, 2), (1, 1)), 0, lambda A, a, b:
+        (((1, 2), (1, 1)), 0, 0, lambda A, a, b:
          el_mul(A, phi_el(A, (a,)), gamma_el(A, (b,)))
          ^ gamma_el(A, A.mul_elements(A.mul(a, a), (b,)))),
         # q(a)gamma(b) + delta(a)gamma(ab)
-        (((1, 2), (1, 1)), -1, lambda A, a, b:
+        (((1, 2), (1, 1)), -1, 1, lambda A, a, b:
          el_mul(A, q_el(A, (a,)), gamma_el(A, (b,)))
          ^ el_mul(A, del_el(A, (a,)), gamma_el(A, A.mul(a, b)))),
         # delta(a)gamma(b) + gamma(a)delta(b)
-        (((2, 1),), -1, lambda A, a, b:
+        (((2, 1),), -1, 1, lambda A, a, b:
          el_mul(A, del_el(A, (a,)), gamma_el(A, (b,)))
          ^ el_mul(A, del_el(A, (b,)), gamma_el(A, (a,)))),
         # gamma(a)delta(bc) + gamma(ab)delta(c) + gamma(ac)delta(b)
-        (((1, 1), (2, 1)), -1, lambda A, a, b, c:
+        (((1, 1), (2, 1)), -1, 1, lambda A, a, b, c:
          el_mul(A, del_el(A, A.mul(b, c)), gamma_el(A, (a,)))
          ^ el_mul(A, del_el(A, (c,)), gamma_el(A, A.mul(a, b)))
          ^ el_mul(A, del_el(A, (b,)), gamma_el(A, A.mul(a, c)))),
         # gamma(1) + v^0
-        ((), 0, lambda A: gamma_el(A, (A.one,)) ^ frozenset({v_mon(0)})),
+        ((), 0, 0, lambda A: gamma_el(A, (A.one,)) ^ frozenset({v_mon(0)})),
     ),
 }
+# The per relations are the iota images of the first two ell ones; iota
+# kills the delta relations after them.
+_RELATIONS["per"] = _RELATIONS["ell"][:2]
 
 
 def _multisets(A: AlgebraPresentation, count: int, s: int, lo: int = 0):
@@ -412,25 +419,35 @@ def _iota(el: EllElement) -> EllElement:
     return frozenset(m for m in el if not m[4])
 
 
-def _instances(A: AlgebraPresentation, family: str,
-               t: int) -> list[tuple[EllElement, int, int]]:
-    """The nonzero instances (element, n0, d0) of the family's relations
-    with key degree t, memoised per (family, t).
-
-    The per instances are the iota images of the ell ones: the three delta
-    relations map to zero, and q is additive once delta is gone.
-    """
+def _instances(A: AlgebraPresentation, family: str, t: int,
+               top: float) -> list[tuple[EllElement, int, int]]:
+    """The nonzero instances (element, n0, d0) with key degree t of the
+    family's relations with n0 <= top, in table order.  The instances of
+    one relation are built on first read, memoised per (family, r, t)."""
     cache = A.memo("ell_instances")
-    out = cache.get((family, t))
-    if out is None:
-        if family == "per":
-            els = (_iota(el) for el, _, _ in _instances(A, "ell", t))
-        else:
-            els = (build(A, *args)
-                   for groups, const, build in _RELATIONS[family]
-                   for args in _arguments(A, groups, t - const))
-        out = cache[(family, t)] = [(el, *_element_bidegree(A, el))
-                                    for el in els if el]
+    out: list = []
+    for r, (_, _, n0, _) in enumerate(_RELATIONS[family]):
+        if n0 <= top:
+            key = (family, r, t)
+            out += cache[key] if key in cache else _build(A, family, r, t)
+    return out
+
+
+def _build(A: AlgebraPresentation, family: str, r: int,
+           t: int) -> list[tuple[EllElement, int, int]]:
+    """Build and memoise the instances of relation r with key degree t;
+    the per ones are the iota images of the ell ones (q is additive once
+    delta is gone)."""
+    cache = A.memo("ell_instances")
+    if family == "per":
+        key = ("ell", r, t)
+        ells = cache[key] if key in cache else _build(A, "ell", r, t)
+        els = (_iota(el) for el, _, _ in ells)
+    else:
+        groups, const, _, build = _RELATIONS[family][r]
+        els = (build(A, *args) for args in _arguments(A, groups, t - const))
+    out = cache[(family, r, t)] = [(el, *_element_bidegree(A, el))
+                                   for el in els if el]
     return out
 
 
@@ -452,18 +469,22 @@ def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
     relations acting on ell_plus monomials: the plus functor is a module
     over ell(A), so every relation among the coefficients kills its
     multiples too, and the plus relations alone do not imply these in the
-    v sector.  Only instances that some multiplier reaches are read.  In
-    graded mode every monomial of every flavor has internal degree n + d =
-    2 sum |phi| + 2 sum |q| + sum |dl| (+ |m| for gamma(m)) >= 0, and
-    products add bidegrees, so an instance (n0, d0) with n0 + d0 > n + d
-    has no multiplier; as n0 >= 0, the key degree d0 read is at most n + d.
-    Multipliers of ell and plus rows also have upper degree >= 0, which
-    bounds d0 by d; per and coefficient ones do not (u is invertible, and
-    v^i trades homological for upper degree).  Ungraded keys all lie in
-    [-2, 0], and every ungraded instance is read.
+    v sector.  Only instances that some multiplier reaches are built and
+    read, and an empty space reads none.  In graded mode every monomial of
+    every flavor has internal degree n + d = 2 sum |phi| + 2 sum |q| +
+    sum |dl| (+ |m| for gamma(m)) >= 0, and products add bidegrees, so an
+    instance (n0, d0) with n0 + d0 > n + d has no multiplier: a relation
+    whose n0 exceeds n + d - t is skipped at key degree t, and as n0 >= 0,
+    the key degree d0 read is at most n + d.  Multipliers of ell and plus
+    rows also have upper degree >= 0, which bounds d0 by d; per and
+    coefficient ones do not (u is invertible, and v^i trades homological
+    for upper degree).  Ungraded keys all lie in [-2, 0], and every
+    ungraded instance is read.
 
     Returns the distinct nonzero rows as candidate bitmasks.
     """
+    if not cands:
+        return []
     instances, total, multipliers = {
         "ell": ("ell", False, ell_monomials),
         "per": ("per", True, per_monomials),
@@ -471,14 +492,13 @@ def _relation_rows(A: AlgebraPresentation, family: str, cands, n: int,
         "coefficient": ("ell", True, plus_monomials),
     }[family]
     bound = (n + d if total else min(d, n + d)) if A.graded else 0
+    room = n + d if A.graded else float("inf")
     index = {m: k for k, m in enumerate(cands)}
     mults: dict[tuple[int, int], list[EllMonomial]] = {}
     rows: list[int] = []
     seen = set()
     for t in range(-2, bound + 1):
-        for el, n0, d0 in _instances(A, instances, t):
-            if A.graded and n0 + d0 > n + d:
-                continue
+        for el, n0, d0 in _instances(A, instances, t, room - t):
             ms = mults.get((n0, d0))
             if ms is None:
                 ms = mults[(n0, d0)] = multipliers(A, n - n0, d - d0)

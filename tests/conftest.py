@@ -929,7 +929,7 @@ def oracle_relation_rows(A, family, cands, n, d):
     rows = []
     seen = set()
     for t in range(-2, bound + 1):
-        for el, n0, d0 in _instances(A, instances, t):
+        for el, n0, d0 in _instances(A, instances, t, float("inf")):
             if A.graded and (n0 + d0 > n + d if total else d0 > d):
                 continue
             for mult in multipliers(A, n - n0, d - d0):

@@ -13,7 +13,7 @@ from conftest import ORACLE_INSTANCES, model_sequence, mul_u_matrix, \
 from cyclo2.derham import de_rham_d, form, omega_basis
 from cyclo2.f2linalg import F2Matrix, echelonize_in, rank_kernel_image, \
     rank_of
-from cyclo2.cli import load_presentation
+from cyclo2.cli import RunConfig, cmd_verify_approx, load_presentation
 from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
     polynomial_algebra, trivial_algebra
 from cyclo2 import ell as ell_module
@@ -21,6 +21,7 @@ from cyclo2.ell import (
     FLAVORS,
     MODELS,
     EllError,
+    _RELATIONS,
     _instances,
     _mon_sort_key,
     del_el,
@@ -740,9 +741,13 @@ def _assert_table_matches_oracle(A, max_bound):
     for family, oracle in ORACLE_INSTANCES.items():
         table = []
         for t in range(-2, (max_bound if A.graded else 0) + 1):
-            insts = _instances(A, family, t)
+            insts = _instances(A, family, t, float("inf"))
             assert all(d0 == t for _, _, d0 in insts), (A.name, family, t)
             table.extend(insts)
+        # each relation's instances have the homological degree of its row
+        for (fam, r, t), insts in A.memo("ell_instances").items():
+            n0 = _RELATIONS[fam][r][2]
+            assert all(i[1] == n0 for i in insts), (A.name, fam, r, t)
         old = oracle(A, float("-inf"), max_bound)
         for bound in range(max_bound + 1) if A.graded else (0,):
             assert _upto(A, family, table, bound) \
@@ -765,13 +770,14 @@ def test_relation_table_matches_oracle(name):
 
 
 def _from_oracle(A, bound):
-    """_instances read from the oracle generators at one bound."""
-    def instances(B, family, t):
+    """_instances read from the oracle generators at one bound: the
+    instances of key degree t and homological degree at most top."""
+    def instances(B, family, t, top):
         assert B is A
         table = A.memo("oracle_instances")
         if family not in table:
             table[family] = ORACLE_INSTANCES[family](A, float("-inf"), bound)
-        return [i for i in table[family] if i[2] == t]
+        return [i for i in table[family] if i[2] == t and i[1] <= top]
     return instances
 
 
@@ -788,6 +794,8 @@ def test_relation_table_on_random_presentations(A):
         spaces = {(fl, n, d): ell_degree_basis(ref, fl, n, d)
                   for fl in ("ell", "ell_per", "ell_plus")
                   for n, d in bidegrees}
+    # every relation row came from the oracle: no instance table was built
+    assert not ref.memo("ell_instances"), A.name
     for (fl, n, d), sp in spaces.items():
         new = ell_degree_basis(A, fl, n, d)
         assert new.cands == sp.cands, (A.name, fl, n, d)
@@ -837,4 +845,42 @@ def test_instances_stop_at_the_window_internal_degree(A):
         for n, d in bidegrees:
             ell_degree_basis(A, fl, n, d)
     top = max(n + d for n, d in bidegrees)
-    assert max(t for _, t in A.memo("ell_instances")) <= top, A.name
+    for (family, r, t), insts in A.memo("ell_instances").items():
+        assert _RELATIONS[family][r][2] + t <= top, (A.name, family, r, t)
+        assert all(n0 + d0 <= top for _, n0, d0 in insts), \
+            (A.name, family, r, t)
+
+
+def test_every_built_instance_is_read():
+    """verify-approx hcminus on F2[x,y] at D = N = 6 builds only the
+    instances that some non-empty space reads (a table built per key
+    degree read 239 of its 653): a relation out of reach of every space is
+    never built, and an empty space reads no instance."""
+    A = _fixture("poly_xy.alg")
+    nonempty, read = [], set()
+    real_rows, real_instances = ell_module._relation_rows, _instances
+
+    def relation_rows(B, family, cands, n, d):
+        nonempty.append(bool(cands))
+        try:
+            return real_rows(B, family, cands, n, d)
+        finally:
+            nonempty.pop()
+
+    def instances(B, family, t, top):
+        assert nonempty[-1], (family, t, top)
+        out = real_instances(B, family, t, top)
+        read.update(map(id, out))
+        return out
+
+    with mock.patch.object(ell_module, "_relation_rows", relation_rows), \
+            mock.patch.object(ell_module, "_instances", instances):
+        cmd_verify_approx(A, RunConfig("poly_xy.alg", "verify-approx",
+                                       "hcminus", 6, 6, 3, "json", 1))
+    built = A.memo("ell_instances")
+    assert read
+    for (family, r, t), insts in built.items():
+        # an ell instance is also read through its iota image in ell_per
+        images = built.get(("per", r, t), []) if family == "ell" else []
+        assert all(id(i) in read for i in insts) \
+            or images and all(id(i) in read for i in images), (family, r, t)
