@@ -96,15 +96,10 @@ def psi_generator_image(A: AlgebraPresentation, gen: tuple) -> UChain:
         entries = {0: frozenset((h, ()) for h in sq),
                    1: _word(A, one, (m, m))}
         x = UChain.make("minus", entries)
-    elif kind == "u":
-        x = UChain.make("minus", {gen[1] if len(gen) > 1 else 1:
-                                  _word(A, one)})
     elif kind == "gamma":
         x = UChain.make("plus", {0: _word(A, gen[1])})
     elif kind == "v":
         x = UChain.make("plus", {-gen[1]: _word(A, one)})
-    elif kind == "uinv":
-        x = UChain.make("per", {-1: _word(A, one)})
     else:
         raise ApproxError(f"unknown generator {gen!r}")
     if not _is_cycle(A, x):

@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .approx import verify_approximation, verify_squares
 from .cyclic import (
@@ -331,19 +331,19 @@ def main(argv=None) -> int:
         prog="cyclo2",
         description="Cyclic homology of F2-algebras and the generators-and-"
                     "relations approximations")
-    parser.add_argument("--input", required=True, help="presentation file")
+    parser.add_argument("--input", dest="input_path", required=True,
+                        metavar="INPUT", help="presentation file")
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--theory", default="hcminus", choices=THEORIES)
-    parser.add_argument("--max-internal", type=int, default=4, metavar="D")
-    parser.add_argument("--max-homological", type=int, default=4, metavar="N")
-    parser.add_argument("--columns", type=int, default=3, metavar="S")
-    parser.add_argument("--format", default="table",
-                        choices=("table", "json"))
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    config = RunConfig(args.input, args.command, args.theory,
-                       args.max_internal, args.max_homological, args.columns,
-                       args.format, args.seed)
+    parser.add_argument("--theory", choices=THEORIES)
+    parser.add_argument("--max-internal", type=int, metavar="D")
+    parser.add_argument("--max-homological", type=int, metavar="N")
+    parser.add_argument("--columns", type=int, metavar="S")
+    parser.add_argument("--format", choices=("table", "json"))
+    parser.add_argument("--seed", type=int)
+    # the defaults are RunConfig's, so the library and the CLI agree
+    parser.set_defaults(**{f.name: f.default for f in fields(RunConfig)
+                           if f.default is not MISSING})
+    config = RunConfig(**vars(parser.parse_args(argv)))
     try:
         status, report = run(config)
     except CLIError as exc:

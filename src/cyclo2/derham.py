@@ -164,7 +164,7 @@ def cartier_form(A: AlgebraPresentation, el: OmegaElement) -> OmegaElement:
     """Representative of the Cartier image: m dg_T -> m^2 (prod g_i) dg_T."""
     out: set = set()
     for m, dgs in el:
-        coeff = A.normal_form([tuple(2 * e for e in m)])
+        coeff = A.mul(m, m)
         for i in dgs:
             coeff = A.mul_elements(coeff, frozenset({A.gen_monomial(i)}))
         for c in coeff:

@@ -571,7 +571,7 @@ def map_r(A: AlgebraPresentation, mon: EllMonomial) -> OmegaElement:
         return frozenset()
     out: OmegaElement = frozenset({(A.one, ())})
     for m in phi:
-        sq = A.normal_form([tuple(2 * e for e in m)])
+        sq = A.mul(m, m)
         out = form_mul(A, out, frozenset((c, ()) for c in sq))
     for m in q + dl:  # the da of q(a) and of delta(a)
         out = form_mul(A, out, de_rham_d(A, frozenset({(m, ())})))

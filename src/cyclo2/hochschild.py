@@ -6,6 +6,10 @@ bar entry equal to the unit: entries that reduce to a scalar kill the term
 cancels.  The internal degree of a word is the plain sum of the internal
 degrees of all its slots, which both b and B preserve.
 
+Both product tables, shuffles and cyclic_shuffles, are gather orders: slot s
+of a product word takes item order[s] (0-based) of the concatenated content,
+so each product builds its words with tuple(map(content.__getitem__, order)).
+
 u-chains carry the bookkeeping for the four homology theories: the entry at
 u-exponent i is a chain of bar length n + 2i, where n is the total
 homological degree.  Exponents are >= 0 for the minus theory, <= 0 for the
@@ -34,58 +38,32 @@ class ChainError(Exception):
 
 @lru_cache(maxsize=None)
 def shuffles(p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """All (p,q)-shuffles as image tuples (sigma(1), ..., sigma(p+q))."""
+    """All (p,q)-shuffles as gather orders, each block kept in order."""
     if p < 0 or q < 0:
         raise ChainError("negative shuffle parameters")
-    n = p + q
     out = []
-    for pos in itertools.combinations(range(n), p):
-        images = [0] * n
-        rest = [i for i in range(n) if i not in pos]
-        for k, slot in enumerate(pos):
-            images[k] = slot + 1
-        for k, slot in enumerate(rest):
-            images[p + k] = slot + 1
-        out.append(tuple(images))
+    for pos in map(set, itertools.combinations(range(p + q), p)):
+        first, second = iter(range(p)), iter(range(p, p + q))
+        out.append(tuple(next(first if s in pos else second)
+                         for s in range(p + q)))
     return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
 def cyclic_shuffles(p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Cyclic (p,q)-shuffles: rotate each block, shuffle, keep 1 before p+1."""
+    """Cyclic (p,q)-shuffles as gather orders: rotate each block, shuffle,
+    keep item 0 before item p (no order arises twice)."""
     if p < 1 or q < 1:
         raise ChainError("cyclic shuffles need p, q >= 1")
-    n = p + q
-    block1 = list(range(1, p + 1))
-    block2 = list(range(p + 1, n + 1))
-    seen = set()
-    for r1 in range(p):
-        rot1 = block1[r1:] + block1[:r1]
-        for r2 in range(q):
-            rot2 = block2[r2:] + block2[:r2]
-            for pos in itertools.combinations(range(n), p):
-                seq = [0] * n
-                rest = [i for i in range(n) if i not in pos]
-                for k, slot in enumerate(pos):
-                    seq[slot] = rot1[k]
-                for k, slot in enumerate(rest):
-                    seq[slot] = rot2[k]
-                if seq.index(1) < seq.index(p + 1):
-                    seen.add(tuple(seq))
-    return tuple(sorted(seen))
-
-
-def act(perm: tuple[int, ...], items: tuple) -> tuple:
-    """The left action sigma . (c_1..c_n): item k lands in slot sigma(k)."""
-    out = [None] * len(perm)
-    for k, v in enumerate(perm):
-        out[v - 1] = items[k]
-    return tuple(out)
-
-
-def act_inverse(perm: tuple[int, ...], items: tuple) -> tuple:
-    """The action of sigma^{-1}: slot k receives item sigma(k)."""
-    return tuple(items[perm[k] - 1] for k in range(len(perm)))
+    out = []
+    for r1, r2 in itertools.product(range(p), range(q)):
+        rot = [(k + r1) % p for k in range(p)] + \
+              [p + (k + r2) % q for k in range(q)]
+        for order in shuffles(p, q):
+            seq = tuple(map(rot.__getitem__, order))
+            if seq.index(0) < seq.index(p):
+                out.append(seq)
+    return tuple(sorted(out))
 
 
 def shuffle_product(A: AlgebraPresentation, c1: ChainElement,
@@ -96,8 +74,8 @@ def shuffle_product(A: AlgebraPresentation, c1: ChainElement,
         for h2, b2 in c2:
             content = b1 + b2
             heads = A.mul(h1, h2)
-            for tau in shuffles(len(b1), len(b2)):
-                bars = act(tau, content)
+            for order in shuffles(len(b1), len(b2)):
+                bars = tuple(map(content.__getitem__, order))
                 for h in heads:
                     out.symmetric_difference_update({(h, bars)})
     return frozenset(out)
@@ -183,8 +161,8 @@ def mu_chain(A: AlgebraPresentation, x: UChain, y: UChain) -> UChain:
                     if h1 == one or h2 == one:
                         continue
                     content = (h1,) + b1 + (h2,) + b2
-                    for sigma in cyclic_shuffles(len(b1) + 1, len(b2) + 1):
+                    for order in cyclic_shuffles(len(b1) + 1, len(b2) + 1):
                         cyclic.symmetric_difference_update(
-                            {(one, act_inverse(sigma, content))})
+                            {(one, tuple(map(content.__getitem__, order)))})
     return UChain.make(theory, {i: frozenset(s) for i, s in acc.items()})
 

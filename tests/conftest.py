@@ -2,10 +2,10 @@
 default hypothesis profile and its random small presentations, the
 augmentation, u-chain, Omega[u], report, model-map, Cartier, exactness,
 subspace-containment and class-coordinate helpers that only the tests use,
-a counter of the eliminations the towers run, and the slow word-set b, B,
-chain-group, elimination, differential, truncation-check, E2-page,
-connecting-map, monomial-product, relation-instance, relation-row and
-commuting-square oracles."""
+a counter of the eliminations the towers run, and the slow shuffle-table,
+word-set b, B, chain-group, elimination, differential, truncation-check,
+E2-page, connecting-map, monomial-product, relation-instance, relation-row
+and commuting-square oracles."""
 
 import itertools
 from functools import partial
@@ -422,6 +422,27 @@ def oracle_homology_bases(out_cols, in_cols):
     cycles = oracle_echelonize_in(eliminate_tracked(out_cols)[1], dim)
     boundaries = oracle_echelonize_in([v for v in in_cols if v], dim)
     return cycles, boundaries, complement_basis(cycles, boundaries)
+
+
+# ----- the shuffle tables from their definitions -----
+
+def _block_kept(order, lo, hi, cyclic):
+    """Whether the items lo..hi-1 appear in order in the gather order, or
+    with cyclic, in a rotation of that order."""
+    items = [i for i in order if lo <= i < hi]
+    k = items.index(lo) if cyclic else 0
+    return items[k:] + items[:k] == list(range(lo, hi))
+
+
+def oracle_shuffle_orders(p, q, cyclic=False):
+    """The (p,q)-shuffles as gather orders of p + q items: the orders that
+    keep each block in order.  With cyclic, the cyclic (p,q)-shuffles: the
+    orders whose restriction to each block is a rotation, with item 0
+    before item p."""
+    return {order for order in itertools.permutations(range(p + q))
+            if _block_kept(order, 0, p, cyclic)
+            and _block_kept(order, p, p + q, cyclic)
+            and not (cyclic and order.index(p) < order.index(0))}
 
 
 # ----- the word-set b and B on chains of bar words, kept as the oracle of

@@ -228,6 +228,20 @@ def test_internal_error_names_the_exception(monkeypatch, capsys):
     assert "cyclo2: internal error: MemoryError" in capsys.readouterr().err
 
 
+def test_cli_defaults_are_run_config_defaults(monkeypatch, capsys):
+    # the command line takes every default from RunConfig, so they agree
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return run(config)
+
+    monkeypatch.setattr(cli, "run", capture)
+    f = fixture("f2.alg")
+    assert main(["--input", f, "--command", "compute"]) == 0
+    assert seen == [RunConfig(f, "compute")]
+
+
 def test_console_script_runs():
     # the child imports cyclo2 from where this process found it
     src = os.path.dirname(os.path.dirname(cyclo2.__file__))

@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from conftest import boundary_b, connes_B, scale_u, uchain_boundary, \
-    unit_uchain
+from conftest import boundary_b, connes_B, oracle_shuffle_orders, scale_u, \
+    uchain_boundary, unit_uchain
 from cyclo2.gralg import dual_numbers, field_f4, polynomial_algebra
 from cyclo2.hochschild import (
     ChainError,
     UChain,
-    act,
-    act_inverse,
     cyclic_shuffles,
     mu_chain,
     shuffle_product,
@@ -57,17 +55,18 @@ def test_B_basic():
 
 
 def test_shuffles_counts_and_lists():
-    assert shuffles(1, 0) == ((1,),)
+    # gather orders: slot s of a product word takes item order[s]
+    assert shuffles(1, 0) == ((0,),)
     assert len(shuffles(1, 1)) == 2
-    assert set(shuffles(1, 2)) == {(1, 2, 3), (2, 1, 3), (3, 1, 2)}
+    assert set(shuffles(1, 2)) == {(0, 1, 2), (1, 0, 2), (1, 2, 0)}
     assert len(shuffles(3, 4)) == 35
 
 
-CS21 = {(1, 2, 3), (1, 3, 2), (2, 1, 3)}
+CS21 = {(0, 1, 2), (0, 2, 1), (1, 0, 2)}
 CS22 = {
-    (1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3),
-    (1, 3, 2, 4), (1, 3, 4, 2), (1, 4, 2, 3), (4, 1, 2, 3),
-    (1, 4, 3, 2), (4, 1, 3, 2), (2, 4, 1, 3), (4, 2, 1, 3),
+    (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+    (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (3, 0, 1, 2),
+    (0, 3, 2, 1), (3, 0, 2, 1), (1, 3, 0, 2), (3, 1, 0, 2),
 }
 
 
@@ -80,7 +79,7 @@ def test_cyclic_shuffles_2_2():
 
 
 def test_cyclic_shuffles_1_1():
-    assert cyclic_shuffles(1, 1) == ((1, 2),)
+    assert cyclic_shuffles(1, 1) == ((0, 1),)
 
 
 def test_cyclic_shuffles_rejects_zero():
@@ -88,14 +87,18 @@ def test_cyclic_shuffles_rejects_zero():
         cyclic_shuffles(0, 1)
 
 
-def test_act_inverse_roundtrip():
-    rng = random.Random(2)
-    for _ in range(50):
-        n = rng.randint(1, 6)
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        items = tuple(rng.randint(0, 9) for _ in range(n))
-        assert act_inverse(tuple(perm), act(tuple(perm), items)) == items
+def test_shuffle_tables_match_their_definitions():
+    # both tables against the permutation oracle, as sets, with no order
+    # listed twice
+    for p in range(7):
+        for q in range(7 - p):
+            tables = [(shuffles(p, q), False)]
+            if p and q:
+                tables.append((cyclic_shuffles(p, q), True))
+            for table, cyclic in tables:
+                assert len(set(table)) == len(table), (p, q, cyclic)
+                assert set(table) == oracle_shuffle_orders(p, q, cyclic), \
+                    (p, q, cyclic)
 
 
 def test_shuffle_product_examples():
