@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from .cyclic import (
     HomologyPresentation,
     Truncation,
+    _shape_key,
     bidegree_window,
     build_tower,
     homology,
@@ -46,6 +47,7 @@ from .ell import (
     model_matrix,
     model_space,
     mon_mul,
+    u_orbit_shift,
 )
 from .f2linalg import F2Matrix, rank_of
 from .gralg import AlgebraPresentation
@@ -114,10 +116,11 @@ def chain_of_monomial(A: AlgebraPresentation, mon: tuple) -> UChain:
     if mon in cache:
         return cache[mon]
     kind, j = mon[:2]
-    if kind == "e" and j < 0:
-        # only ell_per has u^{-1}: the u^0 chain, moved down
+    if kind == "e" and j:
+        # the u^0 chain moved by j; only ell_per has u^{-1}
         x = chain_of_monomial(A, ("e", 0) + mon[2:])
-        x = UChain.make("per", {i + j: c for i, c in x.entries})
+        x = UChain.make("minus" if j > 0 else "per",
+                        {i + j: c for i, c in x.entries})
     elif kind == "e":
         # peel the last factor off: phi first, then q, then delta
         for k, gen in ((2, "phi"), (3, "q"), (4, "delta")):
@@ -127,7 +130,7 @@ def chain_of_monomial(A: AlgebraPresentation, mon: tuple) -> UChain:
                              psi_generator_image(A, (gen, mon[k][-1])))
                 break
         else:
-            x = UChain.make("minus", {j: _word(A, A.one)})
+            x = UChain.make("minus", {0: _word(A, A.one)})
     elif kind == "g":
         coeff = chain_of_monomial(A, ("e",) + mon[1:5])
         x = mu_chain(A, coeff, psi_generator_image(A, ("gamma", mon[5])))
@@ -158,6 +161,10 @@ def psi_matrix(A: AlgebraPresentation, theory: str, n: int, D: int,
     With certify=True every relation-spanning row of the source is pushed
     through psi and asserted to vanish in homology, certifying that the map
     is well defined on the quotient.  H is the homology at depth S only.
+
+    A source u^k times its representative (u_orbit_shift) takes that
+    one's matrix where the records' d_n and d_{n+1} have equal shapes:
+    psi(u^k m) is psi(m) moved by k, on the same slice coordinates.
     """
     t = theory_key(theory)
     cache = A.memo("psi_matrix")
@@ -167,16 +174,21 @@ def psi_matrix(A: AlgebraPresentation, theory: str, n: int, D: int,
         return cached[0], cached[1], cached[2]
     sp = ell_degree_basis(A, THEORY_FLAVOR[t], n, D - n)
     H = homology(A, t, n, D, S)
-    cols = [psi_class(A, frozenset({mon}), H) for mon in sp.basis()]
-    mat = F2Matrix(H.dim, tuple(cols))
-    if certify:
-        for rel in sp.quotient.relations.vectors:
-            el = frozenset(sp.cands[k] for k in range(len(sp.cands))
-                           if (rel >> k) & 1)
-            if psi_class(A, el, H):
-                raise ApproxError(
-                    f"psi not well defined at ({n}, {D}): relation row "
-                    "has a nonzero class")
+    k = u_orbit_shift(sp.kind, n)
+    if k and all(_shape_key(A, t, n + i, D, S)
+                 == _shape_key(A, t, n + 2 * k + i, D, S) for i in (0, 1)):
+        mat = psi_matrix(A, t, n + 2 * k, D, S, certify)[0]
+    else:
+        cols = [psi_class(A, frozenset({mon}), H) for mon in sp.basis()]
+        mat = F2Matrix(H.dim, tuple(cols))
+        if certify:
+            for rel in sp.quotient.relations.vectors:
+                el = frozenset(sp.cands[i] for i in range(len(sp.cands))
+                               if (rel >> i) & 1)
+                if psi_class(A, el, H):
+                    raise ApproxError(
+                        f"psi not well defined at ({n}, {D}): relation row "
+                        "has a nonzero class")
     cache[key] = (mat, sp, H, certify)
     return mat, sp, H
 

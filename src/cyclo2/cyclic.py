@@ -37,7 +37,8 @@ Its block bases are built only when something reads classes, from one
 shared elimination of each block per shape (differential_bases): its
 kernel is the cycles of that block of T_n and its image the boundaries
 of that block of T_{n-1}.  Class coordinates are read block by block,
-and only the class representatives are placed on slice vectors.  That
+and only the class representatives are placed on slice vectors; the
+classes are built once per pair of shapes of d_n and d_{n+1}.  That
 elimination records its ranks too, so bases read first leave no rank
 pass to run.
 
@@ -733,6 +734,17 @@ class HomologyPresentation(Homology):
             (out[key][0], into[key][1] if key in into
              else SubspaceBasis(_block_dim(segments)))
             for key, segments in self.slice.blocks.items())
+
+    @cached_property
+    def _classes(self) -> tuple:
+        # once per shapes of d_n and d_{n+1}, which fix the runs and pairs
+        if self.bases is not None:
+            return Homology._classes.func(self)
+        shapes = self._sides(_shape_key)
+        table = self.algebra().memo("homology_classes")
+        if shapes not in table:
+            table[shapes] = Homology._classes.func(self)
+        return table[shapes]
 
 
 def homology(A: AlgebraPresentation, theory: str, n: int, d: int,

@@ -24,7 +24,8 @@ defining relations of ell and ell_plus; each relation's instances of one
 key degree (their upper degree) are built on the first read of a space
 that they can reach, and the ell_per instances are the iota images of the
 ell ones.  The flavors that keep only some ell candidates project the ell
-relation span onto them.
+relation span onto them.  Each ell_per space, and each ell space at
+n <= -2, is a u-shifted view of its u-orbit representative (u_orbit_shift).
 
 The structural maps of the three modelled exact sequences (u, r, tau; I, u,
 D; iota, S, bd) form one table, MODELS; a map is its source and target space
@@ -530,19 +531,44 @@ def _project(v: int, keep: list[int]) -> int:
     return sum(((v >> k) & 1) << i for i, k in enumerate(keep))
 
 
+def u_orbit_shift(flavor: str, n: int) -> int:
+    """The k with the flavor's space at (n, d) u^k times its representative
+    at (n + 2k, d - 2k): ell_per at n mod 2, ell at n <= -2 at 0 or -1; 0
+    for a representative and for the other flavors."""
+    if flavor == "ell_per":
+        return -(n // 2)
+    return (-n) // 2 if flavor == "ell" and n <= -2 else 0
+
+
 def ell_degree_basis(A: AlgebraPresentation, flavor: str, n: int,
                      d: int) -> PresentedSpace:
-    """Basis of the chosen functor in bidegree (homological n, upper d)."""
+    """Basis of the chosen functor in bidegree (homological n, upper d).
+
+    A space with u_orbit_shift k != 0 is a view of its representative R:
+    R's candidates with j moved by k, on R's QuotientBasis, as the relation
+    rows are the same bitmasks.  For n <= 0 no candidate has a delta part
+    (delta occurs only at j = 0, with n >= 0 slots), so each row, at R and
+    at the view, is the delta-free part of its product: u kills delta, and
+    a delta term at R would leave R's candidates.  The multipliers at
+    (n - n0, d - d0), n - n0 <= 0 (of ell_per at any n), biject under u^k,
+    and mon_mul commutes with the shift on delta-free products;
+    _mon_sort_key sorts on j first, so the order is kept; the key degrees
+    read depend only on n + d.  The restricted flavors project the view.
+    """
     if flavor not in FLAVORS:
         raise EllError(f"unknown flavor {flavor!r}")
     cache = A.memo("ell")
     key = (flavor, n, d)
     if key in cache:
         return cache[key]
-    if flavor in _RESTRICTED:
+    k = u_orbit_shift(flavor, n)
+    if k:
+        rep = ell_degree_basis(A, flavor, n + 2 * k, d - 2 * k)
+        cands = tuple(("e", m[1] + k) + m[2:] for m in rep.cands)
+    elif flavor in _RESTRICTED:
         base = ell_degree_basis(A, "ell", n, d)
-        keep = [k for k, m in enumerate(base.cands) if _RESTRICTED[flavor](m)]
-        cands = tuple(base.cands[k] for k in keep)
+        keep = [i for i, m in enumerate(base.cands) if _RESTRICTED[flavor](m)]
+        cands = tuple(base.cands[i] for i in keep)
         rows = [_project(v, keep) for v in base.quotient.relations.vectors]
     elif flavor == "ell":
         cands = tuple(ell_monomials(A, n, d))
@@ -554,7 +580,7 @@ def ell_degree_basis(A: AlgebraPresentation, flavor: str, n: int,
         cands = tuple(plus_monomials(A, n, d))
         rows = (_relation_rows(A, "plus", cands, n, d)
                 + _relation_rows(A, "coefficient", cands, n, d))
-    space = PresentedSpace(flavor, n, d, cands,
+    space = PresentedSpace(flavor, n, d, cands, rep.quotient if k else
                            QuotientBasis.from_relations(len(cands), rows))
     cache[key] = space
     return space

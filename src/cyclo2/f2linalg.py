@@ -137,9 +137,6 @@ class SubspaceBasis:
             v ^= table[low.bit_length() - 1]
         return v
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
 
 @dataclass(frozen=True)
 class QuotientBasis:

@@ -12,7 +12,7 @@ from functools import partial
 
 from hypothesis import settings, strategies as st
 
-from cyclo2.approx import _eps_matrix, psi_matrix
+from cyclo2.approx import _eps_matrix, psi_generator_image, psi_matrix
 import cyclo2.cyclic as cyclic
 import cyclo2.f2linalg as f2linalg
 from cyclo2.cyclic import (
@@ -73,7 +73,7 @@ from cyclo2.f2linalg import (
     rank_of,
 )
 from cyclo2.gralg import AlgebraPresentation, AugmentationError
-from cyclo2.hochschild import ChainError, UChain
+from cyclo2.hochschild import ChainError, UChain, mu_chain
 
 # Fixed examples and no deadline: every run draws the same cases in bounded
 # time.  Another profile can still be chosen with --hypothesis-profile.
@@ -268,7 +268,7 @@ def exactness_defects(A, which, n, d, S=3):
 
 def contains_subspace(big, small):
     """Whether the span of the SubspaceBasis small lies in that of big."""
-    return all(big.contains(v) for v in small.vectors)
+    return all(big.reduce(v) == 0 for v in small.vectors)
 
 
 def quotient_coordinates(cycles, boundaries, v):
@@ -930,6 +930,22 @@ def oracle_plus_instances(A, lo, hi):
 ORACLE_INSTANCES = {"ell": oracle_ell_instances,
                     "per": oracle_per_instances,
                     "plus": oracle_plus_instances}
+
+
+# ----- psi of a monomial by the fold from u^j, kept as a slow oracle -----
+
+def oracle_chain_fold(A, mon):
+    """psi of the ell or ell_per monomial u^j prod phi prod q prod delta:
+    the chain u^j (x) 1[] times the generator images of the delta, then the
+    q, then the phi factors, each part in its own order (the order in which
+    peeling the last phi, then q, then delta factor multiplies them)."""
+    _, j, phi, q, dl = mon
+    x = UChain.make("minus" if j >= 0 else "per",
+                    {j: frozenset({(A.one, ())})})
+    for gen, args in (("delta", dl), ("q", q), ("phi", phi)):
+        for m in args:
+            x = mu_chain(A, x, psi_generator_image(A, (gen, m)))
+    return x
 
 
 # ----- the relation rows bounded by upper degree, kept as a slow oracle -----

@@ -5,7 +5,10 @@ import weakref
 
 import pytest
 
-from conftest import non_iso_entries, oracle_verify_squares, total_degrees, \
+from hypothesis import given, settings
+
+from conftest import non_iso_entries, oracle_chain_fold, \
+    oracle_verify_squares, small_presentations, total_degrees, \
     uchain_boundary
 from cyclo2.approx import (
     SQUARES,
@@ -21,7 +24,8 @@ from cyclo2.approx import (
 from cyclo2.cli import load_presentation
 from cyclo2.cyclic import TowerError, build_tower, homology, les_map, \
     slice_differential, vectorize
-from cyclo2.ell import MODELS, ell_degree_basis
+from cyclo2.ell import MODELS, ell_degree_basis, ell_monomials, \
+    per_monomials, u_orbit_shift
 from cyclo2.gralg import AlgebraPresentation, dual_numbers, field_f4, \
     polynomial_algebra, trivial_algebra
 from cyclo2.hochschild import UChain, mu_chain
@@ -297,3 +301,54 @@ def test_finished_request_frees_the_algebra():
             assert ref() is None, theory
     finally:
         gc.enable()
+
+
+# ----- the u-orbit sharing of chains and class matrices -----
+
+def _assert_chains_match_the_fold(A, bidegrees):
+    """psi(u^j m) is the u^0 chain moved by j: the chain of the fold from
+    u^j, for every ell and ell_per candidate."""
+    moved = 0
+    for n, d in bidegrees:
+        for mon in ell_monomials(A, n, d) + per_monomials(A, n, d):
+            assert chain_of_monomial(A, mon) == oracle_chain_fold(A, mon), \
+                (A.name, mon)
+            moved += mon[1] != 0
+    return moved
+
+
+def _assert_psi_matrices_match_their_records(A, window):
+    """Each class matrix, shared with its u-orbit representative or not,
+    is psi_class of the source basis on the record itself.  Sharing happens
+    on graded input only: an ungraded slice is cut at column -S for every
+    n, so its shape moves with n."""
+    shared = 0
+    for t in ("minus", "per"):
+        for n, D in window:
+            mat, sp, H = psi_matrix(A, t, n, D, certify=True)
+            assert mat.columns == tuple(
+                psi_class(A, frozenset({m}), H) for m in sp.basis()), \
+                (A.name, t, n, D)
+            k = u_orbit_shift(sp.kind, n)
+            shared += bool(k) and mat is psi_matrix(A, t, n + 2 * k, D)[0]
+    assert bool(shared) == A.graded, (A.name, shared)
+
+
+@pytest.mark.parametrize("name, D", [
+    ("f2.alg", 8), ("poly_x.alg", 7), ("poly_xy.alg", 5),
+    ("poly_xyz.alg", 4), ("dual_numbers.alg", 0), ("f4.alg", 0)])
+def test_orbit_sharing_matches_the_direct_path(name, D):
+    A = _fixture(name)
+    window = [(n, e) for n in range(-6, 7) for e in range(D + 1)]
+    assert _assert_chains_match_the_fold(
+        A, [(n, e - n) for n, e in window])
+    _assert_psi_matrices_match_their_records(A, window)
+
+
+@settings(max_examples=15)
+@given(small_presentations())
+def test_orbit_sharing_on_random_presentations(A):
+    window = [(n, e) for n in range(-3, 4)
+              for e in (range(4) if A.graded else (0,))]
+    _assert_chains_match_the_fold(A, [(n, e - n) for n, e in window])
+    _assert_psi_matrices_match_their_records(A, window)
